@@ -10,7 +10,7 @@ decomposition structure, and (on small instances) agreement with a
 brute-force repairability oracle.
 """
 
-from .gf import FieldElement, FieldMismatchError, FieldSpec, NotPrimeError
+from .gf import FieldSpec, NotPrimeError
 from .linalg import CapExceededError, Matrix, Subspace
 from .regen import (
     CheckReport,
@@ -59,9 +59,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FieldSpec",
-    "FieldElement",
     "NotPrimeError",
-    "FieldMismatchError",
     "Matrix",
     "Subspace",
     "CapExceededError",

@@ -58,8 +58,7 @@ class AlignmentCertificate:
     in S_i vanishes.  repair_parts maps (i, j) to sigma(i, j), the component
     of w(i) in S_j; complement_parts maps i to tau(i); complement_coeffs maps
     (i, j) to the coefficient of t_j when tau(i) is written over the
-    complement vectors other than t_i.  zero_pattern records which basis
-    vector kills which column (the identity map after normalization).
+    complement vectors other than t_i.
     """
 
     decomposition: Decomposition
@@ -67,7 +66,6 @@ class AlignmentCertificate:
     repair_parts: dict[tuple[int, int], Vec]
     complement_parts: dict[int, Vec]
     complement_coeffs: dict[tuple[int, int], int]
-    zero_pattern: dict[int, int]
 
     def subspace(self) -> Subspace:
         dec = self.decomposition
@@ -124,7 +122,6 @@ def is_well_aligned(
         repair_parts=repair_parts,
         complement_parts=complement_parts,
         complement_coeffs=complement_coeffs,
-        zero_pattern={j: j for j in dec.helpers},
     )
 
 
@@ -175,7 +172,6 @@ def sample_well_aligned(
         repair_parts=repair_parts,
         complement_parts=complement_parts,
         complement_coeffs=complement_coeffs,
-        zero_pattern={j: j for j in dec.helpers},
     )
     return candidate, cert
 

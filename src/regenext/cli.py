@@ -12,7 +12,6 @@ import argparse
 import csv
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -76,7 +75,6 @@ class RunConfig:
     in_path: str | None = None
     out_path: str | None = None
     csv_path: str | None = None
-    threads: int = 1
     oracle_cap: int = DEFAULT_ORACLE_CAP
 
     def validate(self) -> None:
@@ -86,8 +84,6 @@ class RunConfig:
             raise UsageError(f"trials must be positive, got {self.trials}")
         if self.max_attempts < 1:
             raise UsageError(f"max-attempts must be positive, got {self.max_attempts}")
-        if self.threads < 1:
-            raise UsageError(f"threads must be positive, got {self.threads}")
         if self.oracle_cap < 1:
             raise UsageError(f"oracle-cap must be positive, got {self.oracle_cap}")
         if self.n_target is not None and self.k is not None and self.n_target < self.k + 1:
@@ -195,6 +191,12 @@ def _cmd_grow(args: argparse.Namespace) -> int:
         bound = attempts_bound(current, code.params.k, code.params.spec)
         try:
             outcome = extend_code(code, rng, max_attempts=cfg.max_attempts)
+        except (DecompositionError, MissingWitnessError) as exc:
+            _log(
+                f"grow: {cfg.in_path} does not hold a valid code ({exc}); "
+                f"run `regenext verify --in {cfg.in_path}` for the full report"
+            )
+            return EXIT_VERIFICATION
         except ExtensionError as exc:
             partial = cfg.out_path + ".partial"
             save_code(code, partial)
@@ -224,19 +226,11 @@ def _cmd_grow(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _map_units(fn, items, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     code = load_code(args.in_path)
     cfg = RunConfig(
         command="verify",
         in_path=args.in_path,
-        threads=args.threads,
         oracle_cap=args.oracle_cap,
     )
     cfg.validate()
@@ -253,9 +247,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     failed = failed or bool(node_violations)
 
     subsets = list(code.recovery_subsets())
-    recovery_msgs = _map_units(
-        lambda subset: check_recovery_subset(code, subset), subsets, cfg.threads
-    )
+    recovery_msgs = [check_recovery_subset(code, subset) for subset in subsets]
     recovery_violations = [m for m in recovery_msgs if m]
     _print_section("data recovery", len(subsets), recovery_violations)
     failed = failed or bool(recovery_violations)
@@ -269,7 +261,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         except MissingWitnessError as exc:
             return [str(exc)]
 
-    witness_msgs = _map_units(check_pair, pairs, cfg.threads)
+    witness_msgs = [check_pair(pair) for pair in pairs]
     witness_violations = [m for msgs in witness_msgs for m in msgs]
     _print_section("repair witnesses", len(pairs), witness_violations)
     failed = failed or bool(witness_violations)
@@ -281,7 +273,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         except (DecompositionError, MissingWitnessError) as exc:
             return [f"pair ({x}, {helpers}): {exc}"]
 
-    structure_msgs = _map_units(check_structure, pairs, cfg.threads)
+    structure_msgs = [check_structure(pair) for pair in pairs]
     structure_violations = [m for msgs in structure_msgs for m in msgs]
     _print_section("decomposition structure", len(pairs), structure_violations)
     failed = failed or bool(structure_violations)
@@ -603,9 +595,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_ORACLE_CAP,
         dest="oracle_cap",
         help="skip the exhaustive repair oracle above this many combinations",
-    )
-    verify.add_argument(
-        "--threads", type=int, default=1, help="worker threads for the check loops"
     )
     verify.set_defaults(handler=_cmd_verify)
 

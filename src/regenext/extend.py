@@ -56,11 +56,10 @@ class SynthesisError(RuntimeError):
 class ExtensionError(RuntimeError):
     """Could not extend the code within the attempt budget."""
 
-    def __init__(self, message: str, attempts: int, bound: Fraction, raw_bound: Fraction):
+    def __init__(self, message: str, attempts: int, bound: Fraction):
         super().__init__(message)
         self.attempts = attempts
         self.bound = bound
-        self.raw_bound = raw_bound
 
 
 @dataclass
@@ -174,6 +173,33 @@ def helper_repair_witness(
     return RepairWitness.of(spaces)
 
 
+def _add_node(
+    nodes: tuple[Subspace, ...],
+    witnesses: dict[tuple[int, tuple[int, ...]], RepairWitness],
+    candidate: Subspace,
+    log: dict[tuple[int, ...], tuple[int | None, AlignmentCertificate]],
+) -> tuple[Code, tuple[str, ...]]:
+    """Append the candidate as node n+1 and re-verify the result.
+
+    For every helper subset in the log, the subset's certificate yields the
+    witnesses in both directions: the new node repaired by the subset, and
+    each member repaired by the others plus the new node.  Returns the grown
+    code and its first few verification problems (none when it verifies).
+    """
+    star = len(nodes) + 1
+    witnesses = dict(witnesses)
+    for helpers, (_, cert) in log.items():
+        witnesses[(star, helpers)] = new_node_repair_witness(cert)
+        for failed in helpers:
+            key = tuple(sorted([j for j in helpers if j != failed] + [star]))
+            witnesses[(failed, key)] = helper_repair_witness(cert, failed, star)
+    # a node has dimension k, so the candidate fixes k
+    params = Params(star, candidate.dim, candidate.spec)
+    grown = Code(params, nodes + (candidate,), witnesses)
+    problems = verify_data_recovery(grown).violations + verify_repair_witnesses(grown).violations
+    return grown, problems[:3]
+
+
 def synthesize_base_code(
     k: int,
     spec: FieldSpec,
@@ -183,36 +209,25 @@ def synthesize_base_code(
     """Build a verified code on n = k+1 nodes from scratch.
 
     Nodes 1..k are repair space plus complement vector from a random frame;
-    node k+1 is sampled well aligned relative to that frame.  Witnesses cover
-    every (failed node, helper set) pair.  Each attempt is fully verified;
-    raises SynthesisError when the budget runs out (tiny fields can need a
-    few tries).
+    node k+1 is sampled well aligned relative to that frame and added as a
+    one-subset extension of it.  Each attempt is fully verified; raises
+    SynthesisError when the budget runs out (tiny fields can need a few
+    tries).
     """
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be positive, got {max_attempts}")
-    params = Params(k + 1, k, spec)
     last_error = ""
     for _ in range(max_attempts):
         dec = synthesize_decomposition(k, spec, rng)
-        nodes = []
-        for j in dec.helpers:
-            nodes.append(
-                dec.repair_spaces[j].sum(
-                    Subspace(spec, params.f_dim, [dec.complement_vectors[j]])
-                )
-            )
+        nodes = tuple(
+            dec.repair_spaces[j].sum(Subspace(spec, dec.ambient_dim, [dec.complement_vectors[j]]))
+            for j in dec.helpers
+        )
         candidate, cert = sample_well_aligned(dec, rng)
-        star = k + 1
-        witnesses = {(star, dec.helpers): new_node_repair_witness(cert)}
-        for failed in dec.helpers:
-            key = tuple(sorted([j for j in dec.helpers if j != failed] + [star]))
-            witnesses[(failed, key)] = helper_repair_witness(cert, failed, star)
-        code = Code(params, tuple(nodes) + (candidate,), witnesses)
-        recovery = verify_data_recovery(code)
-        repairs = verify_repair_witnesses(code)
-        if recovery.ok and repairs.ok:
+        code, problems = _add_node(nodes, {}, candidate, {dec.helpers: (None, cert)})
+        if not problems:
             return code
-        last_error = "; ".join((recovery.violations + repairs.violations)[:3])
+        last_error = "; ".join(problems)
     raise SynthesisError(
         f"no verified base code for k={k} over GF({spec.p}) in {max_attempts} "
         f"attempts (last failure: {last_error or 'none recorded'})"
@@ -282,40 +297,25 @@ def extend_code(
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be positive, got {max_attempts}")
     pr = code.params
+    bound = attempts_bound(pr.n, pr.k, pr.spec)
     cache: dict = {}
     for attempt in range(1, max_attempts + 1):
         candidate = random_subspace(pr.f_dim, pr.k, pr.spec, rng)
         log = find_alignments(code, candidate, cache)
         if log is None:
             continue
-        star = pr.n + 1
-        grown_params = Params(pr.n + 1, pr.k, pr.spec)
-        witnesses = dict(code.witnesses)
-        for helpers, (x, cert) in log.items():
-            witnesses[(star, helpers)] = new_node_repair_witness(cert)
-            for failed in helpers:
-                key = tuple(sorted([j for j in helpers if j != failed] + [star]))
-                witnesses[(failed, key)] = helper_repair_witness(cert, failed, star)
-        grown = Code(grown_params, code.nodes + (candidate,), witnesses)
-        recovery = verify_data_recovery(grown)
-        repairs = verify_repair_witnesses(grown)
-        if not (recovery.ok and repairs.ok):
-            problems = "; ".join((recovery.violations + repairs.violations)[:3])
+        grown, problems = _add_node(code.nodes, code.witnesses, candidate, log)
+        if problems:
             raise ExtensionError(
-                f"grown code failed verification, which indicates a bug: {problems}",
+                "grown code failed verification, which indicates a bug: " + "; ".join(problems),
                 attempt,
-                attempts_bound(pr.n, pr.k, pr.spec),
-                Fraction(0),
+                bound,
             )
         return ExtensionOutcome(grown, attempt, log)
-    prob = probability_well_aligned(pr.k, pr.spec)
-    raw = 1 - math.comb(pr.n, pr.k) * (1 - prob)
-    bound = max(Fraction(0), raw)
     raise ExtensionError(
         f"no aligned draw in {max_attempts} attempts at n={pr.n}, k={pr.k}, "
-        f"p={pr.spec.p}; single-draw success bound is max(0, {raw}) = {bound} "
+        f"p={pr.spec.p}; single-draw success bound is {bound} "
         f"(about {float(bound):.6f}), so small fields may need many more attempts",
         max_attempts,
         bound,
-        raw,
     )

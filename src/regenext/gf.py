@@ -2,12 +2,11 @@
 
 A FieldSpec fixes the modulus and is validated once at construction with a
 deterministic primality test, so everything downstream can trust it.  Field
-elements are kept in canonical form, 0 <= value < p, at all times.
+elements are plain ints kept as canonical residues, 0 <= value < p.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 # Deterministic Miller-Rabin witness set, sufficient for n < 3,215,031,751,
@@ -19,10 +18,6 @@ MAX_MODULUS = 2**31
 
 class NotPrimeError(ValueError):
     """The requested field modulus is not a prime number."""
-
-
-class FieldMismatchError(ValueError):
-    """Elements from different fields were combined."""
 
 
 def is_prime(n: int) -> bool:
@@ -81,74 +76,6 @@ class FieldSpec:
         if not is_prime(self.p):
             raise NotPrimeError(f"{self.p} is not prime")
 
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(self, value)
-
     def inv_value(self, value: int) -> int:
         """Inverse of a raw residue, staying in plain ints."""
         return inv_mod(value, self.p)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of GF(p), stored as its canonical residue."""
-
-    spec: FieldSpec
-    value: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", int(self.value) % self.spec.p)
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        return add(self, other)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        return sub(self, other)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        return mul(self, other)
-
-    def __neg__(self) -> "FieldElement":
-        return neg(self)
-
-    def inverse(self) -> "FieldElement":
-        return inv(self)
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.spec.p})"
-
-
-def _require_same_spec(a: FieldElement, b: FieldElement) -> FieldSpec:
-    if a.spec != b.spec:
-        raise FieldMismatchError(
-            f"cannot combine elements of GF({a.spec.p}) and GF({b.spec.p})"
-        )
-    return a.spec
-
-
-def add(a: FieldElement, b: FieldElement) -> FieldElement:
-    spec = _require_same_spec(a, b)
-    return FieldElement(spec, (a.value + b.value) % spec.p)
-
-
-def sub(a: FieldElement, b: FieldElement) -> FieldElement:
-    spec = _require_same_spec(a, b)
-    return FieldElement(spec, (a.value - b.value) % spec.p)
-
-
-def mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    spec = _require_same_spec(a, b)
-    return FieldElement(spec, (a.value * b.value) % spec.p)
-
-
-def neg(a: FieldElement) -> FieldElement:
-    return FieldElement(a.spec, -a.value)
-
-
-def inv(a: FieldElement) -> FieldElement:
-    return FieldElement(a.spec, inv_mod(a.value, a.spec.p))
-
-
-def random_element(spec: FieldSpec, rng: random.Random) -> FieldElement:
-    """Uniform element of GF(p) drawn from the given source."""
-    return FieldElement(spec, rng.randrange(spec.p))

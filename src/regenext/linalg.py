@@ -35,10 +35,6 @@ def vec_scale(p: int, c: int, a: Sequence[int]) -> Vec:
     return tuple((c * x) % p for x in a)
 
 
-def vec_is_zero(a: Sequence[int]) -> bool:
-    return all(x == 0 for x in a)
-
-
 def combine(p: int, coeffs: Sequence[int], rows: Sequence[Sequence[int]]) -> Vec:
     """Linear combination sum(coeffs[i] * rows[i]) over GF(p)."""
     if not rows:
@@ -120,16 +116,6 @@ class Matrix:
     def identity(cls, spec: FieldSpec, n: int) -> "Matrix":
         return cls(spec, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, spec: FieldSpec, rows: int, cols: int) -> "Matrix":
-        return cls(spec, [[0] * cols for _ in range(rows)], cols=cols)
-
-    def row(self, i: int) -> Vec:
-        return self.entries[i]
-
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i][j]
-
     def transpose(self) -> "Matrix":
         return Matrix(
             self.spec,
@@ -137,34 +123,11 @@ class Matrix:
             cols=self.rows,
         )
 
-    def stack(self, *others: "Matrix") -> "Matrix":
-        rows = list(self.entries)
-        for other in others:
-            if other.spec != self.spec or other.cols != self.cols:
-                raise ValueError("stacked matrices must share field and width")
-            rows.extend(other.entries)
-        return Matrix(self.spec, rows, cols=self.cols)
-
     def augment(self, other: "Matrix") -> "Matrix":
         if other.spec != self.spec or other.rows != self.rows:
             raise ValueError("augmented matrices must share field and height")
         rows = [a + b for a, b in zip(self.entries, other.entries)]
         return Matrix(self.spec, rows, cols=self.cols + other.cols)
-
-    def mul(self, other: "Matrix") -> "Matrix":
-        if other.spec != self.spec:
-            raise ValueError("matrix product needs a common field")
-        if self.cols != other.rows:
-            raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        p = self.spec.p
-        ot = list(zip(*other.entries)) if other.entries else []
-        out = []
-        for row in self.entries:
-            out.append([sum(a * b for a, b in zip(row, col)) % p for col in ot])
-        return Matrix(self.spec, out, cols=other.cols)
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        return self.mul(other)
 
     def left_mul(self, v: Sequence[int]) -> Vec:
         """Row vector times matrix: v @ self."""
@@ -179,11 +142,6 @@ class Matrix:
             for idx in range(self.cols):
                 acc[idx] += c * row[idx]
         return tuple(x % p for x in acc)
-
-    def rref(self) -> tuple["Matrix", int]:
-        """Reduced row-echelon form and rank."""
-        reduced, pivots = self.rref_with_pivots()
-        return reduced, len(pivots)
 
     def rref_with_pivots(self) -> tuple["Matrix", list[int]]:
         work = [list(row) for row in self.entries]
@@ -218,10 +176,6 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix(GF({self.spec.p}), {self.rows}x{self.cols})"
-
-
-def rref(m: Matrix) -> tuple[Matrix, int]:
-    return m.rref()
 
 
 def nullspace(m: Matrix) -> "Subspace":
@@ -304,10 +258,6 @@ class Subspace:
     def zero(cls, spec: FieldSpec, ambient_dim: int) -> "Subspace":
         return cls(spec, ambient_dim, ())
 
-    @classmethod
-    def full(cls, spec: FieldSpec, ambient_dim: int) -> "Subspace":
-        return cls(spec, ambient_dim, Matrix.identity(spec, ambient_dim).entries)
-
     @property
     def dim(self) -> int:
         return self.basis.rows
@@ -342,25 +292,6 @@ class Subspace:
             self.ambient_dim,
             self.basis.entries + other.basis.entries,
         )
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the kernel of the stacked bases.
-
-        A dependency c @ A + d @ B = 0 between rows of the two bases pins the
-        common vector c @ A; the c-parts of a kernel basis span the
-        intersection.
-        """
-        self._check_compatible(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.spec, self.ambient_dim)
-        stacked = self.basis.stack(other.basis)
-        kernel = nullspace(stacked.transpose())
-        da = self.dim
-        rows = [
-            combine(self.spec.p, krow[:da], self.basis.entries)
-            for krow in kernel.basis.entries
-        ]
-        return Subspace(self.spec, self.ambient_dim, rows)
 
     def complement_in(self, whole: "Subspace") -> "Subspace":
         """A direct complement of self inside whole.
@@ -414,51 +345,6 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(GF({self.spec.p}), dim {self.dim} of {self.ambient_dim})"
-
-
-def decomposition_coordinates(
-    v: Sequence[int], parts: Sequence[Subspace]
-) -> list[Vec]:
-    """Components of v along a direct sum of subspaces.
-
-    Returns one vector per part, summing to v.  Raises ValueError if the parts
-    are not mutually independent or if v lies outside their sum.
-    """
-    if not parts:
-        raise ValueError("decomposition needs at least one part")
-    spec = parts[0].spec
-    ambient = parts[0].ambient_dim
-    for part in parts:
-        if part.spec != spec or part.ambient_dim != ambient:
-            raise ValueError("parts live in different ambient spaces")
-    if len(v) != ambient:
-        raise ValueError(f"vector of length {len(v)} in ambient dimension {ambient}")
-    rows: list[Vec] = []
-    dims = []
-    for part in parts:
-        rows.extend(part.basis.entries)
-        dims.append(part.dim)
-    p = spec.p
-    if not rows:
-        if all(x % p == 0 for x in v):
-            return [tuple([0] * ambient) for _ in parts]
-        raise ValueError("vector outside the sum of the parts")
-    stacked = Matrix(spec, rows, cols=ambient)
-    try:
-        coeffs = solve_left(stacked, v)
-    except ValueError as exc:
-        if "underdetermined" in str(exc):
-            raise ValueError("parts are not mutually independent") from exc
-        raise ValueError("vector outside the sum of the parts") from exc
-    out: list[Vec] = []
-    offset = 0
-    for part, d in zip(parts, dims):
-        if d == 0:
-            out.append(tuple([0] * ambient))
-        else:
-            out.append(combine(p, coeffs[offset : offset + d], part.basis.entries))
-        offset += d
-    return out
 
 
 def random_matrix(spec: FieldSpec, rows: int, cols: int, rng: random.Random) -> Matrix:

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from .gf import FieldSpec
+from .gf import FieldSpec, NotPrimeError
 from .linalg import CapExceededError, Matrix, Subspace, combine, count_subspaces, enumerate_subspaces
 
 DEFAULT_ORACLE_CAP = 10**6
@@ -345,7 +345,12 @@ def _serialize_witness(x: int, helpers: tuple[int, ...], witness: RepairWitness)
 
 
 def save_code(code: Code, path: str) -> None:
-    """Write the code as JSON; output bytes are a pure function of the code."""
+    """Write the code as JSON; output bytes are a pure function of the code.
+
+    The bytes go to a temporary file next to the target, which then replaces
+    the target in one step, so an interrupted write leaves either the old
+    file or the complete new one.
+    """
     pr = code.params
     payload = {
         "version": 1,
@@ -361,9 +366,16 @@ def save_code(code: Code, path: str) -> None:
             for x, helpers in sorted(code.witnesses)
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, separators=(",", ":"))
-        fh.write("\n")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, separators=(",", ":"))
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _expect(condition: bool, message: str) -> None:
@@ -392,7 +404,8 @@ def load_code(path: str) -> Code:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad JSON, bytes that are not UTF-8, or nesting too deep to parse
         raise MalformedCodeFileError(f"not valid JSON: {exc}") from exc
     _expect(isinstance(obj, dict), "top level must be an object")
     for key in ("version", "p", "k", "n", "alpha", "beta", "F", "nodes", "witnesses"):
@@ -404,7 +417,12 @@ def load_code(path: str) -> Code:
             isinstance(obj[key], int) and not isinstance(obj[key], bool),
             f"{key} must be an integer",
         )
-    spec = FieldSpec(obj["p"])  # may raise NotPrimeError / ValueError
+    try:
+        spec = FieldSpec(obj["p"])
+    except NotPrimeError:
+        raise
+    except ValueError as exc:
+        raise MalformedCodeFileError(str(exc)) from exc
     try:
         params = Params(obj["n"], obj["k"], spec)
     except ValueError as exc:

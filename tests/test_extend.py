@@ -2,7 +2,6 @@
 
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -163,9 +162,7 @@ def test_extend_fails_deterministically_on_tiny_field():
     err = info.value
     assert err.attempts == 2
     assert err.bound == 0
-    assert err.raw_bound == Fraction(-26241, 10795)
-    assert "bound" in str(err)
-    assert "max(0," in str(err)
+    assert "bound is 0 " in str(err)
 
 
 def test_find_alignments_accepts_the_grown_node(outcome_k3_big):

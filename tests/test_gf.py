@@ -1,85 +1,62 @@
-"""Tests for prime-field arithmetic."""
+"""Tests for prime-field arithmetic.
+
+Field elements are plain residues; the vector helpers of regenext.linalg do
+the arithmetic, and inv_mod the inversion.
+"""
 
 import random
 
 import pytest
 
-from regenext.gf import (
-    MAX_MODULUS,
-    FieldElement,
-    FieldMismatchError,
-    FieldSpec,
-    NotPrimeError,
-    add,
-    inv,
-    inv_mod,
-    is_prime,
-    mul,
-    neg,
-    random_element,
-    sub,
-)
+from regenext.gf import MAX_MODULUS, FieldSpec, NotPrimeError, inv_mod, is_prime
+from regenext.linalg import Matrix, Subspace, vec_add, vec_scale, vec_sub
 
 PRIMES = [2, 3, 5, 7, 101]
 
 
 def test_add_basic():
-    spec = FieldSpec(7)
-    assert add(spec.element(3), spec.element(5)).value == 1
+    assert vec_add(7, (3,), (5,)) == (1,)
 
 
 def test_sub_underflow():
-    spec = FieldSpec(7)
-    assert sub(spec.element(2), spec.element(5)).value == 4
+    assert vec_sub(7, (2,), (5,)) == (4,)
 
 
 def test_mul_basic():
-    spec = FieldSpec(7)
-    assert mul(spec.element(3), spec.element(5)).value == 1
+    assert vec_scale(7, 3, (5,)) == (1,)
 
 
 def test_neg():
-    spec = FieldSpec(7)
-    assert neg(spec.element(3)).value == 4
-    assert neg(spec.element(0)).value == 0
+    assert vec_scale(7, -1, (3, 0)) == (4, 0)
 
 
 def test_inv_known():
     spec = FieldSpec(7)
-    assert inv(spec.element(3)).value == 5
-    assert inv(spec.element(1)).value == 1
-
-
-def test_operator_sugar():
-    spec = FieldSpec(11)
-    a = spec.element(8)
-    b = spec.element(6)
-    assert (a + b).value == 3
-    assert (a - b).value == 2
-    assert (a * b).value == 4
-    assert (-a).value == 3
-    assert a.inverse().value == 7
+    assert spec.inv_value(3) == 5
+    assert spec.inv_value(1) == 1
+    assert inv_mod(-4, 7) == 5
 
 
 def test_canonical_residues():
-    spec = FieldSpec(5)
-    assert spec.element(12).value == 2
-    assert spec.element(-1).value == 4
-    assert FieldElement(spec, 5) == spec.element(0)
+    assert vec_add(5, (12,), (0,)) == (2,)
+    assert vec_scale(5, 1, (-1,)) == (4,)
+    assert Matrix(FieldSpec(5), [[5, -6]]).entries == ((0, 4),)
 
 
 def test_mismatched_fields_raise():
-    a = FieldSpec(5).element(2)
-    b = FieldSpec(7).element(2)
-    for op in (add, sub, mul):
-        with pytest.raises(FieldMismatchError):
-            op(a, b)
+    a = Subspace(FieldSpec(5), 2, [(1, 2)])
+    b = Subspace(FieldSpec(7), 2, [(1, 2)])
+    with pytest.raises(ValueError):
+        a.sum(b)
+    with pytest.raises(ValueError):
+        a.contains_subspace(b)
+    with pytest.raises(ValueError):
+        a.basis.augment(b.basis)
 
 
 def test_inv_of_zero_raises():
-    spec = FieldSpec(13)
     with pytest.raises(ZeroDivisionError):
-        inv(spec.element(0))
+        FieldSpec(13).inv_value(0)
     with pytest.raises(ZeroDivisionError):
         inv_mod(0, 13)
     with pytest.raises(ZeroDivisionError):
@@ -97,49 +74,24 @@ def test_inverse_exhaustive_small_primes():
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_field_axioms(p):
-    """Ring and field laws on random triples."""
-    spec = FieldSpec(p)
+    """Ring and field laws of the residue helpers on random triples."""
     rng = random.Random(f"axioms:{p}")
-    zero = spec.element(0)
-    one = spec.element(1)
+    zero = (0,)
     for _ in range(10**4):
-        a = random_element(spec, rng)
-        b = random_element(spec, rng)
-        c = random_element(spec, rng)
-        assert a + b == b + a
-        assert a * b == b * a
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a + zero == a
-        assert a * one == a
-        assert a + (-a) == zero
-        assert a - b == a + (-b)
-        if a.value != 0:
-            assert a * a.inverse() == one
-
-
-def test_random_element_range_and_determinism():
-    spec = FieldSpec(101)
-    draws = [random_element(spec, random.Random(9)).value for _ in range(50)]
-    assert draws == [draws[0]] * 50
-    rng = random.Random(9)
-    for _ in range(1000):
-        assert 0 <= random_element(spec, rng).value < 101
-
-
-def test_random_element_roughly_uniform():
-    # chi-square style bound: each residue count within 5 sigma of the mean
-    spec = FieldSpec(101)
-    rng = random.Random("uniform-gf")
-    n = 10**5
-    counts = [0] * 101
-    for _ in range(n):
-        counts[random_element(spec, rng).value] += 1
-    expected = n / 101
-    sigma = (n * (1 / 101) * (100 / 101)) ** 0.5
-    for c in counts:
-        assert abs(c - expected) < 5 * sigma
+        a, b, c = ((rng.randrange(p),) for _ in range(3))
+        assert vec_add(p, a, b) == vec_add(p, b, a)
+        assert vec_scale(p, a[0], b) == vec_scale(p, b[0], a)
+        assert vec_add(p, vec_add(p, a, b), c) == vec_add(p, a, vec_add(p, b, c))
+        assert vec_scale(p, a[0], vec_scale(p, b[0], c)) == vec_scale(p, a[0] * b[0], c)
+        assert vec_scale(p, a[0], vec_add(p, b, c)) == vec_add(
+            p, vec_scale(p, a[0], b), vec_scale(p, a[0], c)
+        )
+        assert vec_add(p, a, zero) == a
+        assert vec_scale(p, 1, a) == a
+        assert vec_add(p, a, vec_scale(p, -1, a)) == zero
+        assert vec_sub(p, a, b) == vec_add(p, a, vec_scale(p, -1, b))
+        if a[0] != 0:
+            assert vec_scale(p, inv_mod(a[0], p), a) == (1,)
 
 
 def test_is_prime_knowns():
@@ -170,5 +122,5 @@ def test_spec_rejects_out_of_range():
 
 def test_spec_largest_supported_prime():
     spec = FieldSpec(2**31 - 1)
-    a = spec.element(2**31 - 2)
-    assert (a * a).value == 1
+    assert vec_scale(spec.p, 2**31 - 2, (2**31 - 2,)) == (1,)
+    assert spec.inv_value(2**31 - 2) == 2**31 - 2

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from regenext.gf import FieldSpec, NotPrimeError
-from regenext.linalg import CapExceededError, Subspace
+from regenext.linalg import CapExceededError, Matrix, Subspace
 from regenext.regen import (
     Code,
     CodeDimensionError,
@@ -111,12 +111,12 @@ def test_repair_witness_sorted_and_lookup():
 def test_code_rejects_wrong_node_count():
     pr = Params(3, 2, GF2)
     with pytest.raises(ValueError):
-        Code(pr, (Subspace.full(GF2, 3),) * 2)
+        Code(pr, (Subspace(GF2, 3, Matrix.identity(GF2, 3).entries),) * 2)
 
 
 def test_code_rejects_bad_witness_keys():
     pr = Params(3, 2, GF2)
-    nodes = (Subspace.full(GF2, 3),) * 3
+    nodes = (Subspace(GF2, 3, Matrix.identity(GF2, 3).entries),) * 3
     w = RepairWitness.of({1: Subspace.zero(GF2, 3), 2: Subspace.zero(GF2, 3)})
     with pytest.raises(ValueError, match="own helper"):
         Code(pr, nodes, {(1, (1, 2)): w})
@@ -264,6 +264,22 @@ def test_save_is_byte_stable(tmp_path, base_k3_p5):
     save_code(base_k3_p5, str(a))
     save_code(base_k3_p5, str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_save_is_atomic(tmp_path, monkeypatch, base_k3_p5, extended_k3_big):
+    path = tmp_path / "code.json"
+    save_code(base_k3_p5, str(path))
+    before = path.read_bytes()
+
+    def dump_partway(obj, fh, **kwargs):
+        fh.write('{"version":1,')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", dump_partway)
+    with pytest.raises(OSError, match="disk full"):
+        save_code(extended_k3_big, str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["code.json"]
 
 
 def _patched_file(tmp_path, code, mutate):
