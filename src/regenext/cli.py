@@ -12,7 +12,6 @@ import argparse
 import csv
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .alignment import (
@@ -47,6 +46,8 @@ from .regen import (
     functional_repair_capacity,
     load_code,
     save_code,
+    verify_data_recovery,
+    verify_repair_witnesses,
 )
 from .structure import DecompositionError, verify_structure
 
@@ -61,33 +62,17 @@ class UsageError(ValueError):
     """Bad flag values or inconsistent configuration."""
 
 
-@dataclass
-class RunConfig:
-    """Validated knobs shared by the subcommands."""
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
 
-    command: str
-    k: int | None = None
-    p: int | None = None
-    n_target: int | None = None
-    seed: int = 0
-    trials: int = 1000
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS
-    in_path: str | None = None
-    out_path: str | None = None
-    csv_path: str | None = None
-    oracle_cap: int = DEFAULT_ORACLE_CAP
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
 
-    def validate(self) -> None:
-        if self.k is not None and self.k < 2:
-            raise UsageError(f"k must be at least 2, got {self.k}")
-        if self.trials < 1:
-            raise UsageError(f"trials must be positive, got {self.trials}")
-        if self.max_attempts < 1:
-            raise UsageError(f"max-attempts must be positive, got {self.max_attempts}")
-        if self.oracle_cap < 1:
-            raise UsageError(f"oracle-cap must be positive, got {self.oracle_cap}")
-        if self.n_target is not None and self.k is not None and self.n_target < self.k + 1:
-            raise UsageError(f"n must be at least k+1 = {self.k + 1}, got {self.n_target}")
+    parse.__name__ = "int"  # argparse words a non-integer as "invalid int value"
+    return parse
 
 
 def _log(message: str) -> None:
@@ -118,54 +103,51 @@ def _print_section(name: str, checked: int, violations: list[str]) -> None:
 
 
 def _cmd_gen_base(args: argparse.Namespace) -> int:
-    cfg = RunConfig(
-        command="gen-base",
-        k=args.k,
-        p=args.p,
-        seed=args.seed,
-        max_attempts=args.max_attempts,
-        out_path=args.out,
-    )
-    cfg.validate()
-    spec = _field(cfg.p)
+    spec = _field(args.p)
     # namespace the stream per command so reusing one --seed across
     # gen-base and grow does not replay the same draws
-    rng = random.Random(f"gen-base:{cfg.seed}")
+    rng = random.Random(f"gen-base:{args.seed}")
     try:
-        code = synthesize_base_code(cfg.k, spec, rng, max_attempts=cfg.max_attempts)
+        code = synthesize_base_code(args.k, spec, rng, max_attempts=args.max_attempts)
     except SynthesisError as exc:
         _log(f"gen-base failed: {exc}")
         return EXIT_VERIFICATION
-    save_code(code, cfg.out_path)
+    save_code(code, args.out)
     _log(_params_line(code))
     _log(
         f"verified: data recovery over {sum(1 for _ in code.recovery_subsets())} subsets, "
         f"repair witnesses over {sum(1 for _ in code.repair_pairs())} pairs"
     )
-    _log(f"wrote {cfg.out_path}")
+    _log(f"wrote {args.out}")
     return EXIT_OK
 
 
 def _cmd_grow(args: argparse.Namespace) -> int:
     code = load_code(args.in_path)
     pr = code.params
-    cfg = RunConfig(
-        command="grow",
-        k=pr.k,
-        n_target=args.n,
-        seed=args.seed,
-        max_attempts=args.max_attempts,
-        in_path=args.in_path,
-        out_path=args.out,
-        csv_path=args.csv,
-    )
-    cfg.validate()
-    if cfg.n_target <= pr.n:
+    if args.n < pr.k + 1:
+        raise UsageError(f"--n must be at least k+1 = {pr.k + 1}, got {args.n}")
+    if args.n <= pr.n:
         _log(
-            f"nothing to do: code already has n={pr.n} nodes, target is {cfg.n_target}"
+            f"nothing to do: code already has n={pr.n} nodes, target is {args.n}"
         )
         return EXIT_OK
-    rng = random.Random(f"grow:{cfg.seed}")
+
+    def invalid(problem) -> int:
+        _log(
+            f"grow: {args.in_path} does not hold a valid code ({problem}); "
+            f"run `regenext verify --in {args.in_path}` for the full report"
+        )
+        return EXIT_VERIFICATION
+
+    # the one check of the input: each step then checks only its new node
+    try:
+        problems = verify_data_recovery(code).violations + verify_repair_witnesses(code).violations
+    except MissingWitnessError as exc:
+        return invalid(exc)
+    if problems:
+        return invalid(problems[0])
+    rng = random.Random(f"grow:{args.seed}")
     trail = [
         {
             "n": pr.n,
@@ -177,28 +159,25 @@ def _cmd_grow(args: argparse.Namespace) -> int:
     ]
 
     def write_csv() -> None:
-        if cfg.csv_path is None:
+        if args.csv is None:
             return
-        with open(cfg.csv_path, "w", encoding="utf-8", newline="") as fh:
+        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(
                 fh, fieldnames=["n", "F_dim", "alpha", "beta", "attempts"]
             )
             writer.writeheader()
             writer.writerows(trail)
 
-    while code.params.n < cfg.n_target:
+    while code.params.n < args.n:
         current = code.params.n
         bound = attempts_bound(current, code.params.k, code.params.spec)
         try:
-            outcome = extend_code(code, rng, max_attempts=cfg.max_attempts)
-        except (DecompositionError, MissingWitnessError) as exc:
-            _log(
-                f"grow: {cfg.in_path} does not hold a valid code ({exc}); "
-                f"run `regenext verify --in {cfg.in_path}` for the full report"
-            )
-            return EXIT_VERIFICATION
+            outcome = extend_code(code, rng, max_attempts=args.max_attempts)
+        except DecompositionError as exc:
+            # the witnesses check out but a stored repair yields no split
+            return invalid(exc)
         except ExtensionError as exc:
-            partial = cfg.out_path + ".partial"
+            partial = args.out + ".partial"
             save_code(code, partial)
             write_csv()
             _log(f"grow stalled at n={current}: {exc}")
@@ -219,21 +198,15 @@ def _cmd_grow(args: argparse.Namespace) -> int:
             f"extended to n={pr.n}: attempts={outcome.attempts}, "
             f"single-draw success bound {float(bound):.6f}"
         )
-    save_code(code, cfg.out_path)
+    save_code(code, args.out)
     write_csv()
     _log(_params_line(code))
-    _log(f"wrote {cfg.out_path}")
+    _log(f"wrote {args.out}")
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     code = load_code(args.in_path)
-    cfg = RunConfig(
-        command="verify",
-        in_path=args.in_path,
-        oracle_cap=args.oracle_cap,
-    )
-    cfg.validate()
     pr = code.params
     print(_params_line(code))
     failed = False
@@ -280,10 +253,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     per_node = count_subspaces(pr.alpha, pr.beta, pr.spec)
     combos = per_node**pr.k
-    if combos > cfg.oracle_cap:
+    if combos > args.oracle_cap:
         print(
             f"oracle cross-check: skipped ({combos} combinations per pair exceed "
-            f"the cap of {cfg.oracle_cap})"
+            f"the cap of {args.oracle_cap})"
         )
     else:
         oracle_violations = []
@@ -291,7 +264,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for pair, msgs in zip(pairs, witness_msgs):
             x, helpers = pair
             try:
-                repairable = brute_force_repairable(code, x, helpers, cap=cfg.oracle_cap)
+                repairable = brute_force_repairable(code, x, helpers, cap=args.oracle_cap)
             except CapExceededError:
                 skipped += 1
                 continue
@@ -321,18 +294,9 @@ def _parse_prime_list(raw: str) -> list[int]:
 
 def _cmd_prob_sweep(args: argparse.Namespace) -> int:
     primes = _parse_prime_list(args.p)
-    cfg = RunConfig(
-        command="prob-sweep",
-        k=args.k,
-        seed=args.seed,
-        trials=args.trials,
-        csv_path=args.csv,
-        oracle_cap=args.oracle_cap,
-    )
-    cfg.validate()
-    k = cfg.k
+    k = args.k
     f_dim = k * k - 1
-    rng = random.Random(f"prob-sweep:{cfg.seed}")
+    rng = random.Random(f"prob-sweep:{args.seed}")
     fieldnames = [
         "p",
         "k",
@@ -358,11 +322,11 @@ def _cmd_prob_sweep(args: argparse.Namespace) -> int:
         prob = probability_well_aligned(k, spec)
         census = ""
         census_ratio = ""
-        if total <= cfg.oracle_cap:
-            census_count = census_well_aligned(dec, cap=cfg.oracle_cap)
+        if total <= args.oracle_cap:
+            census_count = census_well_aligned(dec, cap=args.oracle_cap)
             census = census_count
             census_ratio = census_count / total
-        freq, (low, high) = estimate_probability_monte_carlo(dec, cfg.trials, rng)
+        freq, (low, high) = estimate_probability_monte_carlo(dec, args.trials, rng)
         rows.append(
             {
                 "p": p,
@@ -377,7 +341,7 @@ def _cmd_prob_sweep(args: argparse.Namespace) -> int:
                 "mc_frequency": float(freq),
                 "mc_low": low,
                 "mc_high": high,
-                "trials": cfg.trials,
+                "trials": args.trials,
             }
         )
         census_note = f", census={census}" if census != "" else ""
@@ -385,12 +349,12 @@ def _cmd_prob_sweep(args: argparse.Namespace) -> int:
             f"p={p}: probability {float(prob):.6f} "
             f"(exact {prob}), monte-carlo {float(freq):.6f}{census_note}"
         )
-    if cfg.csv_path is not None:
-        with open(cfg.csv_path, "w", encoding="utf-8", newline="") as fh:
+    if args.csv is not None:
+        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=fieldnames)
             writer.writeheader()
             writer.writerows(rows)
-        _log(f"wrote {cfg.csv_path}")
+        _log(f"wrote {args.csv}")
     else:
         writer = csv.DictWriter(sys.stdout, fieldnames=fieldnames)
         writer.writeheader()
@@ -399,9 +363,7 @@ def _cmd_prob_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    cfg = RunConfig(command="bounds", k=args.k)
-    cfg.validate()
-    k = cfg.k
+    k = args.k
     print(f"normalized tradeoff corner points for k = d = {k}:")
     for m in range(1, k + 1):
         a, b = corner_point(m, k)
@@ -452,19 +414,11 @@ def _fmt_vec(v) -> str:
 
 
 def _cmd_repair_demo(args: argparse.Namespace) -> int:
-    cfg = RunConfig(
-        command="repair-demo",
-        k=args.k,
-        p=args.p,
-        seed=args.seed,
-        max_attempts=args.max_attempts,
-    )
-    cfg.validate()
-    spec = _field(cfg.p)
-    rng = random.Random(f"repair-demo:{cfg.seed}")
+    spec = _field(args.p)
+    rng = random.Random(f"repair-demo:{args.seed}")
     try:
-        base = synthesize_base_code(cfg.k, spec, rng)
-        outcome = extend_code(base, rng, max_attempts=cfg.max_attempts)
+        base = synthesize_base_code(args.k, spec, rng)
+        outcome = extend_code(base, rng, max_attempts=args.max_attempts)
     except (SynthesisError, ExtensionError) as exc:
         _log(f"repair-demo could not build its example code: {exc}")
         return EXIT_VERIFICATION
@@ -559,12 +513,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen-base", help="synthesize a verified code on k+1 nodes")
-    gen.add_argument("--k", type=int, required=True, help="recovery threshold (>= 2)")
+    gen.add_argument("--k", type=_at_least(2), required=True, help="recovery threshold (>= 2)")
     gen.add_argument("--p", type=int, required=True, help="prime field modulus")
     gen.add_argument("--seed", type=int, default=0, help="random seed")
     gen.add_argument(
         "--max-attempts",
-        type=int,
+        type=_at_least(1),
         default=DEFAULT_SYNTHESIS_ATTEMPTS,
         dest="max_attempts",
         help="synthesis retries before giving up",
@@ -579,7 +533,7 @@ def _build_parser() -> argparse.ArgumentParser:
     grow.add_argument("--seed", type=int, default=0, help="random seed")
     grow.add_argument(
         "--max-attempts",
-        type=int,
+        type=_at_least(1),
         default=DEFAULT_MAX_ATTEMPTS,
         dest="max_attempts",
         help="draws per added node before giving up",
@@ -591,7 +545,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--in", dest="in_path", required=True, help="input code file")
     verify.add_argument(
         "--oracle-cap",
-        type=int,
+        type=_at_least(1),
         default=DEFAULT_ORACLE_CAP,
         dest="oracle_cap",
         help="skip the exhaustive repair oracle above this many combinations",
@@ -601,16 +555,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser(
         "prob-sweep", help="alignment probability: formulas, census, and sampling"
     )
-    sweep.add_argument("--k", type=int, required=True, help="recovery threshold (>= 2)")
+    sweep.add_argument("--k", type=_at_least(2), required=True, help="recovery threshold (>= 2)")
     sweep.add_argument(
         "--p", required=True, help="comma-separated list of prime moduli"
     )
-    sweep.add_argument("--trials", type=int, default=1000, help="monte-carlo draws per prime")
+    sweep.add_argument("--trials", type=_at_least(1), default=1000, help="monte-carlo draws per prime")
     sweep.add_argument("--seed", type=int, default=0, help="random seed")
     sweep.add_argument("--csv", default=None, help="write rows to this file instead of stdout")
     sweep.add_argument(
         "--oracle-cap",
-        type=int,
+        type=_at_least(1),
         default=10**5,
         dest="oracle_cap",
         help="run the exhaustive census only when the subspace count fits",
@@ -618,18 +572,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(handler=_cmd_prob_sweep)
 
     bounds = sub.add_parser("bounds", help="print tradeoff corner points and bound checks")
-    bounds.add_argument("--k", type=int, required=True, help="recovery threshold (>= 2)")
+    bounds.add_argument("--k", type=_at_least(2), required=True, help="recovery threshold (>= 2)")
     bounds.set_defaults(handler=_cmd_bounds)
 
     demo = sub.add_parser(
         "repair-demo", help="walk through one repair that uses a freshly added node"
     )
-    demo.add_argument("--k", type=int, required=True, help="recovery threshold (>= 2)")
+    demo.add_argument("--k", type=_at_least(2), required=True, help="recovery threshold (>= 2)")
     demo.add_argument("--p", type=int, required=True, help="prime field modulus")
     demo.add_argument("--seed", type=int, default=0, help="random seed")
     demo.add_argument(
         "--max-attempts",
-        type=int,
+        type=_at_least(1),
         default=DEFAULT_MAX_ATTEMPTS,
         dest="max_attempts",
         help="draws for the fresh node before giving up",

@@ -119,7 +119,7 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix(
             self.spec,
-            list(zip(*self.entries)) if self.entries else [],
+            list(zip(*self.entries)) if self.entries else [()] * self.cols,
             cols=self.rows,
         )
 

@@ -15,7 +15,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .gf import FieldSpec, NotPrimeError
 from .linalg import CapExceededError, Matrix, Subspace, combine, count_subspaces, enumerate_subspaces
@@ -229,11 +229,12 @@ def check_recovery_subset(code: Code, subset: tuple[int, ...]) -> str | None:
     return None
 
 
-def verify_data_recovery(code: Code) -> CheckReport:
-    """Check that every k-subset of nodes spans the full file space."""
+def verify_data_recovery(code: Code, subsets: Iterable | None = None) -> CheckReport:
+    """Check that the given k-subsets of nodes (all of them by default) span
+    the full file space."""
     violations = []
     checked = 0
-    for subset in code.recovery_subsets():
+    for subset in code.recovery_subsets() if subsets is None else subsets:
         checked += 1
         msg = check_recovery_subset(code, subset)
         if msg:
@@ -266,14 +267,15 @@ def check_repair_pair(code: Code, x: int, helpers: tuple[int, ...]) -> list[str]
     return msgs
 
 
-def verify_repair_witnesses(code: Code) -> CheckReport:
-    """Check every stored witness for every (failed node, helper set) pair.
+def verify_repair_witnesses(code: Code, pairs: Iterable | None = None) -> CheckReport:
+    """Check the stored witness of the given (failed node, helper set) pairs,
+    all of them by default.
 
     Raises MissingWitnessError if any pair has no witness at all.
     """
     violations = []
     checked = 0
-    for x, helpers in code.repair_pairs():
+    for x, helpers in code.repair_pairs() if pairs is None else pairs:
         checked += 1
         violations.extend(check_repair_pair(code, x, helpers))
     return CheckReport(checked, tuple(violations))

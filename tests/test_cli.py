@@ -413,7 +413,7 @@ def test_verify_accepts_rescaled_send(grown_k3, tmp_path, capsys, p):
     assert capsys.readouterr().out.endswith("result: PASS\n")
 
 
-@pytest.mark.parametrize("corrupt", [_dropped_witness, _send_outside_node])
+@pytest.mark.parametrize("corrupt", [_dropped_witness, _send_outside_node, _other_send_inside_node])
 def test_grow_reports_invalid_code(grown_k3, tmp_path, capsys, corrupt):
     bad = _write_corrupted(grown_k3[65521], tmp_path / "bad.json", corrupt, 65521)
     out = tmp_path / "out.json"
@@ -425,3 +425,44 @@ def test_grow_reports_invalid_code(grown_k3, tmp_path, capsys, corrupt):
     assert re.search(r"\b1\b\D*\(2, 3, 4\)", lines[0])
     assert "regenext verify" in lines[0]
     assert not out.exists() and not (tmp_path / "out.json.partial").exists()
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 6)])
+def test_end_to_end_at_largest_prime(tmp_path, capsys, k, n):
+    base, grown = tmp_path / "base.json", tmp_path / "grown.json"
+    p = str(2**31 - 1)
+    assert main(["gen-base", "--k", str(k), "--p", p, "--seed", "1", "--out", str(base)]) == EXIT_OK
+    assert main(["grow", "--in", str(base), "--out", str(grown), "--n", str(n)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["verify", "--in", str(grown)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert f"n={n} k={k}" in out and out.endswith("result: PASS\n")
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["gen-base", "--k", "1", "--p", "5", "--out", "x.json"], "--k"),
+        (["gen-base", "--k", "2", "--p", "5", "--max-attempts", "0", "--out", "x.json"],
+         "--max-attempts"),
+        (["bounds", "--k", "-3"], "--k"),
+        (["prob-sweep", "--k", "2", "--p", "3", "--trials", "0"], "--trials"),
+        (["prob-sweep", "--k", "2", "--p", "3", "--oracle-cap", "0"], "--oracle-cap"),
+        (["verify", "--in", "x.json", "--oracle-cap", "-1"], "--oracle-cap"),
+        (["repair-demo", "--k", "2", "--p", "5", "--max-attempts", "0"], "--max-attempts"),
+        (["bounds", "--k", "two"], "--k"),
+    ],
+)
+def test_bad_flag_value_names_the_flag(tmp_path, monkeypatch, capsys, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_USAGE
+    assert f"argument {flag}: " in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_grow_target_below_k_plus_one_is_a_usage_error(workdir, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    rc = main(["grow", "--in", str(workdir / "base.json"), "--out", str(out), "--n", "3"])
+    assert rc == EXIT_USAGE
+    assert "--n must be at least k+1 = 4, got 3" in capsys.readouterr().err
+    assert not out.exists()

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,7 +20,7 @@ from regenext.extend import (
 )
 from regenext.gf import FieldSpec
 from regenext.linalg import Subspace
-from regenext.regen import verify_data_recovery, verify_repair_witnesses
+from regenext.regen import RepairWitness, verify_data_recovery, verify_repair_witnesses
 from regenext.structure import verify_structure_all
 
 GF2 = FieldSpec(2)
@@ -191,3 +192,64 @@ def test_attempts_bound_monotone_in_n():
     bounds = [attempts_bound(n, 3, BIG) for n in range(4, 13)]
     assert all(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:]))
     assert all(0 <= b <= 1 for b in bounds)
+
+
+def _count_unit_checks(monkeypatch):
+    """Count the recovery subsets and repair pairs the verifiers check."""
+    import regenext.regen as regen
+
+    subsets, pairs = Counter(), Counter()
+    check_subset, check_pair = regen.check_recovery_subset, regen.check_repair_pair
+
+    def counted_subset(code, subset):
+        subsets[tuple(subset)] += 1
+        return check_subset(code, subset)
+
+    def counted_pair(code, x, helpers):
+        pairs[(x, tuple(helpers))] += 1
+        return check_pair(code, x, helpers)
+
+    monkeypatch.setattr(regen, "check_recovery_subset", counted_subset)
+    monkeypatch.setattr(regen, "check_repair_pair", counted_pair)
+    return subsets, pairs
+
+
+def test_extend_checks_each_new_unit_once(outcome_k3_big, monkeypatch):
+    base, _ = outcome_k3_big
+    n, k = base.params.n, base.params.k
+    subsets, pairs = _count_unit_checks(monkeypatch)
+    grown = extend_code(base, random.Random("ext-test-draw")).code
+    star = n + 1
+    assert set(subsets.values()) == {1} and set(pairs.values()) == {1}
+    assert set(subsets) == {s for s in grown.recovery_subsets() if star in s}
+    assert len(subsets) == math.comb(n, k - 1)
+    assert sum(1 for x, _ in pairs if x == star) == math.comb(n, k)
+    assert sum(1 for x, a in pairs if star in a) == n * math.comb(n - 1, k - 1)
+    assert set(pairs) == {(x, a) for x, a in grown.repair_pairs() if star == x or star in a}
+
+
+def test_base_synthesis_checks_every_unit_once(monkeypatch):
+    k = 3
+    subsets, pairs = _count_unit_checks(monkeypatch)
+    code = synthesize_base_code(k, BIG, random.Random("ext-test-base"))
+    assert set(subsets.values()) == {1} and set(pairs.values()) == {1}
+    assert set(subsets) == set(code.recovery_subsets()) and len(subsets) == k + 1
+    assert set(pairs) == set(code.repair_pairs()) and len(pairs) == k + 1
+
+
+def test_extend_catches_a_witness_that_misses_its_node(outcome_k3_big, monkeypatch):
+    """Coverage is checked by the verifier, not by the witness builders."""
+    import regenext.extend as extend
+
+    base, _ = outcome_k3_big
+
+    def short_witness(cert, failed, new_index):
+        real = helper_repair_witness(cert, failed, new_index)
+        spec, dim = cert.decomposition.spec, cert.decomposition.ambient_dim
+        return RepairWitness.of(
+            {j: Subspace(spec, dim, []) if j == new_index else sub for j, sub in real.items()}
+        )
+
+    monkeypatch.setattr(extend, "helper_repair_witness", short_witness)
+    with pytest.raises(ExtensionError, match="do not cover the failed node"):
+        extend_code(base, random.Random("ext-test-draw"))
