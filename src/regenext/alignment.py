@@ -13,8 +13,8 @@ k-1 nonzero components sigma(i, j) are linearly independent.
 Equivalently: for each helper j, the projection of the candidate to S_j along
 the rest of the split must have a one-dimensional kernel, and the k kernel
 lines must jointly span the candidate.  The checker tests exactly that and
-returns the certificate data; the sampler builds such a basis directly, which
-is what makes random extension work.
+returns the certificate data; the sampler builds such a basis directly and
+hands the candidate to the checker, so certificates are made in one place.
 """
 
 from __future__ import annotations
@@ -67,15 +67,17 @@ class AlignmentCertificate:
     complement_parts: dict[int, Vec]
     complement_coeffs: dict[tuple[int, int], int]
 
-    def subspace(self) -> Subspace:
-        dec = self.decomposition
-        return Subspace(dec.spec, dec.ambient_dim, [self.basis[i] for i in dec.helpers])
-
 
 def is_well_aligned(
     candidate: Subspace, dec: Decomposition
 ) -> AlignmentCertificate | None:
     """Certificate for a well-aligned candidate, or None.
+
+    Every field is read off the coordinates of the candidate's basis.  The
+    complement block c of w(i) gives tau(i) = sum of c_j t_j with c_j = 0
+    for the last helper; since the t_j sum to zero, subtracting c_i times
+    that sum writes tau(i) over the t_j with j != i as
+    theta(i, j) = c_j - c_i (mod p).
 
     The candidate must be a k-dimensional subspace of the decomposition's
     file space; anything else raises ValueError.
@@ -100,22 +102,20 @@ def is_well_aligned(
     if mix.rank() != k:
         return None
     basis: dict[int, Vec] = {}
-    basis_coords: dict[int, Vec] = {}
-    for j in dec.helpers:
-        basis[j] = combine(p, kernel_gens[j], rows)
-        basis_coords[j] = combine(p, kernel_gens[j], coords)
     repair_parts: dict[tuple[int, int], Vec] = {}
     complement_parts: dict[int, Vec] = {}
     complement_coeffs: dict[tuple[int, int], int] = {}
     for i in dec.helpers:
+        basis[i] = combine(p, kernel_gens[i], rows)
+        w_coords = combine(p, kernel_gens[i], coords)
         for j in dec.helpers:
-            repair_parts[(i, j)] = dec.expand_repair(
-                j, dec.repair_block(basis_coords[i], j)
-            )
-        tau = dec.expand_complement(dec.complement_block(basis_coords[i]))
-        complement_parts[i] = tau
-        for j, c in dec.express_in_complement_basis(tau, exclude=i).items():
-            complement_coeffs[(i, j)] = c
+            repair_parts[(i, j)] = dec.expand_repair(j, dec.repair_block(w_coords, j))
+        c = dec.complement_block(w_coords)
+        complement_parts[i] = dec.expand_complement(c)
+        c_of = dict(zip(dec.helpers, c + (0,)))
+        for j in dec.helpers:
+            if j != i:
+                complement_coeffs[(i, j)] = (c_of[j] - c_of[i]) % p
     return AlignmentCertificate(
         decomposition=dec,
         basis=basis,
@@ -132,48 +132,28 @@ def sample_well_aligned(
 
     Per column j, the k-1 components sigma(i, j) for i != j are a uniform
     independent tuple in S_j (rejection on the coefficient matrix); the
-    complement components tau(i) are uniform in T.
+    complement components tau(i) are uniform in T.  Such a basis always
+    spans k dimensions and each w(i) lies on the checker's kernel line i, so
+    the checker's certificate differs from it only by nonzero scalars.
     """
     spec = dec.spec
     p = spec.p
     k = dec.k
-    repair_parts: dict[tuple[int, int], Vec] = {}
-    zero = (0,) * dec.ambient_dim
+    basis = {i: (0,) * dec.ambient_dim for i in dec.helpers}
     for j in dec.helpers:
-        srows = dec.repair_spaces[j].basis_rows()
         others = [i for i in dec.helpers if i != j]
         while True:
             coeffs = [[rng.randrange(p) for _ in range(k - 1)] for _ in others]
             if Matrix(spec, coeffs, cols=k - 1).rank() == k - 1:
                 break
         for i, crow in zip(others, coeffs):
-            repair_parts[(i, j)] = combine(p, crow, srows)
-        repair_parts[(j, j)] = zero
+            basis[i] = vec_add(p, basis[i], dec.expand_repair(j, crow))
     trows = dec.complement_space.basis_rows()
-    complement_parts: dict[int, Vec] = {}
-    basis: dict[int, Vec] = {}
     for i in dec.helpers:
         tau = combine(p, [rng.randrange(p) for _ in range(k - 1)], trows)
-        complement_parts[i] = tau
-        w = tau
-        for j in dec.helpers:
-            w = vec_add(p, w, repair_parts[(i, j)])
-        basis[i] = w
-    candidate = Subspace(spec, dec.ambient_dim, [basis[i] for i in dec.helpers])
-    if candidate.dim != k:
-        raise AssertionError("aligned basis failed to span k dimensions")
-    complement_coeffs: dict[tuple[int, int], int] = {}
-    for i in dec.helpers:
-        for j, c in dec.express_in_complement_basis(complement_parts[i], exclude=i).items():
-            complement_coeffs[(i, j)] = c
-    cert = AlignmentCertificate(
-        decomposition=dec,
-        basis=basis,
-        repair_parts=repair_parts,
-        complement_parts=complement_parts,
-        complement_coeffs=complement_coeffs,
-    )
-    return candidate, cert
+        basis[i] = vec_add(p, basis[i], tau)
+    candidate = Subspace(spec, dec.ambient_dim, basis.values())
+    return candidate, is_well_aligned(candidate, dec)
 
 
 def _aligned_basis_tuple_count(k: int, spec: FieldSpec) -> int:

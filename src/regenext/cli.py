@@ -9,6 +9,7 @@ configuration errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import random
 import sys
@@ -148,58 +149,40 @@ def _cmd_grow(args: argparse.Namespace) -> int:
     if problems:
         return invalid(problems[0])
     rng = random.Random(f"grow:{args.seed}")
-    trail = [
-        {
-            "n": pr.n,
-            "F_dim": pr.f_dim,
-            "alpha": pr.alpha,
-            "beta": pr.beta,
-            "attempts": 0,
-        }
-    ]
+    # opened before the first step, so an unwritable path exits 2 having
+    # written nothing; each row goes out as its step completes
+    sink = None if args.csv is None else open(args.csv, "w", encoding="utf-8", newline="")
+    with sink or contextlib.nullcontext():
+        trail = None if sink is None else csv.writer(sink)
 
-    def write_csv() -> None:
-        if args.csv is None:
-            return
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["n", "F_dim", "alpha", "beta", "attempts"]
+        def record(*row) -> None:
+            if trail is not None:
+                trail.writerow(row)
+
+        record("n", "F_dim", "alpha", "beta", "attempts")
+        record(pr.n, pr.f_dim, pr.alpha, pr.beta, 0)
+        while code.params.n < args.n:
+            current = code.params.n
+            bound = attempts_bound(current, code.params.k, code.params.spec)
+            try:
+                outcome = extend_code(code, rng, max_attempts=args.max_attempts)
+            except DecompositionError as exc:
+                # the witnesses check out but a stored repair yields no split
+                return invalid(exc)
+            except ExtensionError as exc:
+                partial = args.out + ".partial"
+                save_code(code, partial)
+                _log(f"grow stalled at n={current}: {exc}")
+                _log(f"saved the verified partial code to {partial}")
+                return EXIT_VERIFICATION
+            code = outcome.code
+            pr = code.params
+            record(pr.n, pr.f_dim, pr.alpha, pr.beta, outcome.attempts)
+            _log(
+                f"extended to n={pr.n}: attempts={outcome.attempts}, "
+                f"single-draw success bound {float(bound):.6f}"
             )
-            writer.writeheader()
-            writer.writerows(trail)
-
-    while code.params.n < args.n:
-        current = code.params.n
-        bound = attempts_bound(current, code.params.k, code.params.spec)
-        try:
-            outcome = extend_code(code, rng, max_attempts=args.max_attempts)
-        except DecompositionError as exc:
-            # the witnesses check out but a stored repair yields no split
-            return invalid(exc)
-        except ExtensionError as exc:
-            partial = args.out + ".partial"
-            save_code(code, partial)
-            write_csv()
-            _log(f"grow stalled at n={current}: {exc}")
-            _log(f"saved the verified partial code to {partial}")
-            return EXIT_VERIFICATION
-        code = outcome.code
-        pr = code.params
-        trail.append(
-            {
-                "n": pr.n,
-                "F_dim": pr.f_dim,
-                "alpha": pr.alpha,
-                "beta": pr.beta,
-                "attempts": outcome.attempts,
-            }
-        )
-        _log(
-            f"extended to n={pr.n}: attempts={outcome.attempts}, "
-            f"single-draw success bound {float(bound):.6f}"
-        )
-    save_code(code, args.out)
-    write_csv()
+        save_code(code, args.out)
     _log(_params_line(code))
     _log(f"wrote {args.out}")
     return EXIT_OK

@@ -1,10 +1,10 @@
 """Dense matrices and subspaces over a prime field.
 
 Vectors are tuples of canonical residues and act as row vectors throughout:
-a node stores the row space of its basis matrix, and v @ M composes on the
-left.  A Subspace is identified with the unique reduced row-echelon basis of
-its row space, so equal subspaces compare equal and hash equal, which makes
-censuses and witness comparisons structural.
+a node stores the row space of its basis matrix, and v @ M is
+combine(p, v, M.entries).  A Subspace is identified with the unique reduced
+row-echelon basis of its row space, so equal subspaces compare equal and
+hash equal, which makes censuses and witness comparisons structural.
 """
 
 from __future__ import annotations
@@ -129,20 +129,6 @@ class Matrix:
         rows = [a + b for a, b in zip(self.entries, other.entries)]
         return Matrix(self.spec, rows, cols=self.cols + other.cols)
 
-    def left_mul(self, v: Sequence[int]) -> Vec:
-        """Row vector times matrix: v @ self."""
-        if len(v) != self.rows:
-            raise ValueError(f"vector of length {len(v)} against {self.rows} rows")
-        p = self.spec.p
-        acc = [0] * self.cols
-        for c, row in zip(v, self.entries):
-            c %= p
-            if c == 0:
-                continue
-            for idx in range(self.cols):
-                acc[idx] += c * row[idx]
-        return tuple(x % p for x in acc)
-
     def rref_with_pivots(self) -> tuple["Matrix", list[int]]:
         work = [list(row) for row in self.entries]
         pivots = _rref_in_place(self.spec.p, work)
@@ -193,28 +179,6 @@ def nullspace(m: Matrix) -> "Subspace":
             v[pc] = (-reduced.entries[r][free]) % p
         rows.append(v)
     return Subspace(m.spec, m.cols, rows)
-
-
-def solve_left(m: Matrix, v: Sequence[int]) -> Vec:
-    """The unique x with x @ m = v.
-
-    Raises ValueError if the system is inconsistent (v outside the row space)
-    or underdetermined (the rows of m are linearly dependent).
-    """
-    if len(v) != m.cols:
-        raise ValueError(f"target length {len(v)} does not match {m.cols} columns")
-    at = m.transpose()
-    target = Matrix(m.spec, [[x] for x in v], cols=1)
-    aug = at.augment(target)
-    reduced, pivots = aug.rref_with_pivots()
-    if any(pc == m.rows for pc in pivots):
-        raise ValueError("inconsistent system: target outside the row space")
-    if len(pivots) < m.rows:
-        raise ValueError("underdetermined system: rows are linearly dependent")
-    x = [0] * m.rows
-    for r, pc in enumerate(pivots):
-        x[pc] = reduced.entries[r][m.rows]
-    return tuple(x)
 
 
 class Subspace:

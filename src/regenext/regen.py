@@ -354,25 +354,29 @@ def save_code(code: Code, path: str) -> None:
     file or the complete new one.
     """
     pr = code.params
-    payload = {
-        "version": 1,
-        "p": pr.spec.p,
-        "k": pr.k,
-        "n": pr.n,
-        "alpha": pr.alpha,
-        "beta": pr.beta,
-        "F": pr.f_dim,
-        "nodes": [[list(row) for row in node.basis_rows()] for node in code.nodes],
-        "witnesses": [
-            _serialize_witness(x, helpers, code.witnesses[(x, helpers)])
-            for x, helpers in sorted(code.witnesses)
-        ],
-    }
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    head = encode(
+        {
+            "version": 1,
+            "p": pr.spec.p,
+            "k": pr.k,
+            "n": pr.n,
+            "alpha": pr.alpha,
+            "beta": pr.beta,
+            "F": pr.f_dim,
+            "nodes": [[list(row) for row in node.basis_rows()] for node in code.nodes],
+        }
+    )
+    # the C encoder holds every token of its input until it returns, so the
+    # witnesses, nearly all of the file, are encoded one at a time
+    witnesses = ",".join(
+        encode(_serialize_witness(x, helpers, code.witnesses[(x, helpers)]))
+        for x, helpers in sorted(code.witnesses)
+    )
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, separators=(",", ":"))
-            fh.write("\n")
+            fh.write(f'{head[:-1]},"witnesses":[{witnesses}]}}\n')
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

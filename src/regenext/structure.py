@@ -13,22 +13,23 @@ are the complement vectors t_j.  They satisfy:
   * the S_j are mutually independent and F = S_1 + ... + S_k + T directly.
 
 The Decomposition object captures this split and answers coordinate
-queries against it.  compute_decomposition derives it from a stored repair,
-and together with the constructor it enforces every claim above, so
-verify_structure is that derivation and nothing more.
+queries against it in one basis: the bases of S_1, ..., S_k followed by
+the complement vectors t_j of the first k-1 helpers, which span T.
+compute_decomposition derives it from a stored repair, and together with
+the constructor it enforces every claim above, so verify_structure is
+that derivation and nothing more.
 """
 
 from __future__ import annotations
 
-from .linalg import Matrix, Subspace, Vec, combine, nullspace, solve_left, vec_add
-from .regen import CheckReport, Code, MissingWitnessError
+from .linalg import Matrix, Subspace, Vec, combine, nullspace, vec_add
+from .regen import CheckReport, Code
 
 __all__ = [
     "DecompositionError",
     "Decomposition",
     "compute_decomposition",
     "verify_structure",
-    "verify_structure_all",
 ]
 
 
@@ -99,7 +100,7 @@ class Decomposition:
             offsets[j] = len(rows)
             rows.extend(repair_spaces[j].basis_rows())
         complement_offset = len(rows)
-        rows.extend(comp_space.basis_rows())
+        rows.extend(comp_vectors[j] for j in helpers[:-1])
         try:
             basis_inv = Matrix(spec, rows, cols=ambient).inverse()
         except ValueError as exc:
@@ -119,12 +120,17 @@ class Decomposition:
         self._complement_offset = complement_offset
 
     def coordinates(self, v) -> Vec:
-        """Coordinates of v in the concatenated (repair spaces, complement) basis."""
+        """Coordinates of v in the basis of the repair spaces followed by the
+        complement vectors t_j of all helpers but the last.
+
+        The complement block c therefore writes the component of v in T as
+        the sum of c_j t_j, with no term for the last helper.
+        """
         if len(v) != self.ambient_dim:
             raise ValueError(
                 f"vector of length {len(v)} in ambient dimension {self.ambient_dim}"
             )
-        return self._basis_inv.left_mul(v)
+        return combine(self.spec.p, v, self._basis_inv.entries)
 
     def repair_block(self, coords: Vec, j: int) -> Vec:
         """The k-1 coordinates of the repair space of helper j."""
@@ -132,38 +138,17 @@ class Decomposition:
         return coords[off : off + self.k - 1]
 
     def complement_block(self, coords: Vec) -> Vec:
+        """The k-1 coordinates over t_j for the helpers j but the last."""
         return coords[self._complement_offset : self._complement_offset + self.k - 1]
 
     def expand_repair(self, j: int, block: Vec) -> Vec:
         """Turn repair-space coordinates for helper j back into a file-space vector."""
-        rows = self.repair_spaces[j].basis_rows()
-        if not rows:
-            return (0,) * self.ambient_dim
-        return combine(self.spec.p, block, rows)
+        return combine(self.spec.p, block, self.repair_spaces[j].basis_rows())
 
     def expand_complement(self, block: Vec) -> Vec:
-        rows = self.complement_space.basis_rows()
-        if not rows:
-            return (0,) * self.ambient_dim
+        """Turn complement-block coordinates back into a vector of T."""
+        rows = [self.complement_vectors[j] for j in self.helpers[:-1]]
         return combine(self.spec.p, block, rows)
-
-    def express_in_complement_basis(self, tau, exclude: int) -> dict[int, int]:
-        """Write tau as a combination of the complement vectors t_j, j != exclude.
-
-        Any k-1 of the complement vectors form a basis of the complement
-        space, so the coefficients are unique.  Raises ValueError if tau is
-        not in the complement space or exclude is not a helper.
-        """
-        if exclude not in self._offsets:
-            raise ValueError(f"{exclude} is not a helper of this decomposition")
-        if not self.complement_space.contains(tau):
-            raise ValueError("vector is not in the complement space")
-        others = [j for j in self.helpers if j != exclude]
-        stacked = Matrix(
-            self.spec, [self.complement_vectors[j] for j in others], cols=self.ambient_dim
-        )
-        coeffs = solve_left(stacked, tuple(int(x) % self.spec.p for x in tau))
-        return dict(zip(others, coeffs))
 
     def __repr__(self) -> str:
         tag = "synthetic" if self.failed_node is None else f"x={self.failed_node}"
@@ -254,18 +239,3 @@ def verify_structure(code: Code, helpers, x: int) -> CheckReport:
     """
     compute_decomposition(code, helpers, x)
     return CheckReport(1, ())
-
-
-def verify_structure_all(code: Code) -> CheckReport:
-    """Run verify_structure over every stored repair pair; checked counts pairs."""
-    checked = 0
-    violations = []
-    for x, helpers in code.repair_pairs():
-        checked += 1
-        try:
-            report = verify_structure(code, helpers, x)
-        except (DecompositionError, MissingWitnessError) as exc:
-            violations.append(f"pair ({x}, {helpers}): {exc}")
-            continue
-        violations.extend(report.violations)
-    return CheckReport(checked, tuple(violations))

@@ -1,4 +1,5 @@
-"""Shared fixtures: small verified codes built once per session."""
+"""Shared fixtures: small verified codes built once per session, and the
+certificate check that the alignment and property tests share."""
 
 import random
 
@@ -6,6 +7,7 @@ import pytest
 
 from regenext.extend import extend_code, synthesize_base_code
 from regenext.gf import FieldSpec
+from regenext.linalg import Matrix, Subspace, vec_add
 
 
 @pytest.fixture(scope="session")
@@ -26,3 +28,36 @@ def extended_k3_big():
     )
     outcome = extend_code(base, random.Random("fixture-grow-3-big"))
     return outcome.code
+
+
+def assert_certificate_consistent(cert, candidate):
+    """Re-verify every certificate claim from scratch."""
+    dec = cert.decomposition
+    p = dec.spec.p
+    helpers = dec.helpers
+    assert Subspace(dec.spec, dec.ambient_dim, cert.basis.values()) == candidate
+    for i in helpers:
+        # the basis vector reassembles from its recorded parts
+        total = cert.complement_parts[i]
+        for j in helpers:
+            total = vec_add(p, total, cert.repair_parts[(i, j)])
+        assert total == cert.basis[i]
+        assert candidate.contains(cert.basis[i])
+        assert not any(cert.repair_parts[(i, i)])
+        assert dec.complement_space.contains(cert.complement_parts[i])
+        for j in helpers:
+            assert dec.repair_spaces[j].contains(cert.repair_parts[(i, j)])
+        # recorded coefficients rebuild tau over the other leftovers
+        tau = (0,) * dec.ambient_dim
+        for j in helpers:
+            if j == i:
+                continue
+            c = cert.complement_coeffs[(i, j)]
+            tau = vec_add(
+                p, tau, tuple((c * v) % p for v in dec.complement_vectors[j])
+            )
+        assert tau == cert.complement_parts[i]
+    for j in helpers:
+        rows = [cert.repair_parts[(i, j)] for i in helpers if i != j]
+        block = Matrix(dec.spec, rows, cols=dec.ambient_dim)
+        assert block.rank() == dec.k - 1

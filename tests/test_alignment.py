@@ -27,6 +27,8 @@ from regenext.linalg import (
 )
 from regenext.structure import compute_decomposition
 
+from conftest import assert_certificate_consistent
+
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
 
@@ -34,39 +36,6 @@ GF3 = FieldSpec(3)
 def first_decomposition(code):
     x, helpers = next(iter(sorted(code.witnesses)))
     return compute_decomposition(code, helpers, x)
-
-
-def assert_certificate_consistent(cert, candidate):
-    """Re-verify every certificate claim from scratch."""
-    dec = cert.decomposition
-    p = dec.spec.p
-    helpers = dec.helpers
-    assert cert.subspace() == candidate
-    for i in helpers:
-        # the basis vector reassembles from its recorded parts
-        total = cert.complement_parts[i]
-        for j in helpers:
-            total = vec_add(p, total, cert.repair_parts[(i, j)])
-        assert total == cert.basis[i]
-        assert candidate.contains(cert.basis[i])
-        assert not any(cert.repair_parts[(i, i)])
-        assert dec.complement_space.contains(cert.complement_parts[i])
-        for j in helpers:
-            assert dec.repair_spaces[j].contains(cert.repair_parts[(i, j)])
-        # recorded coefficients rebuild tau over the other leftovers
-        tau = (0,) * dec.ambient_dim
-        for j in helpers:
-            if j == i:
-                continue
-            c = cert.complement_coeffs[(i, j)]
-            tau = vec_add(
-                p, tau, tuple((c * v) % p for v in dec.complement_vectors[j])
-            )
-        assert tau == cert.complement_parts[i]
-    for j in helpers:
-        rows = [cert.repair_parts[(i, j)] for i in helpers if i != j]
-        block = Matrix(dec.spec, rows, cols=dec.ambient_dim)
-        assert block.rank() == dec.k - 1
 
 
 def test_sample_then_check_roundtrip(base_k3_p5):

@@ -466,3 +466,17 @@ def test_grow_target_below_k_plus_one_is_a_usage_error(workdir, tmp_path, capsys
     assert rc == EXIT_USAGE
     assert "--n must be at least k+1 = 4, got 3" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n,attempts", [(4, "64"), (6, "1")], ids=["grows", "stalls"])
+def test_grow_unwritable_csv_writes_nothing(tmp_path, capsys, n, attempts):
+    """The CSV opens before the first step: no output and no .partial."""
+    base = tmp_path / "p2.json"
+    assert main(["gen-base", "--k", "2", "--p", "2", "--seed", "1", "--out", str(base)]) == EXIT_OK
+    out = tmp_path / "x.json"
+    csv_path = tmp_path / "missing" / "x.csv"
+    argv = ["grow", "--in", str(base), "--out", str(out), "--n", str(n),
+            "--max-attempts", attempts, "--csv", str(csv_path)]
+    assert main(argv) == EXIT_USAGE
+    assert "No such file or directory" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [base]

@@ -21,7 +21,7 @@ from regenext.extend import (
 from regenext.gf import FieldSpec
 from regenext.linalg import Subspace
 from regenext.regen import RepairWitness, verify_data_recovery, verify_repair_witnesses
-from regenext.structure import verify_structure_all
+from regenext.structure import verify_structure
 
 GF2 = FieldSpec(2)
 GF5 = FieldSpec(5)
@@ -61,7 +61,7 @@ def test_synthesize_base_code_verified(k, p):
     assert code.params.k == k
     assert verify_data_recovery(code).ok
     assert verify_repair_witnesses(code).ok
-    assert verify_structure_all(code).ok
+    assert all(verify_structure(code, a, x).ok for x, a in code.repair_pairs())
     assert set(code.witnesses) == set(
         (x, helpers) for x, helpers in code.repair_pairs()
     )
@@ -119,7 +119,7 @@ def test_extend_grows_and_verifies(outcome_k3_big):
     assert outcome.attempts >= 1
     assert verify_data_recovery(grown).ok
     assert verify_repair_witnesses(grown).ok
-    assert verify_structure_all(grown).ok
+    assert all(verify_structure(grown, a, x).ok for x, a in grown.repair_pairs())
 
 
 def test_extend_alignment_log_covers_every_subset(outcome_k3_big):
@@ -130,7 +130,8 @@ def test_extend_alignment_log_covers_every_subset(outcome_k3_big):
     for helpers, (x, cert) in outcome.alignment_log.items():
         assert x not in helpers
         assert 1 <= x <= n
-        assert cert.subspace() == outcome.code.nodes[-1]
+        dec = cert.decomposition
+        assert Subspace(dec.spec, dec.ambient_dim, cert.basis.values()) == outcome.code.nodes[-1]
 
 
 def test_extend_builds_complete_witness_table(outcome_k3_big):

@@ -17,7 +17,6 @@ from regenext.linalg import (
     random_invertible_matrix,
     random_matrix,
     random_subspace,
-    solve_left,
     vec_add,
     vec_scale,
     vec_sub,
@@ -60,10 +59,10 @@ def test_matrix_ragged_rejected():
 def test_matrix_ops():
     a = Matrix(GF7 := FieldSpec(7), [[1, 2], [3, 4]])
     b = Matrix(GF7, [[0, 1], [1, 0]])
-    assert [b.left_mul(row) for row in a.entries] == [(2, 1), (4, 3)]
+    assert [combine(7, row, b.entries) for row in a.entries] == [(2, 1), (4, 3)]
     assert a.transpose().entries == ((1, 3), (2, 4))
     assert a.augment(b).entries == ((1, 2, 0, 1), (3, 4, 1, 0))
-    assert a.left_mul((1, 1)) == (4, 6)
+    assert combine(7, (1, 1), a.entries) == (4, 6)
     assert Matrix.identity(GF7, 3).entries == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
@@ -109,7 +108,7 @@ def test_rank_and_nullspace_dimensions():
         ker = nullspace(m)
         assert m.rank() + ker.dim == cols
         for v in ker.basis_rows():
-            assert not any(m.transpose().left_mul(v))
+            assert not any(combine(p, v, m.transpose().entries))
 
 
 def test_inverse_roundtrip():
@@ -121,8 +120,8 @@ def test_inverse_roundtrip():
         m = random_invertible_matrix(spec, n, rng)
         inv = m.inverse()
         identity = Matrix.identity(spec, n)
-        assert Matrix(spec, [inv.left_mul(row) for row in m.entries]) == identity
-        assert Matrix(spec, [m.left_mul(row) for row in inv.entries]) == identity
+        assert Matrix(spec, [combine(p, row, inv.entries) for row in m.entries]) == identity
+        assert Matrix(spec, [combine(p, row, m.entries) for row in inv.entries]) == identity
 
 
 def test_inverse_rejects_singular():
@@ -132,43 +131,6 @@ def test_inverse_rejects_singular():
         m.inverse()
     with pytest.raises(ValueError):
         Matrix(GF3, [[1, 2, 0]], cols=3).inverse()
-
-
-def test_solve_left_unique():
-    m = Matrix(GF5, [[1, 0, 2], [0, 1, 3]])
-    x = solve_left(m, (2, 3, 3))
-    assert x == (2, 3)
-    assert m.left_mul(x) == (2, 3, 3)
-
-
-def test_solve_left_inconsistent():
-    m = Matrix(GF5, [[1, 0, 0], [0, 1, 0]])
-    with pytest.raises(ValueError, match="inconsistent"):
-        solve_left(m, (0, 0, 1))
-
-
-def test_solve_left_underdetermined():
-    m = Matrix(GF5, [[1, 2, 3], [0, 1, 4]])
-    assert solve_left(m, (3, 3, 2)) == (3, 2)
-    dep = Matrix(GF5, [[1, 2, 3], [2, 4, 6]])
-    with pytest.raises(ValueError, match="underdetermined"):
-        solve_left(dep, (1, 2, 3))
-
-
-def test_solve_left_randomized():
-    rng = random.Random("solve-left")
-    for _ in range(200):
-        p = rng.choice([3, 5, 101])
-        spec = FieldSpec(p)
-        n = rng.randrange(1, 5)
-        cols = n + rng.randrange(0, 3)
-        while True:
-            m = random_matrix(spec, n, cols, rng)
-            if m.rank() == n:
-                break
-        x = tuple(rng.randrange(p) for _ in range(n))
-        v = m.left_mul(x)
-        assert solve_left(m, v) == x
 
 
 def test_subspace_canonical_and_hashable():

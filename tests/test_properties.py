@@ -1,11 +1,17 @@
-"""Property tests of the GF(p) linear algebra at both ends of the field range."""
+"""Property tests of the GF(p) linear algebra and of alignment certificates
+at both ends of the field range."""
 
-import pytest
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regenext.alignment import is_well_aligned, sample_well_aligned
+from regenext.extend import synthesize_decomposition
 from regenext.gf import FieldSpec
-from regenext.linalg import Matrix, Subspace, random_invertible_matrix, solve_left
+from regenext.linalg import Matrix, Subspace, combine, random_invertible_matrix, random_subspace
+
+from conftest import assert_certificate_consistent
 
 PRIMES = [2, 3, 5, 65521, 2**31 - 1]
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -39,7 +45,7 @@ def test_rref_is_canonical_and_idempotent(case, rng):
     # any invertible row operation leaves the row space, hence the RREF, alone
     if rows:
         mixer = random_invertible_matrix(spec, len(rows), rng)
-        mixed = Matrix(spec, [m.left_mul(t) for t in mixer.entries], cols=cols)
+        mixed = Matrix(spec, [combine(spec.p, t, m.entries) for t in mixer.entries], cols=cols)
         assert mixed.rref_with_pivots() == (reduced, pivots)
 
 
@@ -59,24 +65,15 @@ def test_complement_in_gives_a_direct_sum(case, data):
 
 
 @PROPERTY
-@given(matrices(), st.data())
-def test_solve_left_round_trips(case, data):
-    spec, cols, rows = case
-    basis = Matrix(spec, Subspace(spec, cols, rows).basis_rows(), cols=cols)
-    coeffs = tuple(data.draw(st.lists(
-        st.integers(0, spec.p - 1), min_size=basis.rows, max_size=basis.rows
-    )))
-    assert solve_left(basis, basis.left_mul(coeffs)) == coeffs
-    target = tuple(data.draw(st.lists(st.integers(0, spec.p - 1), min_size=cols, max_size=cols)))
-    if not Subspace(spec, cols, rows).contains(target):
-        with pytest.raises(ValueError, match="inconsistent"):
-            solve_left(basis, target)
-
-
-def test_solve_left_without_rows():
-    """x @ m = v with m of no rows: only v = 0 is solved, by the empty x."""
-    empty = Matrix(FieldSpec(5), [], cols=3)
-    assert solve_left(empty, (0, 0, 0)) == ()
-    with pytest.raises(ValueError, match="inconsistent"):
-        solve_left(empty, (0, 1, 0))
-
+@given(st.sampled_from(PRIMES), st.sampled_from([2, 3]), st.integers(0, 2**32))
+def test_certificate_theta_rebuilds_tau(p, k, seed):
+    """theta(i, j) = c_j - c_i writes tau(i) over the t_j with j != i, both for
+    a sampled aligned node and for any uniform draw the checker accepts."""
+    rng = random.Random(seed)
+    dec = synthesize_decomposition(k, FieldSpec(p), rng)
+    candidate, cert = sample_well_aligned(dec, rng)
+    assert_certificate_consistent(cert, candidate)
+    draw = random_subspace(dec.ambient_dim, k, dec.spec, rng)
+    cert = is_well_aligned(draw, dec)
+    if cert is not None:
+        assert_certificate_consistent(cert, draw)

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import regenext.regen as regen
 from regenext.gf import FieldSpec, NotPrimeError
 from regenext.linalg import CapExceededError, Matrix, Subspace
 from regenext.regen import (
@@ -271,11 +272,19 @@ def test_save_is_atomic(tmp_path, monkeypatch, base_k3_p5, extended_k3_big):
     save_code(base_k3_p5, str(path))
     before = path.read_bytes()
 
-    def dump_partway(obj, fh, **kwargs):
-        fh.write('{"version":1,')
-        raise OSError("disk full")
+    def open_then_fill_disk(file, *args, **kwargs):
+        fh = open(file, *args, **kwargs)
+        write = fh.write
 
-    monkeypatch.setattr(json, "dump", dump_partway)
+        def write_partway(text):
+            write(text[:13])
+            raise OSError("disk full")
+
+        fh.write = write_partway
+        return fh
+
+    # the module-level name shadows the builtin inside regen only
+    monkeypatch.setattr(regen, "open", open_then_fill_disk, raising=False)
     with pytest.raises(OSError, match="disk full"):
         save_code(extended_k3_big, str(path))
     assert path.read_bytes() == before

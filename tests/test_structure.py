@@ -12,7 +12,6 @@ from regenext.structure import (
     DecompositionError,
     compute_decomposition,
     verify_structure,
-    verify_structure_all,
 )
 
 GF3 = FieldSpec(3)
@@ -117,9 +116,8 @@ def test_compute_decomposition_rejects_duplicated_helpers():
     code = Code(pr, (plane, plane, other), {(3, (1, 2)): w})
     with pytest.raises(DecompositionError, match="dependency"):
         compute_decomposition(code, (1, 2), 3)
-    report = verify_structure_all(code)
-    assert not report.ok
-    assert any("dependency" in v for v in report.violations)
+    with pytest.raises(DecompositionError, match="dependency"):
+        verify_structure(code, (1, 2), 3)
 
 
 def project(dec, v):
@@ -178,32 +176,18 @@ def test_coordinate_blocks_roundtrip(base_k3_p5):
         dec.coordinates((0, 0))
 
 
-def test_express_in_complement_basis(base_k3_p5):
+def test_complement_block_is_over_the_complement_vectors(base_k3_p5):
+    """The complement block writes T over t_j for every helper but the last."""
     code = base_k3_p5
     x, helpers = next(iter(sorted(code.witnesses)))
     dec = compute_decomposition(code, helpers, x)
     p = code.params.spec.p
-    exclude = helpers[0]
-    others = [j for j in helpers if j != exclude]
-    # each kept t_j is its own expansion
-    coeffs = dec.express_in_complement_basis(dec.complement_vectors[others[0]], exclude)
-    assert coeffs == {others[0]: 1, others[1]: 0}
-    # the excluded t is minus the sum of the others
-    coeffs = dec.express_in_complement_basis(dec.complement_vectors[exclude], exclude)
-    assert coeffs == {j: p - 1 for j in others}
-    coeffs = dec.express_in_complement_basis((0,) * 8, exclude)
-    assert coeffs == {j: 0 for j in others}
-
-
-def test_express_in_complement_basis_errors(base_k3_p5):
-    code = base_k3_p5
-    x, helpers = next(iter(sorted(code.witnesses)))
-    dec = compute_decomposition(code, helpers, x)
-    outside = dec.repair_spaces[helpers[0]].basis_rows()[0]
-    with pytest.raises(ValueError, match="not in the complement space"):
-        dec.express_in_complement_basis(outside, helpers[0])
-    with pytest.raises(ValueError, match="not a helper"):
-        dec.express_in_complement_basis((0,) * 8, 99)
+    expected = {helpers[0]: (1, 0), helpers[1]: (0, 1), helpers[2]: (p - 1, p - 1)}
+    for j, block in expected.items():
+        coords = dec.coordinates(dec.complement_vectors[j])
+        assert dec.complement_block(coords) == block
+        assert all(not any(dec.repair_block(coords, i)) for i in helpers)
+    assert dec.complement_block(dec.coordinates((0,) * 8)) == (0, 0)
 
 
 def test_verify_structure_clean_codes(base_k2_p3, base_k3_p5):
@@ -216,12 +200,14 @@ def test_verify_structure_clean_codes(base_k2_p3, base_k3_p5):
 
 
 def test_verify_structure_all_counts_pairs(base_k3_p5):
-    report = verify_structure_all(base_k3_p5)
-    assert report.ok
-    assert report.checked == 4
+    pairs = list(base_k3_p5.repair_pairs())
+    assert len(pairs) == 4
+    for x, helpers in pairs:
+        assert verify_structure(base_k3_p5, helpers, x).ok
 
 
 def test_verify_structure_all_extended(extended_k3_big):
-    report = verify_structure_all(extended_k3_big)
-    assert report.ok
-    assert report.checked == 5 * 4
+    pairs = list(extended_k3_big.repair_pairs())
+    assert len(pairs) == 5 * 4
+    for x, helpers in pairs:
+        assert verify_structure(extended_k3_big, helpers, x).ok
