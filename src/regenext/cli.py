@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
+import os
 import random
 import sys
 from fractions import Fraction
@@ -87,6 +89,12 @@ def _field(p: int) -> FieldSpec:
         raise UsageError(str(exc)) from exc
 
 
+def _check_out_dir(path: str) -> None:
+    """Fail before any work when the directory an output goes to is missing."""
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def _params_line(code: Code) -> str:
     pr = code.params
     return (
@@ -105,6 +113,7 @@ def _print_section(name: str, checked: int, violations: list[str]) -> None:
 
 def _cmd_gen_base(args: argparse.Namespace) -> int:
     spec = _field(args.p)
+    _check_out_dir(args.out)
     # namespace the stream per command so reusing one --seed across
     # gen-base and grow does not replay the same draws
     rng = random.Random(f"gen-base:{args.seed}")
@@ -133,6 +142,7 @@ def _cmd_grow(args: argparse.Namespace) -> int:
             f"nothing to do: code already has n={pr.n} nodes, target is {args.n}"
         )
         return EXIT_OK
+    _check_out_dir(args.out)
 
     def invalid(problem) -> int:
         _log(
@@ -276,7 +286,6 @@ def _parse_prime_list(raw: str) -> list[int]:
 
 
 def _cmd_prob_sweep(args: argparse.Namespace) -> int:
-    primes = _parse_prime_list(args.p)
     k = args.k
     f_dim = k * k - 1
     rng = random.Random(f"prob-sweep:{args.seed}")
@@ -295,53 +304,50 @@ def _cmd_prob_sweep(args: argparse.Namespace) -> int:
         "mc_high",
         "trials",
     ]
-    rows = []
-    for p in primes:
-        spec = _field(p)
-        dec = synthesize_decomposition(k, spec, rng)
-        exact = count_well_aligned(k, spec)
-        lower = count_well_aligned_lower(k, spec)
-        total = count_subspaces(f_dim, k, spec)
-        prob = probability_well_aligned(k, spec)
-        census = ""
-        census_ratio = ""
-        if total <= args.oracle_cap:
-            census_count = census_well_aligned(dec, cap=args.oracle_cap)
-            census = census_count
-            census_ratio = census_count / total
-        freq, (low, high) = estimate_probability_monte_carlo(dec, args.trials, rng)
-        rows.append(
-            {
-                "p": p,
-                "k": k,
-                "aligned_exact": exact,
-                "aligned_lower": lower,
-                "subspaces_total": total,
-                "probability_exact": str(prob),
-                "probability": float(prob),
-                "census": census,
-                "census_ratio": census_ratio,
-                "mc_frequency": float(freq),
-                "mc_low": low,
-                "mc_high": high,
-                "trials": args.trials,
-            }
-        )
-        census_note = f", census={census}" if census != "" else ""
-        _log(
-            f"p={p}: probability {float(prob):.6f} "
-            f"(exact {prob}), monte-carlo {float(freq):.6f}{census_note}"
-        )
-    if args.csv is not None:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fieldnames)
-            writer.writeheader()
-            writer.writerows(rows)
-        _log(f"wrote {args.csv}")
-    else:
-        writer = csv.DictWriter(sys.stdout, fieldnames=fieldnames)
+    specs = [_field(p) for p in _parse_prime_list(args.p)]
+    # opened before the first prime, so an unwritable path exits 2 having
+    # done no work; each row goes out as its prime completes
+    sink = None if args.csv is None else open(args.csv, "w", encoding="utf-8", newline="")
+    with sink or contextlib.nullcontext():
+        writer = csv.DictWriter(sink or sys.stdout, fieldnames=fieldnames)
         writer.writeheader()
-        writer.writerows(rows)
+        for spec in specs:
+            dec = synthesize_decomposition(k, spec, rng)
+            exact = count_well_aligned(k, spec)
+            lower = count_well_aligned_lower(k, spec)
+            total = count_subspaces(f_dim, k, spec)
+            prob = probability_well_aligned(k, spec)
+            census = ""
+            census_ratio = ""
+            if total <= args.oracle_cap:
+                census_count = census_well_aligned(dec, cap=args.oracle_cap)
+                census = census_count
+                census_ratio = census_count / total
+            freq, (low, high) = estimate_probability_monte_carlo(dec, args.trials, rng)
+            writer.writerow(
+                {
+                    "p": spec.p,
+                    "k": k,
+                    "aligned_exact": exact,
+                    "aligned_lower": lower,
+                    "subspaces_total": total,
+                    "probability_exact": str(prob),
+                    "probability": float(prob),
+                    "census": census,
+                    "census_ratio": census_ratio,
+                    "mc_frequency": float(freq),
+                    "mc_low": low,
+                    "mc_high": high,
+                    "trials": args.trials,
+                }
+            )
+            census_note = f", census={census}" if census != "" else ""
+            _log(
+                f"p={spec.p}: probability {float(prob):.6f} "
+                f"(exact {prob}), monte-carlo {float(freq):.6f}{census_note}"
+            )
+    if args.csv is not None:
+        _log(f"wrote {args.csv}")
     return EXIT_OK
 
 
@@ -408,7 +414,7 @@ def _cmd_repair_demo(args: argparse.Namespace) -> int:
     code = outcome.code
     pr = code.params
     p = pr.spec.p
-    helpers, (x, cert) = next(iter(outcome.alignment_log.items()))
+    helpers, cert = next(iter(outcome.alignment_log.items()))
     dec = cert.decomposition
     star = pr.n
     failed = min(helpers)
@@ -421,7 +427,7 @@ def _cmd_repair_demo(args: argparse.Namespace) -> int:
         f"(node {star} is the newly added one)"
     )
     print(
-        f"the split below comes from the stored repair of node {x} by {helpers}; "
+        f"the split below comes from the stored repair of node {dec.failed_node} by {helpers}; "
         f"node {star} was accepted because it aligns with it"
     )
     print()

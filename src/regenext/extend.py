@@ -70,11 +70,12 @@ class ExtensionError(RuntimeError):
 @dataclass
 class ExtensionOutcome:
     """A successful extension: the grown code, draws used, and per-subset
-    alignment picks (helper subset -> (failed node, certificate))."""
+    alignment picks (helper subset -> certificate, whose decomposition
+    names the failed node)."""
 
     code: Code
     attempts: int
-    alignment_log: dict[tuple[int, ...], tuple[int, AlignmentCertificate]]
+    alignment_log: dict[tuple[int, ...], AlignmentCertificate]
 
 
 def synthesize_decomposition(
@@ -168,7 +169,7 @@ def _add_node(
     nodes: tuple[Subspace, ...],
     witnesses: dict[tuple[int, tuple[int, ...]], RepairWitness],
     candidate: Subspace,
-    log: dict[tuple[int, ...], tuple[int | None, AlignmentCertificate]],
+    log: dict[tuple[int, ...], AlignmentCertificate],
     verified: bool,
 ) -> tuple[Code, tuple[str, ...]]:
     """Append the candidate as node n+1 and verify what that changed.
@@ -182,7 +183,7 @@ def _add_node(
     """
     star = len(nodes) + 1
     witnesses = dict(witnesses)
-    for helpers, (_, cert) in log.items():
+    for helpers, cert in log.items():
         witnesses[(star, helpers)] = new_node_repair_witness(cert)
         for failed in helpers:
             key = tuple(sorted([j for j in helpers if j != failed] + [star]))
@@ -222,7 +223,7 @@ def synthesize_base_code(
             for j in dec.helpers
         )
         candidate, cert = sample_well_aligned(dec, rng)
-        code, problems = _add_node(nodes, {}, candidate, {dec.helpers: (None, cert)}, verified=False)
+        code, problems = _add_node(nodes, {}, candidate, {dec.helpers: cert}, verified=False)
         if not problems:
             return code
         last_error = "; ".join(problems)
@@ -236,7 +237,7 @@ def find_alignments(
     code: Code,
     candidate: Subspace,
     cache: dict | None = None,
-) -> dict[tuple[int, ...], tuple[int, AlignmentCertificate]] | None:
+) -> dict[tuple[int, ...], AlignmentCertificate] | None:
     """For every k-subset of nodes, find a repair pair the candidate aligns with.
 
     Scans failed nodes x outside each subset in ascending order and keeps the
@@ -247,9 +248,8 @@ def find_alignments(
     if cache is None:
         cache = {}
     pr = code.params
-    log: dict[tuple[int, ...], tuple[int, AlignmentCertificate]] = {}
+    log: dict[tuple[int, ...], AlignmentCertificate] = {}
     for helpers in itertools.combinations(range(1, pr.n + 1), pr.k):
-        found = None
         for x in range(1, pr.n + 1):
             if x in helpers:
                 continue
@@ -260,11 +260,10 @@ def find_alignments(
                 cache[key] = dec
             cert = is_well_aligned(candidate, dec)
             if cert is not None:
-                found = (x, cert)
+                log[helpers] = cert
                 break
-        if found is None:
+        else:
             return None
-        log[helpers] = found
     return log
 
 

@@ -210,13 +210,6 @@ class CheckReport:
     checked: int
     violations: tuple[str, ...]
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def summary(self) -> str:
-        return f"checked={self.checked} violations={len(self.violations)}"
-
 
 def check_recovery_subset(code: Code, subset: tuple[int, ...]) -> str | None:
     """None if the subset's nodes span the file space, else a violation line."""
@@ -378,9 +371,12 @@ def save_code(code: Code, path: str) -> None:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(f'{head[:-1]},"witnesses":[{witnesses}]}}\n')
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            # name the path the caller gave, not the temporary file
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

@@ -12,17 +12,25 @@ are the complement vectors t_j.  They satisfy:
   * any k-1 of them span the same (k-1)-dimensional complement space T,
   * the S_j are mutually independent and F = S_1 + ... + S_k + T directly.
 
-The Decomposition object captures this split and answers coordinate
-queries against it in one basis: the bases of S_1, ..., S_k followed by
-the complement vectors t_j of the first k-1 helpers, which span T.
-compute_decomposition derives it from a stored repair, and together with
-the constructor it enforces every claim above, so verify_structure is
-that derivation and nothing more.
+A Decomposition records this split and gives coordinates in one basis:
+the bases of S_1, ..., S_k, then t_j for every helper but the last.  It
+checks nothing, because its two producers establish every claim above.
+extend.synthesize_decomposition takes that basis from the rows of a random
+invertible matrix and sets the last t_j to minus the sum of the others.
+compute_decomposition checks that each helper sends k-1 dimensions inside a
+node of dimension k, that the k^2 stacked vectors have a one-dimensional
+dependency space, and that no leftover coefficient of that dependency
+vanishes.  Then the k^2 vectors, in k^2-1 dimensions, span F.  The
+dependency is the zero sum of the t_j, and a nonzero coefficient puts t_j
+in W_j outside S_j and the leftover in span(S_j, t_j).  The basis spans
+each S_j, each t_j (t_k being minus the sum of the others) and so each
+leftover, hence F; having k^2-1 vectors, it is a basis.  So the sum is
+direct, dim T = k-1, and by the zero sum any k-1 of the t_j span T.
 """
 
 from __future__ import annotations
 
-from .linalg import Matrix, Subspace, Vec, combine, nullspace, vec_add
+from .linalg import Matrix, Vec, combine, nullspace
 from .regen import CheckReport, Code
 
 __all__ = [
@@ -40,11 +48,13 @@ class DecompositionError(ValueError):
 class Decomposition:
     """Direct-sum split of the file space induced by one repair scenario.
 
-    helpers are the k node indices supplying the split; failed_node is the
-    node whose repair induced it (None for synthetic frames built directly).
-    repair_spaces maps each helper to its (k-1)-dimensional sent subspace,
-    complement_vectors maps each helper to its leftover vector t_j, and
-    complement_space is span of the t_j.
+    A record that trusts its input, as made by compute_decomposition (from
+    code data) or extend.synthesize_decomposition (from a random frame).
+    helpers are the k node indices in ascending order; failed_node is the
+    node whose repair induced the split (None for a synthetic frame).
+    repair_spaces maps each helper to its sent subspace S_j and
+    complement_vectors to its t_j.  coordinates builds the basis inverse on
+    its first call and keeps it.
     """
 
     __slots__ = (
@@ -55,69 +65,18 @@ class Decomposition:
         "failed_node",
         "repair_spaces",
         "complement_vectors",
-        "complement_space",
         "_basis_inv",
-        "_offsets",
-        "_complement_offset",
     )
 
     def __init__(self, spec, helpers, failed_node, repair_spaces, complement_vectors):
-        helpers = tuple(sorted(helpers))
-        k = len(helpers)
-        if k < 2:
-            raise DecompositionError(f"need at least two helpers, got {helpers}")
-        ambient = k * k - 1
-        p = spec.p
-        comp_vectors = {}
-        total = (0,) * ambient
-        for j in helpers:
-            if j not in repair_spaces or j not in complement_vectors:
-                raise DecompositionError(f"helper {j} missing from the split data")
-            sub = repair_spaces[j]
-            if sub.spec != spec or sub.ambient_dim != ambient:
-                raise DecompositionError(f"repair space for helper {j} is misplaced")
-            if sub.dim != k - 1:
-                raise DecompositionError(
-                    f"repair space for helper {j} has dimension {sub.dim}, expected {k - 1}"
-                )
-            t = tuple(int(x) % p for x in complement_vectors[j])
-            if len(t) != ambient:
-                raise DecompositionError(f"complement vector for helper {j} has wrong length")
-            if all(x == 0 for x in t):
-                raise DecompositionError(f"complement vector for helper {j} is zero")
-            comp_vectors[j] = t
-            total = vec_add(p, total, t)
-        if any(x != 0 for x in total):
-            raise DecompositionError("complement vectors do not sum to zero")
-        comp_space = Subspace(spec, ambient, comp_vectors.values())
-        if comp_space.dim != k - 1:
-            raise DecompositionError(
-                f"complement vectors span dimension {comp_space.dim}, expected {k - 1}"
-            )
-        rows: list[Vec] = []
-        offsets = {}
-        for j in helpers:
-            offsets[j] = len(rows)
-            rows.extend(repair_spaces[j].basis_rows())
-        complement_offset = len(rows)
-        rows.extend(comp_vectors[j] for j in helpers[:-1])
-        try:
-            basis_inv = Matrix(spec, rows, cols=ambient).inverse()
-        except ValueError as exc:
-            raise DecompositionError(
-                "repair spaces and complement space do not span the file space"
-            ) from exc
         self.spec = spec
-        self.k = k
-        self.ambient_dim = ambient
-        self.helpers = helpers
+        self.helpers = tuple(helpers)
+        self.k = len(self.helpers)
+        self.ambient_dim = self.k * self.k - 1
         self.failed_node = failed_node
-        self.repair_spaces = {j: repair_spaces[j] for j in helpers}
-        self.complement_vectors = comp_vectors
-        self.complement_space = comp_space
-        self._basis_inv = basis_inv
-        self._offsets = offsets
-        self._complement_offset = complement_offset
+        self.repair_spaces = repair_spaces
+        self.complement_vectors = complement_vectors
+        self._basis_inv = None
 
     def coordinates(self, v) -> Vec:
         """Coordinates of v in the basis of the repair spaces followed by the
@@ -130,16 +89,20 @@ class Decomposition:
             raise ValueError(
                 f"vector of length {len(v)} in ambient dimension {self.ambient_dim}"
             )
-        return combine(self.spec.p, v, self._basis_inv.entries)
+        if self._basis_inv is None:
+            rows = [r for j in self.helpers for r in self.repair_spaces[j].basis_rows()]
+            rows.extend(self.complement_vectors[j] for j in self.helpers[:-1])
+            self._basis_inv = Matrix(self.spec, rows, cols=self.ambient_dim).inverse().entries
+        return combine(self.spec.p, v, self._basis_inv)
 
     def repair_block(self, coords: Vec, j: int) -> Vec:
         """The k-1 coordinates of the repair space of helper j."""
-        off = self._offsets[j]
+        off = self.helpers.index(j) * (self.k - 1)
         return coords[off : off + self.k - 1]
 
     def complement_block(self, coords: Vec) -> Vec:
         """The k-1 coordinates over t_j for the helpers j but the last."""
-        return coords[self._complement_offset : self._complement_offset + self.k - 1]
+        return coords[self.k * (self.k - 1) :]
 
     def expand_repair(self, j: int, block: Vec) -> Vec:
         """Turn repair-space coordinates for helper j back into a file-space vector."""
@@ -170,7 +133,8 @@ def compute_decomposition(code: Code, helpers, x: int) -> Decomposition:
     witness = code.witness(x, helpers)
     p = pr.spec.p
     repair = {}
-    leftover = {}
+    rows: list[Vec] = []
+    unit_positions = {}
     for j in helpers:
         sub = witness.space(j)
         if sub.dim != pr.beta:
@@ -191,13 +155,9 @@ def compute_decomposition(code: Code, helpers, x: int) -> Decomposition:
                 f"leftover has dimension {comp.dim}"
             )
         repair[j] = sub
-        leftover[j] = comp.basis_rows()[0]
-    rows: list[Vec] = []
-    unit_positions = {}
-    for j in helpers:
-        rows.extend(repair[j].basis_rows())
+        rows.extend(sub.basis_rows())
         unit_positions[j] = len(rows)
-        rows.append(leftover[j])
+        rows.append(comp.basis_rows()[0])
     stacked = Matrix(pr.spec, rows, cols=pr.f_dim)
     kernel = nullspace(stacked.transpose())
     if kernel.dim != 1:
@@ -214,28 +174,24 @@ def compute_decomposition(code: Code, helpers, x: int) -> Decomposition:
             )
     scale = pr.spec.inv_value(coeff[unit_positions[helpers[0]]])
     coeff = [(scale * c) % p for c in coeff]
-    comp_vectors = {}
-    offset = 0
-    for j in helpers:
-        block = coeff[offset : offset + pr.beta]
-        t = combine(p, block + [coeff[unit_positions[j]]], list(repair[j].basis_rows()) + [leftover[j]])
-        comp_vectors[j] = t
-        offset += pr.beta + 1
+    comp_vectors = {
+        j: combine(p, coeff[pos - pr.beta : pos + 1], rows[pos - pr.beta : pos + 1])
+        for j, pos in unit_positions.items()
+    }
     return Decomposition(pr.spec, helpers, x, repair, comp_vectors)
 
 
 def verify_structure(code: Code, helpers, x: int) -> CheckReport:
     """Check the split for one repair pair by deriving it.
 
-    A derivation that succeeds leaves nothing to flag.  It has checked that
-    each helper sends exactly k-1 dimensions inside a node of dimension k and
-    that the k^2 stacked vectors have exactly one dependency, touching every
-    leftover, so t_j lies in W_j but not in S_j and W_j = S_j + span(t_j).
-    The constructor has checked the zero sum, which makes any k-1 of the t_j
-    span T, the dimension of T, and the direct sum through the basis
-    inverse, which also keeps every node out of S_1 + ... + S_k.  The report
-    counts the pair and holds no violations; errors from the derivation
-    propagate.
+    A derivation that succeeds leaves nothing to flag.  compute_decomposition
+    has checked that each helper sends exactly k-1 dimensions inside a node
+    of dimension k, that the k^2 stacked vectors have a one-dimensional
+    dependency space, and that the dependency touches every leftover.  As
+    the module docstring shows, that alone gives t_j in W_j but not in S_j,
+    W_j = S_j + span(t_j), the zero sum, dim T = k-1 and the direct sum,
+    which also keeps every node out of S_1 + ... + S_k.  The report counts
+    the pair and holds no violations; errors from the derivation propagate.
     """
     compute_decomposition(code, helpers, x)
     return CheckReport(1, ())

@@ -35,6 +35,7 @@ def assert_certificate_consistent(cert, candidate):
     dec = cert.decomposition
     p = dec.spec.p
     helpers = dec.helpers
+    complement_space = Subspace(dec.spec, dec.ambient_dim, dec.complement_vectors.values())
     assert Subspace(dec.spec, dec.ambient_dim, cert.basis.values()) == candidate
     for i in helpers:
         # the basis vector reassembles from its recorded parts
@@ -44,7 +45,7 @@ def assert_certificate_consistent(cert, candidate):
         assert total == cert.basis[i]
         assert candidate.contains(cert.basis[i])
         assert not any(cert.repair_parts[(i, i)])
-        assert dec.complement_space.contains(cert.complement_parts[i])
+        assert complement_space.contains(cert.complement_parts[i])
         for j in helpers:
             assert dec.repair_spaces[j].contains(cert.repair_parts[(i, j)])
         # recorded coefficients rebuild tau over the other leftovers

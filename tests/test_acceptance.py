@@ -113,9 +113,9 @@ def test_criterion_03_full_verification_at_ten_nodes(artifacts):
     with criterion(3, "at n=10 all 120 recovery subsets and all 840 repair pairs verify clean"):
         code = codes["grown10"]
         recovery = verify_data_recovery(code)
-        assert recovery.ok and recovery.checked == math.comb(10, 3) == 120
+        assert not recovery.violations and recovery.checked == math.comb(10, 3) == 120
         repairs = verify_repair_witnesses(code)
-        assert repairs.ok and repairs.checked == 10 * math.comb(9, 3) == 840
+        assert not repairs.violations and repairs.checked == 10 * math.comb(9, 3) == 840
         assert all(node.dim == 3 for node in code.nodes)
 
 
@@ -131,7 +131,7 @@ def test_criterion_04_structure_on_every_repair_pair(artifacts):
             pairs = list(codes[name].repair_pairs())
             assert len(pairs) == count
             for x, helpers in pairs:
-                assert verify_structure(codes[name], helpers, x).ok, f"{name}: ({x}, {helpers})"
+                assert not verify_structure(codes[name], helpers, x).violations, f"{name}: ({x}, {helpers})"
 
 
 def test_criterion_05_exhaustive_repair_oracle_small_fields():

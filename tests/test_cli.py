@@ -10,7 +10,7 @@ import pytest
 
 from regenext.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from regenext.gf import FieldSpec
-from regenext.linalg import Subspace
+from regenext.linalg import Matrix, Subspace
 from regenext.regen import MalformedCodeFileError, load_code
 
 
@@ -480,3 +480,69 @@ def test_grow_unwritable_csv_writes_nothing(tmp_path, capsys, n, attempts):
     assert main(argv) == EXIT_USAGE
     assert "No such file or directory" in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == [base]
+
+
+def _missing_dir_error(path) -> str:
+    return f"error: [Errno 2] No such file or directory: '{path}'\n"
+
+
+@pytest.mark.parametrize("n,attempts", [(4, "64"), (6, "500")], ids=["grows", "stalls"])
+def test_grow_into_missing_directory_fails_first(tmp_path, capsys, n, attempts):
+    """The directory of --out is checked before the first draw, and the
+    error names the path given, not a temporary file."""
+    base = tmp_path / "p2.json"
+    assert main(["gen-base", "--k", "2", "--p", "2", "--seed", "1", "--out", str(base)]) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "missing" / "x.json"
+    argv = ["grow", "--in", str(base), "--out", str(out), "--n", str(n),
+            "--max-attempts", attempts, "--csv", str(tmp_path / "x.csv")]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == _missing_dir_error(out)
+    assert sorted(tmp_path.iterdir()) == [base]
+
+
+def test_gen_base_into_missing_directory_fails_first(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert main(["gen-base", "--k", "3", "--p", "3", "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == _missing_dir_error(out)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_error_names_the_given_path(tmp_path, capsys):
+    """A save that fails after the work names --out, not its temporary file."""
+    out = tmp_path / "taken"
+    out.mkdir()
+    assert main(["gen-base", "--k", "2", "--p", "5", "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{out}'\n"
+    assert list(tmp_path.iterdir()) == [out]
+    assert list(out.iterdir()) == []
+
+
+def test_prob_sweep_unwritable_csv_fails_first(tmp_path, capsys):
+    csv_path = tmp_path / "missing" / "x.csv"
+    argv = ["prob-sweep", "--k", "3", "--p", "3,5", "--trials", "2000", "--csv", str(csv_path)]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == _missing_dir_error(csv_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_prob_sweep_checks_every_prime_first(tmp_path, capsys):
+    csv_path = tmp_path / "x.csv"
+    argv = ["prob-sweep", "--k", "2", "--p", "3,4", "--trials", "10", "--csv", str(csv_path)]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not csv_path.exists()
+
+
+def test_verify_builds_no_basis_inverse(workdir, monkeypatch, capsys):
+    """verify derives every split, and a split inverts its basis only when
+    coordinates are asked of it."""
+
+    def no_inverse(self):
+        raise AssertionError("verify inverted a matrix")
+
+    monkeypatch.setattr(Matrix, "inverse", no_inverse)
+    assert main(["verify", "--in", str(workdir / "grown.json")]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("result: PASS\n")

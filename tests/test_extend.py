@@ -39,7 +39,7 @@ def test_synthesize_decomposition_shape():
     assert dec.helpers == (1, 2, 3)
     assert dec.failed_node is None
     assert dec.ambient_dim == 8
-    assert dec.complement_space.dim == 2
+    assert Subspace(GF5, 8, dec.complement_vectors.values()).dim == 2
     for j in dec.helpers:
         assert dec.repair_spaces[j].dim == 2
 
@@ -59,9 +59,9 @@ def test_synthesize_base_code_verified(k, p):
     code = synthesize_base_code(k, spec, random.Random(f"base-{k}-{p}"))
     assert code.params.n == k + 1
     assert code.params.k == k
-    assert verify_data_recovery(code).ok
-    assert verify_repair_witnesses(code).ok
-    assert all(verify_structure(code, a, x).ok for x, a in code.repair_pairs())
+    assert not verify_data_recovery(code).violations
+    assert not verify_repair_witnesses(code).violations
+    assert all(not verify_structure(code, a, x).violations for x, a in code.repair_pairs())
     assert set(code.witnesses) == set(
         (x, helpers) for x, helpers in code.repair_pairs()
     )
@@ -117,9 +117,9 @@ def test_extend_grows_and_verifies(outcome_k3_big):
     assert grown.params.n == base.params.n + 1
     assert grown.nodes[:-1] == base.nodes
     assert outcome.attempts >= 1
-    assert verify_data_recovery(grown).ok
-    assert verify_repair_witnesses(grown).ok
-    assert all(verify_structure(grown, a, x).ok for x, a in grown.repair_pairs())
+    assert not verify_data_recovery(grown).violations
+    assert not verify_repair_witnesses(grown).violations
+    assert all(not verify_structure(grown, a, x).violations for x, a in grown.repair_pairs())
 
 
 def test_extend_alignment_log_covers_every_subset(outcome_k3_big):
@@ -127,7 +127,8 @@ def test_extend_alignment_log_covers_every_subset(outcome_k3_big):
     n, k = base.params.n, base.params.k
     subsets = set(base.recovery_subsets())
     assert set(outcome.alignment_log) == subsets
-    for helpers, (x, cert) in outcome.alignment_log.items():
+    for helpers, cert in outcome.alignment_log.items():
+        x = cert.decomposition.failed_node
         assert x not in helpers
         assert 1 <= x <= n
         dec = cert.decomposition

@@ -1,5 +1,6 @@
-"""Property tests of the GF(p) linear algebra and of alignment certificates
-at both ends of the field range."""
+"""Property tests of the GF(p) linear algebra, of the splits that the
+decomposition producers return and of alignment certificates, at both ends
+of the field range."""
 
 import random
 
@@ -7,9 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regenext.alignment import is_well_aligned, sample_well_aligned
-from regenext.extend import synthesize_decomposition
+from regenext.extend import SynthesisError, synthesize_base_code, synthesize_decomposition
 from regenext.gf import FieldSpec
-from regenext.linalg import Matrix, Subspace, combine, random_invertible_matrix, random_subspace
+from regenext.linalg import (
+    Matrix,
+    Subspace,
+    combine,
+    random_invertible_matrix,
+    random_subspace,
+    vec_add,
+)
+from regenext.regen import Code, RepairWitness
+from regenext.structure import DecompositionError, compute_decomposition
 
 from conftest import assert_certificate_consistent
 
@@ -77,3 +87,74 @@ def test_certificate_theta_rebuilds_tau(p, k, seed):
     cert = is_well_aligned(draw, dec)
     if cert is not None:
         assert_certificate_consistent(cert, draw)
+
+
+def assert_split_holds(dec, nodes, rng):
+    """What both producers guarantee of a split: the t_j sum to zero, each
+    t_j lies in its node W_j but not in S_j, they span k-1 dimensions, and
+    coordinates round-trip through the repair and complement blocks."""
+    p, ambient = dec.spec.p, dec.ambient_dim
+    total = (0,) * ambient
+    for j in dec.helpers:
+        t = dec.complement_vectors[j]
+        assert nodes[j].contains(t)
+        assert not dec.repair_spaces[j].contains(t)
+        total = vec_add(p, total, t)
+    assert not any(total)
+    assert Subspace(dec.spec, ambient, dec.complement_vectors.values()).dim == dec.k - 1
+    for _ in range(5):
+        v = tuple(rng.randrange(p) for _ in range(ambient))
+        coords = dec.coordinates(v)
+        back = dec.expand_complement(dec.complement_block(coords))
+        for j in dec.helpers:
+            back = vec_add(p, back, dec.expand_repair(j, dec.repair_block(coords, j)))
+        assert back == v
+
+
+def _one_entry_changed(code, rng):
+    """A copy of the code with one entry of one node or witness row redrawn."""
+    spec, ambient = code.params.spec, code.params.f_dim
+
+    def changed(sub):
+        rows = [list(row) for row in sub.basis_rows()]
+        rows[rng.randrange(len(rows))][rng.randrange(ambient)] = rng.randrange(spec.p)
+        return Subspace(spec, ambient, rows)
+
+    nodes, witnesses = list(code.nodes), dict(code.witnesses)
+    if rng.random() < 0.5:
+        i = rng.randrange(len(nodes))
+        nodes[i] = changed(nodes[i])
+    else:
+        key = rng.choice(sorted(witnesses))
+        spaces = dict(witnesses[key].items())
+        j = rng.choice(sorted(spaces))
+        spaces[j] = changed(spaces[j])
+        witnesses[key] = RepairWitness.of(spaces)
+    return Code(code.params, tuple(nodes), witnesses)
+
+
+@PROPERTY
+@given(st.sampled_from(PRIMES), st.sampled_from([2, 3]), st.integers(0, 2**32))
+def test_producers_return_only_valid_splits(p, k, seed):
+    """A Decomposition checks nothing, so every split that
+    synthesize_decomposition or compute_decomposition returns must hold up,
+    also on code data with one entry changed."""
+    rng = random.Random(seed)
+    spec = FieldSpec(p)
+    dec = synthesize_decomposition(k, spec, rng)
+    frame_nodes = {
+        j: dec.repair_spaces[j].sum(Subspace(spec, dec.ambient_dim, [dec.complement_vectors[j]]))
+        for j in dec.helpers
+    }
+    assert_split_holds(dec, frame_nodes, rng)
+    try:
+        code = synthesize_base_code(k, spec, rng)
+    except SynthesisError:
+        return
+    for variant in [code] + [_one_entry_changed(code, rng) for _ in range(6)]:
+        for x, helpers in variant.repair_pairs():
+            try:
+                dec = compute_decomposition(variant, helpers, x)
+            except DecompositionError:
+                continue
+            assert_split_holds(dec, {j: variant.node(j) for j in helpers}, rng)

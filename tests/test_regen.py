@@ -157,16 +157,15 @@ def test_subset_and_pair_enumeration(base_k3_p5):
 
 def test_verify_data_recovery_passes(base_k3_p5):
     report = verify_data_recovery(base_k3_p5)
-    assert report.ok
     assert report.checked == 4
-    assert report.summary() == "checked=4 violations=0"
+    assert report.violations == ()
 
 
 def test_verify_data_recovery_flags_deficient_nodes():
     pr = Params(3, 2, GF2)
     plane = Subspace(GF2, 3, [(1, 0, 0), (0, 1, 0)])
     report = verify_data_recovery(Code(pr, (plane, plane, plane)))
-    assert not report.ok
+    assert report.violations
     assert report.checked == 3
     assert len(report.violations) == 3
     assert "joint rank 2 != 3" in report.violations[0]
@@ -174,7 +173,7 @@ def test_verify_data_recovery_flags_deficient_nodes():
 
 def test_verify_repair_witnesses_passes(extended_k3_big):
     report = verify_repair_witnesses(extended_k3_big)
-    assert report.ok
+    assert not report.violations
     assert report.checked == 5 * math.comb(4, 3)
 
 
