@@ -42,7 +42,6 @@ from .regen import (
     CodeFileError,
     MissingWitnessError,
     brute_force_repairable,
-    check_recovery_subset,
     check_repair_pair,
     corner_point,
     cutset_bound,
@@ -152,10 +151,7 @@ def _cmd_grow(args: argparse.Namespace) -> int:
         return EXIT_VERIFICATION
 
     # the one check of the input: each step then checks only its new node
-    try:
-        problems = verify_data_recovery(code).violations + verify_repair_witnesses(code).violations
-    except MissingWitnessError as exc:
-        return invalid(exc)
+    problems = verify_data_recovery(code).violations + verify_repair_witnesses(code).violations
     if problems:
         return invalid(problems[0])
     rng = random.Random(f"grow:{args.seed}")
@@ -212,22 +208,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     _print_section("node dimensions", pr.n, node_violations)
     failed = failed or bool(node_violations)
 
-    subsets = list(code.recovery_subsets())
-    recovery_msgs = [check_recovery_subset(code, subset) for subset in subsets]
-    recovery_violations = [m for m in recovery_msgs if m]
-    _print_section("data recovery", len(subsets), recovery_violations)
-    failed = failed or bool(recovery_violations)
+    recovery = verify_data_recovery(code)
+    _print_section("data recovery", recovery.checked, list(recovery.violations))
+    failed = failed or bool(recovery.violations)
 
     pairs = list(code.repair_pairs())
-
-    def check_pair(pair):
-        x, helpers = pair
-        try:
-            return check_repair_pair(code, x, helpers)
-        except MissingWitnessError as exc:
-            return [str(exc)]
-
-    witness_msgs = [check_pair(pair) for pair in pairs]
+    witness_msgs = [check_repair_pair(code, x, helpers) for x, helpers in pairs]
     witness_violations = [m for msgs in witness_msgs for m in msgs]
     _print_section("repair witnesses", len(pairs), witness_violations)
     failed = failed or bool(witness_violations)
@@ -254,8 +240,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         oracle_violations = []
         skipped = 0
-        for pair, msgs in zip(pairs, witness_msgs):
-            x, helpers = pair
+        for (x, helpers), msgs in zip(pairs, witness_msgs):
             try:
                 repairable = brute_force_repairable(code, x, helpers, cap=args.oracle_cap)
             except CapExceededError:

@@ -5,6 +5,11 @@ a node stores the row space of its basis matrix, and v @ M is
 combine(p, v, M.entries).  A Subspace is identified with the unique reduced
 row-echelon basis of its row space, so equal subspaces compare equal and
 hash equal, which makes censuses and witness comparisons structural.
+
+Gaussian elimination lives in one place, the private _Echelon.  Matrix
+rank, RREF and inverse, Subspace construction, membership and complements,
+and the repair oracle in regen all eliminate through it.  Public entry
+points reduce their integers mod p; the echelon itself expects residues.
 """
 
 from __future__ import annotations
@@ -50,38 +55,62 @@ def combine(p: int, coeffs: Sequence[int], rows: Sequence[Sequence[int]]) -> Vec
     return tuple(x % p for x in acc)
 
 
-def _rref_in_place(p: int, rows: list[list[int]]) -> list[int]:
-    """Reduce rows to RREF in place; returns the pivot column list."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        head = rows[r][c]
-        if head != 1:
-            inv = inv_mod(head, p)
-            rows[r] = [(inv * x) % p for x in rows[r]]
-        base = rows[r]
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = rows[i][c]
+class _Echelon:
+    """Gaussian elimination over GF(p), one row at a time.
+
+    Rows have a leading 1 at their pivot column and are each reduced against
+    the rows before them, so reducing a vector against them in order clears
+    every pivot.  Entries are residues in [0, p); rows and pivots given to
+    the constructor must already form such an echelon, as a Subspace basis
+    does.  Undo pushes by truncating back to a saved len(rows).
+    """
+
+    __slots__ = ("p", "rows", "pivots")
+
+    def __init__(self, p: int, rows: Iterable[Sequence[int]] = (), pivots: Iterable[int] = ()):
+        self.p = p
+        self.rows = list(rows)
+        self.pivots = list(pivots)
+
+    def reduce(self, v: Sequence[int]) -> Sequence[int]:
+        """v minus its component along the rows; all zero exactly when v is in their span."""
+        p = self.p
+        for row, pc in zip(self.rows, self.pivots):
+            f = v[pc]
             if f:
-                row = rows[i]
-                rows[i] = [(x - f * y) % p for x, y in zip(row, base)]
-        pivots.append(c)
-        r += 1
-    return pivots
+                v = [(x - f * y) % p for x, y in zip(v, row)]
+        return v
+
+    def push(self, v: Sequence[int]) -> bool:
+        """Add v as a row; False, changing nothing, when v is already in the span."""
+        w = self.reduce(v)
+        head = next(filter(None, w), 0)
+        if not head:
+            return False
+        lead = w.index(head)
+        if head != 1:
+            inv = inv_mod(head, self.p)
+            w = [(inv * x) % self.p for x in w]
+        self.rows.append(w)
+        self.pivots.append(lead)
+        return True
+
+    def truncate(self, size: int) -> None:
+        del self.rows[size:]
+        del self.pivots[size:]
+
+    def rref(self) -> tuple[list[Sequence[int]], list[int]]:
+        """Turn the rows into the canonical RREF and return them with their
+        pivots.  Back-substitution runs from the highest pivot down, against
+        finished rows, which are zero at one another's pivots."""
+        order = sorted(zip(self.pivots, self.rows), reverse=True)
+        self.rows, self.pivots = [], []
+        for pc, row in order:
+            self.rows.append(self.reduce(row))
+            self.pivots.append(pc)
+        self.rows.reverse()
+        self.pivots.reverse()
+        return self.rows, self.pivots
 
 
 class Matrix:
@@ -130,13 +159,16 @@ class Matrix:
         return Matrix(self.spec, rows, cols=self.cols + other.cols)
 
     def rref_with_pivots(self) -> tuple["Matrix", list[int]]:
-        work = [list(row) for row in self.entries]
-        pivots = _rref_in_place(self.spec.p, work)
-        return Matrix(self.spec, work, cols=self.cols), pivots
+        echelon = _Echelon(self.spec.p)
+        for row in self.entries:
+            echelon.push(row)
+        rows, pivots = echelon.rref()
+        rows.extend([(0,) * self.cols] * (self.rows - len(rows)))
+        return Matrix(self.spec, rows, cols=self.cols), pivots
 
     def rank(self) -> int:
-        work = [list(row) for row in self.entries]
-        return len(_rref_in_place(self.spec.p, work))
+        echelon = _Echelon(self.spec.p)
+        return sum(echelon.push(row) for row in self.entries)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
@@ -193,14 +225,14 @@ class Subspace:
         vectors: Iterable[Sequence[int]] = (),
     ):
         p = spec.p
-        work = [[int(x) % p for x in row] for row in vectors]
-        for row in work:
+        echelon = _Echelon(p)
+        for row in vectors:
             if len(row) != ambient_dim:
                 raise ValueError(
                     f"vector of length {len(row)} in ambient dimension {ambient_dim}"
                 )
-        pivots = _rref_in_place(p, work)
-        basis_rows = work[: len(pivots)]
+            echelon.push([int(x) % p for x in row])
+        basis_rows, pivots = echelon.rref()
         self.spec = spec
         self.ambient_dim = ambient_dim
         self.basis = Matrix(spec, basis_rows, cols=ambient_dim)
@@ -229,21 +261,14 @@ class Subspace:
     def basis_rows(self) -> tuple[Vec, ...]:
         return self.basis.entries
 
-    def _residual(self, v: Sequence[int]) -> list[int]:
-        p = self.spec.p
-        work = [int(x) % p for x in v]
-        for row, pc in zip(self.basis.entries, self._pivots):
-            f = work[pc]
-            if f:
-                work = [(x - f * y) % p for x, y in zip(work, row)]
-        return work
-
     def contains(self, v: Sequence[int]) -> bool:
         if len(v) != self.ambient_dim:
             raise ValueError(
                 f"vector of length {len(v)} in ambient dimension {self.ambient_dim}"
             )
-        return all(x == 0 for x in self._residual(v))
+        p = self.spec.p
+        echelon = _Echelon(p, self.basis.entries, self._pivots)
+        return not any(echelon.reduce([int(x) % p for x in v]))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_compatible(other)
@@ -265,30 +290,12 @@ class Subspace:
         already kept.
         """
         self._check_compatible(whole)
-        if not whole.contains_subspace(self):
+        echelon = _Echelon(self.spec.p, self.basis.entries, self._pivots)
+        chosen = [cand for cand in whole.basis.entries if echelon.push(cand)]
+        # self and the chosen vectors span self + whole, which is whole
+        # exactly when self lies inside it
+        if self.dim + len(chosen) != whole.dim:
             raise ValueError("complement_in needs self to be a subspace of whole")
-        p = self.spec.p
-        # echelon rows for membership testing, keyed by leading column
-        echelon: dict[int, list[int]] = {
-            pc: list(row) for pc, row in zip(self._pivots, self.basis.entries)
-        }
-        chosen: list[Vec] = []
-        for cand in whole.basis.entries:
-            work = list(cand)
-            for c in sorted(echelon):
-                f = work[c]
-                if f:
-                    row = echelon[c]
-                    work = [(x - f * y) % p for x, y in zip(work, row)]
-            lead = next((idx for idx, x in enumerate(work) if x), None)
-            if lead is None:
-                continue
-            head = work[lead]
-            if head != 1:
-                inv = inv_mod(head, p)
-                work = [(inv * x) % p for x in work]
-            echelon[lead] = work
-            chosen.append(cand)
         return Subspace(self.spec, self.ambient_dim, chosen)
 
     def _check_compatible(self, other: "Subspace") -> None:

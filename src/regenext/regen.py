@@ -18,7 +18,9 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .gf import FieldSpec, NotPrimeError
-from .linalg import CapExceededError, Matrix, Subspace, combine, count_subspaces, enumerate_subspaces
+from .linalg import (
+    CapExceededError, Matrix, Subspace, _Echelon, combine, count_subspaces, enumerate_subspaces
+)
 
 DEFAULT_ORACLE_CAP = 10**6
 
@@ -236,9 +238,12 @@ def verify_data_recovery(code: Code, subsets: Iterable | None = None) -> CheckRe
 
 
 def check_repair_pair(code: Code, x: int, helpers: tuple[int, ...]) -> list[str]:
-    """Violation lines for one stored witness; raises if the witness is absent."""
+    """Violation lines for the stored witness of one pair, or for its absence."""
     pr = code.params
-    witness = code.witness(x, helpers)
+    try:
+        witness = code.witness(x, helpers)
+    except MissingWitnessError as exc:
+        return [str(exc)]
     msgs = []
     all_rows: list = []
     for j in helpers:
@@ -262,10 +267,7 @@ def check_repair_pair(code: Code, x: int, helpers: tuple[int, ...]) -> list[str]
 
 def verify_repair_witnesses(code: Code, pairs: Iterable | None = None) -> CheckReport:
     """Check the stored witness of the given (failed node, helper set) pairs,
-    all of them by default.
-
-    Raises MissingWitnessError if any pair has no witness at all.
-    """
+    all of them by default."""
     violations = []
     checked = 0
     for x, helpers in code.repair_pairs() if pairs is None else pairs:
@@ -292,43 +294,48 @@ def brute_force_repairable(
     for j in helpers:
         node = code.node(j)
         send_dim = min(pr.beta, node.dim)
-        cnt = count_subspaces(node.dim, send_dim, pr.spec)
-        per_node.append((node, send_dim, cnt))
-        total *= cnt
+        per_node.append((node, send_dim))
+        total *= count_subspaces(node.dim, send_dim, pr.spec)
     if total > cap:
         raise CapExceededError(
             f"repair search for node {x} via {helpers} has {total} combinations, "
             f"cap is {cap}"
         )
-    spec = pr.spec
-    p = spec.p
-    f_dim = pr.f_dim
+    p = pr.spec.p
     candidates: list[list[tuple]] = []
-    for node, send_dim, _ in per_node:
+    for node, send_dim in per_node:
         opts = []
-        for coeffs in enumerate_subspaces(node.dim, send_dim, spec, cap=cap):
+        for coeffs in enumerate_subspaces(node.dim, send_dim, pr.spec, cap=cap):
             rows = tuple(
                 combine(p, crow, node.basis_rows()) for crow in coeffs.basis_rows()
             )
             opts.append(rows)
         candidates.append(opts)
     target_rows = code.node(x).basis_rows()
-    tails: list[tuple] = [()] * (len(helpers) + 1)
-    for i in range(len(helpers) - 1, -1, -1):
-        tails[i] = per_node[i][0].basis_rows() + tails[i + 1]
+    # one echelon for the whole search: a choice pushes its rows on the way
+    # down and is truncated away on the way back up
+    echelon = _Echelon(p)
 
-    def covered(rows) -> bool:
-        span = Subspace(spec, f_dim, rows)
-        return all(span.contains(t) for t in target_rows)
+    def search(i: int) -> bool:
+        mark = len(echelon.rows)
+        # prune unless x is covered when helpers i, i+1, ... send all they store
+        for node, _ in per_node[i:]:
+            for row in node.basis_rows():
+                echelon.push(row)
+        coverable = not any(any(echelon.reduce(t)) for t in target_rows)
+        echelon.truncate(mark)
+        if not coverable or i == len(helpers):
+            return coverable
+        for opt in candidates[i]:
+            for row in opt:
+                echelon.push(row)
+            found = search(i + 1)
+            echelon.truncate(mark)
+            if found:
+                return True
+        return False
 
-    def search(i: int, rows: tuple) -> bool:
-        if not covered(rows + tails[i]):
-            return False
-        if i == len(helpers):
-            return True
-        return any(search(i + 1, rows + opt) for opt in candidates[i])
-
-    return search(0, ())
+    return search(0)
 
 
 def _serialize_witness(x: int, helpers: tuple[int, ...], witness: RepairWitness) -> dict:

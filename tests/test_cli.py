@@ -546,3 +546,20 @@ def test_verify_builds_no_basis_inverse(workdir, monkeypatch, capsys):
     monkeypatch.setattr(Matrix, "inverse", no_inverse)
     assert main(["verify", "--in", str(workdir / "grown.json")]) == EXIT_OK
     assert capsys.readouterr().out.endswith("result: PASS\n")
+
+
+def test_verify_tests_each_send_for_containment_once(workdir, monkeypatch, capsys):
+    """Per pair, the witness check tests each of the k sends against its node
+    and the failed node against their sum; the split then learns from
+    dimensions alone that each send lies in its node."""
+    calls = []
+    original = Subspace.contains_subspace
+
+    def counting(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(Subspace, "contains_subspace", counting)
+    assert main(["verify", "--in", str(workdir / "grown.json")]) == EXIT_OK
+    assert "repair witnesses: checked=60 violations=0" in capsys.readouterr().out
+    assert len(calls) == (3 + 1) * 60

@@ -156,6 +156,9 @@ def test_subspace_contains():
     s = Subspace(GF5, 3, [(1, 2, 0), (0, 0, 1)])
     assert s.contains((2, 4, 3))
     assert not s.contains((0, 1, 0))
+    # a public entry point: integers outside [0, p) are taken mod p
+    assert s.contains((6, -3, 5))
+    assert not s.contains((6, -2, 5))
     with pytest.raises(ValueError):
         s.contains((1, 2))
 

@@ -4,6 +4,7 @@ of the field range."""
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,10 +65,17 @@ def test_rref_is_canonical_and_idempotent(case, rng):
 def test_complement_in_gives_a_direct_sum(case, data):
     spec, cols, rows = case
     u = Subspace(spec, cols, rows)
-    extra = data.draw(st.lists(
+    vectors = st.lists(
         st.lists(st.integers(0, spec.p - 1), min_size=cols, max_size=cols), max_size=4
-    ))
-    whole = u.sum(Subspace(spec, cols, extra))
+    )
+    extra = Subspace(spec, cols, data.draw(vectors))
+    # whole keeps only some of u's basis rows, so it may miss part of u
+    kept = data.draw(st.lists(st.booleans(), min_size=u.dim, max_size=u.dim))
+    whole = extra.sum(Subspace(spec, cols, [r for r, k in zip(u.basis_rows(), kept) if k]))
+    if not whole.contains_subspace(u):
+        with pytest.raises(ValueError):
+            u.complement_in(whole)
+        return
     comp = u.complement_in(whole)
     assert whole.contains_subspace(comp)
     assert u.dim + comp.dim == whole.dim

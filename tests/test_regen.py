@@ -6,10 +6,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import regenext.regen as regen
 from regenext.gf import FieldSpec, NotPrimeError
-from regenext.linalg import CapExceededError, Matrix, Subspace
+from regenext.linalg import (
+    CapExceededError,
+    Matrix,
+    Subspace,
+    combine,
+    enumerate_subspaces,
+    random_subspace,
+)
 from regenext.regen import (
     Code,
     CodeDimensionError,
@@ -177,12 +186,14 @@ def test_verify_repair_witnesses_passes(extended_k3_big):
     assert report.checked == 5 * math.comb(4, 3)
 
 
-def test_verify_repair_witnesses_missing_raises(base_k3_p5):
+def test_verify_repair_witnesses_reports_missing_witness(base_k3_p5):
     code = base_k3_p5
     stripped = dict(code.witnesses)
-    stripped.pop(next(iter(sorted(stripped))))
-    with pytest.raises(MissingWitnessError):
-        verify_repair_witnesses(Code(code.params, code.nodes, stripped))
+    x, helpers = next(iter(sorted(stripped)))
+    stripped.pop((x, helpers))
+    report = verify_repair_witnesses(Code(code.params, code.nodes, stripped))
+    assert report.checked == len(code.witnesses)
+    assert report.violations == (f"no witness for failed node {x} with helpers {helpers}",)
 
 
 def test_check_repair_pair_flags_coverage_gap(base_k3_p5):
@@ -243,6 +254,71 @@ def test_brute_force_detects_unrepairable_node():
     code = Code(pr, (plane12, plane12, plane13))
     assert not brute_force_repairable(code, 3, (1, 2))
     assert brute_force_repairable(code, 1, (2, 3))
+
+
+def reference_repairable(code, x, helpers):
+    """The repair search written plainly: the same choices and pruning as
+    brute_force_repairable, with a fresh Subspace spanned at every node."""
+    pr = code.params
+    spec, p = pr.spec, pr.spec.p
+    candidates = []
+    for j in helpers:
+        node = code.node(j)
+        coeff_spaces = enumerate_subspaces(node.dim, min(pr.beta, node.dim), spec)
+        candidates.append(
+            [tuple(combine(p, c, node.basis_rows()) for c in s.basis_rows()) for s in coeff_spaces]
+        )
+    tails = [()] * (len(helpers) + 1)
+    for i in range(len(helpers) - 1, -1, -1):
+        tails[i] = code.node(helpers[i]).basis_rows() + tails[i + 1]
+
+    def covered(rows):
+        span = Subspace(spec, pr.f_dim, rows)
+        return span.contains_subspace(code.node(x))
+
+    def search(i, rows):
+        if not covered(rows + tails[i]):
+            return False
+        if i == len(helpers):
+            return True
+        return any(search(i + 1, rows + opt) for opt in candidates[i])
+
+    return search(0, ())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([(2, 2), (2, 3), (3, 2)]), st.integers(0, 2**32))
+def test_brute_force_matches_reference_search(case, seed):
+    """Random nodes, some a dimension short, give both answers; the
+    incremental search must agree with the plain one on every pair."""
+    k, p = case
+    spec = FieldSpec(p)
+    rng = random.Random(seed)
+    pr = Params(k + 2, k, spec)
+    nodes = tuple(
+        random_subspace(pr.f_dim, rng.choice([k, k, k - 1]), spec, rng) for _ in range(pr.n)
+    )
+    code = Code(pr, nodes)
+    for x, helpers in code.repair_pairs():
+        assert brute_force_repairable(code, x, helpers) == reference_repairable(code, x, helpers)
+
+
+def test_brute_force_builds_no_subspace(base_k2_p3, monkeypatch):
+    built = []
+    original = Subspace.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    plane12 = Subspace(GF2, 3, [(1, 0, 0), (0, 1, 0)])
+    plane13 = Subspace(GF2, 3, [(1, 0, 0), (0, 0, 1)])
+    unrepairable = Code(Params(3, 2, GF2), (plane12, plane12, plane13))
+    monkeypatch.setattr(Subspace, "__init__", counting)
+    for x, helpers in base_k2_p3.repair_pairs():
+        assert brute_force_repairable(base_k2_p3, x, helpers)
+    assert not brute_force_repairable(unrepairable, 3, (1, 2))
+    assert built == []
 
 
 def test_brute_force_cap(base_k2_p3):
