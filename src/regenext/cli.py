@@ -35,7 +35,7 @@ from .extend import (
     synthesize_decomposition,
 )
 from .gf import FieldSpec, NotPrimeError
-from .linalg import CapExceededError, Subspace, count_subspaces, vec_add, vec_scale, vec_sub
+from .linalg import Subspace, count_subspaces, vec_add, vec_scale, vec_sub
 from .regen import (
     DEFAULT_ORACLE_CAP,
     Code,
@@ -212,49 +212,39 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     _print_section("data recovery", recovery.checked, list(recovery.violations))
     failed = failed or bool(recovery.violations)
 
-    pairs = list(code.repair_pairs())
-    witness_msgs = [check_repair_pair(code, x, helpers) for x, helpers in pairs]
-    witness_violations = [m for msgs in witness_msgs for m in msgs]
-    _print_section("repair witnesses", len(pairs), witness_violations)
-    failed = failed or bool(witness_violations)
-
-    def check_structure(pair):
-        x, helpers = pair
-        try:
-            return list(verify_structure(code, helpers, x).violations)
-        except (DecompositionError, MissingWitnessError) as exc:
-            return [f"pair ({x}, {helpers}): {exc}"]
-
-    structure_msgs = [check_structure(pair) for pair in pairs]
-    structure_violations = [m for msgs in structure_msgs for m in msgs]
-    _print_section("decomposition structure", len(pairs), structure_violations)
-    failed = failed or bool(structure_violations)
-
+    # load_code keeps every node to at most alpha rows, so each helper offers
+    # at most per_node sends and no pair's search exceeds combos: a pair can
+    # only hit the oracle's cap when combos does
     per_node = count_subspaces(pr.alpha, pr.beta, pr.spec)
     combos = per_node**pr.k
-    if combos > args.oracle_cap:
+    run_oracle = combos <= args.oracle_cap
+    pairs = list(code.repair_pairs())
+    witness_violations, structure_violations, oracle_violations = [], [], []
+    for x, helpers in pairs:
+        msgs = check_repair_pair(code, x, helpers)
+        witness_violations.extend(msgs)
+        try:
+            structure_violations.extend(verify_structure(code, helpers, x).violations)
+        except (DecompositionError, MissingWitnessError) as exc:
+            structure_violations.append(f"pair ({x}, {helpers}): {exc}")
+        # the oracle backs up witnesses that pass; a failed pair is flagged already
+        if run_oracle and not msgs and not brute_force_repairable(
+            code, x, helpers, cap=args.oracle_cap
+        ):
+            oracle_violations.append(
+                f"pair ({x}, {helpers}): witness checks pass but exhaustive "
+                f"search finds no repair"
+            )
+    _print_section("repair witnesses", len(pairs), witness_violations)
+    _print_section("decomposition structure", len(pairs), structure_violations)
+    if run_oracle:
+        _print_section("oracle cross-check", len(pairs), oracle_violations)
+    else:
         print(
             f"oracle cross-check: skipped ({combos} combinations per pair exceed "
             f"the cap of {args.oracle_cap})"
         )
-    else:
-        oracle_violations = []
-        skipped = 0
-        for (x, helpers), msgs in zip(pairs, witness_msgs):
-            try:
-                repairable = brute_force_repairable(code, x, helpers, cap=args.oracle_cap)
-            except CapExceededError:
-                skipped += 1
-                continue
-            if not msgs and not repairable:
-                oracle_violations.append(
-                    f"pair ({x}, {helpers}): witness checks pass but exhaustive "
-                    f"search finds no repair"
-                )
-        _print_section("oracle cross-check", len(pairs) - skipped, oracle_violations)
-        if skipped:
-            print(f"  ({skipped} pairs skipped by the per-pair cap)")
-        failed = failed or bool(oracle_violations)
+    failed = failed or bool(witness_violations or structure_violations or oracle_violations)
 
     print("result: " + ("FAIL" if failed else "PASS"))
     return EXIT_VERIFICATION if failed else EXIT_OK

@@ -1,15 +1,16 @@
 """Dense matrices and subspaces over a prime field.
 
 Vectors are tuples of canonical residues and act as row vectors throughout:
-a node stores the row space of its basis matrix, and v @ M is
-combine(p, v, M.entries).  A Subspace is identified with the unique reduced
-row-echelon basis of its row space, so equal subspaces compare equal and
-hash equal, which makes censuses and witness comparisons structural.
+a node stores the row space of its basis rows.  A Subspace holds the unique
+reduced row-echelon rows of its row space, so equal subspaces compare equal
+and hash equal, which makes censuses and witness comparisons structural.
 
 Gaussian elimination lives in one place, the private _Echelon.  Matrix
-rank, RREF and inverse, Subspace construction, membership and complements,
-and the repair oracle in regen all eliminate through it.  Public entry
-points reduce their integers mod p; the echelon itself expects residues.
+rank and inverse, nullspaces, Subspace construction, membership, sums and
+complements, and the recovery check and repair oracle in regen all
+eliminate through it.  Public entry points (the Matrix and Subspace
+constructors, Subspace.contains) reduce their integers mod p once; the
+echelon and everything built from its rows keep residues as they are.
 """
 
 from __future__ import annotations
@@ -99,10 +100,10 @@ class _Echelon:
         del self.rows[size:]
         del self.pivots[size:]
 
-    def rref(self) -> tuple[list[Sequence[int]], list[int]]:
-        """Turn the rows into the canonical RREF and return them with their
-        pivots.  Back-substitution runs from the highest pivot down, against
-        finished rows, which are zero at one another's pivots."""
+    def rref(self) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
+        """Turn the rows into the canonical RREF and return them, as tuples,
+        with their pivots.  Back-substitution runs from the highest pivot
+        down, against finished rows, which are zero at one another's pivots."""
         order = sorted(zip(self.pivots, self.rows), reverse=True)
         self.rows, self.pivots = [], []
         for pc, row in order:
@@ -110,7 +111,7 @@ class _Echelon:
             self.pivots.append(pc)
         self.rows.reverse()
         self.pivots.reverse()
-        return self.rows, self.pivots
+        return tuple(map(tuple, self.rows)), tuple(self.pivots)
 
 
 class Matrix:
@@ -141,10 +142,6 @@ class Matrix:
         self.cols = cols
         self.entries = ent
 
-    @classmethod
-    def identity(cls, spec: FieldSpec, n: int) -> "Matrix":
-        return cls(spec, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def transpose(self) -> "Matrix":
         return Matrix(
             self.spec,
@@ -152,45 +149,22 @@ class Matrix:
             cols=self.rows,
         )
 
-    def augment(self, other: "Matrix") -> "Matrix":
-        if other.spec != self.spec or other.rows != self.rows:
-            raise ValueError("augmented matrices must share field and height")
-        rows = [a + b for a, b in zip(self.entries, other.entries)]
-        return Matrix(self.spec, rows, cols=self.cols + other.cols)
-
-    def rref_with_pivots(self) -> tuple["Matrix", list[int]]:
-        echelon = _Echelon(self.spec.p)
-        for row in self.entries:
-            echelon.push(row)
-        rows, pivots = echelon.rref()
-        rows.extend([(0,) * self.cols] * (self.rows - len(rows)))
-        return Matrix(self.spec, rows, cols=self.cols), pivots
-
     def rank(self) -> int:
         echelon = _Echelon(self.spec.p)
         return sum(echelon.push(row) for row in self.entries)
 
     def inverse(self) -> "Matrix":
+        """The rows [m | I] reduce to [I | m^-1] exactly when m is invertible."""
         if self.rows != self.cols:
             raise ValueError("only square matrices can be inverted")
         n = self.rows
-        aug = self.augment(Matrix.identity(self.spec, n))
-        reduced, pivots = aug.rref_with_pivots()
-        if pivots != list(range(n)):
+        echelon = _Echelon(self.spec.p)
+        for i, row in enumerate(self.entries):
+            echelon.push(row + tuple(int(i == j) for j in range(n)))
+        reduced, pivots = echelon.rref()
+        if pivots != tuple(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix(self.spec, [row[n:] for row in reduced.entries], cols=n)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return (
-            self.spec == other.spec
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.spec.p, self.cols, self.entries))
+        return Matrix(self.spec, [row[n:] for row in reduced], cols=n)
 
     def __repr__(self) -> str:
         return f"Matrix(GF({self.spec.p}), {self.rows}x{self.cols})"
@@ -198,25 +172,28 @@ class Matrix:
 
 def nullspace(m: Matrix) -> "Subspace":
     """Right nullspace {v : m @ v^T = 0} as a subspace of GF(p)^cols."""
-    reduced, pivots = m.rref_with_pivots()
-    pivot_set = set(pivots)
     p = m.spec.p
+    echelon = _Echelon(p)
+    for row in m.entries:
+        echelon.push(row)
+    reduced, pivots = echelon.rref()
+    pivot_set = set(pivots)
     rows = []
     for free in range(m.cols):
         if free in pivot_set:
             continue
         v = [0] * m.cols
         v[free] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-reduced.entries[r][free]) % p
+        for row, pc in zip(reduced, pivots):
+            v[pc] = (-row[free]) % p
         rows.append(v)
-    return Subspace(m.spec, m.cols, rows)
+    return Subspace._span(m.spec, m.cols, rows)
 
 
 class Subspace:
-    """A subspace of GF(p)^n held by its unique RREF basis with no zero rows."""
+    """A subspace of GF(p)^n held by its unique RREF rows, with no zero rows."""
 
-    __slots__ = ("spec", "ambient_dim", "basis", "_pivots")
+    __slots__ = ("spec", "ambient_dim", "_rows", "_pivots")
 
     def __init__(
         self,
@@ -232,23 +209,31 @@ class Subspace:
                     f"vector of length {len(row)} in ambient dimension {ambient_dim}"
                 )
             echelon.push([int(x) % p for x in row])
-        basis_rows, pivots = echelon.rref()
         self.spec = spec
         self.ambient_dim = ambient_dim
-        self.basis = Matrix(spec, basis_rows, cols=ambient_dim)
-        self._pivots = tuple(pivots)
+        self._rows, self._pivots = echelon.rref()
 
     @classmethod
     def _from_rref(
-        cls, spec: FieldSpec, ambient_dim: int, rows: list[list[int]], pivots: tuple[int, ...]
+        cls, spec: FieldSpec, ambient_dim: int, rows: tuple[Vec, ...], pivots: tuple[int, ...]
     ) -> "Subspace":
-        """Trusted constructor for rows already in RREF with no zero rows."""
+        """Trusted constructor for residue rows already in RREF with no zero rows."""
         obj = cls.__new__(cls)
         obj.spec = spec
         obj.ambient_dim = ambient_dim
-        obj.basis = Matrix(spec, rows, cols=ambient_dim)
+        obj._rows = rows
         obj._pivots = pivots
         return obj
+
+    @classmethod
+    def _span(
+        cls, spec: FieldSpec, ambient_dim: int, rows: Iterable[Sequence[int]]
+    ) -> "Subspace":
+        """Trusted constructor for the span of rows of residues."""
+        echelon = _Echelon(spec.p)
+        for row in rows:
+            echelon.push(row)
+        return cls._from_rref(spec, ambient_dim, *echelon.rref())
 
     @classmethod
     def zero(cls, spec: FieldSpec, ambient_dim: int) -> "Subspace":
@@ -256,10 +241,10 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self._rows)
 
     def basis_rows(self) -> tuple[Vec, ...]:
-        return self.basis.entries
+        return self._rows
 
     def contains(self, v: Sequence[int]) -> bool:
         if len(v) != self.ambient_dim:
@@ -267,20 +252,17 @@ class Subspace:
                 f"vector of length {len(v)} in ambient dimension {self.ambient_dim}"
             )
         p = self.spec.p
-        echelon = _Echelon(p, self.basis.entries, self._pivots)
+        echelon = _Echelon(p, self._rows, self._pivots)
         return not any(echelon.reduce([int(x) % p for x in v]))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        return all(self.contains(row) for row in other.basis.entries)
+        echelon = _Echelon(self.spec.p, self._rows, self._pivots)
+        return not any(any(echelon.reduce(row)) for row in other._rows)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        return Subspace(
-            self.spec,
-            self.ambient_dim,
-            self.basis.entries + other.basis.entries,
-        )
+        return Subspace._span(self.spec, self.ambient_dim, self._rows + other._rows)
 
     def complement_in(self, whole: "Subspace") -> "Subspace":
         """A direct complement of self inside whole.
@@ -290,13 +272,13 @@ class Subspace:
         already kept.
         """
         self._check_compatible(whole)
-        echelon = _Echelon(self.spec.p, self.basis.entries, self._pivots)
-        chosen = [cand for cand in whole.basis.entries if echelon.push(cand)]
+        echelon = _Echelon(self.spec.p, self._rows, self._pivots)
+        chosen = [cand for cand in whole._rows if echelon.push(cand)]
         # self and the chosen vectors span self + whole, which is whole
         # exactly when self lies inside it
         if self.dim + len(chosen) != whole.dim:
             raise ValueError("complement_in needs self to be a subspace of whole")
-        return Subspace(self.spec, self.ambient_dim, chosen)
+        return Subspace._span(self.spec, self.ambient_dim, chosen)
 
     def _check_compatible(self, other: "Subspace") -> None:
         if self.spec != other.spec or self.ambient_dim != other.ambient_dim:
@@ -308,11 +290,11 @@ class Subspace:
         return (
             self.spec == other.spec
             and self.ambient_dim == other.ambient_dim
-            and self.basis.entries == other.basis.entries
+            and self._rows == other._rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.spec.p, self.ambient_dim, self.basis.entries))
+        return hash((self.spec.p, self.ambient_dim, self._rows))
 
     def __repr__(self) -> str:
         return f"Subspace(GF({self.spec.p}), dim {self.dim} of {self.ambient_dim})"
@@ -346,9 +328,10 @@ def random_subspace(
         raise ValueError(f"dimension {dim} outside [0, {ambient_dim}]")
     if dim == 0:
         return Subspace.zero(spec, ambient_dim)
+    p = spec.p
     while True:
-        m = random_matrix(spec, dim, ambient_dim, rng)
-        sub = Subspace(spec, ambient_dim, m.entries)
+        rows = [[rng.randrange(p) for _ in range(ambient_dim)] for _ in range(dim)]
+        sub = Subspace._span(spec, ambient_dim, rows)
         if sub.dim == dim:
             return sub
 
@@ -408,4 +391,4 @@ def _iter_subspaces(ambient_dim: int, dim: int, spec: FieldSpec) -> Iterator[Sub
                 rows[r][pc] = 1
             for (r, c), val in zip(free_cells, values):
                 rows[r][c] = val
-            yield Subspace._from_rref(spec, ambient_dim, rows, pivots)
+            yield Subspace._from_rref(spec, ambient_dim, tuple(map(tuple, rows)), pivots)

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .gf import FieldSpec, NotPrimeError
 from .linalg import (
-    CapExceededError, Matrix, Subspace, _Echelon, combine, count_subspaces, enumerate_subspaces
+    CapExceededError, Subspace, _Echelon, combine, count_subspaces, enumerate_subspaces
 )
 
 DEFAULT_ORACLE_CAP = 10**6
@@ -215,10 +215,8 @@ class CheckReport:
 
 def check_recovery_subset(code: Code, subset: tuple[int, ...]) -> str | None:
     """None if the subset's nodes span the file space, else a violation line."""
-    rows: list = []
-    for j in subset:
-        rows.extend(code.node(j).basis_rows())
-    rank = Matrix(code.params.spec, rows, cols=code.params.f_dim).rank()
+    echelon = _Echelon(code.params.spec.p)
+    rank = sum(echelon.push(row) for j in subset for row in code.node(j).basis_rows())
     if rank != code.params.f_dim:
         return f"recovery subset {subset}: joint rank {rank} != {code.params.f_dim}"
     return None

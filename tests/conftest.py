@@ -30,6 +30,11 @@ def extended_k3_big():
     return outcome.code
 
 
+def identity_rows(n):
+    """The rows of the n x n identity matrix, as tuples."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
 def assert_certificate_consistent(cert, candidate):
     """Re-verify every certificate claim from scratch."""
     dec = cert.decomposition

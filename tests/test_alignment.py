@@ -18,7 +18,6 @@ from regenext.extend import synthesize_decomposition
 from regenext.gf import FieldSpec
 from regenext.linalg import (
     CapExceededError,
-    Matrix,
     Subspace,
     count_subspaces,
     enumerate_subspaces,
@@ -27,7 +26,7 @@ from regenext.linalg import (
 )
 from regenext.structure import compute_decomposition
 
-from conftest import assert_certificate_consistent
+from conftest import assert_certificate_consistent, identity_rows
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -73,7 +72,7 @@ def test_is_well_aligned_rejects_wrong_shapes(base_k3_p5):
     with pytest.raises(ValueError):
         is_well_aligned(Subspace.zero(dec.spec, 8), dec)
     with pytest.raises(ValueError):
-        is_well_aligned(Subspace(dec.spec, 8, Matrix.identity(dec.spec, 8).entries), dec)
+        is_well_aligned(Subspace(dec.spec, 8, identity_rows(8)), dec)
     with pytest.raises(ValueError):
         is_well_aligned(random_subspace(3, 2, dec.spec, random.Random(1)), dec)
 

@@ -8,10 +8,11 @@ import re
 
 import pytest
 
+import regenext.cli as cli
 from regenext.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from regenext.gf import FieldSpec
 from regenext.linalg import Matrix, Subspace
-from regenext.regen import MalformedCodeFileError, load_code
+from regenext.regen import MalformedCodeFileError, check_repair_pair, load_code
 
 
 @pytest.fixture(scope="module")
@@ -546,6 +547,34 @@ def test_verify_builds_no_basis_inverse(workdir, monkeypatch, capsys):
     monkeypatch.setattr(Matrix, "inverse", no_inverse)
     assert main(["verify", "--in", str(workdir / "grown.json")]) == EXIT_OK
     assert capsys.readouterr().out.endswith("result: PASS\n")
+
+
+def test_verify_runs_the_oracle_only_where_witnesses_pass(tmp_path, monkeypatch, capsys):
+    """The oracle backs up witnesses that pass, so on a p=3 code with one node
+    entry changed it searches only the pairs without witness violations."""
+    base, grown = tmp_path / "base.json", tmp_path / "grown.json"
+    assert main(["gen-base", "--k", "3", "--p", "3", "--seed", "1", "--out", str(base)]) == EXIT_OK
+    argv = ["grow", "--in", str(base), "--out", str(grown), "--n", "6", "--seed", "1"]
+    assert main(argv) == EXIT_OK
+    obj = json.loads(grown.read_text())
+    obj["nodes"][0][0][7] = (obj["nodes"][0][0][7] + 1) % 3
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code = load_code(str(bad))
+    passing = [pair for pair in code.repair_pairs() if not check_repair_pair(code, *pair)]
+    assert 0 < len(passing) < 60
+    calls = []
+    original = cli.brute_force_repairable
+
+    def counting(code, x, helpers, cap):
+        calls.append((x, helpers))
+        return original(code, x, helpers, cap=cap)
+
+    monkeypatch.setattr(cli, "brute_force_repairable", counting)
+    capsys.readouterr()
+    assert main(["verify", "--in", str(bad)]) == EXIT_VERIFICATION
+    assert "oracle cross-check: checked=60 violations=0" in capsys.readouterr().out
+    assert calls == passing
 
 
 def test_verify_tests_each_send_for_containment_once(workdir, monkeypatch, capsys):

@@ -50,8 +50,6 @@ def test_mismatched_fields_raise():
         a.sum(b)
     with pytest.raises(ValueError):
         a.contains_subspace(b)
-    with pytest.raises(ValueError):
-        a.basis.augment(b.basis)
 
 
 def test_inv_of_zero_raises():

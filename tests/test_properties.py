@@ -15,6 +15,7 @@ from regenext.linalg import (
     Matrix,
     Subspace,
     combine,
+    nullspace,
     random_invertible_matrix,
     random_subspace,
     vec_add,
@@ -22,19 +23,19 @@ from regenext.linalg import (
 from regenext.regen import Code, RepairWitness
 from regenext.structure import DecompositionError, compute_decomposition
 
-from conftest import assert_certificate_consistent
+from conftest import assert_certificate_consistent, identity_rows
 
 PRIMES = [2, 3, 5, 65521, 2**31 - 1]
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 @st.composite
-def matrices(draw, max_rows=5, max_cols=6):
+def matrices(draw, max_rows=5, max_cols=6, square=False):
     """(spec, cols, rows) of a matrix over one of PRIMES, small entries favoured
     at large p so that dependent rows still turn up."""
     p = draw(st.sampled_from(PRIMES))
     cols = draw(st.integers(1, max_cols))
-    nrows = draw(st.integers(0, max_rows))
+    nrows = cols if square else draw(st.integers(0, max_rows))
     entry = st.one_of(st.integers(0, min(p - 1, 2)), st.integers(0, p - 1))
     rows = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=nrows,
                          max_size=nrows))
@@ -46,18 +47,46 @@ def matrices(draw, max_rows=5, max_cols=6):
 def test_rref_is_canonical_and_idempotent(case, rng):
     spec, cols, rows = case
     m = Matrix(spec, rows, cols=cols)
-    reduced, pivots = m.rref_with_pivots()
+    reduced = Subspace(spec, cols, rows).basis_rows()
+    assert all(any(row) for row in reduced)
+    assert len(reduced) == m.rank()
+    pivots = [next(c for c, x in enumerate(row) if x) for row in reduced]
     assert pivots == sorted(set(pivots))
     for r, pc in enumerate(pivots):
-        assert reduced.entries[r][pc] == 1
-        assert all(reduced.entries[i][pc] == 0 for i in range(len(pivots)) if i != r)
-    assert all(not any(row) for row in reduced.entries[len(pivots):])
-    assert reduced.rref_with_pivots() == (reduced, pivots)
+        assert reduced[r][pc] == 1
+        assert all(reduced[i][pc] == 0 for i in range(len(pivots)) if i != r)
+    assert Subspace(spec, cols, reduced).basis_rows() == reduced
     # any invertible row operation leaves the row space, hence the RREF, alone
     if rows:
         mixer = random_invertible_matrix(spec, len(rows), rng)
-        mixed = Matrix(spec, [combine(spec.p, t, m.entries) for t in mixer.entries], cols=cols)
-        assert mixed.rref_with_pivots() == (reduced, pivots)
+        mixed = [combine(spec.p, t, m.entries) for t in mixer.entries]
+        assert Subspace(spec, cols, mixed).basis_rows() == reduced
+
+
+@PROPERTY
+@given(matrices())
+def test_nullspace_is_the_kernel(case):
+    """Every nullspace row v has m @ v^T = 0, and rank-nullity holds."""
+    spec, cols, rows = case
+    m = Matrix(spec, rows, cols=cols)
+    ker = nullspace(m)
+    assert ker.dim == cols - m.rank()
+    for v in ker.basis_rows():
+        assert all(sum(a * b for a, b in zip(row, v)) % spec.p == 0 for row in m.entries)
+
+
+@PROPERTY
+@given(matrices(square=True))
+def test_inverse_round_trips_or_rejects_singular(case):
+    spec, n, rows = case
+    m = Matrix(spec, rows, cols=n)
+    if m.rank() < n:
+        with pytest.raises(ValueError, match="singular"):
+            m.inverse()
+        return
+    inv = m.inverse()
+    assert tuple(combine(spec.p, row, inv.entries) for row in m.entries) == identity_rows(n)
+    assert tuple(combine(spec.p, row, m.entries) for row in inv.entries) == identity_rows(n)
 
 
 @PROPERTY

@@ -38,6 +38,8 @@ from regenext.regen import (
     verify_repair_witnesses,
 )
 
+from conftest import identity_rows
+
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
 GF5 = FieldSpec(5)
@@ -121,12 +123,12 @@ def test_repair_witness_sorted_and_lookup():
 def test_code_rejects_wrong_node_count():
     pr = Params(3, 2, GF2)
     with pytest.raises(ValueError):
-        Code(pr, (Subspace(GF2, 3, Matrix.identity(GF2, 3).entries),) * 2)
+        Code(pr, (Subspace(GF2, 3, identity_rows(3)),) * 2)
 
 
 def test_code_rejects_bad_witness_keys():
     pr = Params(3, 2, GF2)
-    nodes = (Subspace(GF2, 3, Matrix.identity(GF2, 3).entries),) * 3
+    nodes = (Subspace(GF2, 3, identity_rows(3)),) * 3
     w = RepairWitness.of({1: Subspace.zero(GF2, 3), 2: Subspace.zero(GF2, 3)})
     with pytest.raises(ValueError, match="own helper"):
         Code(pr, nodes, {(1, (1, 2)): w})
@@ -332,6 +334,26 @@ def test_save_load_roundtrip(tmp_path, extended_k3_big):
     path = tmp_path / "code.json"
     save_code(extended_k3_big, str(path))
     assert load_code(str(path)) == extended_k3_big
+
+
+def test_subspaces_and_load_code_build_no_matrix(tmp_path, monkeypatch, base_k3_p5):
+    """A Subspace holds its RREF rows, so building, summing or splitting
+    subspaces, or loading a code, constructs no Matrix."""
+    path = tmp_path / "code.json"
+    save_code(base_k3_p5, str(path))
+    built = []
+    original = Matrix.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Matrix, "__init__", counting)
+    whole = Subspace(GF5, 3, [(1, 2, 3), (2, 4, 6), (0, 1, 7)])
+    part = Subspace(GF5, 3, [(1, 2, 3)])
+    assert part.complement_in(whole).sum(part) == whole
+    assert load_code(str(path)) == base_k3_p5
+    assert built == []
 
 
 def test_save_is_byte_stable(tmp_path, base_k3_p5):
