@@ -26,7 +26,6 @@ from fractions import Fraction
 
 from .gf import FieldSpec
 from .linalg import (
-    Matrix,
     Subspace,
     Vec,
     combine,
@@ -34,6 +33,7 @@ from .linalg import (
     enumerate_subspaces,
     nullspace,
     random_subspace,
+    rank,
     vec_add,
 )
 from .structure import Decomposition
@@ -93,13 +93,11 @@ def is_well_aligned(
     coords = [dec.coordinates(r) for r in rows]
     kernel_gens: dict[int, Vec] = {}
     for j in dec.helpers:
-        block = Matrix(spec, [dec.repair_block(c, j) for c in coords], cols=k - 1)
-        kernel = nullspace(block.transpose())
+        kernel = nullspace(spec, [dec.repair_block(c, j) for c in coords])
         if kernel.dim != 1:
             return None
         kernel_gens[j] = kernel.basis_rows()[0]
-    mix = Matrix(spec, [kernel_gens[j] for j in dec.helpers], cols=k)
-    if mix.rank() != k:
+    if rank(p, kernel_gens.values()) != k:
         return None
     basis: dict[int, Vec] = {}
     repair_parts: dict[tuple[int, int], Vec] = {}
@@ -144,7 +142,7 @@ def sample_well_aligned(
         others = [i for i in dec.helpers if i != j]
         while True:
             coeffs = [[rng.randrange(p) for _ in range(k - 1)] for _ in others]
-            if Matrix(spec, coeffs, cols=k - 1).rank() == k - 1:
+            if rank(p, coeffs) == k - 1:
                 break
         for i, crow in zip(others, coeffs):
             basis[i] = vec_add(p, basis[i], dec.expand_repair(j, crow))

@@ -89,9 +89,12 @@ def _field(p: int) -> FieldSpec:
 
 
 def _check_out_dir(path: str) -> None:
-    """Fail before any work when the directory an output goes to is missing."""
+    """Fail before any work when an output cannot go to path: its directory
+    is missing, or path names a directory."""
     if not os.path.isdir(os.path.dirname(path) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def _params_line(code: Code) -> str:

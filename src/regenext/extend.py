@@ -97,9 +97,8 @@ def synthesize_decomposition(
     helpers = tuple(range(1, k + 1))
     repair = {}
     for idx, j in enumerate(helpers):
-        rows = frame.entries[idx * (k - 1) : (idx + 1) * (k - 1)]
-        repair[j] = Subspace(spec, ambient, rows)
-    tail = frame.entries[k * (k - 1) :]
+        repair[j] = Subspace(spec, ambient, frame[idx * (k - 1) : (idx + 1) * (k - 1)])
+    tail = frame[k * (k - 1) :]
     comp_vectors: dict[int, Vec] = {}
     total = (0,) * ambient
     for j, row in zip(helpers, tail):

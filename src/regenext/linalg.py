@@ -1,16 +1,17 @@
-"""Dense matrices and subspaces over a prime field.
+"""Linear algebra on residue rows over a prime field.
 
 Vectors are tuples of canonical residues and act as row vectors throughout:
 a node stores the row space of its basis rows.  A Subspace holds the unique
 reduced row-echelon rows of its row space, so equal subspaces compare equal
 and hash equal, which makes censuses and witness comparisons structural.
 
-Gaussian elimination lives in one place, the private _Echelon.  Matrix
-rank and inverse, nullspaces, Subspace construction, membership, sums and
-complements, and the recovery check and repair oracle in regen all
-eliminate through it.  Public entry points (the Matrix and Subspace
-constructors, Subspace.contains) reduce their integers mod p once; the
-echelon and everything built from its rows keep residues as they are.
+Gaussian elimination lives in one place, the private _Echelon.  rank,
+inverse and nullspace take residue rows and return them; they, Subspace
+construction, membership, sums and complements, and the repair oracle in
+regen all eliminate through it.  Integers from outside enter through a
+checked door that reduces them mod p once: a Matrix (which also checks the
+row widths), the Subspace constructor or Subspace.contains.  The echelon
+and everything built from its rows keep residues as they are.
 """
 
 from __future__ import annotations
@@ -115,7 +116,12 @@ class _Echelon:
 
 
 class Matrix:
-    """Immutable row-major matrix with entries kept in [0, p)."""
+    """Immutable row-major matrix with entries kept in [0, p).
+
+    The checked door for integers from outside: it reduces every entry mod p
+    and checks that the rows have one width.  Its entries are residue rows
+    that rank, inverse and nullspace take as they are.
+    """
 
     __slots__ = ("spec", "rows", "cols", "entries")
 
@@ -142,52 +148,50 @@ class Matrix:
         self.cols = cols
         self.entries = ent
 
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.spec,
-            list(zip(*self.entries)) if self.entries else [()] * self.cols,
-            cols=self.rows,
-        )
-
-    def rank(self) -> int:
-        echelon = _Echelon(self.spec.p)
-        return sum(echelon.push(row) for row in self.entries)
-
-    def inverse(self) -> "Matrix":
-        """The rows [m | I] reduce to [I | m^-1] exactly when m is invertible."""
-        if self.rows != self.cols:
-            raise ValueError("only square matrices can be inverted")
-        n = self.rows
-        echelon = _Echelon(self.spec.p)
-        for i, row in enumerate(self.entries):
-            echelon.push(row + tuple(int(i == j) for j in range(n)))
-        reduced, pivots = echelon.rref()
-        if pivots != tuple(range(n)):
-            raise ValueError("matrix is singular")
-        return Matrix(self.spec, [row[n:] for row in reduced], cols=n)
-
     def __repr__(self) -> str:
         return f"Matrix(GF({self.spec.p}), {self.rows}x{self.cols})"
 
 
-def nullspace(m: Matrix) -> "Subspace":
-    """Right nullspace {v : m @ v^T = 0} as a subspace of GF(p)^cols."""
-    p = m.spec.p
+def rank(p: int, rows: Iterable[Sequence[int]]) -> int:
+    """Dimension of the span of residue rows."""
     echelon = _Echelon(p)
-    for row in m.entries:
-        echelon.push(row)
-    reduced, pivots = echelon.rref()
-    pivot_set = set(pivots)
-    rows = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        v = [0] * m.cols
-        v[free] = 1
-        for row, pc in zip(reduced, pivots):
-            v[pc] = (-row[free]) % p
-        rows.append(v)
-    return Subspace._span(m.spec, m.cols, rows)
+    return sum(echelon.push(row) for row in rows)
+
+
+def _augmented(p: int, rows: Sequence[Sequence[int]]) -> _Echelon:
+    """An echelon of the rows [row_i | e_i]: a row whose pivot lies in the
+    unit block is zero on the left, so its unit part c has sum c_i row_i = 0."""
+    n = len(rows)
+    echelon = _Echelon(p)
+    for i, row in enumerate(rows):
+        unit = [0] * n
+        unit[i] = 1
+        echelon.push([*row, *unit])
+    return echelon
+
+
+def inverse(p: int, rows: Sequence[Sequence[int]]) -> tuple[Vec, ...]:
+    """Rows of the inverse of the square matrix of residue rows.
+
+    The rows [m | I] reduce to [I | m^-1] exactly when m is invertible.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("only square matrices can be inverted")
+    reduced, pivots = _augmented(p, rows).rref()
+    if pivots != tuple(range(n)):
+        raise ValueError("matrix is singular")
+    return tuple(row[n:] for row in reduced)
+
+
+def nullspace(spec: FieldSpec, rows: Sequence[Sequence[int]]) -> "Subspace":
+    """The dependencies among residue rows, {c : sum c_i rows_i = 0}, as a
+    subspace of GF(p)^len(rows)."""
+    n = len(rows)
+    width = len(rows[0]) if rows else 0
+    echelon = _augmented(spec.p, rows)
+    kernel = [row[width:] for row, pc in zip(echelon.rows, echelon.pivots) if pc >= width]
+    return Subspace._span(spec, n, kernel)
 
 
 class Subspace:
@@ -300,20 +304,13 @@ class Subspace:
         return f"Subspace(GF({self.spec.p}), dim {self.dim} of {self.ambient_dim})"
 
 
-def random_matrix(spec: FieldSpec, rows: int, cols: int, rng: random.Random) -> Matrix:
+def random_invertible_matrix(spec: FieldSpec, n: int, rng: random.Random) -> tuple[Vec, ...]:
+    """Rows of a uniformly random invertible n x n matrix, by rejection."""
     p = spec.p
-    return Matrix(
-        spec,
-        [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)],
-        cols=cols,
-    )
-
-
-def random_invertible_matrix(spec: FieldSpec, n: int, rng: random.Random) -> Matrix:
     while True:
-        m = random_matrix(spec, n, n, rng)
-        if m.rank() == n:
-            return m
+        rows = tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n))
+        if rank(p, rows) == n:
+            return rows
 
 
 def random_subspace(

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .gf import FieldSpec, NotPrimeError
 from .linalg import (
-    CapExceededError, Subspace, _Echelon, combine, count_subspaces, enumerate_subspaces
+    CapExceededError, Subspace, _Echelon, combine, count_subspaces, enumerate_subspaces, rank
 )
 
 DEFAULT_ORACLE_CAP = 10**6
@@ -215,10 +215,9 @@ class CheckReport:
 
 def check_recovery_subset(code: Code, subset: tuple[int, ...]) -> str | None:
     """None if the subset's nodes span the file space, else a violation line."""
-    echelon = _Echelon(code.params.spec.p)
-    rank = sum(echelon.push(row) for j in subset for row in code.node(j).basis_rows())
-    if rank != code.params.f_dim:
-        return f"recovery subset {subset}: joint rank {rank} != {code.params.f_dim}"
+    joint = rank(code.params.spec.p, (row for j in subset for row in code.node(j).basis_rows()))
+    if joint != code.params.f_dim:
+        return f"recovery subset {subset}: joint rank {joint} != {code.params.f_dim}"
     return None
 
 

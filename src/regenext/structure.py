@@ -30,7 +30,7 @@ direct, dim T = k-1, and by the zero sum any k-1 of the t_j span T.
 
 from __future__ import annotations
 
-from .linalg import Matrix, Vec, combine, nullspace
+from .linalg import Vec, combine, inverse, nullspace
 from .regen import CheckReport, Code
 
 __all__ = [
@@ -92,7 +92,7 @@ class Decomposition:
         if self._basis_inv is None:
             rows = [r for j in self.helpers for r in self.repair_spaces[j].basis_rows()]
             rows.extend(self.complement_vectors[j] for j in self.helpers[:-1])
-            self._basis_inv = Matrix(self.spec, rows, cols=self.ambient_dim).inverse().entries
+            self._basis_inv = inverse(self.spec.p, rows)
         return combine(self.spec.p, v, self._basis_inv)
 
     def repair_block(self, coords: Vec, j: int) -> Vec:
@@ -158,8 +158,7 @@ def compute_decomposition(code: Code, helpers, x: int) -> Decomposition:
         rows.extend(sub.basis_rows())
         unit_positions[j] = len(rows)
         rows.append(comp.basis_rows()[0])
-    stacked = Matrix(pr.spec, rows, cols=pr.f_dim)
-    kernel = nullspace(stacked.transpose())
+    kernel = nullspace(pr.spec, rows)
     if kernel.dim != 1:
         raise DecompositionError(
             f"repair pair ({x}, {helpers}): dependency space has dimension "

@@ -1,8 +1,10 @@
 """End-to-end tests for the command line interface."""
 
 import csv
+import errno
 import io
 import json
+import os
 import random
 import re
 
@@ -11,7 +13,8 @@ import pytest
 import regenext.cli as cli
 from regenext.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from regenext.gf import FieldSpec
-from regenext.linalg import Matrix, Subspace
+import regenext.structure as structure
+from regenext.linalg import Subspace
 from regenext.regen import MalformedCodeFileError, check_repair_pair, load_code
 
 
@@ -509,14 +512,51 @@ def test_gen_base_into_missing_directory_fails_first(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_save_error_names_the_given_path(tmp_path, capsys):
+def test_save_error_names_the_given_path(tmp_path, monkeypatch, capsys):
     """A save that fails after the work names --out, not its temporary file."""
-    out = tmp_path / "taken"
-    out.mkdir()
+    out = tmp_path / "x.json"
+
+    def refuse(src, dst):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), src)
+
+    monkeypatch.setattr(os, "replace", refuse)
     assert main(["gen-base", "--k", "2", "--p", "5", "--out", str(out)]) == EXIT_USAGE
-    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{out}'\n"
-    assert list(tmp_path.iterdir()) == [out]
-    assert list(out.iterdir()) == []
+    assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: '{out}'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command", ["gen-base", "grow", "grow-stalls"], ids=["gen-base", "grows", "stalls"]
+)
+def test_out_naming_a_directory_fails_first(tmp_path, monkeypatch, capsys, command):
+    """An --out that is a directory exits 2 before any work: nothing is
+    synthesized, no step runs, and no file (not even a .partial inside it)
+    is written."""
+    base = tmp_path / "p2.json"
+    assert main(["gen-base", "--k", "2", "--p", "2", "--seed", "1", "--out", str(base)]) == EXIT_OK
+    capsys.readouterr()
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began")
+
+    monkeypatch.setattr(cli, "synthesize_base_code", no_work)
+    monkeypatch.setattr(cli, "extend_code", no_work)
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    out = str(taken)
+    if command == "gen-base":
+        argv = ["gen-base", "--k", "2", "--p", "2", "--seed", "1", "--out", out]
+    elif command == "grow":
+        argv = ["grow", "--in", str(base), "--out", out, "--n", "4", "--seed", "1"]
+    else:
+        out += "/"
+        argv = ["grow", "--in", str(base), "--out", out, "--n", "8", "--max-attempts", "3"]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 21] Is a directory: '{out}'\n"
+    assert sorted(tmp_path.iterdir()) == [base, taken]
+    assert list(taken.iterdir()) == []
 
 
 def test_prob_sweep_unwritable_csv_fails_first(tmp_path, capsys):
@@ -541,10 +581,10 @@ def test_verify_builds_no_basis_inverse(workdir, monkeypatch, capsys):
     """verify derives every split, and a split inverts its basis only when
     coordinates are asked of it."""
 
-    def no_inverse(self):
+    def no_inverse(*args):
         raise AssertionError("verify inverted a matrix")
 
-    monkeypatch.setattr(Matrix, "inverse", no_inverse)
+    monkeypatch.setattr(structure, "inverse", no_inverse)
     assert main(["verify", "--in", str(workdir / "grown.json")]) == EXIT_OK
     assert capsys.readouterr().out.endswith("result: PASS\n")
 

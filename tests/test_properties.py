@@ -15,9 +15,11 @@ from regenext.linalg import (
     Matrix,
     Subspace,
     combine,
+    inverse,
     nullspace,
     random_invertible_matrix,
     random_subspace,
+    rank,
     vec_add,
 )
 from regenext.regen import Code, RepairWitness
@@ -49,7 +51,7 @@ def test_rref_is_canonical_and_idempotent(case, rng):
     m = Matrix(spec, rows, cols=cols)
     reduced = Subspace(spec, cols, rows).basis_rows()
     assert all(any(row) for row in reduced)
-    assert len(reduced) == m.rank()
+    assert len(reduced) == rank(spec.p, m.entries) == Subspace(spec, cols, m.entries).dim
     pivots = [next(c for c, x in enumerate(row) if x) for row in reduced]
     assert pivots == sorted(set(pivots))
     for r, pc in enumerate(pivots):
@@ -59,34 +61,36 @@ def test_rref_is_canonical_and_idempotent(case, rng):
     # any invertible row operation leaves the row space, hence the RREF, alone
     if rows:
         mixer = random_invertible_matrix(spec, len(rows), rng)
-        mixed = [combine(spec.p, t, m.entries) for t in mixer.entries]
+        mixed = [combine(spec.p, t, m.entries) for t in mixer]
         assert Subspace(spec, cols, mixed).basis_rows() == reduced
 
 
 @PROPERTY
 @given(matrices())
 def test_nullspace_is_the_kernel(case):
-    """Every nullspace row v has m @ v^T = 0, and rank-nullity holds."""
+    """Every nullspace row c combines the rows to zero, and rank-nullity
+    holds; the draws include more rows than columns and zero rows."""
     spec, cols, rows = case
     m = Matrix(spec, rows, cols=cols)
-    ker = nullspace(m)
-    assert ker.dim == cols - m.rank()
-    for v in ker.basis_rows():
-        assert all(sum(a * b for a, b in zip(row, v)) % spec.p == 0 for row in m.entries)
+    ker = nullspace(spec, m.entries)
+    assert ker.ambient_dim == len(rows)
+    assert ker.dim == len(rows) - rank(spec.p, m.entries)
+    for c in ker.basis_rows():
+        assert not any(combine(spec.p, c, m.entries))
 
 
 @PROPERTY
 @given(matrices(square=True))
 def test_inverse_round_trips_or_rejects_singular(case):
     spec, n, rows = case
-    m = Matrix(spec, rows, cols=n)
-    if m.rank() < n:
+    p, m = spec.p, Matrix(spec, rows, cols=n).entries
+    if rank(p, m) < n:
         with pytest.raises(ValueError, match="singular"):
-            m.inverse()
+            inverse(p, m)
         return
-    inv = m.inverse()
-    assert tuple(combine(spec.p, row, inv.entries) for row in m.entries) == identity_rows(n)
-    assert tuple(combine(spec.p, row, m.entries) for row in inv.entries) == identity_rows(n)
+    inv = inverse(p, m)
+    assert tuple(combine(p, row, inv) for row in m) == identity_rows(n)
+    assert tuple(combine(p, row, m) for row in inv) == identity_rows(n)
 
 
 @PROPERTY

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import regenext.regen as regen
+from regenext.cli import EXIT_OK, main
 from regenext.gf import FieldSpec, NotPrimeError
 from regenext.linalg import (
     CapExceededError,
@@ -341,6 +342,31 @@ def test_subspaces_and_load_code_build_no_matrix(tmp_path, monkeypatch, base_k3_
     subspaces, or loading a code, constructs no Matrix."""
     path = tmp_path / "code.json"
     save_code(base_k3_p5, str(path))
+    built = _count_matrices(monkeypatch)
+    whole = Subspace(GF5, 3, [(1, 2, 3), (2, 4, 6), (0, 1, 7)])
+    part = Subspace(GF5, 3, [(1, 2, 3)])
+    assert part.complement_in(whole).sum(part) == whole
+    assert load_code(str(path)) == base_k3_p5
+    assert built == []
+
+
+def test_command_line_builds_no_matrix(tmp_path, monkeypatch, capsys):
+    """rank, inverse and nullspace take residue rows, so building, growing,
+    verifying and sweeping a p=3 code constructs no Matrix."""
+    base, grown = tmp_path / "base.json", tmp_path / "grown.json"
+    built = _count_matrices(monkeypatch)
+    for argv in (
+        ["gen-base", "--k", "3", "--p", "3", "--seed", "1", "--out", str(base)],
+        ["grow", "--in", str(base), "--out", str(grown), "--n", "6", "--seed", "1"],
+        ["verify", "--in", str(grown)],
+        ["prob-sweep", "--k", "3", "--p", "3", "--trials", "100"],
+    ):
+        assert main(argv) == EXIT_OK
+    assert built == []
+
+
+def _count_matrices(monkeypatch):
+    """A list that records the arguments of every Matrix construction."""
     built = []
     original = Matrix.__init__
 
@@ -349,11 +375,7 @@ def test_subspaces_and_load_code_build_no_matrix(tmp_path, monkeypatch, base_k3_
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(Matrix, "__init__", counting)
-    whole = Subspace(GF5, 3, [(1, 2, 3), (2, 4, 6), (0, 1, 7)])
-    part = Subspace(GF5, 3, [(1, 2, 3)])
-    assert part.complement_in(whole).sum(part) == whole
-    assert load_code(str(path)) == base_k3_p5
-    assert built == []
+    return built
 
 
 def test_save_is_byte_stable(tmp_path, base_k3_p5):
