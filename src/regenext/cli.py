@@ -26,7 +26,6 @@ from .alignment import (
 )
 from .extend import (
     DEFAULT_MAX_ATTEMPTS,
-    DEFAULT_SYNTHESIS_ATTEMPTS,
     ExtensionError,
     SynthesisError,
     attempts_bound,
@@ -120,7 +119,7 @@ def _cmd_gen_base(args: argparse.Namespace) -> int:
     # gen-base and grow does not replay the same draws
     rng = random.Random(f"gen-base:{args.seed}")
     try:
-        code = synthesize_base_code(args.k, spec, rng, max_attempts=args.max_attempts)
+        code = synthesize_base_code(args.k, spec, rng)
     except SynthesisError as exc:
         _log(f"gen-base failed: {exc}")
         return EXIT_VERIFICATION
@@ -483,13 +482,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--k", type=_at_least(2), required=True, help="recovery threshold (>= 2)")
     gen.add_argument("--p", type=int, required=True, help="prime field modulus")
     gen.add_argument("--seed", type=int, default=0, help="random seed")
-    gen.add_argument(
-        "--max-attempts",
-        type=_at_least(1),
-        default=DEFAULT_SYNTHESIS_ATTEMPTS,
-        dest="max_attempts",
-        help="synthesis retries before giving up",
-    )
     gen.add_argument("--out", required=True, help="output code file")
     gen.set_defaults(handler=_cmd_gen_base)
 

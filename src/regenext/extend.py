@@ -1,20 +1,38 @@
 """Bootstrap a minimal verified code and grow it one random node at a time.
 
 A fresh code on k+1 nodes is synthesized from a random full-rank frame: k
-mutually independent (k-1)-dimensional repair spaces plus a complement space,
-with the k node spaces read off the frame and the last node sampled well
-aligned.  Growth then repeats a simple step: draw a uniform k-dimensional
-subspace as the new node, and accept it as soon as, for every k-subset A of
-the old nodes, it is well aligned relative to the repair of some old node x
-outside A by A.  Acceptance yields explicit repair witnesses in both
-directions; the chance that a single draw works is at least
+mutually independent (k-1)-dimensional repair spaces S_j plus the complement
+space T, with node j = S_j + span(t_j) read off the frame and node k+1
+sampled well aligned.  Growth then repeats a simple step: draw a uniform
+k-dimensional subspace as the new node, and accept it as soon as, for every
+k-subset A of the old nodes, it is well aligned relative to the repair of
+some old node x outside A by A.  Acceptance yields explicit repair witnesses
+in both directions; the chance that a single draw works is at least
 1 - C(n, k) * (1 - P) for the per-pair alignment probability P, which tends
 to 1 for large fields.
 
-Base synthesis checks every recovery subset and repair pair of the base
-code.  A growth step assumes a verified input and checks exactly the units
-that contain the new node, the others being unchanged.  The witness builders
-check nothing; `check_repair_pair` checks each witness's coverage.
+One draw always gives a valid base code, so synthesis makes exactly one.
+Write the sampled node's basis as w(i) = sum over j != i of sigma(i, j) plus
+tau(i) in T.  The sampler makes the sigma(i, j), i != j, a basis of S_j (its
+rank rejection), and any k-1 of the t_j span T because they sum to zero.
+
+  * Recovery: nodes 1..k span S_1 + ... + S_k + T = F.  Leaving out node m
+    instead, the other nodes give every S_j and t_j but S_m, and the
+    components sigma(i, m) of the w(i) give S_m.
+  * Alignment: the projection of the sampled node to S_j has its image
+    spanned by the sigma(i, j), so its kernel is the line of w(j), and these
+    lines span the node.  is_well_aligned never returns None on it.
+  * Repair of node k+1: helper j sends sigma(i, j) + theta(i, j) t_j over
+    i != j, and w(i) = sum over j != i of (sigma(i, j) + theta(i, j) t_j).
+  * Repair of node m: each received w(i), minus the received sigma(i, j)
+    and tau(i) (in the span of the received t_j), leaves sigma(i, m), a
+    basis of S_m; and t_m = minus the sum of the received t_j.
+
+Base synthesis still checks every recovery subset and repair pair of the
+base code, and a failure is a bug.  A growth step assumes a verified input
+and checks exactly the units that contain the new node, the others being
+unchanged.  The witness builders check nothing; `check_repair_pair` checks
+each witness's coverage.
 """
 
 from __future__ import annotations
@@ -51,20 +69,14 @@ __all__ = [
 ]
 
 DEFAULT_MAX_ATTEMPTS = 64
-DEFAULT_SYNTHESIS_ATTEMPTS = 16
 
 
 class SynthesisError(RuntimeError):
-    """Could not build a verified base code within the attempt budget."""
+    """The synthesized base code failed verification, which indicates a bug."""
 
 
 class ExtensionError(RuntimeError):
     """Could not extend the code within the attempt budget."""
-
-    def __init__(self, message: str, attempts: int, bound: Fraction):
-        super().__init__(message)
-        self.attempts = attempts
-        self.bound = bound
 
 
 @dataclass
@@ -198,38 +210,27 @@ def _add_node(
     return grown, (recovery + verify_repair_witnesses(grown, pairs).violations)[:3]
 
 
-def synthesize_base_code(
-    k: int,
-    spec: FieldSpec,
-    rng: random.Random,
-    max_attempts: int = DEFAULT_SYNTHESIS_ATTEMPTS,
-) -> Code:
-    """Build a verified code on n = k+1 nodes from scratch.
+def synthesize_base_code(k: int, spec: FieldSpec, rng: random.Random) -> Code:
+    """Build a verified code on n = k+1 nodes from scratch in one draw.
 
     Nodes 1..k are repair space plus complement vector from a random frame;
     node k+1 is sampled well aligned relative to that frame and added as a
-    one-subset extension of it.  Each attempt checks every unit, since
-    nothing was verified before it; raises SynthesisError when the budget
-    runs out (tiny fields can need a few tries).
+    one-subset extension of it.  The module docstring shows why the result
+    is valid; every unit is still checked, since nothing was verified
+    before, and a failure raises SynthesisError.
     """
-    if max_attempts < 1:
-        raise ValueError(f"max_attempts must be positive, got {max_attempts}")
-    last_error = ""
-    for _ in range(max_attempts):
-        dec = synthesize_decomposition(k, spec, rng)
-        nodes = tuple(
-            dec.repair_spaces[j].sum(Subspace(spec, dec.ambient_dim, [dec.complement_vectors[j]]))
-            for j in dec.helpers
-        )
-        candidate, cert = sample_well_aligned(dec, rng)
-        code, problems = _add_node(nodes, {}, candidate, {dec.helpers: cert}, verified=False)
-        if not problems:
-            return code
-        last_error = "; ".join(problems)
-    raise SynthesisError(
-        f"no verified base code for k={k} over GF({spec.p}) in {max_attempts} "
-        f"attempts (last failure: {last_error or 'none recorded'})"
+    dec = synthesize_decomposition(k, spec, rng)
+    nodes = tuple(
+        dec.repair_spaces[j].sum(Subspace(spec, dec.ambient_dim, [dec.complement_vectors[j]]))
+        for j in dec.helpers
     )
+    candidate, cert = sample_well_aligned(dec, rng)
+    code, problems = _add_node(nodes, {}, candidate, {dec.helpers: cert}, verified=False)
+    if problems:
+        raise SynthesisError(
+            "base code failed verification, which indicates a bug: " + "; ".join(problems)
+        )
+    return code
 
 
 def find_alignments(
@@ -289,13 +290,11 @@ def extend_code(
     k-subset of old nodes has an aligned repair pair; acceptance builds the
     full witness set for the new node in both directions and checks the
     recovery subsets and repair pairs that contain the new node.  Raises
-    ExtensionError (carrying the attempt count and the single-draw bound)
-    when those checks fail or the budget runs out.
+    ExtensionError when those checks fail or the budget runs out.
     """
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be positive, got {max_attempts}")
     pr = code.params
-    bound = attempts_bound(pr.n, pr.k, pr.spec)
     cache: dict = {}
     for attempt in range(1, max_attempts + 1):
         candidate = random_subspace(pr.f_dim, pr.k, pr.spec, rng)
@@ -305,15 +304,12 @@ def extend_code(
         grown, problems = _add_node(code.nodes, code.witnesses, candidate, log, verified=True)
         if problems:
             raise ExtensionError(
-                "grown code failed verification, which indicates a bug: " + "; ".join(problems),
-                attempt,
-                bound,
+                "grown code failed verification, which indicates a bug: " + "; ".join(problems)
             )
         return ExtensionOutcome(grown, attempt, log)
+    bound = attempts_bound(pr.n, pr.k, pr.spec)
     raise ExtensionError(
         f"no aligned draw in {max_attempts} attempts at n={pr.n}, k={pr.k}, "
         f"p={pr.spec.p}; single-draw success bound is {bound} "
-        f"(about {float(bound):.6f}), so small fields may need many more attempts",
-        max_attempts,
-        bound,
+        f"(about {float(bound):.6f}), so small fields may need many more attempts"
     )

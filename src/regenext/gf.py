@@ -48,18 +48,10 @@ def is_prime(n: int) -> bool:
 
 
 def inv_mod(a: int, p: int) -> int:
-    """Inverse of a modulo p by the extended Euclidean algorithm."""
-    a %= p
-    if a == 0:
+    """Inverse of a modulo the prime p."""
+    if a % p == 0:
         raise ZeroDivisionError("zero has no multiplicative inverse")
-    r0, r1 = p, a
-    s0, s1 = 0, 1
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    # r0 is gcd(p, a) = 1 for prime p and a not divisible by p
-    return s0 % p
+    return pow(a, -1, p)
 
 
 @dataclass(frozen=True)

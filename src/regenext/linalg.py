@@ -187,11 +187,16 @@ def inverse(p: int, rows: Sequence[Sequence[int]]) -> tuple[Vec, ...]:
 def nullspace(spec: FieldSpec, rows: Sequence[Sequence[int]]) -> "Subspace":
     """The dependencies among residue rows, {c : sum c_i rows_i = 0}, as a
     subspace of GF(p)^len(rows)."""
-    n = len(rows)
     width = len(rows[0]) if rows else 0
     echelon = _augmented(spec.p, rows)
-    kernel = [row[width:] for row, pc in zip(echelon.rows, echelon.pivots) if pc >= width]
-    return Subspace._span(spec, n, kernel)
+    # the unit parts of the rows pivoting in the unit block already form an
+    # echelon, so they need only back-substitution, not a second elimination
+    kernel = _Echelon(spec.p)
+    for row, pc in zip(echelon.rows, echelon.pivots):
+        if pc >= width:
+            kernel.rows.append(row[width:])
+            kernel.pivots.append(pc - width)
+    return Subspace._from_rref(spec, len(rows), *kernel.rref())
 
 
 class Subspace:
@@ -238,10 +243,6 @@ class Subspace:
         for row in rows:
             echelon.push(row)
         return cls._from_rref(spec, ambient_dim, *echelon.rref())
-
-    @classmethod
-    def zero(cls, spec: FieldSpec, ambient_dim: int) -> "Subspace":
-        return cls(spec, ambient_dim, ())
 
     @property
     def dim(self) -> int:
@@ -323,8 +324,6 @@ def random_subspace(
     """
     if not 0 <= dim <= ambient_dim:
         raise ValueError(f"dimension {dim} outside [0, {ambient_dim}]")
-    if dim == 0:
-        return Subspace.zero(spec, ambient_dim)
     p = spec.p
     while True:
         rows = [[rng.randrange(p) for _ in range(ambient_dim)] for _ in range(dim)]
@@ -343,10 +342,8 @@ def count_subspaces(ambient_dim: int, dim: int, spec: FieldSpec) -> int:
     for h in range(dim):
         num *= q**ambient_dim - q**h
         den *= q**dim - q**h
-    if dim:
-        assert num % den == 0
-        return num // den
-    return 1
+    assert num % den == 0
+    return num // den
 
 
 def enumerate_subspaces(
@@ -371,9 +368,6 @@ def enumerate_subspaces(
 
 def _iter_subspaces(ambient_dim: int, dim: int, spec: FieldSpec) -> Iterator[Subspace]:
     p = spec.p
-    if dim == 0:
-        yield Subspace.zero(spec, ambient_dim)
-        return
     for pivots in itertools.combinations(range(ambient_dim), dim):
         pivot_set = set(pivots)
         free_cells = [

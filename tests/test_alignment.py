@@ -70,7 +70,7 @@ def test_helper_nodes_are_not_aligned(base_k3_p5):
 def test_is_well_aligned_rejects_wrong_shapes(base_k3_p5):
     dec = first_decomposition(base_k3_p5)
     with pytest.raises(ValueError):
-        is_well_aligned(Subspace.zero(dec.spec, 8), dec)
+        is_well_aligned(Subspace(dec.spec, 8), dec)
     with pytest.raises(ValueError):
         is_well_aligned(Subspace(dec.spec, 8, identity_rows(8)), dec)
     with pytest.raises(ValueError):

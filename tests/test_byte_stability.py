@@ -5,7 +5,8 @@ sha256 of every written file and of every command's stdout and stderr must
 match the digests recorded here.  A refactor or a speed-up that changes one
 byte of any of them fails this test; a deliberate format change updates the
 digests and says so in CHANGES.md.  At k=2, p=3 the grow stalls at n=4, so
-the run covers the stall message and the `.partial` file as well.
+the run covers the stall message and the `.partial` file as well.  The two
+gen-base runs at k=4 pin base synthesis at both ends of the field range.
 """
 
 import contextlib
@@ -50,6 +51,20 @@ RUNS = {
             "base.json": "3c6de6e1046728a2c0676169aeb42201952c8be1db87786d8f0c81242bb0049a",
             "grown.json": "ada476a6afe96c6fd5d1a96c6c6ac878ae8ffbf1bb2ef6a590bd5661f3a23071",
             "trail.csv": "a460456c0cb2442bd18cce7263e4a49bed0a60127ed2bf8e68b1b11ffae267ea",
+        },
+    ),
+    "k4-p2": (
+        [["gen-base", "--k", "4", "--p", "2", "--seed", "1", "--out", "base.json"]],
+        {
+            "gen-base": (0, EMPTY, "a4b04ed0c462a6a1d0d32edeea76559bfa212175cf142b76827519d36183534c"),
+            "base.json": "00b8e78f4d99856f6c39c3afc876fd591809059c1fcf485026b272ddc33fad90",
+        },
+    ),
+    "k4-p2147483647": (
+        [["gen-base", "--k", "4", "--p", "2147483647", "--seed", "1", "--out", "base.json"]],
+        {
+            "gen-base": (0, EMPTY, "d4b7e0e163405042763a8aa778cf750982da32e717853d4e7b026967ecece59b"),
+            "base.json": "3894d0b49941dfc5a95cb9e4c4fdc8ddd51028834a70e89b5dccb3c5d4024944",
         },
     ),
 }

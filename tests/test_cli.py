@@ -15,7 +15,7 @@ from regenext.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from regenext.gf import FieldSpec
 import regenext.structure as structure
 from regenext.linalg import Subspace
-from regenext.regen import MalformedCodeFileError, check_repair_pair, load_code
+from regenext.regen import MalformedCodeFileError, RepairWitness, check_repair_pair, load_code
 
 
 @pytest.fixture(scope="module")
@@ -447,7 +447,7 @@ def test_end_to_end_at_largest_prime(tmp_path, capsys, k, n):
     "argv,flag",
     [
         (["gen-base", "--k", "1", "--p", "5", "--out", "x.json"], "--k"),
-        (["gen-base", "--k", "2", "--p", "5", "--max-attempts", "0", "--out", "x.json"],
+        (["grow", "--in", "x.json", "--out", "y.json", "--n", "5", "--max-attempts", "0"],
          "--max-attempts"),
         (["bounds", "--k", "-3"], "--k"),
         (["prob-sweep", "--k", "2", "--p", "3", "--trials", "0"], "--trials"),
@@ -462,6 +462,32 @@ def test_bad_flag_value_names_the_flag(tmp_path, monkeypatch, capsys, argv, flag
     assert main(argv) == EXIT_USAGE
     assert f"argument {flag}: " in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()
+
+
+def test_gen_base_has_no_attempt_budget(tmp_path, monkeypatch, capsys):
+    """Base synthesis makes one draw, so gen-base takes no --max-attempts."""
+    monkeypatch.chdir(tmp_path)
+    argv = ["gen-base", "--k", "3", "--p", "5", "--max-attempts", "5", "--out", "x.json"]
+    assert main(argv) == EXIT_USAGE
+    assert "unrecognized arguments: --max-attempts 5" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_base_failure_is_one_line(tmp_path, monkeypatch, capsys):
+    """A base code that fails its checks is a bug: exit 1, one line, no file."""
+    import regenext.extend as extend
+
+    def hollow_witness(cert):
+        dec = cert.decomposition
+        return RepairWitness.of({j: Subspace(dec.spec, dec.ambient_dim) for j in dec.helpers})
+
+    monkeypatch.setattr(extend, "new_node_repair_witness", hollow_witness)
+    out = tmp_path / "x.json"
+    assert main(["gen-base", "--k", "3", "--p", "5", "--out", str(out)]) == EXIT_VERIFICATION
+    err = capsys.readouterr().err
+    assert err.startswith("gen-base failed: base code failed verification, which indicates a bug")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_grow_target_below_k_plus_one_is_a_usage_error(workdir, tmp_path, capsys):

@@ -67,11 +67,6 @@ def test_synthesize_base_code_verified(k, p):
     )
 
 
-def test_synthesize_base_code_budget_validation():
-    with pytest.raises(ValueError):
-        synthesize_base_code(3, GF5, random.Random(1), max_attempts=0)
-
-
 def test_new_node_repair_witness_structure():
     dec = synthesize_decomposition(3, GF5, random.Random("witness-new"))
     candidate, cert = sample_well_aligned(dec, random.Random("witness-new-star"))
@@ -162,10 +157,9 @@ def test_extend_fails_deterministically_on_tiny_field():
     base = synthesize_base_code(3, GF2, random.Random("small-field-base"))
     with pytest.raises(ExtensionError) as info:
         extend_code(base, random.Random("small-field-grow-0"), max_attempts=2)
-    err = info.value
-    assert err.attempts == 2
-    assert err.bound == 0
-    assert "bound is 0 " in str(err)
+    message = str(info.value)
+    assert "in 2 attempts" in message
+    assert "bound is 0 " in message
 
 
 def test_find_alignments_accepts_the_grown_node(outcome_k3_big):
@@ -237,6 +231,22 @@ def test_base_synthesis_checks_every_unit_once(monkeypatch):
     assert set(subsets.values()) == {1} and set(pairs.values()) == {1}
     assert set(subsets) == set(code.recovery_subsets()) and len(subsets) == k + 1
     assert set(pairs) == set(code.repair_pairs()) and len(pairs) == k + 1
+
+
+def test_base_synthesis_catches_a_witness_that_misses_its_node(monkeypatch):
+    """A base code that fails a check is a bug, raised at once, not redrawn."""
+    import regenext.extend as extend
+
+    def short_witness(cert, failed, new_index):
+        real = helper_repair_witness(cert, failed, new_index)
+        spec, dim = cert.decomposition.spec, cert.decomposition.ambient_dim
+        return RepairWitness.of(
+            {j: Subspace(spec, dim, []) if j == new_index else sub for j, sub in real.items()}
+        )
+
+    monkeypatch.setattr(extend, "helper_repair_witness", short_witness)
+    with pytest.raises(SynthesisError, match="indicates a bug: .*do not cover the failed node"):
+        synthesize_base_code(3, GF5, random.Random(1))
 
 
 def test_extend_catches_a_witness_that_misses_its_node(outcome_k3_big, monkeypatch):

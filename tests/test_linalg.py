@@ -145,12 +145,23 @@ def test_subspace_canonical_and_hashable():
 
 
 def test_subspace_zero_and_full():
-    z = Subspace.zero(GF3, 4)
+    z = Subspace(GF3, 4)
     f = Subspace(GF3, 4, identity_rows(4))
     assert z.dim == 0 and f.dim == 4
     assert f.contains_subspace(z)
     assert z.contains((0, 0, 0, 0))
     assert not z.contains((0, 1, 0, 0))
+
+
+def test_zero_dimension_takes_the_general_path():
+    """Counting, drawing and listing 0-dimensional subspaces need no special
+    case: each gives the zero subspace, and the draw uses no randomness."""
+    rng = random.Random("zero-dim")
+    state = rng.getstate()
+    assert random_subspace(4, 0, GF3, rng) == Subspace(GF3, 4)
+    assert rng.getstate() == state
+    assert list(enumerate_subspaces(4, 0, GF3)) == [Subspace(GF3, 4)]
+    assert count_subspaces(4, 0, GF3) == 1
 
 
 def test_subspace_contains():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regenext.alignment import is_well_aligned, sample_well_aligned
-from regenext.extend import SynthesisError, synthesize_base_code, synthesize_decomposition
+from regenext.extend import synthesize_base_code, synthesize_decomposition
 from regenext.gf import FieldSpec
 from regenext.linalg import (
     Matrix,
@@ -22,7 +22,7 @@ from regenext.linalg import (
     rank,
     vec_add,
 )
-from regenext.regen import Code, RepairWitness
+from regenext.regen import Code, RepairWitness, verify_data_recovery, verify_repair_witnesses
 from regenext.structure import DecompositionError, compute_decomposition
 
 from conftest import assert_certificate_consistent, identity_rows
@@ -68,12 +68,14 @@ def test_rref_is_canonical_and_idempotent(case, rng):
 @PROPERTY
 @given(matrices())
 def test_nullspace_is_the_kernel(case):
-    """Every nullspace row c combines the rows to zero, and rank-nullity
-    holds; the draws include more rows than columns and zero rows."""
+    """Every nullspace row c combines the rows to zero, rank-nullity holds,
+    and the rows are the canonical RREF that Subspace would compute; the
+    draws include more rows than columns and zero rows."""
     spec, cols, rows = case
     m = Matrix(spec, rows, cols=cols)
     ker = nullspace(spec, m.entries)
     assert ker.ambient_dim == len(rows)
+    assert ker.basis_rows() == Subspace(spec, len(rows), ker.basis_rows()).basis_rows()
     assert ker.dim == len(rows) - rank(spec.p, m.entries)
     for c in ker.basis_rows():
         assert not any(combine(spec.p, c, m.entries))
@@ -175,6 +177,20 @@ def _one_entry_changed(code, rng):
 
 
 @PROPERTY
+@given(st.sampled_from(PRIMES), st.sampled_from([2, 3, 4]), st.integers(0, 2**32))
+def test_base_synthesis_takes_one_draw(p, k, seed):
+    """The base code is valid by construction: synthesis consumes exactly one
+    random frame and one aligned sample, and every unit of its code verifies."""
+    spec = FieldSpec(p)
+    rng, twin = random.Random(seed), random.Random(seed)
+    code = synthesize_base_code(k, spec, rng)
+    sample_well_aligned(synthesize_decomposition(k, spec, twin), twin)
+    assert rng.getstate() == twin.getstate()
+    assert not verify_data_recovery(code).violations
+    assert not verify_repair_witnesses(code).violations
+
+
+@PROPERTY
 @given(st.sampled_from(PRIMES), st.sampled_from([2, 3]), st.integers(0, 2**32))
 def test_producers_return_only_valid_splits(p, k, seed):
     """A Decomposition checks nothing, so every split that
@@ -188,10 +204,7 @@ def test_producers_return_only_valid_splits(p, k, seed):
         for j in dec.helpers
     }
     assert_split_holds(dec, frame_nodes, rng)
-    try:
-        code = synthesize_base_code(k, spec, rng)
-    except SynthesisError:
-        return
+    code = synthesize_base_code(k, spec, rng)
     for variant in [code] + [_one_entry_changed(code, rng) for _ in range(6)]:
         for x, helpers in variant.repair_pairs():
             try:

@@ -130,13 +130,13 @@ def test_code_rejects_wrong_node_count():
 def test_code_rejects_bad_witness_keys():
     pr = Params(3, 2, GF2)
     nodes = (Subspace(GF2, 3, identity_rows(3)),) * 3
-    w = RepairWitness.of({1: Subspace.zero(GF2, 3), 2: Subspace.zero(GF2, 3)})
+    w = RepairWitness.of({1: Subspace(GF2, 3), 2: Subspace(GF2, 3)})
     with pytest.raises(ValueError, match="own helper"):
         Code(pr, nodes, {(1, (1, 2)): w})
     with pytest.raises(ValueError, match="sorted"):
-        Code(pr, nodes, {(3, (2, 1)): RepairWitness.of({2: Subspace.zero(GF2, 3), 1: Subspace.zero(GF2, 3)})})
+        Code(pr, nodes, {(3, (2, 1)): RepairWitness.of({2: Subspace(GF2, 3), 1: Subspace(GF2, 3)})})
     with pytest.raises(ValueError, match="covers helpers"):
-        Code(pr, nodes, {(3, (1, 2)): RepairWitness.of({1: Subspace.zero(GF2, 3)})})
+        Code(pr, nodes, {(3, (1, 2)): RepairWitness.of({1: Subspace(GF2, 3)})})
 
 
 def test_code_node_indexing(base_k3_p5):
@@ -204,7 +204,7 @@ def test_check_repair_pair_flags_coverage_gap(base_k3_p5):
     x, helpers = next(iter(sorted(code.witnesses)))
     zeroed = dict(code.witnesses)
     zeroed[(x, helpers)] = RepairWitness.of(
-        {j: Subspace.zero(GF5, 8) for j in helpers}
+        {j: Subspace(GF5, 8) for j in helpers}
     )
     msgs = check_repair_pair(Code(code.params, code.nodes, zeroed), x, helpers)
     assert len(msgs) == 1

@@ -61,7 +61,7 @@ def test_compute_decomposition_rejects_thin_witness(base_k3_p5):
     x, helpers = next(iter(sorted(code.witnesses)))
     thin = dict(code.witnesses)
     thin[(x, helpers)] = RepairWitness.of(
-        {j: Subspace.zero(code.params.spec, 8) for j in helpers}
+        {j: Subspace(code.params.spec, 8) for j in helpers}
     )
     broken = Code(code.params, code.nodes, thin)
     with pytest.raises(DecompositionError, match="dimension 0"):
