@@ -146,11 +146,11 @@ def sample_well_aligned(
                 break
         for i, crow in zip(others, coeffs):
             basis[i] = vec_add(p, basis[i], dec.expand_repair(j, crow))
-    trows = Subspace(spec, dec.ambient_dim, dec.complement_vectors.values()).basis_rows()
+    trows = Subspace._span(spec, dec.ambient_dim, dec.complement_vectors.values()).basis_rows()
     for i in dec.helpers:
         tau = combine(p, [rng.randrange(p) for _ in range(k - 1)], trows)
         basis[i] = vec_add(p, basis[i], tau)
-    candidate = Subspace(spec, dec.ambient_dim, basis.values())
+    candidate = Subspace._span(spec, dec.ambient_dim, basis.values())
     return candidate, is_well_aligned(candidate, dec)
 
 

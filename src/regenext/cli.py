@@ -169,11 +169,12 @@ def _cmd_grow(args: argparse.Namespace) -> int:
 
         record("n", "F_dim", "alpha", "beta", "attempts")
         record(pr.n, pr.f_dim, pr.alpha, pr.beta, 0)
+        cache: dict = {}  # a step never changes a cached split, so all steps share it
         while code.params.n < args.n:
             current = code.params.n
             bound = attempts_bound(current, code.params.k, code.params.spec)
             try:
-                outcome = extend_code(code, rng, max_attempts=args.max_attempts)
+                outcome = extend_code(code, rng, max_attempts=args.max_attempts, cache=cache)
             except DecompositionError as exc:
                 # the witnesses check out but a stored repair yields no split
                 return invalid(exc)
@@ -453,13 +454,13 @@ def _cmd_repair_demo(args: argparse.Namespace) -> int:
             f"  2. w({i}) minus received interference leaves the component in "
             f"node {failed}: {_fmt_vec(residue)} [{'verified' if ok else 'MISMATCH'}]"
         )
-    span = Subspace(pr.spec, pr.f_dim, recovered)
+    span = Subspace._span(pr.spec, pr.f_dim, recovered)
     ok_span = span == dec.repair_spaces[failed]
     print(
         f"  3. those components span the repair space of node {failed} "
         f"(dimension {span.dim}) [{'verified' if ok_span else 'MISMATCH'}]"
     )
-    rebuilt = span.sum(Subspace(pr.spec, pr.f_dim, [t_failed]))
+    rebuilt = span.sum(Subspace._span(pr.spec, pr.f_dim, [t_failed]))
     ok_node = rebuilt == code.node(failed)
     print(
         f"  4. repair space plus leftover rebuilds node {failed} exactly "

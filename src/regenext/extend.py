@@ -109,7 +109,7 @@ def synthesize_decomposition(
     helpers = tuple(range(1, k + 1))
     repair = {}
     for idx, j in enumerate(helpers):
-        repair[j] = Subspace(spec, ambient, frame[idx * (k - 1) : (idx + 1) * (k - 1)])
+        repair[j] = Subspace._span(spec, ambient, frame[idx * (k - 1) : (idx + 1) * (k - 1)])
     tail = frame[k * (k - 1) :]
     comp_vectors: dict[int, Vec] = {}
     total = (0,) * ambient
@@ -139,7 +139,7 @@ def new_node_repair_witness(cert: AlignmentCertificate) -> RepairWitness:
             rows.append(
                 vec_add(p, cert.repair_parts[(i, j)], vec_scale(p, cert.complement_coeffs[(i, j)], t))
             )
-        spaces[j] = Subspace(dec.spec, dec.ambient_dim, rows)
+        spaces[j] = Subspace._span(dec.spec, dec.ambient_dim, rows)
     return RepairWitness.of(spaces)
 
 
@@ -160,7 +160,7 @@ def helper_repair_witness(
         raise ValueError(f"{failed} is not a helper of the certificate's decomposition")
     p = dec.spec.p
     spaces = {}
-    spaces[new_index] = Subspace(
+    spaces[new_index] = Subspace._span(
         dec.spec, dec.ambient_dim, [cert.basis[i] for i in dec.helpers if i != failed]
     )
     for j in dec.helpers:
@@ -172,7 +172,7 @@ def helper_repair_witness(
             if i != j and i != failed
         ]
         rows.append(dec.complement_vectors[j])
-        spaces[j] = Subspace(dec.spec, dec.ambient_dim, rows)
+        spaces[j] = Subspace._span(dec.spec, dec.ambient_dim, rows)
     return RepairWitness.of(spaces)
 
 
@@ -221,7 +221,7 @@ def synthesize_base_code(k: int, spec: FieldSpec, rng: random.Random) -> Code:
     """
     dec = synthesize_decomposition(k, spec, rng)
     nodes = tuple(
-        dec.repair_spaces[j].sum(Subspace(spec, dec.ambient_dim, [dec.complement_vectors[j]]))
+        dec.repair_spaces[j].sum(Subspace._span(spec, dec.ambient_dim, [dec.complement_vectors[j]]))
         for j in dec.helpers
     )
     candidate, cert = sample_well_aligned(dec, rng)
@@ -242,8 +242,9 @@ def find_alignments(
 
     Scans failed nodes x outside each subset in ascending order and keeps the
     first certificate; returns None as soon as one subset has no aligned pair.
-    cache maps (helpers, x) to previously computed decompositions and is
-    shared across draws.
+    cache maps (helpers, x) to splits and is shared across draws and steps.
+    Its splits must come from this code or from a code it was grown from by
+    extend_code, which never changes an old node or witness.
     """
     if cache is None:
         cache = {}
@@ -282,6 +283,7 @@ def extend_code(
     code: Code,
     rng: random.Random,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+    cache: dict | None = None,
 ) -> ExtensionOutcome:
     """Grow the code by one node via rejection sampling.
 
@@ -290,12 +292,14 @@ def extend_code(
     k-subset of old nodes has an aligned repair pair; acceptance builds the
     full witness set for the new node in both directions and checks the
     recovery subsets and repair pairs that contain the new node.  Raises
-    ExtensionError when those checks fail or the budget runs out.
+    ExtensionError when those checks fail or the budget runs out.  Pass one
+    cache to every step of a growth chain; find_alignments has its contract.
     """
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be positive, got {max_attempts}")
     pr = code.params
-    cache: dict = {}
+    if cache is None:
+        cache = {}
     for attempt in range(1, max_attempts + 1):
         candidate = random_subspace(pr.f_dim, pr.k, pr.spec, rng)
         log = find_alignments(code, candidate, cache)

@@ -7,11 +7,13 @@ and hash equal, which makes censuses and witness comparisons structural.
 
 Gaussian elimination lives in one place, the private _Echelon.  rank,
 inverse and nullspace take residue rows and return them; they, Subspace
-construction, membership, sums and complements, and the repair oracle in
-regen all eliminate through it.  Integers from outside enter through a
+construction, membership, sums and complements, and regen's coverage
+check and repair oracle all eliminate through it.  Integers from outside enter through a
 checked door that reduces them mod p once: a Matrix (which also checks the
-row widths), the Subspace constructor or Subspace.contains.  The echelon
-and everything built from its rows keep residues as they are.
+row widths), the Subspace constructor or Subspace.contains.  Inside the
+package only load_code uses that door; every other span of residue rows is
+built by the trusted Subspace._span.  The echelon and everything built from
+its rows keep residues as they are.
 """
 
 from __future__ import annotations

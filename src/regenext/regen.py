@@ -242,7 +242,7 @@ def check_repair_pair(code: Code, x: int, helpers: tuple[int, ...]) -> list[str]
     except MissingWitnessError as exc:
         return [str(exc)]
     msgs = []
-    all_rows: list = []
+    sent = _Echelon(pr.spec.p)
     for j in helpers:
         sub = witness.space(j)
         if sub.dim > pr.beta:
@@ -253,9 +253,9 @@ def check_repair_pair(code: Code, x: int, helpers: tuple[int, ...]) -> list[str]
             msgs.append(
                 f"repair of {x} by {helpers}: helper {j} sends vectors outside its node"
             )
-        all_rows.extend(sub.basis_rows())
-    sent = Subspace(pr.spec, pr.f_dim, all_rows)
-    if not sent.contains_subspace(code.node(x)):
+        for row in sub.basis_rows():
+            sent.push(row)
+    if any(any(sent.reduce(row)) for row in code.node(x).basis_rows()):
         msgs.append(
             f"repair of {x} by {helpers}: sent subspaces do not cover the failed node"
         )

@@ -4,6 +4,7 @@ import csv
 import errno
 import io
 import json
+import math
 import os
 import random
 import re
@@ -643,10 +644,32 @@ def test_verify_runs_the_oracle_only_where_witnesses_pass(tmp_path, monkeypatch,
     assert calls == passing
 
 
+def test_grow_derives_each_split_once(tmp_path, monkeypatch):
+    """grow keeps one decomposition cache for all its steps.  At p=65521 the
+    first x aligns for every helper subset, so 4 -> 9 derives C(8, 3) = 56
+    splits, one per helper subset of the largest code it extends; a cache per
+    step would derive C(4, 3) + ... + C(8, 3) = 125."""
+    import regenext.extend as extend
+
+    calls = []
+    original = extend.compute_decomposition
+
+    def counting(code, helpers, x):
+        calls.append((tuple(helpers), x))
+        return original(code, helpers, x)
+
+    monkeypatch.setattr(extend, "compute_decomposition", counting)
+    base, grown = str(tmp_path / "base.json"), str(tmp_path / "grown.json")
+    assert main(["gen-base", "--k", "3", "--p", "65521", "--seed", "1", "--out", base]) == EXIT_OK
+    assert main(["grow", "--in", base, "--out", grown, "--n", "9", "--seed", "1"]) == EXIT_OK
+    assert len(calls) == len(set(calls)) == math.comb(8, 3)
+
+
 def test_verify_tests_each_send_for_containment_once(workdir, monkeypatch, capsys):
     """Per pair, the witness check tests each of the k sends against its node
-    and the failed node against their sum; the split then learns from
-    dimensions alone that each send lies in its node."""
+    and reduces the failed node against the sent rows in one echelon, with no
+    Subspace of their sum; the split then learns from dimensions alone that
+    each send lies in its node."""
     calls = []
     original = Subspace.contains_subspace
 
@@ -657,4 +680,5 @@ def test_verify_tests_each_send_for_containment_once(workdir, monkeypatch, capsy
     monkeypatch.setattr(Subspace, "contains_subspace", counting)
     assert main(["verify", "--in", str(workdir / "grown.json")]) == EXIT_OK
     assert "repair witnesses: checked=60 violations=0" in capsys.readouterr().out
-    assert len(calls) == (3 + 1) * 60
+    assert len(calls) == 3 * 60
+    assert all(other.dim == 2 for other in calls)

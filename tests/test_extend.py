@@ -20,8 +20,8 @@ from regenext.extend import (
 )
 from regenext.gf import FieldSpec
 from regenext.linalg import Subspace
-from regenext.regen import RepairWitness, verify_data_recovery, verify_repair_witnesses
-from regenext.structure import verify_structure
+from regenext.regen import RepairWitness, save_code, verify_data_recovery, verify_repair_witnesses
+from regenext.structure import compute_decomposition, verify_structure
 
 GF2 = FieldSpec(2)
 GF5 = FieldSpec(5)
@@ -173,6 +173,34 @@ def test_find_alignments_accepts_the_grown_node(outcome_k3_big):
     again = find_alignments(base, outcome.code.nodes[-1], cache)
     assert again is not None
     assert cache == before
+
+
+@pytest.mark.parametrize("p,target", [(65521, 8), (3, 6)])
+def test_shared_cache_holds_splits_of_the_grown_code(p, target, tmp_path):
+    """One cache passed to every step of a growth chain: each cached split is
+    still the one compute_decomposition derives from the final code, and the
+    grown bytes are those of a chain with a fresh cache at every step.  At
+    p=3 most draws are rejected and the x-scan goes past the first x; k=3 at
+    p=3 rarely reaches n=7 within thousands of draws, so that chain stops at 6."""
+    base = synthesize_base_code(3, FieldSpec(p), random.Random("cache-base"))
+
+    def grow(cache):
+        code, rng = base, random.Random("cache-grow")
+        while code.params.n < target:
+            code = extend_code(code, rng, max_attempts=5000, cache=cache).code
+        return code
+
+    cache = {}
+    final = grow(cache)
+    save_code(final, str(tmp_path / "shared"))
+    save_code(grow(None), str(tmp_path / "fresh"))
+    assert (tmp_path / "shared").read_bytes() == (tmp_path / "fresh").read_bytes()
+    assert {max(helpers + (x,)) for helpers, x in cache} == set(range(base.params.n, target))
+    for (helpers, x), dec in cache.items():
+        derived = compute_decomposition(final, helpers, x)
+        assert (dec.helpers, dec.failed_node) == (helpers, x)
+        assert dec.repair_spaces == derived.repair_spaces
+        assert dec.complement_vectors == derived.complement_vectors
 
 
 def test_attempts_bound_values():

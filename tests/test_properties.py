@@ -22,7 +22,9 @@ from regenext.linalg import (
     rank,
     vec_add,
 )
-from regenext.regen import Code, RepairWitness, verify_data_recovery, verify_repair_witnesses
+from regenext.regen import (
+    Code, RepairWitness, check_repair_pair, verify_data_recovery, verify_repair_witnesses
+)
 from regenext.structure import DecompositionError, compute_decomposition
 
 from conftest import assert_certificate_consistent, identity_rows
@@ -212,3 +214,38 @@ def test_producers_return_only_valid_splits(p, k, seed):
             except DecompositionError:
                 continue
             assert_split_holds(dec, {j: variant.node(j) for j in helpers}, rng)
+
+
+@PROPERTY
+@given(st.sampled_from([2, 3, 65521, 2**31 - 1]), st.sampled_from([2, 3]), st.integers(0, 2**32))
+def test_coverage_verdict_is_containment_in_the_sent_span(p, k, seed):
+    """check_repair_pair reduces the failed node against the sent rows in one
+    echelon; its verdict must be that of the span's contains_subspace, on
+    stored sends and on sends cut short, with a row redrawn or replaced by
+    the whole helper node, which leave gaps or close them."""
+    rng = random.Random(seed)
+    spec = FieldSpec(p)
+    code = synthesize_base_code(k, spec, rng)
+    ambient = code.params.f_dim
+    witnesses = {}
+    for key, witness in code.witnesses.items():
+        spaces = {}
+        for j, sub in witness.items():
+            rows = list(sub.basis_rows())
+            change = rng.randrange(5)
+            if change == 1:
+                rows = rows[: rng.randrange(len(rows))]
+            elif change == 2:
+                rows[rng.randrange(len(rows))] = tuple(rng.randrange(p) for _ in range(ambient))
+            elif change == 3:
+                rows = code.node(j).basis_rows()
+            spaces[j] = Subspace(spec, ambient, rows)
+        witnesses[key] = RepairWitness.of(spaces)
+    variant = Code(code.params, code.nodes, witnesses)
+    for x, helpers in variant.repair_pairs():
+        sent = [row for _, sub in variant.witness(x, helpers).items() for row in sub.basis_rows()]
+        covered = Subspace(spec, ambient, sent).contains_subspace(variant.node(x))
+        gap = [m for m in check_repair_pair(variant, x, helpers) if "do not cover" in m]
+        assert gap == ([] if covered else [
+            f"repair of {x} by {helpers}: sent subspaces do not cover the failed node"
+        ])
