@@ -41,6 +41,7 @@ from .regen import (
     CodeFileError,
     MissingWitnessError,
     brute_force_repairable,
+    check_recovery_subset,
     check_repair_pair,
     corner_point,
     cutset_bound,
@@ -173,11 +174,9 @@ def _cmd_grow(args: argparse.Namespace) -> int:
         while code.params.n < args.n:
             current = code.params.n
             bound = attempts_bound(current, code.params.k, code.params.spec)
+            # every unit is checked, so by the lemma in regenext.structure every split exists
             try:
                 outcome = extend_code(code, rng, max_attempts=args.max_attempts, cache=cache)
-            except DecompositionError as exc:
-                # the witnesses check out but a stored repair yields no split
-                return invalid(exc)
             except ExtensionError as exc:
                 partial = args.out + ".partial"
                 save_code(code, partial)
@@ -211,9 +210,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     _print_section("node dimensions", pr.n, node_violations)
     failed = failed or bool(node_violations)
 
-    recovery = verify_data_recovery(code)
-    _print_section("data recovery", recovery.checked, list(recovery.violations))
-    failed = failed or bool(recovery.violations)
+    subsets = list(code.recovery_subsets())
+    recovery = {s: msg for s in subsets if (msg := check_recovery_subset(code, s))}
+    _print_section("data recovery", len(subsets), list(recovery.values()))
+    failed = failed or bool(recovery)
+    spanning = set(subsets).difference(recovery)
 
     # load_code keeps every node to at most alpha rows, so each helper offers
     # at most per_node sends and no pair's search exceeds combos: a pair can
@@ -227,7 +228,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         msgs = check_repair_pair(code, x, helpers)
         witness_violations.extend(msgs)
         try:
-            structure_violations.extend(verify_structure(code, helpers, x).violations)
+            report = verify_structure(code, helpers, x, established=(not msgs, spanning))
+            structure_violations.extend(report.violations)
         except (DecompositionError, MissingWitnessError) as exc:
             structure_violations.append(f"pair ({x}, {helpers}): {exc}")
         # the oracle backs up witnesses that pass; a failed pair is flagged already

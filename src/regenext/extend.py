@@ -193,15 +193,17 @@ def _add_node(
     its first few verification problems (none when it verifies).
     """
     star = len(nodes) + 1
-    witnesses = dict(witnesses)
+    added = {}
     for helpers, cert in log.items():
-        witnesses[(star, helpers)] = new_node_repair_witness(cert)
+        added[(star, helpers)] = new_node_repair_witness(cert)
         for failed in helpers:
             key = tuple(sorted([j for j in helpers if j != failed] + [star]))
-            witnesses[(failed, key)] = helper_repair_witness(cert, failed, star)
+            added[(failed, key)] = helper_repair_witness(cert, failed, star)
     # a node has dimension k, so the candidate fixes k
     params = Params(star, candidate.dim, candidate.spec)
-    grown = Code(params, nodes + (candidate,), witnesses)
+    # Code checks the added witnesses; the old ones passed when their code was built
+    grown = Code(params, nodes + (candidate,), added)
+    grown.witnesses.update(witnesses)
     subsets, pairs = grown.recovery_subsets(), grown.repair_pairs()
     if verified:
         subsets = (s for s in subsets if star in s)

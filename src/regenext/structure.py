@@ -26,6 +26,19 @@ in W_j outside S_j and the leftover in span(S_j, t_j).  The basis spans
 each S_j, each t_j (t_k being minus the sum of the others) and so each
 leftover, hence F; having k^2-1 vectors, it is a basis.  So the sum is
 direct, dim T = k-1, and by the zero sum any k-1 of the t_j span T.
+
+Lemma: if the witness of (x, A) passes check_repair_pair, every node of A
+has dimension at most k, and the k recovery subsets (A - {m}) + {x}, m in
+A, span F, then compute_decomposition succeeds.  Proof: W_x lies in the
+sum of the S_j, so recovery of (A - {m}) + {x} gives F = sum over j != m of
+W_j, plus S_m.  By the premises that sum has dimension at most k(k-1) +
+(k-1) = k^2-1, so dim S_m = k-1, each W_j, j != m, has dimension k (k >= 2,
+so every node of A does), and the sum is direct.  S_m lies in W_m, leaving a line, and
+the k^2 stacked vectors span the sum of the W_j, which holds F: rank k^2-1,
+one dependency.  Each helper's k vectors are a basis of its node, so were
+the dependency's leftover coefficient for m zero, it would be a nonzero
+relation among the W_j, j != m, and S_m, which the direct sum forbids.
+The recovery of A itself follows, so the lemma does not ask for it.
 """
 
 from __future__ import annotations
@@ -180,17 +193,26 @@ def compute_decomposition(code: Code, helpers, x: int) -> Decomposition:
     return Decomposition(pr.spec, helpers, x, repair, comp_vectors)
 
 
-def verify_structure(code: Code, helpers, x: int) -> CheckReport:
-    """Check the split for one repair pair by deriving it.
+def verify_structure(code: Code, helpers, x: int, *, established=None) -> CheckReport:
+    """Check the split for one repair pair, deriving it unless the lemma settles it.
 
-    A derivation that succeeds leaves nothing to flag.  compute_decomposition
-    has checked that each helper sends exactly k-1 dimensions inside a node
-    of dimension k, that the k^2 stacked vectors have a one-dimensional
-    dependency space, and that the dependency touches every leftover.  As
-    the module docstring shows, that alone gives t_j in W_j but not in S_j,
-    W_j = S_j + span(t_j), the zero sum, dim T = k-1 and the direct sum,
-    which also keeps every node out of S_1 + ... + S_k.  The report counts
-    the pair and holds no violations; errors from the derivation propagate.
+    established, when given, is what the other checks found: (whether the
+    pair's witness passed check_repair_pair, the set of recovery subsets
+    that span F).  Where it meets the premises of the module docstring's
+    lemma, the split exists.  Elsewhere, and always without it,
+    compute_decomposition derives the split, and by the module docstring a
+    derivation that succeeds leaves nothing to flag.  The report counts the
+    pair and holds no violations; errors from the derivation propagate.
     """
-    compute_decomposition(code, helpers, x)
+    if established is None or not _lemma_applies(code, helpers, x, *established):
+        compute_decomposition(code, helpers, x)
     return CheckReport(1, ())
+
+
+def _lemma_applies(code: Code, helpers, x: int, witness_passed: bool, spanning) -> bool:
+    """Whether the premises of the module docstring's lemma hold for (x, helpers)."""
+    return (
+        witness_passed
+        and all(code.node(j).dim <= code.params.alpha for j in helpers)
+        and all(tuple(sorted({x, *helpers} - {m})) in spanning for m in helpers)
+    )

@@ -20,7 +20,9 @@ from regenext.extend import (
 )
 from regenext.gf import FieldSpec
 from regenext.linalg import Subspace
-from regenext.regen import RepairWitness, save_code, verify_data_recovery, verify_repair_witnesses
+from regenext.regen import (
+    Code, RepairWitness, save_code, verify_data_recovery, verify_repair_witnesses
+)
 from regenext.structure import compute_decomposition, verify_structure
 
 GF2 = FieldSpec(2)
@@ -115,6 +117,28 @@ def test_extend_grows_and_verifies(outcome_k3_big):
     assert not verify_data_recovery(grown).violations
     assert not verify_repair_witnesses(grown).violations
     assert all(not verify_structure(grown, a, x).violations for x, a in grown.repair_pairs())
+
+
+def test_extend_checks_only_the_witnesses_it_adds(monkeypatch):
+    """A growth step hands Code(...) only the witnesses it adds, C(4, 3) * (1 + 3)
+    from 4 to 5 nodes; the old ones passed when the input was built.  The
+    grown code is the one the public constructor accepts in full, and the
+    input keeps its own table."""
+    base = synthesize_base_code(3, BIG, random.Random("ext-test-base"))
+    before = dict(base.witnesses)
+    seen = []
+    original = Code.__post_init__
+
+    def counting(self):
+        seen.append(len(self.witnesses))
+        original(self)
+
+    monkeypatch.setattr(Code, "__post_init__", counting)
+    grown = extend_code(base, random.Random("ext-test-draw")).code
+    assert seen == [16]
+    assert grown == Code(grown.params, grown.nodes, dict(grown.witnesses))
+    assert base.witnesses == before
+    assert len(grown.witnesses) == 16 + len(before)
 
 
 def test_extend_alignment_log_covers_every_subset(outcome_k3_big):

@@ -23,9 +23,14 @@ from regenext.linalg import (
     vec_add,
 )
 from regenext.regen import (
-    Code, RepairWitness, check_repair_pair, verify_data_recovery, verify_repair_witnesses
+    Code,
+    RepairWitness,
+    check_recovery_subset,
+    check_repair_pair,
+    verify_data_recovery,
+    verify_repair_witnesses,
 )
-from regenext.structure import DecompositionError, compute_decomposition
+from regenext.structure import DecompositionError, _lemma_applies, compute_decomposition
 
 from conftest import assert_certificate_consistent, identity_rows
 
@@ -214,6 +219,39 @@ def test_producers_return_only_valid_splits(p, k, seed):
             except DecompositionError:
                 continue
             assert_split_holds(dec, {j: variant.node(j) for j in helpers}, rng)
+
+
+def _one_node_enlarged(code, rng):
+    """A copy of the code with one node grown by a random vector past k
+    dimensions, which load_code never returns but Code(...) accepts."""
+    spec, ambient = code.params.spec, code.params.f_dim
+    nodes = list(code.nodes)
+    i = rng.randrange(len(nodes))
+    extra = tuple(rng.randrange(spec.p) for _ in range(ambient))
+    nodes[i] = Subspace(spec, ambient, [*nodes[i].basis_rows(), extra])
+    return Code(code.params, tuple(nodes), code.witnesses)
+
+
+@PROPERTY
+@given(st.sampled_from(PRIMES), st.sampled_from([2, 3]), st.integers(0, 2**32))
+def test_lemma_premises_give_a_split(p, k, seed):
+    """Where the lemma of regenext.structure applies to what the witness and
+    recovery checks found, compute_decomposition succeeds: on the valid code,
+    on codes with one node or witness entry redrawn, and on codes with one
+    node enlarged past k dimensions."""
+    rng = random.Random(seed)
+    code = synthesize_base_code(k, FieldSpec(p), rng)
+    variants = [code] + [_one_entry_changed(code, rng) for _ in range(6)]
+    variants.append(_one_node_enlarged(code, rng))
+    applied = 0
+    for variant in variants:
+        spanning = {s for s in variant.recovery_subsets() if not check_recovery_subset(variant, s)}
+        for x, helpers in variant.repair_pairs():
+            passed = not check_repair_pair(variant, x, helpers)
+            if _lemma_applies(variant, helpers, x, passed, spanning):
+                applied += 1
+                compute_decomposition(variant, helpers, x)
+    assert applied >= k + 1  # every pair of the valid code
 
 
 @PROPERTY

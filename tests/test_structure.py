@@ -4,15 +4,18 @@ import random
 
 import pytest
 
+import regenext.structure as structure
 from regenext.gf import FieldSpec
 from regenext.linalg import Subspace, vec_add, vec_scale
-from regenext.regen import Code, Params, RepairWitness
+from regenext.regen import Code, Params, RepairWitness, check_repair_pair
 from regenext.structure import (
     Decomposition,
     DecompositionError,
     compute_decomposition,
     verify_structure,
 )
+
+from conftest import identity_rows
 
 GF3 = FieldSpec(3)
 
@@ -174,3 +177,31 @@ def test_verify_structure_all_extended(extended_k3_big):
     assert len(pairs) == 5 * 4
     for x, helpers in pairs:
         assert not verify_structure(extended_k3_big, helpers, x).violations
+
+
+def test_verify_structure_derives_where_the_lemma_does_not_apply(base_k3_p5, monkeypatch):
+    """Told that every witness passed and every recovery subset spans,
+    verify_structure derives no split on a valid code.  A hand-built Code may
+    hold a helper node of dimension k+1 that keeps all of that true; the
+    lemma then does not apply, and the derivation finds the split broken."""
+    code = base_k3_p5
+    spanning = set(code.recovery_subsets())
+    calls = []
+    original = structure.compute_decomposition
+
+    def counting(code, helpers, x):
+        calls.append((x, helpers))
+        return original(code, helpers, x)
+
+    monkeypatch.setattr(structure, "compute_decomposition", counting)
+    for x, helpers in code.repair_pairs():
+        assert verify_structure(code, helpers, x, established=(True, spanning)).violations == ()
+    assert calls == []
+    rows = code.node(1).basis_rows()
+    enlarged = (Subspace(code.params.spec, 8, [*rows, extra]) for extra in identity_rows(8))
+    node = next(sub for sub in enlarged if sub.dim == 4)
+    big = Code(code.params, (node,) + code.nodes[1:], code.witnesses)
+    assert not check_repair_pair(big, 4, (1, 2, 3))
+    with pytest.raises(DecompositionError, match="leftover has dimension 2"):
+        verify_structure(big, (1, 2, 3), 4, established=(True, spanning))
+    assert calls == [(4, (1, 2, 3))]
