@@ -13,7 +13,6 @@ brute-force repairability oracle.
 from .gf import FieldSpec, NotPrimeError
 from .linalg import CapExceededError, Matrix, Subspace
 from .regen import (
-    CheckReport,
     Code,
     CodeDimensionError,
     CodeFileError,
@@ -66,7 +65,6 @@ __all__ = [
     "Params",
     "Code",
     "RepairWitness",
-    "CheckReport",
     "CodeFileError",
     "MalformedCodeFileError",
     "CodeVersionError",

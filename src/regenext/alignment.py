@@ -56,15 +56,14 @@ class AlignmentCertificate:
 
     basis maps each helper index i to the basis vector w(i) whose component
     in S_i vanishes.  repair_parts maps (i, j) to sigma(i, j), the component
-    of w(i) in S_j; complement_parts maps i to tau(i); complement_coeffs maps
-    (i, j) to the coefficient of t_j when tau(i) is written over the
-    complement vectors other than t_i.
+    of w(i) in S_j.  complement_coeffs maps (i, j) to theta(i, j), the
+    coefficient of t_j when tau(i), w(i) minus its sigma(i, j), is written
+    over the complement vectors other than t_i.
     """
 
     decomposition: Decomposition
     basis: dict[int, Vec]
     repair_parts: dict[tuple[int, int], Vec]
-    complement_parts: dict[int, Vec]
     complement_coeffs: dict[tuple[int, int], int]
 
 
@@ -101,16 +100,13 @@ def is_well_aligned(
         return None
     basis: dict[int, Vec] = {}
     repair_parts: dict[tuple[int, int], Vec] = {}
-    complement_parts: dict[int, Vec] = {}
     complement_coeffs: dict[tuple[int, int], int] = {}
     for i in dec.helpers:
         basis[i] = combine(p, kernel_gens[i], rows)
         w_coords = combine(p, kernel_gens[i], coords)
         for j in dec.helpers:
             repair_parts[(i, j)] = dec.expand_repair(j, dec.repair_block(w_coords, j))
-        c = dec.complement_block(w_coords)
-        complement_parts[i] = dec.expand_complement(c)
-        c_of = dict(zip(dec.helpers, c + (0,)))
+        c_of = dict(zip(dec.helpers, dec.complement_block(w_coords) + (0,)))
         for j in dec.helpers:
             if j != i:
                 complement_coeffs[(i, j)] = (c_of[j] - c_of[i]) % p
@@ -118,7 +114,6 @@ def is_well_aligned(
         decomposition=dec,
         basis=basis,
         repair_parts=repair_parts,
-        complement_parts=complement_parts,
         complement_coeffs=complement_coeffs,
     )
 

@@ -41,7 +41,6 @@ from .regen import (
     CodeFileError,
     MissingWitnessError,
     brute_force_repairable,
-    check_recovery_subset,
     check_repair_pair,
     corner_point,
     cutset_bound,
@@ -154,7 +153,7 @@ def _cmd_grow(args: argparse.Namespace) -> int:
         return EXIT_VERIFICATION
 
     # the one check of the input: each step then checks only its new node
-    problems = verify_data_recovery(code).violations + verify_repair_witnesses(code).violations
+    problems = [*verify_data_recovery(code).values(), *verify_repair_witnesses(code)]
     if problems:
         return invalid(problems[0])
     rng = random.Random(f"grow:{args.seed}")
@@ -211,7 +210,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     failed = failed or bool(node_violations)
 
     subsets = list(code.recovery_subsets())
-    recovery = {s: msg for s in subsets if (msg := check_recovery_subset(code, s))}
+    recovery = verify_data_recovery(code, subsets)
     _print_section("data recovery", len(subsets), list(recovery.values()))
     failed = failed or bool(recovery)
     spanning = set(subsets).difference(recovery)
@@ -228,8 +227,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         msgs = check_repair_pair(code, x, helpers)
         witness_violations.extend(msgs)
         try:
-            report = verify_structure(code, helpers, x, established=(not msgs, spanning))
-            structure_violations.extend(report.violations)
+            verify_structure(code, helpers, x, established=(not msgs, spanning))
         except (DecompositionError, MissingWitnessError) as exc:
             structure_violations.append(f"pair ({x}, {helpers}): {exc}")
         # the oracle backs up witnesses that pass; a failed pair is flagged already
@@ -447,7 +445,11 @@ def _cmd_repair_demo(args: argparse.Namespace) -> int:
         residue = cert.basis[i]
         for j in others:
             residue = vec_sub(p, residue, cert.repair_parts[(i, j)])
-        residue = vec_sub(p, residue, cert.complement_parts[i])
+        # tau(i) is the sum of theta(i, j) t_j over j != i, t_failed taken from step 1
+        for j in helpers:
+            if j != i:
+                t_j = t_failed if j == failed else dec.complement_vectors[j]
+                residue = vec_sub(p, residue, vec_scale(p, cert.complement_coeffs[(i, j)], t_j))
         expected = cert.repair_parts[(i, failed)]
         ok = residue == expected
         all_ok = all_ok and ok

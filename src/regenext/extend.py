@@ -182,7 +182,7 @@ def _add_node(
     candidate: Subspace,
     log: dict[tuple[int, ...], AlignmentCertificate],
     verified: bool,
-) -> tuple[Code, tuple[str, ...]]:
+) -> tuple[Code, list[str]]:
     """Append the candidate as node n+1 and verify what that changed.
 
     For every helper subset in the log, the subset's certificate yields the
@@ -208,8 +208,8 @@ def _add_node(
     if verified:
         subsets = (s for s in subsets if star in s)
         pairs = ((x, a) for x, a in pairs if star == x or star in a)
-    recovery = verify_data_recovery(grown, subsets).violations
-    return grown, (recovery + verify_repair_witnesses(grown, pairs).violations)[:3]
+    recovery = verify_data_recovery(grown, subsets)
+    return grown, [*recovery.values(), *verify_repair_witnesses(grown, pairs)][:3]
 
 
 def synthesize_base_code(k: int, spec: FieldSpec, rng: random.Random) -> Code:

@@ -67,7 +67,3 @@ class FieldSpec:
             raise ValueError(f"field modulus must lie in [2, 2**31), got {self.p}")
         if not is_prime(self.p):
             raise NotPrimeError(f"{self.p} is not prime")
-
-    def inv_value(self, value: int) -> int:
-        """Inverse of a raw residue, staying in plain ints."""
-        return inv_mod(value, self.p)

@@ -205,14 +205,6 @@ class Code:
                 yield x, helpers
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    """Outcome of one verification pass: units checked and violations found."""
-
-    checked: int
-    violations: tuple[str, ...]
-
-
 def check_recovery_subset(code: Code, subset: tuple[int, ...]) -> str | None:
     """None if the subset's nodes span the file space, else a violation line."""
     joint = rank(code.params.spec.p, (row for j in subset for row in code.node(j).basis_rows()))
@@ -221,17 +213,14 @@ def check_recovery_subset(code: Code, subset: tuple[int, ...]) -> str | None:
     return None
 
 
-def verify_data_recovery(code: Code, subsets: Iterable | None = None) -> CheckReport:
-    """Check that the given k-subsets of nodes (all of them by default) span
-    the full file space."""
-    violations = []
-    checked = 0
-    for subset in code.recovery_subsets() if subsets is None else subsets:
-        checked += 1
-        msg = check_recovery_subset(code, subset)
-        if msg:
-            violations.append(msg)
-    return CheckReport(checked, tuple(violations))
+def verify_data_recovery(code: Code, subsets: Iterable | None = None) -> dict[tuple, str]:
+    """Violation lines of the given k-subsets of nodes (all of them by
+    default) that do not span the file space, keyed by subset."""
+    return {
+        subset: msg
+        for subset in (code.recovery_subsets() if subsets is None else subsets)
+        if (msg := check_recovery_subset(code, subset))
+    }
 
 
 def check_repair_pair(code: Code, x: int, helpers: tuple[int, ...]) -> list[str]:
@@ -262,15 +251,14 @@ def check_repair_pair(code: Code, x: int, helpers: tuple[int, ...]) -> list[str]
     return msgs
 
 
-def verify_repair_witnesses(code: Code, pairs: Iterable | None = None) -> CheckReport:
-    """Check the stored witness of the given (failed node, helper set) pairs,
-    all of them by default."""
-    violations = []
-    checked = 0
-    for x, helpers in code.repair_pairs() if pairs is None else pairs:
-        checked += 1
-        violations.extend(check_repair_pair(code, x, helpers))
-    return CheckReport(checked, tuple(violations))
+def verify_repair_witnesses(code: Code, pairs: Iterable | None = None) -> list[str]:
+    """Violation lines of the stored witnesses of the given (failed node,
+    helper set) pairs, all of them by default."""
+    return [
+        msg
+        for x, helpers in (code.repair_pairs() if pairs is None else pairs)
+        for msg in check_repair_pair(code, x, helpers)
+    ]
 
 
 def brute_force_repairable(
@@ -389,15 +377,23 @@ def _expect(condition: bool, message: str) -> None:
         raise MalformedCodeFileError(message)
 
 
-def _int_matrix(raw: object, what: str) -> list[list[int]]:
+def _subspace(raw: object, what: str, params: Params, bound: str, most: int) -> Subspace:
+    """The span of raw, checked to be at most `most` integer rows of length F."""
     _expect(isinstance(raw, list), f"{what} must be a list of rows")
-    rows = []
     for row in raw:
         _expect(isinstance(row, list), f"{what} rows must be lists")
         for x in row:
-            _expect(isinstance(x, int) and not isinstance(x, bool), f"{what} entries must be integers")
-        rows.append(list(row))
-    return rows
+            _expect(type(x) is int, f"{what} entries must be integers")
+    for row in raw:
+        if len(row) != params.f_dim:
+            raise CodeDimensionError(
+                f"{what} row length {len(row)} != file dimension {params.f_dim}"
+            )
+    if len(raw) > most:
+        raise CodeDimensionError(
+            f"{what} stores {len(raw)} basis rows, more than {bound} = {most}"
+        )
+    return Subspace(params.spec, params.f_dim, raw)
 
 
 def load_code(path: str) -> Code:
@@ -416,13 +412,11 @@ def load_code(path: str) -> Code:
     _expect(isinstance(obj, dict), "top level must be an object")
     for key in ("version", "p", "k", "n", "alpha", "beta", "F", "nodes", "witnesses"):
         _expect(key in obj, f"missing required key {key!r}")
-    if obj["version"] != 1:
+    # JSON ints are exactly type int: true and 1.0 compare equal to 1 but are not
+    if type(obj["version"]) is not int or obj["version"] != 1:
         raise CodeVersionError(f"unsupported format version {obj['version']!r}")
     for key in ("p", "k", "n", "alpha", "beta", "F"):
-        _expect(
-            isinstance(obj[key], int) and not isinstance(obj[key], bool),
-            f"{key} must be an integer",
-        )
+        _expect(type(obj[key]) is int, f"{key} must be an integer")
     try:
         spec = FieldSpec(obj["p"])
     except NotPrimeError:
@@ -443,19 +437,10 @@ def load_code(path: str) -> Code:
     _expect(isinstance(raw_nodes, list), "nodes must be a list")
     if len(raw_nodes) != params.n:
         raise CodeDimensionError(f"expected {params.n} nodes, file has {len(raw_nodes)}")
-    nodes = []
-    for idx, raw in enumerate(raw_nodes, start=1):
-        rows = _int_matrix(raw, f"node {idx}")
-        for row in rows:
-            if len(row) != params.f_dim:
-                raise CodeDimensionError(
-                    f"node {idx} row length {len(row)} != file dimension {params.f_dim}"
-                )
-        if len(rows) > params.alpha:
-            raise CodeDimensionError(
-                f"node {idx} stores {len(rows)} basis rows, more than alpha = {params.alpha}"
-            )
-        nodes.append(Subspace(spec, params.f_dim, rows))
+    nodes = tuple(
+        _subspace(raw, f"node {idx}", params, "alpha", params.alpha)
+        for idx, raw in enumerate(raw_nodes, start=1)
+    )
     raw_witnesses = obj["witnesses"]
     _expect(isinstance(raw_witnesses, list), "witnesses must be a list")
     witnesses: dict[tuple[int, tuple[int, ...]], RepairWitness] = {}
@@ -464,36 +449,26 @@ def load_code(path: str) -> Code:
         for key in ("x", "A", "R"):
             _expect(key in raw, f"witness missing key {key!r}")
         x = raw["x"]
-        _expect(isinstance(x, int) and not isinstance(x, bool), "witness x must be an integer")
+        _expect(type(x) is int, "witness x must be an integer")
         _expect(isinstance(raw["A"], list), "witness A must be a list")
         helpers = tuple(raw["A"])
-        for j in helpers:
-            _expect(isinstance(j, int) and not isinstance(j, bool), "witness helpers must be integers")
+        _expect(all(type(j) is int for j in helpers), "witness helpers must be integers")
         _expect(isinstance(raw["R"], dict), "witness R must be an object")
         if set(raw["R"]) != {str(j) for j in helpers}:
             raise MalformedCodeFileError(
                 f"witness for ({x}, {helpers}) must list exactly its helpers"
             )
-        spaces = {}
-        for j in helpers:
-            rows = _int_matrix(raw["R"][str(j)], f"witness ({x}, {helpers}) helper {j}")
-            for row in rows:
-                if len(row) != params.f_dim:
-                    raise CodeDimensionError(
-                        f"witness ({x}, {helpers}) helper {j} row length {len(row)} "
-                        f"!= file dimension {params.f_dim}"
-                    )
-            if len(rows) > params.beta:
-                raise CodeDimensionError(
-                    f"witness ({x}, {helpers}) helper {j} stores {len(rows)} rows, "
-                    f"more than beta = {params.beta}"
-                )
-            spaces[j] = Subspace(spec, params.f_dim, rows)
+        spaces = {
+            j: _subspace(
+                raw["R"][str(j)], f"witness ({x}, {helpers}) helper {j}", params, "beta", params.beta
+            )
+            for j in helpers
+        }
         key = (x, helpers)
         if key in witnesses:
             raise MalformedCodeFileError(f"duplicate witness for {key}")
         witnesses[key] = RepairWitness.of(spaces)
     try:
-        return Code(params, tuple(nodes), witnesses)
+        return Code(params, nodes, witnesses)
     except ValueError as exc:
         raise MalformedCodeFileError(str(exc)) from exc

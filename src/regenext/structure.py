@@ -43,8 +43,9 @@ The recovery of A itself follows, so the lemma does not ask for it.
 
 from __future__ import annotations
 
+from .gf import inv_mod
 from .linalg import Vec, combine, inverse, nullspace
-from .regen import CheckReport, Code
+from .regen import Code
 
 __all__ = [
     "DecompositionError",
@@ -121,11 +122,6 @@ class Decomposition:
         """Turn repair-space coordinates for helper j back into a file-space vector."""
         return combine(self.spec.p, block, self.repair_spaces[j].basis_rows())
 
-    def expand_complement(self, block: Vec) -> Vec:
-        """Turn complement-block coordinates back into a vector of T."""
-        rows = [self.complement_vectors[j] for j in self.helpers[:-1]]
-        return combine(self.spec.p, block, rows)
-
     def __repr__(self) -> str:
         tag = "synthetic" if self.failed_node is None else f"x={self.failed_node}"
         return f"Decomposition(GF({self.spec.p}), helpers={self.helpers}, {tag})"
@@ -184,7 +180,7 @@ def compute_decomposition(code: Code, helpers, x: int) -> Decomposition:
                 f"repair pair ({x}, {helpers}): leftover coefficient for helper {j} "
                 f"vanishes, repair spaces are not in general position"
             )
-    scale = pr.spec.inv_value(coeff[unit_positions[helpers[0]]])
+    scale = inv_mod(coeff[unit_positions[helpers[0]]], p)
     coeff = [(scale * c) % p for c in coeff]
     comp_vectors = {
         j: combine(p, coeff[pos - pr.beta : pos + 1], rows[pos - pr.beta : pos + 1])
@@ -193,7 +189,7 @@ def compute_decomposition(code: Code, helpers, x: int) -> Decomposition:
     return Decomposition(pr.spec, helpers, x, repair, comp_vectors)
 
 
-def verify_structure(code: Code, helpers, x: int, *, established=None) -> CheckReport:
+def verify_structure(code: Code, helpers, x: int, *, established=None) -> None:
     """Check the split for one repair pair, deriving it unless the lemma settles it.
 
     established, when given, is what the other checks found: (whether the
@@ -201,12 +197,10 @@ def verify_structure(code: Code, helpers, x: int, *, established=None) -> CheckR
     that span F).  Where it meets the premises of the module docstring's
     lemma, the split exists.  Elsewhere, and always without it,
     compute_decomposition derives the split, and by the module docstring a
-    derivation that succeeds leaves nothing to flag.  The report counts the
-    pair and holds no violations; errors from the derivation propagate.
+    derivation that succeeds leaves nothing to flag; its errors propagate.
     """
     if established is None or not _lemma_applies(code, helpers, x, *established):
         compute_decomposition(code, helpers, x)
-    return CheckReport(1, ())
 
 
 def _lemma_applies(code: Code, helpers, x: int, witness_passed: bool, spanning) -> bool:

@@ -7,7 +7,7 @@ import pytest
 
 from regenext.extend import extend_code, synthesize_base_code
 from regenext.gf import FieldSpec
-from regenext.linalg import Subspace, rank, vec_add
+from regenext.linalg import Subspace, combine, rank, vec_add, vec_sub
 
 
 @pytest.fixture(scope="session")
@@ -35,6 +35,12 @@ def identity_rows(n):
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
+def expand_complement(dec, block):
+    """The vector of T whose complement-block coordinates are block, which
+    weighs t_j for every helper j but the last."""
+    return combine(dec.spec.p, block, [dec.complement_vectors[j] for j in dec.helpers[:-1]])
+
+
 def assert_certificate_consistent(cert, candidate):
     """Re-verify every certificate claim from scratch."""
     dec = cert.decomposition
@@ -43,14 +49,13 @@ def assert_certificate_consistent(cert, candidate):
     complement_space = Subspace(dec.spec, dec.ambient_dim, dec.complement_vectors.values())
     assert Subspace(dec.spec, dec.ambient_dim, cert.basis.values()) == candidate
     for i in helpers:
-        # the basis vector reassembles from its recorded parts
-        total = cert.complement_parts[i]
+        # what the basis vector holds beyond its recorded repair parts lies in T
+        complement_part = cert.basis[i]
         for j in helpers:
-            total = vec_add(p, total, cert.repair_parts[(i, j)])
-        assert total == cert.basis[i]
+            complement_part = vec_sub(p, complement_part, cert.repair_parts[(i, j)])
         assert candidate.contains(cert.basis[i])
         assert not any(cert.repair_parts[(i, i)])
-        assert complement_space.contains(cert.complement_parts[i])
+        assert complement_space.contains(complement_part)
         for j in helpers:
             assert dec.repair_spaces[j].contains(cert.repair_parts[(i, j)])
         # recorded coefficients rebuild tau over the other leftovers
@@ -62,7 +67,7 @@ def assert_certificate_consistent(cert, candidate):
             tau = vec_add(
                 p, tau, tuple((c * v) % p for v in dec.complement_vectors[j])
             )
-        assert tau == cert.complement_parts[i]
+        assert tau == complement_part
     for j in helpers:
         rows = [cert.repair_parts[(i, j)] for i in helpers if i != j]
         assert rank(p, rows) == dec.k - 1

@@ -112,10 +112,11 @@ def test_criterion_03_full_verification_at_ten_nodes(artifacts):
     _, codes = artifacts
     with criterion(3, "at n=10 all 120 recovery subsets and all 840 repair pairs verify clean"):
         code = codes["grown10"]
-        recovery = verify_data_recovery(code)
-        assert not recovery.violations and recovery.checked == math.comb(10, 3) == 120
-        repairs = verify_repair_witnesses(code)
-        assert not repairs.violations and repairs.checked == 10 * math.comb(9, 3) == 840
+        subsets, pairs = list(code.recovery_subsets()), list(code.repair_pairs())
+        assert len(subsets) == math.comb(10, 3) == 120
+        assert verify_data_recovery(code, subsets) == {}
+        assert len(pairs) == 10 * math.comb(9, 3) == 840
+        assert verify_repair_witnesses(code, pairs) == []
         assert all(node.dim == 3 for node in code.nodes)
 
 
@@ -131,7 +132,8 @@ def test_criterion_04_structure_on_every_repair_pair(artifacts):
             pairs = list(codes[name].repair_pairs())
             assert len(pairs) == count
             for x, helpers in pairs:
-                assert not verify_structure(codes[name], helpers, x).violations, f"{name}: ({x}, {helpers})"
+                # raises, naming the pair, where the split does not hold
+                verify_structure(codes[name], helpers, x)
 
 
 def test_criterion_05_exhaustive_repair_oracle_small_fields():

@@ -23,8 +23,9 @@ def test_benchmark_bindings_and_spec():
 def test_verify_makes_the_pinned_counts(tmp_path, monkeypatch, capsys):
     """The verify-large workload pins, under the benchmark's own tracer, one
     check_repair_pair and one verify_structure call per repair pair and one
-    check_recovery_subset call per recovery subset; on a valid code the
-    lemma of regenext.structure leaves no split to derive."""
+    check_recovery_subset call per recovery subset, the latter made through
+    one verify_data_recovery call, whose span the benchmark reports; on a
+    valid code the lemma of regenext.structure leaves no split to derive."""
     monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
     from tracer import SpanSummary, Tracer
 
@@ -43,5 +44,6 @@ def test_verify_makes_the_pinned_counts(tmp_path, monkeypatch, capsys):
     assert calls["regen.check_repair_pair"] == pairs
     assert calls["structure.verify_structure"] == pairs
     assert calls["regen.check_recovery_subset"] == subsets
+    assert calls["regen.verify_data_recovery"] == 1
     assert calls["structure.compute_decomposition"] == 0
     assert calls["regen.brute_force_repairable"] == 0

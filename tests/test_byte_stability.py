@@ -6,7 +6,8 @@ match the digests recorded here.  A refactor or a speed-up that changes one
 byte of any of them fails this test; a deliberate format change updates the
 digests and says so in CHANGES.md.  At k=2, p=3 the grow stalls at n=4, so
 the run covers the stall message and the `.partial` file as well.  The two
-gen-base runs at k=4 pin base synthesis at both ends of the field range.
+gen-base runs at k=4 pin base synthesis at both ends of the field range, and
+the two repair-demo runs pin every vector and verdict the walkthrough prints.
 """
 
 import contextlib
@@ -66,6 +67,14 @@ RUNS = {
             "gen-base": (0, EMPTY, "d4b7e0e163405042763a8aa778cf750982da32e717853d4e7b026967ecece59b"),
             "base.json": "3894d0b49941dfc5a95cb9e4c4fdc8ddd51028834a70e89b5dccb3c5d4024944",
         },
+    ),
+    "demo-k2-p5": (
+        [["repair-demo", "--k", "2", "--p", "5", "--seed", "3"]],
+        {"repair-demo": (0, "d4762a4791a9d7e24534857f101a3e690602e26a7c6b65d2fb8f2d8d4a2c4fa6", EMPTY)},
+    ),
+    "demo-k3-p101": (
+        [["repair-demo", "--k", "3", "--p", "101", "--seed", "1"]],
+        {"repair-demo": (0, "7cb7f9448d109d1dee13449e1fcd549a341604047a42fc9241f752f70f8d6520", EMPTY)},
     ),
 }
 

@@ -61,9 +61,10 @@ def test_synthesize_base_code_verified(k, p):
     code = synthesize_base_code(k, spec, random.Random(f"base-{k}-{p}"))
     assert code.params.n == k + 1
     assert code.params.k == k
-    assert not verify_data_recovery(code).violations
-    assert not verify_repair_witnesses(code).violations
-    assert all(not verify_structure(code, a, x).violations for x, a in code.repair_pairs())
+    assert verify_data_recovery(code) == {}
+    assert verify_repair_witnesses(code) == []
+    for x, a in code.repair_pairs():
+        verify_structure(code, a, x)
     assert set(code.witnesses) == set(
         (x, helpers) for x, helpers in code.repair_pairs()
     )
@@ -114,9 +115,10 @@ def test_extend_grows_and_verifies(outcome_k3_big):
     assert grown.params.n == base.params.n + 1
     assert grown.nodes[:-1] == base.nodes
     assert outcome.attempts >= 1
-    assert not verify_data_recovery(grown).violations
-    assert not verify_repair_witnesses(grown).violations
-    assert all(not verify_structure(grown, a, x).violations for x, a in grown.repair_pairs())
+    assert verify_data_recovery(grown) == {}
+    assert verify_repair_witnesses(grown) == []
+    for x, a in grown.repair_pairs():
+        verify_structure(grown, a, x)
 
 
 def test_extend_checks_only_the_witnesses_it_adds(monkeypatch):
@@ -159,7 +161,8 @@ def test_extend_builds_complete_witness_table(outcome_k3_big):
     grown = outcome.code
     assert set(grown.witnesses) == set(grown.repair_pairs())
     # every pair checks clean, so nothing is missing or malformed
-    assert verify_repair_witnesses(grown).checked == 5 * math.comb(4, 3)
+    assert len(grown.witnesses) == 5 * math.comb(4, 3)
+    assert verify_repair_witnesses(grown) == []
 
 
 def test_extend_deterministic_per_seed():

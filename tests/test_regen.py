@@ -168,25 +168,24 @@ def test_subset_and_pair_enumeration(base_k3_p5):
 
 
 def test_verify_data_recovery_passes(base_k3_p5):
-    report = verify_data_recovery(base_k3_p5)
-    assert report.checked == 4
-    assert report.violations == ()
+    assert verify_data_recovery(base_k3_p5) == {}
 
 
 def test_verify_data_recovery_flags_deficient_nodes():
     pr = Params(3, 2, GF2)
     plane = Subspace(GF2, 3, [(1, 0, 0), (0, 1, 0)])
-    report = verify_data_recovery(Code(pr, (plane, plane, plane)))
-    assert report.violations
-    assert report.checked == 3
-    assert len(report.violations) == 3
-    assert "joint rank 2 != 3" in report.violations[0]
+    code = Code(pr, (plane, plane, plane))
+    violations = verify_data_recovery(code)
+    assert list(violations) == [(1, 2), (1, 3), (2, 3)]
+    assert violations[(1, 2)] == "recovery subset (1, 2): joint rank 2 != 3"
+    # given subsets, only those are checked
+    assert verify_data_recovery(code, [(2, 3)]) == {(2, 3): violations[(2, 3)]}
+    assert verify_data_recovery(code, []) == {}
 
 
 def test_verify_repair_witnesses_passes(extended_k3_big):
-    report = verify_repair_witnesses(extended_k3_big)
-    assert not report.violations
-    assert report.checked == 5 * math.comb(4, 3)
+    assert len(extended_k3_big.witnesses) == 5 * math.comb(4, 3)
+    assert verify_repair_witnesses(extended_k3_big) == []
 
 
 def test_verify_repair_witnesses_reports_missing_witness(base_k3_p5):
@@ -194,9 +193,12 @@ def test_verify_repair_witnesses_reports_missing_witness(base_k3_p5):
     stripped = dict(code.witnesses)
     x, helpers = next(iter(sorted(stripped)))
     stripped.pop((x, helpers))
-    report = verify_repair_witnesses(Code(code.params, code.nodes, stripped))
-    assert report.checked == len(code.witnesses)
-    assert report.violations == (f"no witness for failed node {x} with helpers {helpers}",)
+    code = Code(code.params, code.nodes, stripped)
+    line = f"no witness for failed node {x} with helpers {helpers}"
+    assert verify_repair_witnesses(code) == [line]
+    # given pairs, only those are checked
+    assert verify_repair_witnesses(code, [(x, helpers)]) == [line]
+    assert verify_repair_witnesses(code, sorted(stripped)) == []
 
 
 def test_check_repair_pair_flags_coverage_gap(base_k3_p5):
@@ -429,6 +431,29 @@ def test_load_rejects_composite_modulus(tmp_path, base_k3_p5):
 def test_load_rejects_unknown_version(tmp_path, base_k3_p5):
     path = _patched_file(tmp_path, base_k3_p5, lambda o: o.update(version=2))
     with pytest.raises(CodeVersionError):
+        load_code(path)
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1"])
+def test_load_rejects_a_version_that_only_equals_one(tmp_path, base_k3_p5, version):
+    """JSON true and 1.0 compare equal to 1 in Python; only the integer 1 is
+    format version 1."""
+    path = _patched_file(tmp_path, base_k3_p5, lambda o: o.update(version=version))
+    with pytest.raises(CodeVersionError, match="unsupported format version"):
+        load_code(path)
+
+
+@pytest.mark.parametrize("where,bound", [("node", "alpha = 3"), ("send", "beta = 2")])
+def test_load_names_the_row_bound_a_subspace_exceeds(tmp_path, base_k3_p5, where, bound):
+    """Nodes and sends are read by one reader, so an extra row is reported in
+    the same words for both."""
+
+    def add_row(o):
+        rows = o["nodes"][0] if where == "node" else o["witnesses"][0]["R"]["2"]
+        rows.append([0] * 8)
+
+    path = _patched_file(tmp_path, base_k3_p5, add_row)
+    with pytest.raises(CodeDimensionError, match=f"stores \\d basis rows, more than {bound}$"):
         load_code(path)
 
 
