@@ -28,13 +28,11 @@ from .gf import FieldSpec
 from .linalg import (
     Subspace,
     Vec,
-    combine,
     count_subspaces,
     enumerate_subspaces,
     nullspace,
     random_subspace,
     rank,
-    vec_add,
 )
 from .structure import Decomposition
 
@@ -88,8 +86,9 @@ def is_well_aligned(
         raise ValueError(f"candidate has dimension {candidate.dim}, expected {k}")
     spec = dec.spec
     p = spec.p
-    rows = candidate.basis_rows()
-    coords = [dec.coordinates(r) for r in rows]
+    lay = candidate._lay
+    packed = [dec._coords(r) for r in candidate.basis_rows()]
+    coords = [lay.unpack(c) for c in packed]
     kernel_gens: dict[int, Vec] = {}
     for j in dec.helpers:
         kernel = nullspace(spec, [dec.repair_block(c, j) for c in coords])
@@ -102,8 +101,8 @@ def is_well_aligned(
     repair_parts: dict[tuple[int, int], Vec] = {}
     complement_coeffs: dict[tuple[int, int], int] = {}
     for i in dec.helpers:
-        basis[i] = combine(p, kernel_gens[i], rows)
-        w_coords = combine(p, kernel_gens[i], coords)
+        basis[i] = lay.unpack(candidate._combine(kernel_gens[i]))
+        w_coords = lay.unpack(lay.combine(kernel_gens[i], packed))
         for j in dec.helpers:
             repair_parts[(i, j)] = dec.expand_repair(j, dec.repair_block(w_coords, j))
         c_of = dict(zip(dec.helpers, dec.complement_block(w_coords) + (0,)))
@@ -132,7 +131,8 @@ def sample_well_aligned(
     spec = dec.spec
     p = spec.p
     k = dec.k
-    basis = {i: (0,) * dec.ambient_dim for i in dec.helpers}
+    # packed sums of canonical parts, k per vector, reduced once at the end
+    basis = dict.fromkeys(dec.helpers, 0)
     for j in dec.helpers:
         others = [i for i in dec.helpers if i != j]
         while True:
@@ -140,12 +140,11 @@ def sample_well_aligned(
             if rank(p, coeffs) == k - 1:
                 break
         for i, crow in zip(others, coeffs):
-            basis[i] = vec_add(p, basis[i], dec.expand_repair(j, crow))
-    trows = Subspace._span(spec, dec.ambient_dim, dec.complement_vectors.values()).basis_rows()
+            basis[i] += dec.repair_spaces[j]._combine(crow)
+    complement = Subspace._span(spec, dec.ambient_dim, dec.complement_vectors.values())
     for i in dec.helpers:
-        tau = combine(p, [rng.randrange(p) for _ in range(k - 1)], trows)
-        basis[i] = vec_add(p, basis[i], tau)
-    candidate = Subspace._span(spec, dec.ambient_dim, basis.values())
+        basis[i] += complement._combine([rng.randrange(p) for _ in range(k - 1)])
+    candidate = Subspace._span_packed(spec, dec.ambient_dim, map(dec._lay.canon, basis.values()))
     return candidate, is_well_aligned(candidate, dec)
 
 

@@ -128,18 +128,18 @@ def new_node_repair_witness(cert: AlignmentCertificate) -> RepairWitness:
     inside the sum of the sends, because tau(i) expands over the t_j.
     """
     dec = cert.decomposition
-    p = dec.spec.p
+    lay = dec._lay
     spaces = {}
     for j in dec.helpers:
-        rows = []
-        t = dec.complement_vectors[j]
-        for i in dec.helpers:
-            if i == j:
-                continue
-            rows.append(
-                vec_add(p, cert.repair_parts[(i, j)], vec_scale(p, cert.complement_coeffs[(i, j)], t))
+        t = lay.pack(dec.complement_vectors[j])
+        rows = (
+            lay.combine(
+                (1, cert.complement_coeffs[(i, j)]), (lay.pack(cert.repair_parts[(i, j)]), t)
             )
-        spaces[j] = Subspace._span(dec.spec, dec.ambient_dim, rows)
+            for i in dec.helpers
+            if i != j
+        )
+        spaces[j] = Subspace._span_packed(dec.spec, dec.ambient_dim, rows)
     return RepairWitness.of(spaces)
 
 
@@ -158,7 +158,6 @@ def helper_repair_witness(
     dec = cert.decomposition
     if failed not in dec.helpers:
         raise ValueError(f"{failed} is not a helper of the certificate's decomposition")
-    p = dec.spec.p
     spaces = {}
     spaces[new_index] = Subspace._span(
         dec.spec, dec.ambient_dim, [cert.basis[i] for i in dec.helpers if i != failed]

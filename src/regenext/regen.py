@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .gf import FieldSpec, NotPrimeError
 from .linalg import (
-    CapExceededError, Subspace, _Echelon, combine, count_subspaces, enumerate_subspaces, rank
+    CapExceededError, Subspace, _Echelon, _layout, count_subspaces, enumerate_subspaces
 )
 
 DEFAULT_ORACLE_CAP = 10**6
@@ -207,7 +207,11 @@ class Code:
 
 def check_recovery_subset(code: Code, subset: tuple[int, ...]) -> str | None:
     """None if the subset's nodes span the file space, else a violation line."""
-    joint = rank(code.params.spec.p, (row for j in subset for row in code.node(j).basis_rows()))
+    echelon = _Echelon(_layout(code.params.spec.p, code.params.f_dim))
+    for j in subset:
+        for row in code.node(j)._rows:
+            echelon.push(row)
+    joint = len(echelon.rows)
     if joint != code.params.f_dim:
         return f"recovery subset {subset}: joint rank {joint} != {code.params.f_dim}"
     return None
@@ -231,7 +235,8 @@ def check_repair_pair(code: Code, x: int, helpers: tuple[int, ...]) -> list[str]
     except MissingWitnessError as exc:
         return [str(exc)]
     msgs = []
-    sent = _Echelon(pr.spec.p)
+    target = code.node(x)
+    sent = _Echelon(target._lay)
     for j in helpers:
         sub = witness.space(j)
         if sub.dim > pr.beta:
@@ -242,9 +247,9 @@ def check_repair_pair(code: Code, x: int, helpers: tuple[int, ...]) -> list[str]
             msgs.append(
                 f"repair of {x} by {helpers}: helper {j} sends vectors outside its node"
             )
-        for row in sub.basis_rows():
+        for row in sub._rows:
             sent.push(row)
-    if any(any(sent.reduce(row)) for row in code.node(x).basis_rows()):
+    if any(map(sent.reduce, target._rows)):
         msgs.append(
             f"repair of {x} by {helpers}: sent subspaces do not cover the failed node"
         )
@@ -286,28 +291,25 @@ def brute_force_repairable(
             f"repair search for node {x} via {helpers} has {total} combinations, "
             f"cap is {cap}"
         )
-    p = pr.spec.p
-    candidates: list[list[tuple]] = []
-    for node, send_dim in per_node:
-        opts = []
-        for coeffs in enumerate_subspaces(node.dim, send_dim, pr.spec, cap=cap):
-            rows = tuple(
-                combine(p, crow, node.basis_rows()) for crow in coeffs.basis_rows()
-            )
-            opts.append(rows)
-        candidates.append(opts)
-    target_rows = code.node(x).basis_rows()
+    candidates = [
+        [
+            tuple(map(node._combine, coeffs.basis_rows()))
+            for coeffs in enumerate_subspaces(node.dim, send_dim, pr.spec, cap=cap)
+        ]
+        for node, send_dim in per_node
+    ]
+    target = code.node(x)
     # one echelon for the whole search: a choice pushes its rows on the way
     # down and is truncated away on the way back up
-    echelon = _Echelon(p)
+    echelon = _Echelon(target._lay)
 
     def search(i: int) -> bool:
         mark = len(echelon.rows)
         # prune unless x is covered when helpers i, i+1, ... send all they store
         for node, _ in per_node[i:]:
-            for row in node.basis_rows():
+            for row in node._rows:
                 echelon.push(row)
-        coverable = not any(any(echelon.reduce(t)) for t in target_rows)
+        coverable = not any(map(echelon.reduce, target._rows))
         echelon.truncate(mark)
         if not coverable or i == len(helpers):
             return coverable
@@ -382,8 +384,7 @@ def _subspace(raw: object, what: str, params: Params, bound: str, most: int) -> 
     _expect(isinstance(raw, list), f"{what} must be a list of rows")
     for row in raw:
         _expect(isinstance(row, list), f"{what} rows must be lists")
-        for x in row:
-            _expect(type(x) is int, f"{what} entries must be integers")
+        _expect(set(map(type, row)) <= {int}, f"{what} entries must be integers")
     for row in raw:
         if len(row) != params.f_dim:
             raise CodeDimensionError(

@@ -44,7 +44,7 @@ The recovery of A itself follows, so the lemma does not ask for it.
 from __future__ import annotations
 
 from .gf import inv_mod
-from .linalg import Vec, combine, inverse, nullspace
+from .linalg import Vec, _layout, inverse, nullspace
 from .regen import Code
 
 __all__ = [
@@ -79,6 +79,7 @@ class Decomposition:
         "failed_node",
         "repair_spaces",
         "complement_vectors",
+        "_lay",
         "_basis_inv",
     )
 
@@ -90,6 +91,7 @@ class Decomposition:
         self.failed_node = failed_node
         self.repair_spaces = repair_spaces
         self.complement_vectors = complement_vectors
+        self._lay = _layout(spec.p, self.ambient_dim)
         self._basis_inv = None
 
     def coordinates(self, v) -> Vec:
@@ -103,11 +105,16 @@ class Decomposition:
             raise ValueError(
                 f"vector of length {len(v)} in ambient dimension {self.ambient_dim}"
             )
+        return self._lay.unpack(self._coords(v))
+
+    def _coords(self, v) -> int:
+        """coordinates(v), packed."""
+        lay = self._lay
         if self._basis_inv is None:
             rows = [r for j in self.helpers for r in self.repair_spaces[j].basis_rows()]
             rows.extend(self.complement_vectors[j] for j in self.helpers[:-1])
-            self._basis_inv = inverse(self.spec.p, rows)
-        return combine(self.spec.p, v, self._basis_inv)
+            self._basis_inv = tuple(map(lay.pack, inverse(self.spec.p, rows)))
+        return lay.combine(map(lay.p.__rmod__, v), self._basis_inv)
 
     def repair_block(self, coords: Vec, j: int) -> Vec:
         """The k-1 coordinates of the repair space of helper j."""
@@ -120,7 +127,8 @@ class Decomposition:
 
     def expand_repair(self, j: int, block: Vec) -> Vec:
         """Turn repair-space coordinates for helper j back into a file-space vector."""
-        return combine(self.spec.p, block, self.repair_spaces[j].basis_rows())
+        block = map(self.spec.p.__rmod__, block)
+        return self._lay.unpack(self.repair_spaces[j]._combine(block))
 
     def __repr__(self) -> str:
         tag = "synthetic" if self.failed_node is None else f"x={self.failed_node}"
@@ -142,7 +150,7 @@ def compute_decomposition(code: Code, helpers, x: int) -> Decomposition:
     witness = code.witness(x, helpers)
     p = pr.spec.p
     repair = {}
-    rows: list[Vec] = []
+    rows: list[int] = []
     unit_positions = {}
     for j in helpers:
         sub = witness.space(j)
@@ -164,10 +172,11 @@ def compute_decomposition(code: Code, helpers, x: int) -> Decomposition:
                 f"leftover has dimension {comp.dim}"
             )
         repair[j] = sub
-        rows.extend(sub.basis_rows())
+        rows.extend(sub._rows)
         unit_positions[j] = len(rows)
-        rows.append(comp.basis_rows()[0])
-    kernel = nullspace(pr.spec, rows)
+        rows.append(comp._rows[0])
+    lay = _layout(p, pr.f_dim)
+    kernel = nullspace(pr.spec, [lay.unpack(row) for row in rows])
     if kernel.dim != 1:
         raise DecompositionError(
             f"repair pair ({x}, {helpers}): dependency space has dimension "
@@ -183,7 +192,7 @@ def compute_decomposition(code: Code, helpers, x: int) -> Decomposition:
     scale = inv_mod(coeff[unit_positions[helpers[0]]], p)
     coeff = [(scale * c) % p for c in coeff]
     comp_vectors = {
-        j: combine(p, coeff[pos - pr.beta : pos + 1], rows[pos - pr.beta : pos + 1])
+        j: lay.unpack(lay.combine(coeff[pos - pr.beta : pos + 1], rows[pos - pr.beta : pos + 1]))
         for j, pos in unit_positions.items()
     }
     return Decomposition(pr.spec, helpers, x, repair, comp_vectors)

@@ -7,7 +7,18 @@ import pytest
 
 from regenext.extend import extend_code, synthesize_base_code
 from regenext.gf import FieldSpec
-from regenext.linalg import Subspace, combine, rank, vec_add, vec_sub
+from regenext.linalg import Subspace, rank, vec_add, vec_sub
+
+
+def combine(p, coeffs, rows):
+    """Linear combination sum(coeffs[i] * rows[i]) over GF(p), entry by entry:
+    the reference that the packed combinations of regenext.linalg are
+    checked against."""
+    acc = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        for idx, x in enumerate(row):
+            acc[idx] += c * x
+    return tuple(x % p for x in acc)
 
 
 @pytest.fixture(scope="session")

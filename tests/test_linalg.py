@@ -1,6 +1,8 @@
 """Tests for exact linear algebra over GF(p)."""
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -10,7 +12,8 @@ from regenext.linalg import (
     CapExceededError,
     Matrix,
     Subspace,
-    combine,
+    _Echelon,
+    _layout,
     count_subspaces,
     enumerate_subspaces,
     inverse,
@@ -23,7 +26,7 @@ from regenext.linalg import (
     vec_sub,
 )
 
-from conftest import identity_rows
+from conftest import combine, identity_rows
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -142,6 +145,13 @@ def test_subspace_canonical_and_hashable():
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
     assert a.dim == 2
+
+
+def test_subspace_pickles_and_copies():
+    s = Subspace(FieldSpec(65521), 4, [(1, 2, 3, 4), (0, 5, 6, 7)])
+    for other in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+        assert other == s and hash(other) == hash(s)
+        assert other.contains_subspace(s) and other.basis_rows() == s.basis_rows()
 
 
 def test_subspace_zero_and_full():
@@ -307,3 +317,61 @@ def test_enumerate_subspaces_cap():
         enumerate_subspaces(8, 3, GF2, cap=10**4)
     with pytest.raises(ValueError):
         enumerate_subspaces(3, 4, GF2)
+
+
+def slots_packed(lay, slots):
+    """A packed int from its slot values, by shifts, independent of struct."""
+    return sum(x << i * lay.slot for i, x in enumerate(slots))
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521, 2**31 - 1])
+@pytest.mark.parametrize("width", [3, 8, 15, 30])
+def test_packed_canonical_reduction_is_the_per_slot_residue(p, width):
+    """One packed Barrett step and conditional subtract give every slot's
+    residue, for slot values at the edges: 0, p-1, p, 2p-1 and 2^B - 1, the
+    largest the kernel's bound lets in, alone and mixed."""
+    lay = _layout(p, width)
+    top = 1 << lay.shift
+    assert (width + 1) * p * p < top
+    edges = [0, p - 1, p, 2 * p - 1, top - 1]
+    rng = random.Random(f"canon-{p}-{width}")
+    cases = [[e] * width for e in edges]
+    cases += [[rng.choice(edges) for _ in range(width)] for _ in range(40)]
+    for slots in cases:
+        assert lay.unpack(lay.canon(slots_packed(lay, slots))) == tuple(x % p for x in slots)
+    residues = [rng.randrange(p) for _ in range(width)]
+    assert lay.pack(residues) == slots_packed(lay, residues)
+    assert lay.unpack(lay.pack(residues)) == tuple(residues)
+
+
+def reference_reduce(p, rows, pivots, v):
+    """Per-entry elimination of v against an echelon, with the factors used."""
+    factors = []
+    for row, pc in zip(rows, pivots):
+        f = v[pc]
+        factors.append(f)
+        v = tuple((x - f * y) % p for x, y in zip(v, row))
+    return v, factors
+
+
+@pytest.mark.parametrize("width", [8, 15, 30])
+@pytest.mark.parametrize("entry", ["p-1", "0"])
+def test_longest_elimination_at_the_largest_prime(width, entry):
+    """At p = 2^31-1 a vector meets every row of a full-width echelon with
+    factor p-1, the most a slot can take.  With entries p-1 right of each
+    pivot every factor and entry is p-1; with entries 0 each negated row
+    holds p in every other slot, the largest addend.  Packed elimination
+    matches the per-entry reference, for the full echelon (remainder 0) and
+    without its last row (a nonzero remainder that push normalizes)."""
+    p = 2**31 - 1
+    e = p - 1 if entry == "p-1" else 0
+    rows = [tuple([0] * i + [1] + [e] * (width - 1 - i)) for i in range(width)]
+    v = tuple(sum((p - 1) * row[c] for row in rows) % p for c in range(width))
+    lay = _layout(p, width)
+    for size in (width, width - 1):
+        expected, factors = reference_reduce(p, rows[:size], range(size), v)
+        assert factors == [p - 1] * size
+        echelon = _Echelon(lay, map(lay.pack, rows[:size]))
+        assert lay.unpack(echelon.reduce(lay.pack(v))) == expected
+    assert any(expected) and echelon.push(lay.pack(v))
+    assert lay.unpack(echelon.rows[-1]) == rows[-1]

@@ -14,7 +14,6 @@ from regenext.gf import FieldSpec
 from regenext.linalg import (
     Matrix,
     Subspace,
-    combine,
     inverse,
     nullspace,
     random_invertible_matrix,
@@ -32,7 +31,9 @@ from regenext.regen import (
 )
 from regenext.structure import DecompositionError, _lemma_applies, compute_decomposition
 
-from conftest import assert_certificate_consistent, expand_complement, identity_rows
+from conftest import (
+    assert_certificate_consistent, combine, expand_complement, identity_rows
+)
 
 PRIMES = [2, 3, 5, 65521, 2**31 - 1]
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -70,6 +71,32 @@ def test_rref_is_canonical_and_idempotent(case, rng):
         mixer = random_invertible_matrix(spec, len(rows), rng)
         mixed = [combine(spec.p, t, m.entries) for t in mixer]
         assert Subspace(spec, cols, mixed).basis_rows() == reduced
+
+
+@PROPERTY
+@given(matrices(), st.randoms(use_true_random=False))
+def test_every_constructor_gives_equal_and_hash_equal_subspaces(case, rng):
+    """Subspace(...), the trusted _span and _from_rref, and nullspace all hold
+    one canonical packed form, so the same space compares and hashes equal
+    whichever built it; basis_rows() round-trips through Subspace(...)."""
+    spec, cols, rows = case
+    p = spec.p
+    entries = Matrix(spec, rows, cols=cols).entries
+    for space in (Subspace(spec, cols, rows), nullspace(spec, entries)):
+        n, basis = space.ambient_dim, space.basis_rows()
+        built = [
+            Subspace(spec, n, basis),
+            Subspace(spec, n, [[x + p for x in row] for row in basis]),
+            Subspace._span(spec, n, basis),
+            Subspace._from_rref(spec, n, space._rows),
+        ]
+        if basis:
+            mixer = random_invertible_matrix(spec, len(basis), rng)
+            built.append(Subspace._span(spec, n, [combine(p, t, basis) for t in mixer]))
+        for other in built:
+            assert other == space and hash(other) == hash(space)
+            assert other.basis_rows() == basis
+    assert Subspace._span(spec, cols, entries) == Subspace(spec, cols, rows)
 
 
 @PROPERTY

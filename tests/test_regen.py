@@ -16,7 +16,6 @@ from regenext.linalg import (
     CapExceededError,
     Matrix,
     Subspace,
-    combine,
     enumerate_subspaces,
     random_subspace,
 )
@@ -39,7 +38,7 @@ from regenext.regen import (
     verify_repair_witnesses,
 )
 
-from conftest import identity_rows
+from conftest import combine, identity_rows
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -509,3 +508,45 @@ def test_load_rejects_missing_keys(tmp_path, base_k3_p5):
     path = _patched_file(tmp_path, base_k3_p5, lambda o: o.pop("nodes"))
     with pytest.raises(MalformedCodeFileError):
         load_code(path)
+
+
+def _set_rows(where, *rows):
+    """A mutation that replaces the first rows of node 1 or of the first
+    witness's send from helper 2."""
+
+    def mutate(o):
+        target = o["nodes"][0] if where == "node" else o["witnesses"][0]["R"]["2"]
+        target[: len(rows)] = rows
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate,message",
+    [
+        (_set_rows("node", [0] * 7 + [1.5]), "node 1 entries must be integers"),
+        (_set_rows("node", [True] + [0] * 7), "node 1 entries must be integers"),
+        (_set_rows("node", [0] * 7 + ["1"], "x"), "node 1 entries must be integers"),
+        (_set_rows("node", "x", [0] * 7 + [1.5]), "node 1 rows must be lists"),
+        (_set_rows("node", [0] * 7, [None] * 8), "node 1 entries must be integers"),
+        (lambda o: o["nodes"].__setitem__(0, {}), "node 1 must be a list of rows"),
+        (_set_rows("send", [0] * 7 + [None]), r"witness \(\d+, \(.*\)\) helper 2 entries"),
+    ],
+)
+def test_load_reports_the_first_bad_row_entry(tmp_path, base_k3_p5, mutate, message):
+    """Row and entry types are checked row by row before any row length, so
+    the first bad row in file order names the error."""
+    path = _patched_file(tmp_path, base_k3_p5, mutate)
+    with pytest.raises(MalformedCodeFileError, match=message):
+        load_code(path)
+
+
+def test_load_reduces_large_integers_mod_p(tmp_path, base_k3_p5):
+    """Any JSON integer is an entry; the loader reduces it mod p."""
+
+    def shift(o):
+        o["nodes"][0] = [[x + 5 * 2**40 for x in row] for row in o["nodes"][0]]
+
+    assert load_code(_patched_file(tmp_path, base_k3_p5, shift)) == load_code(
+        _patched_file(tmp_path, base_k3_p5, lambda o: None)
+    )
