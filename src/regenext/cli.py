@@ -512,7 +512,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_at_least(1),
         default=DEFAULT_ORACLE_CAP,
         dest="oracle_cap",
-        help="skip the exhaustive repair oracle above this many combinations",
+        help="skip the repair oracle when a pair has more than this many choices of sends",
     )
     verify.set_defaults(handler=_cmd_verify)
 

@@ -5,7 +5,32 @@ per-node dimension k.  Any k nodes must jointly span the file space, and any
 failed node must be rebuildable from subspaces of dimension at most k-1 sent
 by any k helpers; the sent subspaces are recorded explicitly as witnesses.
 This module holds the data model, closed-form bounds, the verification suite,
-a brute-force repairability oracle, and the JSON file format.
+a repairability oracle, and the JSON file format.
+
+Repair in closed form.  Fix x and helpers A, let V be the direct sum of the
+W_j, j in A, in coordinates on each node's RREF rows, sigma: V -> F the sum
+map, K = ker sigma and N = sigma^-1(W_x), which holds K.  A helper with
+dim W_j < k sends all of W_j; one with dim W_j = k may as well send a
+hyperplane ker phi_j, phi_j != 0.  With Phi(v) = (phi_j(v_j)) over the
+latter, the sends add up to sigma(ker Phi).  So x is repairable iff W_x lies
+in im sigma and, for some nonzero phi_j, Phi(N) lies in Phi(K).  When
+K = span(kappa), that holds iff e_0 is not in the sum of the D_j below,
+over the helpers j of dimension k whose g_{i,j} span GF(p)^k:
+  1. With W_x = sigma(N), sigma(ker Phi) holds W_x iff N lies in
+     ker Phi + K, that is iff Phi(N) lies in Phi(K).
+  2. Let g_0 = kappa, g_1, ..., g_t span N, and let B_j be the k x (t+1)
+     matrix of columns g_{i,j}.  Phi(g_i) = lambda_i Phi(kappa) for all i iff
+     every u_j = phi_j B_j lies in span(lambda), lambda = (1, lambda_1, ...).
+  3. As phi_j runs over the nonzero functionals, u_j runs over the nonzero
+     vectors of R_j, the row space of B_j, if the g_{i,j} span GF(p)^k; else
+     u_j = 0 for some phi_j, and j imposes no condition.  A nonzero u_j lies
+     in span(lambda) iff lambda lies in R_j, so x is repairable iff some
+     lambda in the intersection R of those R_j has lambda_0 = 1, that is iff
+     e_0 is not in R^perp.
+  4. R^perp is the sum of the R_j^perp = {c : B_j c = 0} = D_j, the linear
+     dependencies of the g_{i,j}.
+dim K = 1 on every pair whose helpers store k dimensions each and span F,
+hence on every pair of a valid code.
 """
 
 from __future__ import annotations
@@ -19,7 +44,8 @@ from typing import Iterable, Iterator, Mapping
 
 from .gf import FieldSpec, NotPrimeError
 from .linalg import (
-    CapExceededError, Subspace, _Echelon, _layout, count_subspaces, enumerate_subspaces
+    CapExceededError, Subspace, _augmented, _Echelon, _layout, count_subspaces,
+    enumerate_subspaces, nullspace,
 )
 
 DEFAULT_ORACLE_CAP = 10**6
@@ -266,15 +292,57 @@ def verify_repair_witnesses(code: Code, pairs: Iterable | None = None) -> list[s
     ]
 
 
+def _closed_form_repairable(code: Code, x: int, helpers: tuple[int, ...]) -> bool | None:
+    """The oracle's verdict by the closed form of the module docstring, or
+    None when a helper stores more than k dimensions, or when W_x lies in
+    im sigma and dim K != 1."""
+    pr = code.params
+    p, k, width = pr.spec.p, pr.k, pr.f_dim
+    nodes = [code.node(j) for j in helpers]
+    rows = [row for node in nodes for row in node.basis_rows()]
+    if not rows or max(node.dim for node in nodes) > k:
+        return None
+    # rows [r | e_r], the helper rows first, then the target rows: the helper
+    # parts of the rows that pivot in the unit block span K among the helper
+    # rows and N among all of them
+    m = len(rows)
+    echelon, _ = _augmented(p, rows + list(code.node(x).basis_rows()))
+    cut = width * echelon.lay.slot
+    if any(shift < cut for shift in echelon.shifts[m:]):
+        return False  # W_x is not in im sigma
+    kernel = [row for row, shift in zip(echelon.rows[:m], echelon.shifts) if shift >= cut]
+    if len(kernel) != 1:
+        return None
+    gens = [echelon.lay.unpack(row)[width:width + m] for row in kernel + echelon.rows[m:]]
+    deps = _Echelon(_layout(p, len(gens)))
+    start = 0
+    for node in nodes:
+        dep = nullspace(pr.spec, [g[start:start + node.dim] for g in gens])
+        start += node.dim
+        # only a helper whose g_{i,j} span GF(p)^k, leaving t+1-k
+        # dependencies, imposes a condition
+        if dep.dim == len(gens) - k:
+            for row in dep._rows:
+                deps.push(row)
+    # e_0 packs to 1
+    return bool(deps.reduce(1))
+
+
 def brute_force_repairable(
     code: Code, x: int, helpers: tuple[int, ...], cap: int = DEFAULT_ORACLE_CAP
 ) -> bool:
-    """Exhaustively decide whether x is repairable from the given helpers.
+    """Decide whether x is repairable from the given helpers, each sending a
+    subspace of dimension min(beta, dim W_j) inside its node (larger sends
+    never exist, smaller ones never help).
 
-    Searches all choices of a subspace of dimension min(beta, dim W_j) inside
-    each helper (larger sends never exist, smaller ones never help), pruning a
-    prefix as soon as the failed node cannot be covered even if all remaining
-    helpers sent everything they store.  Independent of the witness table.
+    When every helper stores at most k dimensions, the closed form of the
+    module docstring decides if the helpers' rows have exactly one
+    dependency, as on every pair of a valid code, or do not span the failed
+    node.  Otherwise it searches all choices of sends, pruning a prefix as
+    soon as the failed node cannot be covered even if all remaining helpers
+    sent everything they store.  Either way it raises CapExceededError up
+    front when the search would exceed cap choices.  Independent of the
+    witness table.
     """
     pr = code.params
     helpers = tuple(sorted(helpers))
@@ -291,6 +359,9 @@ def brute_force_repairable(
             f"repair search for node {x} via {helpers} has {total} combinations, "
             f"cap is {cap}"
         )
+    verdict = _closed_form_repairable(code, x, helpers)
+    if verdict is not None:
+        return verdict
     candidates = [
         [
             tuple(map(node._combine, coeffs.basis_rows()))

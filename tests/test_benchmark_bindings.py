@@ -47,3 +47,22 @@ def test_verify_makes_the_pinned_counts(tmp_path, monkeypatch, capsys):
     assert calls["regen.verify_data_recovery"] == 1
     assert calls["structure.compute_decomposition"] == 0
     assert calls["regen.brute_force_repairable"] == 0
+
+
+def test_small_field_verify_makes_the_pinned_oracle_calls(tmp_path, monkeypatch, capsys):
+    """The small-field workload pins one brute_force_repairable call per repair
+    pair of each k=3, p=3, n=6 code that verify passes: 60 per code."""
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    from tracer import SpanSummary, Tracer
+
+    base, grown = str(tmp_path / "base.json"), str(tmp_path / "grown.json")
+    assert cli.main(["gen-base", "--k", "3", "--p", "3", "--seed", "1", "--out", base]) == 0
+    assert cli.main(["grow", "--in", base, "--out", grown, "--n", "6", "--seed", "1"]) == 0
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["verify", "--in", grown]) == 0
+    finally:
+        tracer.uninstall()
+    assert capsys.readouterr().out.endswith("result: PASS\n")
+    assert SpanSummary(tracer).calls["regen.brute_force_repairable"] == 6 * math.comb(5, 3) == 60

@@ -24,6 +24,7 @@ from regenext.linalg import (
 from regenext.regen import (
     Code,
     RepairWitness,
+    brute_force_repairable,
     check_recovery_subset,
     check_repair_pair,
     verify_data_recovery,
@@ -314,3 +315,20 @@ def test_coverage_verdict_is_containment_in_the_sent_span(p, k, seed):
         assert gap == ([] if covered else [
             f"repair of {x} by {helpers}: sent subspaces do not cover the failed node"
         ])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 3, 5]), st.sampled_from([2, 3]), st.integers(0, 2**32))
+def test_witness_checks_and_repair_oracle_agree(p, k, seed):
+    """A witness that passes check_repair_pair is itself a repair, so the
+    oracle finds one wherever the witness passes, and a pair that the oracle
+    finds unrepairable has witness lines: on the valid code and on codes
+    with one node or witness entry redrawn."""
+    rng = random.Random(seed)
+    code = synthesize_base_code(k, FieldSpec(p), rng)
+    for variant in [code] + [_one_entry_changed(code, rng) for _ in range(6)]:
+        for x, helpers in variant.repair_pairs():
+            lines = check_repair_pair(variant, x, helpers)
+            assert variant is not code or not lines
+            if not brute_force_repairable(variant, x, helpers):
+                assert lines

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import regenext.regen as regen
 from regenext.cli import EXIT_OK, main
+from regenext.extend import extend_code, synthesize_base_code
 from regenext.gf import FieldSpec, NotPrimeError
 from regenext.linalg import (
     CapExceededError,
@@ -305,6 +306,58 @@ def test_brute_force_matches_reference_search(case, seed):
     code = Code(pr, nodes)
     for x, helpers in code.repair_pairs():
         assert brute_force_repairable(code, x, helpers) == reference_repairable(code, x, helpers)
+
+
+def _node_changed(code, rng, drop_row):
+    """A copy of the code, witnesses left out, with one node a dimension
+    short or with one entry of one of its rows changed."""
+    spec, ambient = code.params.spec, code.params.f_dim
+    nodes = list(code.nodes)
+    i = rng.randrange(len(nodes))
+    rows = [list(row) for row in nodes[i].basis_rows()]
+    if drop_row:
+        del rows[rng.randrange(len(rows))]
+    else:
+        row, col = rng.choice(rows), rng.randrange(ambient)
+        row[col] = (row[col] + rng.randrange(1, spec.p)) % spec.p
+    nodes[i] = Subspace(spec, ambient, rows)
+    return Code(code.params, tuple(nodes))
+
+
+@pytest.mark.parametrize("k,p", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (3, 5)])
+def test_brute_force_matches_reference_in_closed_form_and_search(k, p, monkeypatch):
+    """The closed form of regenext.regen and the search behind it must give
+    the plain search's verdict on every pair of a grown valid code, of codes
+    with one node entry changed or one node a dimension short, and of a
+    random code; both verdicts and both paths must occur, and some pair must
+    be found unrepairable in closed form."""
+    spec = FieldSpec(p)
+    rng = random.Random(f"oracle-{k}-{p}")
+    grown = extend_code(synthesize_base_code(k, spec, rng), rng, max_attempts=10**4).code
+    pr = Params(k + 2, k, spec)
+    codes = [
+        grown,
+        _node_changed(grown, rng, drop_row=False),
+        _node_changed(grown, rng, drop_row=False),
+        _node_changed(grown, rng, drop_row=True),
+        Code(pr, tuple(random_subspace(pr.f_dim, k, spec, rng) for _ in range(pr.n))),
+    ]
+    closed_form = regen._closed_form_repairable
+    paths = []
+
+    def recorded(*args):
+        paths.append(closed_form(*args))
+        return paths[-1]
+
+    monkeypatch.setattr(regen, "_closed_form_repairable", recorded)
+    verdicts = []
+    for code in codes:
+        for x, helpers in code.repair_pairs():
+            verdict = brute_force_repairable(code, x, helpers)
+            assert verdict == reference_repairable(code, x, helpers), (code.nodes, x, helpers)
+            verdicts.append(verdict)
+    assert set(verdicts) == {True, False}
+    assert {True, False, None} <= set(paths)
 
 
 def test_brute_force_builds_no_subspace(base_k2_p3, monkeypatch):
