@@ -20,7 +20,6 @@ from .regen import (
     MalformedCodeFileError,
     MissingWitnessError,
     Params,
-    RepairWitness,
     brute_force_repairable,
     corner_point,
     cutset_bound,
@@ -64,7 +63,6 @@ __all__ = [
     "CapExceededError",
     "Params",
     "Code",
-    "RepairWitness",
     "CodeFileError",
     "MalformedCodeFileError",
     "CodeVersionError",

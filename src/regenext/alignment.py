@@ -31,6 +31,7 @@ from .linalg import (
     count_subspaces,
     enumerate_subspaces,
     nullspace,
+    random_invertible_matrix,
     random_subspace,
     rank,
 )
@@ -135,10 +136,7 @@ def sample_well_aligned(
     basis = dict.fromkeys(dec.helpers, 0)
     for j in dec.helpers:
         others = [i for i in dec.helpers if i != j]
-        while True:
-            coeffs = [[rng.randrange(p) for _ in range(k - 1)] for _ in others]
-            if rank(p, coeffs) == k - 1:
-                break
+        coeffs = random_invertible_matrix(spec, k - 1, rng)
         for i, crow in zip(others, coeffs):
             basis[i] += dec.repair_spaces[j]._combine(crow)
     complement = Subspace._span(spec, dec.ambient_dim, dec.complement_vectors.values())

@@ -421,7 +421,7 @@ def _cmd_repair_demo(args: argparse.Namespace) -> int:
     print()
     print("subspaces sent to the replacement node:")
     for j in key:
-        sub = witness.space(j)
+        sub = witness[j]
         label = "new node" if j == star else f"helper {j}"
         for row in sub.basis_rows():
             print(f"  from {label}: {_fmt_vec(row)}")

@@ -51,7 +51,7 @@ from .alignment import (
 )
 from .gf import FieldSpec
 from .linalg import Subspace, Vec, random_invertible_matrix, random_subspace, vec_add, vec_scale
-from .regen import Code, Params, RepairWitness, verify_data_recovery, verify_repair_witnesses
+from .regen import Code, Params, verify_data_recovery, verify_repair_witnesses
 from .structure import Decomposition, compute_decomposition
 
 __all__ = [
@@ -120,7 +120,7 @@ def synthesize_decomposition(
     return Decomposition(spec, helpers, None, repair, comp_vectors)
 
 
-def new_node_repair_witness(cert: AlignmentCertificate) -> RepairWitness:
+def new_node_repair_witness(cert: AlignmentCertificate) -> dict[int, Subspace]:
     """Witness for repairing the certificate's node from its helpers.
 
     Helper j sends span of sigma(i, j) + theta(i, j) * t_j over i != j; the
@@ -140,12 +140,12 @@ def new_node_repair_witness(cert: AlignmentCertificate) -> RepairWitness:
             if i != j
         )
         spaces[j] = Subspace._span_packed(dec.spec, dec.ambient_dim, rows)
-    return RepairWitness.of(spaces)
+    return spaces
 
 
 def helper_repair_witness(
     cert: AlignmentCertificate, failed: int, new_index: int
-) -> RepairWitness:
+) -> dict[int, Subspace]:
     """Witness for repairing old node `failed` with the certificate's node
     (stored at new_index) joining the remaining helpers.
 
@@ -172,12 +172,12 @@ def helper_repair_witness(
         ]
         rows.append(dec.complement_vectors[j])
         spaces[j] = Subspace._span(dec.spec, dec.ambient_dim, rows)
-    return RepairWitness.of(spaces)
+    return spaces
 
 
 def _add_node(
     nodes: tuple[Subspace, ...],
-    witnesses: dict[tuple[int, tuple[int, ...]], RepairWitness],
+    witnesses: dict[tuple[int, tuple[int, ...]], dict[int, Subspace]],
     candidate: Subspace,
     log: dict[tuple[int, ...], AlignmentCertificate],
     verified: bool,

@@ -10,8 +10,8 @@ one int whose slot i, bits i*W to i*W + W - 1, holds entry i, so a row
 operation or a combination of rows is a few big-int operations with no
 Python loop per entry.  A row is packed where it enters (the Subspace
 constructors, rank, inverse, nullspace) and unpacked where it leaves as a
-tuple (basis_rows, inverse, Decomposition.coordinates, the alignment
-certificates); struct does either in one call.
+tuple (basis_rows, inverse, the alignment certificates); struct does
+either in one call.
 Integers from outside enter through a checked door that reduces them mod p
 once: a Matrix (which also checks the row widths), the Subspace constructor
 or Subspace.contains.  Inside the package only load_code uses that door;

@@ -40,7 +40,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .gf import FieldSpec, NotPrimeError
 from .linalg import (
@@ -132,43 +132,20 @@ class Params:
         object.__setattr__(self, "f_dim", self.k * self.k - 1)
 
 
-@dataclass(frozen=True)
-class RepairWitness:
-    """The subspaces each helper sends to rebuild one failed node."""
-
-    by_helper: tuple[tuple[int, Subspace], ...]
-
-    @classmethod
-    def of(cls, spaces: Mapping[int, Subspace]) -> "RepairWitness":
-        return cls(tuple(sorted(spaces.items())))
-
-    @property
-    def helpers(self) -> tuple[int, ...]:
-        return tuple(j for j, _ in self.by_helper)
-
-    def space(self, j: int) -> Subspace:
-        for helper, sub in self.by_helper:
-            if helper == j:
-                return sub
-        raise KeyError(f"helper {j} not in witness")
-
-    def items(self) -> tuple[tuple[int, Subspace], ...]:
-        return self.by_helper
-
-
 @dataclass(frozen=True, eq=True)
 class Code:
     """An (n, k, k) code: node subspaces plus a table of repair witnesses.
 
     Nodes are indexed 1..n.  Witness keys are (failed node, sorted helper
-    tuple).  A fully verified code has every node of dimension exactly k and a
-    witness for every valid key; partially built or corrupted codes may fall
-    short, and the verifiers report exactly how.
+    tuple), and a witness maps each helper to the subspace it sends.  A
+    fully verified code has every node of dimension exactly k and a witness
+    for every valid key; partially built or corrupted codes may fall short,
+    and the verifiers report exactly how.
     """
 
     params: Params
     nodes: tuple[Subspace, ...]
-    witnesses: dict[tuple[int, tuple[int, ...]], RepairWitness] = field(
+    witnesses: dict[tuple[int, tuple[int, ...]], dict[int, Subspace]] = field(
         default_factory=dict
     )
 
@@ -185,11 +162,11 @@ class Code:
                 )
         for (x, helpers), witness in self.witnesses.items():
             self._check_key(x, helpers)
-            if witness.helpers != helpers:
+            if witness.keys() != set(helpers):
                 raise ValueError(
-                    f"witness for {(x, helpers)} covers helpers {witness.helpers}"
+                    f"witness for {(x, helpers)} covers helpers {tuple(sorted(witness))}"
                 )
-            for _, sub in witness.items():
+            for sub in witness.values():
                 if sub.spec != pr.spec or sub.ambient_dim != pr.f_dim:
                     raise ValueError(f"witness for {(x, helpers)} has a misplaced subspace")
 
@@ -211,7 +188,7 @@ class Code:
             raise ValueError(f"node index {j} outside 1..{self.params.n}")
         return self.nodes[j - 1]
 
-    def witness(self, x: int, helpers: tuple[int, ...]) -> RepairWitness:
+    def witness(self, x: int, helpers: tuple[int, ...]) -> dict[int, Subspace]:
         key = (x, tuple(sorted(helpers)))
         self._check_key(*key)
         try:
@@ -264,7 +241,7 @@ def check_repair_pair(code: Code, x: int, helpers: tuple[int, ...]) -> list[str]
     target = code.node(x)
     sent = _Echelon(target._lay)
     for j in helpers:
-        sub = witness.space(j)
+        sub = witness[j]
         if sub.dim > pr.beta:
             msgs.append(
                 f"repair of {x} by {helpers}: helper {j} sends dimension {sub.dim} > {pr.beta}"
@@ -396,11 +373,11 @@ def brute_force_repairable(
     return search(0)
 
 
-def _serialize_witness(x: int, helpers: tuple[int, ...], witness: RepairWitness) -> dict:
+def _serialize_witness(x: int, helpers: tuple[int, ...], witness: dict[int, Subspace]) -> dict:
     return {
         "x": x,
         "A": list(helpers),
-        "R": {str(j): [list(row) for row in sub.basis_rows()] for j, sub in witness.items()},
+        "R": {str(j): [list(row) for row in witness[j].basis_rows()] for j in sorted(witness)},
     }
 
 
@@ -515,7 +492,7 @@ def load_code(path: str) -> Code:
     )
     raw_witnesses = obj["witnesses"]
     _expect(isinstance(raw_witnesses, list), "witnesses must be a list")
-    witnesses: dict[tuple[int, tuple[int, ...]], RepairWitness] = {}
+    witnesses: dict[tuple[int, tuple[int, ...]], dict[int, Subspace]] = {}
     for raw in raw_witnesses:
         _expect(isinstance(raw, dict), "each witness must be an object")
         for key in ("x", "A", "R"):
@@ -539,7 +516,7 @@ def load_code(path: str) -> Code:
         key = (x, helpers)
         if key in witnesses:
             raise MalformedCodeFileError(f"duplicate witness for {key}")
-        witnesses[key] = RepairWitness.of(spaces)
+        witnesses[key] = spaces
     try:
         return Code(params, nodes, witnesses)
     except ValueError as exc:

@@ -67,8 +67,8 @@ class Decomposition:
     helpers are the k node indices in ascending order; failed_node is the
     node whose repair induced the split (None for a synthetic frame).
     repair_spaces maps each helper to its sent subspace S_j and
-    complement_vectors to its t_j.  coordinates builds the basis inverse on
-    its first call and keeps it.
+    complement_vectors to its t_j.  _coords builds the basis inverse on its
+    first call and keeps it.
     """
 
     __slots__ = (
@@ -94,21 +94,9 @@ class Decomposition:
         self._lay = _layout(spec.p, self.ambient_dim)
         self._basis_inv = None
 
-    def coordinates(self, v) -> Vec:
-        """Coordinates of v in the basis of the repair spaces followed by the
-        complement vectors t_j of all helpers but the last.
-
-        The complement block c therefore writes the component of v in T as
-        the sum of c_j t_j, with no term for the last helper.
-        """
-        if len(v) != self.ambient_dim:
-            raise ValueError(
-                f"vector of length {len(v)} in ambient dimension {self.ambient_dim}"
-            )
-        return self._lay.unpack(self._coords(v))
-
     def _coords(self, v) -> int:
-        """coordinates(v), packed."""
+        """The coordinates of v, packed, in the basis of the module docstring:
+        the bases of the S_j, then t_j for every helper but the last."""
         lay = self._lay
         if self._basis_inv is None:
             rows = [r for j in self.helpers for r in self.repair_spaces[j].basis_rows()]
@@ -153,7 +141,7 @@ def compute_decomposition(code: Code, helpers, x: int) -> Decomposition:
     rows: list[int] = []
     unit_positions = {}
     for j in helpers:
-        sub = witness.space(j)
+        sub = witness[j]
         if sub.dim != pr.beta:
             raise DecompositionError(
                 f"witness for ({x}, {helpers}): helper {j} sends dimension {sub.dim}, "

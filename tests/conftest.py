@@ -46,6 +46,12 @@ def identity_rows(n):
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
+def coordinates(dec, v):
+    """The coordinates of v in the decomposition's basis: the bases of the
+    repair spaces, then t_j for every helper but the last."""
+    return dec._lay.unpack(dec._coords(v))
+
+
 def expand_complement(dec, block):
     """The vector of T whose complement-block coordinates are block, which
     weighs t_j for every helper j but the last."""

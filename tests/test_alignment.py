@@ -26,7 +26,7 @@ from regenext.linalg import (
 )
 from regenext.structure import compute_decomposition
 
-from conftest import assert_certificate_consistent, identity_rows
+from conftest import assert_certificate_consistent, coordinates, identity_rows
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -95,7 +95,7 @@ def aligned_by_definition_k2(candidate, dec):
                 continue
             v = vec_add(p, tuple((c0 * t) % p for t in rows[0]),
                         tuple((c1 * t) % p for t in rows[1]))
-            coords = dec.coordinates(v)
+            coords = coordinates(dec, v)
             in_a = any(dec.repair_block(coords, a))
             in_b = any(dec.repair_block(coords, b))
             if not in_a and in_b:

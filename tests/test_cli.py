@@ -16,7 +16,7 @@ from regenext.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from regenext.gf import FieldSpec
 import regenext.structure as structure
 from regenext.linalg import Subspace
-from regenext.regen import MalformedCodeFileError, RepairWitness, check_repair_pair, load_code
+from regenext.regen import MalformedCodeFileError, check_repair_pair, load_code
 
 
 @pytest.fixture(scope="module")
@@ -580,7 +580,7 @@ def test_gen_base_failure_is_one_line(tmp_path, monkeypatch, capsys):
 
     def hollow_witness(cert):
         dec = cert.decomposition
-        return RepairWitness.of({j: Subspace(dec.spec, dec.ambient_dim) for j in dec.helpers})
+        return {j: Subspace(dec.spec, dec.ambient_dim) for j in dec.helpers}
 
     monkeypatch.setattr(extend, "new_node_repair_witness", hollow_witness)
     out = tmp_path / "x.json"

@@ -21,7 +21,7 @@ from regenext.extend import (
 from regenext.gf import FieldSpec
 from regenext.linalg import Subspace
 from regenext.regen import (
-    Code, RepairWitness, save_code, verify_data_recovery, verify_repair_witnesses
+    Code, save_code, verify_data_recovery, verify_repair_witnesses
 )
 from regenext.structure import compute_decomposition, verify_structure
 
@@ -74,10 +74,10 @@ def test_new_node_repair_witness_structure():
     dec = synthesize_decomposition(3, GF5, random.Random("witness-new"))
     candidate, cert = sample_well_aligned(dec, random.Random("witness-new-star"))
     witness = new_node_repair_witness(cert)
-    assert witness.helpers == dec.helpers
+    assert tuple(sorted(witness)) == dec.helpers
     sent_rows = []
     for j in dec.helpers:
-        sub = witness.space(j)
+        sub = witness[j]
         node = dec.repair_spaces[j].sum(
             Subspace(dec.spec, 8, [dec.complement_vectors[j]])
         )
@@ -93,18 +93,18 @@ def test_helper_repair_witness_structure():
     candidate, cert = sample_well_aligned(dec, random.Random("witness-old-star"))
     failed = dec.helpers[1]
     witness = helper_repair_witness(cert, failed, new_index=4)
-    assert failed not in witness.helpers
-    assert 4 in witness.helpers
-    assert witness.space(4).dim == 2
-    assert candidate.contains_subspace(witness.space(4))
-    sent_rows = [r for _, sub in witness.items() for r in sub.basis_rows()]
+    assert failed not in witness
+    assert 4 in witness
+    assert witness[4].dim == 2
+    assert candidate.contains_subspace(witness[4])
+    sent_rows = [r for sub in witness.values() for r in sub.basis_rows()]
     sent = Subspace(dec.spec, 8, sent_rows)
     failed_node = dec.repair_spaces[failed].sum(
         Subspace(dec.spec, 8, [dec.complement_vectors[failed]])
     )
     assert sent.contains_subspace(failed_node)
-    for j in witness.helpers:
-        assert witness.space(j).dim <= 2
+    for j in witness:
+        assert witness[j].dim <= 2
     with pytest.raises(ValueError):
         helper_repair_witness(cert, 99, new_index=4)
 
@@ -295,9 +295,7 @@ def test_base_synthesis_catches_a_witness_that_misses_its_node(monkeypatch):
     def short_witness(cert, failed, new_index):
         real = helper_repair_witness(cert, failed, new_index)
         spec, dim = cert.decomposition.spec, cert.decomposition.ambient_dim
-        return RepairWitness.of(
-            {j: Subspace(spec, dim, []) if j == new_index else sub for j, sub in real.items()}
-        )
+        return {j: Subspace(spec, dim, []) if j == new_index else sub for j, sub in real.items()}
 
     monkeypatch.setattr(extend, "helper_repair_witness", short_witness)
     with pytest.raises(SynthesisError, match="indicates a bug: .*do not cover the failed node"):
@@ -313,9 +311,7 @@ def test_extend_catches_a_witness_that_misses_its_node(outcome_k3_big, monkeypat
     def short_witness(cert, failed, new_index):
         real = helper_repair_witness(cert, failed, new_index)
         spec, dim = cert.decomposition.spec, cert.decomposition.ambient_dim
-        return RepairWitness.of(
-            {j: Subspace(spec, dim, []) if j == new_index else sub for j, sub in real.items()}
-        )
+        return {j: Subspace(spec, dim, []) if j == new_index else sub for j, sub in real.items()}
 
     monkeypatch.setattr(extend, "helper_repair_witness", short_witness)
     with pytest.raises(ExtensionError, match="do not cover the failed node"):

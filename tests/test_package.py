@@ -1,6 +1,7 @@
 """Tests for the package's public surface."""
 
 import ast
+import importlib
 import pathlib
 import sys
 
@@ -10,9 +11,21 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "regenext"
 
 
 def test_every_exported_name_resolves():
-    missing = [name for name in regenext.__all__ if not hasattr(regenext, name)]
-    assert missing == []
-    assert len(set(regenext.__all__)) == len(regenext.__all__)
+    """The package and every submodule that declares __all__ export only
+    names they define, each once, so a deletion leaves no stale export."""
+    modules = [regenext] + [
+        importlib.import_module(f"regenext.{path.stem}")
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "__init__"
+    ]
+    declaring = [mod for mod in modules if hasattr(mod, "__all__")]
+    assert {mod.__name__ for mod in declaring} >= {
+        "regenext", "regenext.structure", "regenext.alignment", "regenext.extend"
+    }
+    for mod in declaring:
+        missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+        assert missing == [], mod.__name__
+        assert len(set(mod.__all__)) == len(mod.__all__), mod.__name__
 
 
 def test_runtime_imports_only_the_standard_library():

@@ -23,7 +23,6 @@ from regenext.linalg import (
 )
 from regenext.regen import (
     Code,
-    RepairWitness,
     brute_force_repairable,
     check_recovery_subset,
     check_repair_pair,
@@ -33,7 +32,7 @@ from regenext.regen import (
 from regenext.structure import DecompositionError, _lemma_applies, compute_decomposition
 
 from conftest import (
-    assert_certificate_consistent, combine, expand_complement, identity_rows
+    assert_certificate_consistent, combine, coordinates, expand_complement, identity_rows
 )
 
 PRIMES = [2, 3, 5, 65521, 2**31 - 1]
@@ -182,7 +181,7 @@ def assert_split_holds(dec, nodes, rng):
     assert Subspace(dec.spec, ambient, dec.complement_vectors.values()).dim == dec.k - 1
     for _ in range(5):
         v = tuple(rng.randrange(p) for _ in range(ambient))
-        coords = dec.coordinates(v)
+        coords = coordinates(dec, v)
         back = expand_complement(dec, dec.complement_block(coords))
         for j in dec.helpers:
             back = vec_add(p, back, dec.expand_repair(j, dec.repair_block(coords, j)))
@@ -204,10 +203,10 @@ def _one_entry_changed(code, rng):
         nodes[i] = changed(nodes[i])
     else:
         key = rng.choice(sorted(witnesses))
-        spaces = dict(witnesses[key].items())
+        spaces = dict(witnesses[key])
         j = rng.choice(sorted(spaces))
         spaces[j] = changed(spaces[j])
-        witnesses[key] = RepairWitness.of(spaces)
+        witnesses[key] = spaces
     return Code(code.params, tuple(nodes), witnesses)
 
 
@@ -296,7 +295,7 @@ def test_coverage_verdict_is_containment_in_the_sent_span(p, k, seed):
     witnesses = {}
     for key, witness in code.witnesses.items():
         spaces = {}
-        for j, sub in witness.items():
+        for j, sub in sorted(witness.items()):
             rows = list(sub.basis_rows())
             change = rng.randrange(5)
             if change == 1:
@@ -306,10 +305,10 @@ def test_coverage_verdict_is_containment_in_the_sent_span(p, k, seed):
             elif change == 3:
                 rows = code.node(j).basis_rows()
             spaces[j] = Subspace(spec, ambient, rows)
-        witnesses[key] = RepairWitness.of(spaces)
+        witnesses[key] = spaces
     variant = Code(code.params, code.nodes, witnesses)
     for x, helpers in variant.repair_pairs():
-        sent = [row for _, sub in variant.witness(x, helpers).items() for row in sub.basis_rows()]
+        sent = [row for sub in variant.witness(x, helpers).values() for row in sub.basis_rows()]
         covered = Subspace(spec, ambient, sent).contains_subspace(variant.node(x))
         gap = [m for m in check_repair_pair(variant, x, helpers) if "do not cover" in m]
         assert gap == ([] if covered else [

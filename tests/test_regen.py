@@ -27,7 +27,6 @@ from regenext.regen import (
     MalformedCodeFileError,
     MissingWitnessError,
     Params,
-    RepairWitness,
     brute_force_repairable,
     check_repair_pair,
     corner_point,
@@ -110,17 +109,6 @@ def test_params_rejects_bad_shapes():
         Params(3, 3, GF5)
 
 
-def test_repair_witness_sorted_and_lookup():
-    a = Subspace(GF3, 3, [(1, 0, 0)])
-    b = Subspace(GF3, 3, [(0, 1, 0)])
-    w = RepairWitness.of({3: b, 1: a})
-    assert w.helpers == (1, 3)
-    assert w.space(1) == a and w.space(3) == b
-    assert w.items() == ((1, a), (3, b))
-    with pytest.raises(KeyError):
-        w.space(2)
-
-
 def test_code_rejects_wrong_node_count():
     pr = Params(3, 2, GF2)
     with pytest.raises(ValueError):
@@ -130,13 +118,15 @@ def test_code_rejects_wrong_node_count():
 def test_code_rejects_bad_witness_keys():
     pr = Params(3, 2, GF2)
     nodes = (Subspace(GF2, 3, identity_rows(3)),) * 3
-    w = RepairWitness.of({1: Subspace(GF2, 3), 2: Subspace(GF2, 3)})
+    w = {1: Subspace(GF2, 3), 2: Subspace(GF2, 3)}
     with pytest.raises(ValueError, match="own helper"):
         Code(pr, nodes, {(1, (1, 2)): w})
     with pytest.raises(ValueError, match="sorted"):
-        Code(pr, nodes, {(3, (2, 1)): RepairWitness.of({2: Subspace(GF2, 3), 1: Subspace(GF2, 3)})})
-    with pytest.raises(ValueError, match="covers helpers"):
-        Code(pr, nodes, {(3, (1, 2)): RepairWitness.of({1: Subspace(GF2, 3)})})
+        Code(pr, nodes, {(3, (2, 1)): {2: Subspace(GF2, 3), 1: Subspace(GF2, 3)}})
+    with pytest.raises(ValueError, match=r"covers helpers \(1,\)"):
+        Code(pr, nodes, {(3, (1, 2)): {1: Subspace(GF2, 3)}})
+    with pytest.raises(ValueError, match=r"covers helpers \(1, 2, 3\)"):
+        Code(pr, nodes, {(3, (1, 2)): {**w, 3: Subspace(GF2, 3)}})
 
 
 def test_code_node_indexing(base_k3_p5):
@@ -152,7 +142,7 @@ def test_code_node_indexing(base_k3_p5):
 def test_code_witness_lookup(base_k3_p5):
     code = base_k3_p5
     w = code.witness(4, (3, 1, 2))
-    assert w.helpers == (1, 2, 3)
+    assert tuple(sorted(w)) == (1, 2, 3)
     with pytest.raises(MissingWitnessError):
         Code(code.params, code.nodes, {}).witness(4, (1, 2, 3))
 
@@ -205,9 +195,7 @@ def test_check_repair_pair_flags_coverage_gap(base_k3_p5):
     code = base_k3_p5
     x, helpers = next(iter(sorted(code.witnesses)))
     zeroed = dict(code.witnesses)
-    zeroed[(x, helpers)] = RepairWitness.of(
-        {j: Subspace(GF5, 8) for j in helpers}
-    )
+    zeroed[(x, helpers)] = {j: Subspace(GF5, 8) for j in helpers}
     msgs = check_repair_pair(Code(code.params, code.nodes, zeroed), x, helpers)
     assert len(msgs) == 1
     assert "do not cover the failed node" in msgs[0]
@@ -218,10 +206,10 @@ def test_check_repair_pair_flags_oversized_send(base_k3_p5):
     x, helpers = next(iter(sorted(code.witnesses)))
     j0 = helpers[0]
     w = code.witnesses[(x, helpers)]
-    fat = {j: w.space(j) for j in helpers}
+    fat = {j: w[j] for j in helpers}
     fat[j0] = code.node(j0)
     patched = dict(code.witnesses)
-    patched[(x, helpers)] = RepairWitness.of(fat)
+    patched[(x, helpers)] = fat
     msgs = check_repair_pair(Code(code.params, code.nodes, patched), x, helpers)
     assert any(f"helper {j0} sends dimension 3 > 2" in m for m in msgs)
 
@@ -236,10 +224,10 @@ def test_check_repair_pair_flags_escaped_send(base_k3_p5):
         if not code.node(j0).contains(v := tuple(1 if t == i else 0 for t in range(8)))
     )
     w = code.witnesses[(x, helpers)]
-    patched_spaces = {j: w.space(j) for j in helpers}
+    patched_spaces = {j: w[j] for j in helpers}
     patched_spaces[j0] = Subspace(GF5, 8, [outside])
     patched = dict(code.witnesses)
-    patched[(x, helpers)] = RepairWitness.of(patched_spaces)
+    patched[(x, helpers)] = patched_spaces
     msgs = check_repair_pair(Code(code.params, code.nodes, patched), x, helpers)
     assert any(f"helper {j0} sends vectors outside its node" in m for m in msgs)
 
@@ -437,6 +425,24 @@ def test_save_is_byte_stable(tmp_path, base_k3_p5):
     b = tmp_path / "b.json"
     save_code(base_k3_p5, str(a))
     save_code(base_k3_p5, str(b))
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_save_bytes_ignore_witness_insertion_order(tmp_path, extended_k3_big):
+    """A witness is a dict, so save_code sorts both the table and each
+    witness's helpers: the same code with every dict built in reverse
+    order writes the same bytes."""
+    code = extended_k3_big
+    reversed_witnesses = {
+        key: dict(reversed(code.witnesses[key].items())) for key in reversed(code.witnesses)
+    }
+    flipped = Code(code.params, code.nodes, reversed_witnesses)
+    assert any(
+        list(flipped.witnesses[key]) != list(w) for key, w in code.witnesses.items()
+    )
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    save_code(code, str(a))
+    save_code(flipped, str(b))
     assert a.read_bytes() == b.read_bytes()
 
 
