@@ -146,14 +146,19 @@ def sample_well_aligned(
     return candidate, is_well_aligned(candidate, dec)
 
 
-def _aligned_basis_tuple_count(k: int, spec: FieldSpec) -> int:
-    """Number of ordered aligned bases: per column, an independent (k-1)-tuple
-    in a (k-1)-dimensional space; per row, a free complement component."""
+def _aligned_bases_over(k: int, spec: FieldSpec, div: int) -> int:
+    """Number of ordered aligned bases divided by div: per column, an
+    independent (k-1)-tuple in a (k-1)-dimensional space; per row, a free
+    complement component."""
+    if k < 2:
+        raise ValueError(f"k must be at least 2, got {k}")
     q = spec.p
     per_column = 1
     for h in range(k - 1):
         per_column *= q ** (k - 1) - q**h
-    return per_column**k * q ** (k * (k - 1))
+    total = per_column**k * q ** (k * (k - 1))
+    assert total % div == 0
+    return total // div
 
 
 def count_well_aligned(k: int, spec: FieldSpec) -> int:
@@ -163,13 +168,7 @@ def count_well_aligned(k: int, spec: FieldSpec) -> int:
     bases: the basis vectors are pinned to the k kernel lines, leaving one
     nonzero scalar of freedom apiece.  Validated against the census.
     """
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
-    q = spec.p
-    total = _aligned_basis_tuple_count(k, spec)
-    div = (q - 1) ** k
-    assert total % div == 0
-    return total // div
+    return _aligned_bases_over(k, spec, (spec.p - 1) ** k)
 
 
 def count_well_aligned_lower(k: int, spec: FieldSpec) -> int:
@@ -180,13 +179,7 @@ def count_well_aligned_lower(k: int, spec: FieldSpec) -> int:
     occurs), so it is a lower bound on count_well_aligned.  Kept for
     reporting alongside the exact value.
     """
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
-    q = spec.p
-    total = _aligned_basis_tuple_count(k, spec)
-    div = q**k
-    assert total % div == 0
-    return total // div
+    return _aligned_bases_over(k, spec, spec.p**k)
 
 
 def probability_well_aligned(k: int, spec: FieldSpec) -> Fraction:
@@ -205,12 +198,10 @@ def census_well_aligned(dec: Decomposition, cap: int = 10**7) -> int:
     Raises CapExceededError when the number of k-dimensional subspaces of the
     file space exceeds cap.
     """
-    k = dec.k
-    hits = 0
-    for candidate in enumerate_subspaces(dec.ambient_dim, k, dec.spec, cap=cap):
-        if is_well_aligned(candidate, dec) is not None:
-            hits += 1
-    return hits
+    return sum(
+        is_well_aligned(candidate, dec) is not None
+        for candidate in enumerate_subspaces(dec.ambient_dim, dec.k, dec.spec, cap=cap)
+    )
 
 
 def estimate_probability_monte_carlo(
@@ -219,11 +210,10 @@ def estimate_probability_monte_carlo(
     """Empirical alignment frequency and a 3-sigma normal interval."""
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    hits = 0
-    for _ in range(trials):
-        candidate = random_subspace(dec.ambient_dim, dec.k, dec.spec, rng)
-        if is_well_aligned(candidate, dec) is not None:
-            hits += 1
+    hits = sum(
+        is_well_aligned(random_subspace(dec.ambient_dim, dec.k, dec.spec, rng), dec) is not None
+        for _ in range(trials)
+    )
     freq = Fraction(hits, trials)
     f = hits / trials
     half = 3.0 * math.sqrt(max(f * (1.0 - f), 0.0) / trials)

@@ -22,7 +22,6 @@ from .alignment import (
     count_well_aligned,
     count_well_aligned_lower,
     estimate_probability_monte_carlo,
-    probability_well_aligned,
 )
 from .extend import (
     DEFAULT_MAX_ATTEMPTS,
@@ -199,7 +198,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     code = load_code(args.in_path)
     pr = code.params
     print(_params_line(code))
-    failed = False
 
     node_violations = [
         f"node {j}: dimension {code.node(j).dim} != alpha = {pr.alpha}"
@@ -207,12 +205,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if code.node(j).dim != pr.alpha
     ]
     _print_section("node dimensions", pr.n, node_violations)
-    failed = failed or bool(node_violations)
 
     subsets = list(code.recovery_subsets())
     recovery = verify_data_recovery(code, subsets)
     _print_section("data recovery", len(subsets), list(recovery.values()))
-    failed = failed or bool(recovery)
     spanning = set(subsets).difference(recovery)
 
     # load_code keeps every node to at most alpha rows, so each helper offers
@@ -247,7 +243,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"oracle cross-check: skipped ({combos} combinations per pair exceed "
             f"the cap of {args.oracle_cap})"
         )
-    failed = failed or bool(witness_violations or structure_violations or oracle_violations)
+    failed = bool(
+        node_violations or recovery or witness_violations or structure_violations
+        or oracle_violations
+    )
 
     print("result: " + ("FAIL" if failed else "PASS"))
     return EXIT_VERIFICATION if failed else EXIT_OK
@@ -267,58 +266,32 @@ def _cmd_prob_sweep(args: argparse.Namespace) -> int:
     k = args.k
     f_dim = k * k - 1
     rng = random.Random(f"prob-sweep:{args.seed}")
-    fieldnames = [
-        "p",
-        "k",
-        "aligned_exact",
-        "aligned_lower",
-        "subspaces_total",
-        "probability_exact",
-        "probability",
-        "census",
-        "census_ratio",
-        "mc_frequency",
-        "mc_low",
-        "mc_high",
-        "trials",
-    ]
     specs = [_field(p) for p in _parse_prime_list(args.p)]
     # opened before the first prime, so an unwritable path exits 2 having
     # done no work; each row goes out as its prime completes
     sink = None if args.csv is None else open(args.csv, "w", encoding="utf-8", newline="")
     with sink or contextlib.nullcontext():
-        writer = csv.DictWriter(sink or sys.stdout, fieldnames=fieldnames)
-        writer.writeheader()
+        writer = csv.writer(sink or sys.stdout)
+        writer.writerow((
+            "p", "k", "aligned_exact", "aligned_lower", "subspaces_total",
+            "probability_exact", "probability", "census", "census_ratio",
+            "mc_frequency", "mc_low", "mc_high", "trials",
+        ))
         for spec in specs:
             dec = synthesize_decomposition(k, spec, rng)
             exact = count_well_aligned(k, spec)
             lower = count_well_aligned_lower(k, spec)
             total = count_subspaces(f_dim, k, spec)
-            prob = probability_well_aligned(k, spec)
-            census = ""
-            census_ratio = ""
+            prob = Fraction(exact, total)
+            census = census_ratio = ""
             if total <= args.oracle_cap:
-                census_count = census_well_aligned(dec, cap=args.oracle_cap)
-                census = census_count
-                census_ratio = census_count / total
+                census = census_well_aligned(dec, cap=args.oracle_cap)
+                census_ratio = census / total
             freq, (low, high) = estimate_probability_monte_carlo(dec, args.trials, rng)
-            writer.writerow(
-                {
-                    "p": spec.p,
-                    "k": k,
-                    "aligned_exact": exact,
-                    "aligned_lower": lower,
-                    "subspaces_total": total,
-                    "probability_exact": str(prob),
-                    "probability": float(prob),
-                    "census": census,
-                    "census_ratio": census_ratio,
-                    "mc_frequency": float(freq),
-                    "mc_low": low,
-                    "mc_high": high,
-                    "trials": args.trials,
-                }
-            )
+            writer.writerow((
+                spec.p, k, exact, lower, total, str(prob), float(prob), census,
+                census_ratio, float(freq), low, high, args.trials,
+            ))
             census_note = f", census={census}" if census != "" else ""
             _log(
                 f"p={spec.p}: probability {float(prob):.6f} "

@@ -28,11 +28,11 @@ rank rejection), and any k-1 of the t_j span T because they sum to zero.
     and tau(i) (in the span of the received t_j), leaves sigma(i, m), a
     basis of S_m; and t_m = minus the sum of the received t_j.
 
-Base synthesis still checks every recovery subset and repair pair of the
-base code, and a failure is a bug.  A growth step assumes a verified input
-and checks exactly the units that contain the new node, the others being
-unchanged.  The witness builders check nothing; `check_repair_pair` checks
-each witness's coverage.
+Each step checks the units that contain its new node.  A growth step assumes
+a verified input, whose units it leaves unchanged; the base is a step on the
+frame's k nodes and also checks its frame subset (1, ..., k), its one unit
+without node k+1.  A failure is a bug.  The witness builders check nothing;
+`check_repair_pair` checks each witness's coverage.
 """
 
 from __future__ import annotations
@@ -180,16 +180,17 @@ def _add_node(
     witnesses: dict[tuple[int, tuple[int, ...]], dict[int, Subspace]],
     candidate: Subspace,
     log: dict[tuple[int, ...], AlignmentCertificate],
-    verified: bool,
 ) -> tuple[Code, list[str]]:
-    """Append the candidate as node n+1 and verify what that changed.
+    """Append the candidate as node n+1 and check what that added.
 
     For every helper subset in the log, the subset's certificate yields the
     witnesses in both directions: the new node repaired by the subset, and
-    each member repaired by the others plus the new node.  Checks the
-    recovery subsets and repair pairs that contain the new node when the old
-    ones are `verified`, every unit otherwise.  Returns the grown code and
-    its first few verification problems (none when it verifies).
+    each member repaired by the others plus the new node.  The one rule:
+    check the recovery subsets that hold the new node and the repair pairs
+    whose witnesses were just added, which are the pairs that hold it.  Code
+    keeps the added dict as its table, so those keys are read before the old
+    witnesses join it.  Returns the grown code and its first few problems
+    (none when it passes).
     """
     star = len(nodes) + 1
     added = {}
@@ -202,12 +203,9 @@ def _add_node(
     params = Params(star, candidate.dim, candidate.spec)
     # Code checks the added witnesses; the old ones passed when their code was built
     grown = Code(params, nodes + (candidate,), added)
+    pairs = sorted(added)
     grown.witnesses.update(witnesses)
-    subsets, pairs = grown.recovery_subsets(), grown.repair_pairs()
-    if verified:
-        subsets = (s for s in subsets if star in s)
-        pairs = ((x, a) for x, a in pairs if star == x or star in a)
-    recovery = verify_data_recovery(grown, subsets)
+    recovery = verify_data_recovery(grown, (s for s in grown.recovery_subsets() if star in s))
     return grown, [*recovery.values(), *verify_repair_witnesses(grown, pairs)][:3]
 
 
@@ -217,8 +215,8 @@ def synthesize_base_code(k: int, spec: FieldSpec, rng: random.Random) -> Code:
     Nodes 1..k are repair space plus complement vector from a random frame;
     node k+1 is sampled well aligned relative to that frame and added as a
     one-subset extension of it.  The module docstring shows why the result
-    is valid; every unit is still checked, since nothing was verified
-    before, and a failure raises SynthesisError.
+    is valid; the frame subset is checked here and the units holding node
+    k+1 by the step, and a failure raises SynthesisError.
     """
     dec = synthesize_decomposition(k, spec, rng)
     nodes = tuple(
@@ -226,7 +224,8 @@ def synthesize_base_code(k: int, spec: FieldSpec, rng: random.Random) -> Code:
         for j in dec.helpers
     )
     candidate, cert = sample_well_aligned(dec, rng)
-    code, problems = _add_node(nodes, {}, candidate, {dec.helpers: cert}, verified=False)
+    code, problems = _add_node(nodes, {}, candidate, {dec.helpers: cert})
+    problems = [*verify_data_recovery(code, [dec.helpers]).values(), *problems][:3]
     if problems:
         raise SynthesisError(
             "base code failed verification, which indicates a bug: " + "; ".join(problems)
@@ -237,7 +236,7 @@ def synthesize_base_code(k: int, spec: FieldSpec, rng: random.Random) -> Code:
 def find_alignments(
     code: Code,
     candidate: Subspace,
-    cache: dict | None = None,
+    cache: dict,
 ) -> dict[tuple[int, ...], AlignmentCertificate] | None:
     """For every k-subset of nodes, find a repair pair the candidate aligns with.
 
@@ -247,8 +246,6 @@ def find_alignments(
     Its splits must come from this code or from a code it was grown from by
     extend_code, which never changes an old node or witness.
     """
-    if cache is None:
-        cache = {}
     pr = code.params
     log: dict[tuple[int, ...], AlignmentCertificate] = {}
     for helpers in itertools.combinations(range(1, pr.n + 1), pr.k):
@@ -306,7 +303,7 @@ def extend_code(
         log = find_alignments(code, candidate, cache)
         if log is None:
             continue
-        grown, problems = _add_node(code.nodes, code.witnesses, candidate, log, verified=True)
+        grown, problems = _add_node(code.nodes, code.witnesses, candidate, log)
         if problems:
             raise ExtensionError(
                 "grown code failed verification, which indicates a bug: " + "; ".join(problems)

@@ -288,6 +288,23 @@ def test_base_synthesis_checks_every_unit_once(monkeypatch):
     assert set(pairs) == set(code.repair_pairs()) and len(pairs) == k + 1
 
 
+def test_base_synthesis_checks_its_frame_subset(monkeypatch):
+    """The frame subset (1, ..., k) is the base's one unit without node k+1,
+    so synthesis checks it apart from the step that adds that node."""
+    import regenext.regen as regen
+
+    real = regen.check_recovery_subset
+
+    def frame_fails(code, subset):
+        if tuple(subset) == (1, 2, 3):
+            return f"recovery subset {subset}: flagged"
+        return real(code, subset)
+
+    monkeypatch.setattr(regen, "check_recovery_subset", frame_fails)
+    with pytest.raises(SynthesisError, match=r"indicates a bug: recovery subset \(1, 2, 3\)"):
+        synthesize_base_code(3, BIG, random.Random("ext-test-base"))
+
+
 def test_base_synthesis_catches_a_witness_that_misses_its_node(monkeypatch):
     """A base code that fails a check is a bug, raised at once, not redrawn."""
     import regenext.extend as extend
