@@ -13,12 +13,13 @@ k-1 nonzero components sigma(i, j) are linearly independent.
 Equivalently: for each helper j, the projection of the candidate to S_j along
 the rest of the split must have a one-dimensional kernel, and the k kernel
 lines must jointly span the candidate.  The checker tests exactly that and
-returns the certificate data; the sampler builds such a basis directly and
+returns the aligned basis; the sampler builds such a basis directly and
 hands the candidate to the checker, so certificates are made in one place.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -51,19 +52,30 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AlignmentCertificate:
-    """Aligned basis of a candidate node, split along a decomposition.
-
-    basis maps each helper index i to the basis vector w(i) whose component
-    in S_i vanishes.  repair_parts maps (i, j) to sigma(i, j), the component
-    of w(i) in S_j.  complement_coeffs maps (i, j) to theta(i, j), the
-    coefficient of t_j when tau(i), w(i) minus its sigma(i, j), is written
-    over the complement vectors other than t_i.
-    """
+    """Aligned basis of a candidate node, split along a decomposition: basis
+    maps each helper i to the basis vector w(i) whose component in S_i
+    vanishes.  The witnesses in both directions follow from it, via parts."""
 
     decomposition: Decomposition
     basis: dict[int, Vec]
-    repair_parts: dict[tuple[int, int], Vec]
-    complement_coeffs: dict[tuple[int, int], int]
+
+    @functools.cached_property
+    def parts(self) -> dict[tuple[int, int], int]:
+        """For i != j, the part sigma(i, j) + theta(i, j) t_j of w(i) that node
+        j holds, packed; computed on first read, by k splits.  Split w(i) into
+        its sigma(i, j) and tau(i) = sum of c_j t_j.  The t_j sum to zero, so
+        tau(i) is the sum over j != i of theta(i, j) t_j with
+        theta(i, j) = c_j - c_i (mod p), and the parts of w(i) sum to w(i)."""
+        dec = self.decomposition
+        lay = dec._lay
+        t = {j: lay.pack(dec.complement_vectors[j]) for j in dec.helpers}
+        parts = {}
+        for i, w in self.basis.items():
+            sigma, c = dec._split(w)
+            for j in dec.helpers:
+                if j != i:
+                    parts[(i, j)] = lay.combine((1, (c[j] - c[i]) % lay.p), (sigma[j], t[j]))
+        return parts
 
 
 def is_well_aligned(
@@ -71,51 +83,28 @@ def is_well_aligned(
 ) -> AlignmentCertificate | None:
     """Certificate for a well-aligned candidate, or None.
 
-    Every field is read off the coordinates of the candidate's basis.  The
-    complement block c of w(i) gives tau(i) = sum of c_j t_j with c_j = 0
-    for the last helper; since the t_j sum to zero, subtracting c_i times
-    that sum writes tau(i) over the t_j with j != i as
-    theta(i, j) = c_j - c_i (mod p).
-
-    The candidate must be a k-dimensional subspace of the decomposition's
-    file space; anything else raises ValueError.
+    The test reads the coordinates of the candidate's basis, and a hit
+    builds only the aligned basis.  The candidate must be a k-dimensional
+    subspace of the decomposition's file space; anything else raises
+    ValueError.
     """
     k = dec.k
     if candidate.spec != dec.spec or candidate.ambient_dim != dec.ambient_dim:
         raise ValueError("candidate lives in a different space than the decomposition")
     if candidate.dim != k:
         raise ValueError(f"candidate has dimension {candidate.dim}, expected {k}")
-    spec = dec.spec
-    p = spec.p
     lay = candidate._lay
-    packed = [dec._coords(r) for r in candidate.basis_rows()]
-    coords = [lay.unpack(c) for c in packed]
+    coords = [lay.unpack(dec._coords(r)) for r in candidate.basis_rows()]
     kernel_gens: dict[int, Vec] = {}
     for j in dec.helpers:
-        kernel = nullspace(spec, [dec.repair_block(c, j) for c in coords])
+        kernel = nullspace(dec.spec, [dec.repair_block(c, j) for c in coords])
         if kernel.dim != 1:
             return None
         kernel_gens[j] = kernel.basis_rows()[0]
-    if rank(p, kernel_gens.values()) != k:
+    if rank(dec.spec.p, kernel_gens.values()) != k:
         return None
-    basis: dict[int, Vec] = {}
-    repair_parts: dict[tuple[int, int], Vec] = {}
-    complement_coeffs: dict[tuple[int, int], int] = {}
-    for i in dec.helpers:
-        basis[i] = lay.unpack(candidate._combine(kernel_gens[i]))
-        w_coords = lay.unpack(lay.combine(kernel_gens[i], packed))
-        for j in dec.helpers:
-            repair_parts[(i, j)] = dec.expand_repair(j, dec.repair_block(w_coords, j))
-        c_of = dict(zip(dec.helpers, dec.complement_block(w_coords) + (0,)))
-        for j in dec.helpers:
-            if j != i:
-                complement_coeffs[(i, j)] = (c_of[j] - c_of[i]) % p
-    return AlignmentCertificate(
-        decomposition=dec,
-        basis=basis,
-        repair_parts=repair_parts,
-        complement_coeffs=complement_coeffs,
-    )
+    basis = {i: lay.unpack(candidate._combine(g)) for i, g in kernel_gens.items()}
+    return AlignmentCertificate(decomposition=dec, basis=basis)
 
 
 def sample_well_aligned(

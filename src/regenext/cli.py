@@ -103,6 +103,13 @@ def _params_line(code: Code) -> str:
     )
 
 
+def _decimal(n: int) -> str | None:
+    """n in decimal, or None past Python's int-to-str limit; lifting the limit
+    for a count whose size the input picks would turn the error into a stall."""
+    with contextlib.suppress(ValueError):
+        return str(n)
+
+
 def _print_section(name: str, checked: int, violations: list[str]) -> None:
     print(f"{name}: checked={checked} violations={len(violations)}")
     for line in violations[:_MAX_LISTED]:
@@ -138,9 +145,7 @@ def _cmd_grow(args: argparse.Namespace) -> int:
     if args.n < pr.k + 1:
         raise UsageError(f"--n must be at least k+1 = {pr.k + 1}, got {args.n}")
     if args.n <= pr.n:
-        _log(
-            f"nothing to do: code already has n={pr.n} nodes, target is {args.n}"
-        )
+        _log(f"nothing to do: code already has n={pr.n} nodes, target is {args.n}")
         return EXIT_OK
     _check_out_dir(args.out)
 
@@ -239,8 +244,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if run_oracle:
         _print_section("oracle cross-check", len(pairs), oracle_violations)
     else:
+        shown = _decimal(combos) or f"at least 2^{combos.bit_length() - 1}"
         print(
-            f"oracle cross-check: skipped ({combos} combinations per pair exceed "
+            f"oracle cross-check: skipped ({shown} combinations per pair exceed "
             f"the cap of {args.oracle_cap})"
         )
     failed = bool(
@@ -267,6 +273,9 @@ def _cmd_prob_sweep(args: argparse.Namespace) -> int:
     f_dim = k * k - 1
     rng = random.Random(f"prob-sweep:{args.seed}")
     specs = [_field(p) for p in _parse_prime_list(args.p)]
+    for spec in specs:  # no count in a row exceeds the subspace count
+        if _decimal(count_subspaces(f_dim, k, spec)) is None:
+            raise UsageError(f"k={k} at p={spec.p} gives counts too long to print in decimal")
     # opened before the first prime, so an unwritable path exits 2 having
     # done no work; each row goes out as its prime completes
     sink = None if args.csv is None else open(args.csv, "w", encoding="utf-8", newline="")
@@ -415,15 +424,16 @@ def _cmd_repair_demo(args: argparse.Namespace) -> int:
     for i in helpers:
         if i == failed:
             continue
+        sigma, c = dec._split(cert.basis[i])
         residue = cert.basis[i]
         for j in others:
-            residue = vec_sub(p, residue, cert.repair_parts[(i, j)])
-        # tau(i) is the sum of theta(i, j) t_j over j != i, t_failed taken from step 1
+            residue = vec_sub(p, residue, dec._lay.unpack(sigma[j]))
+        # tau(i) is the sum of (c_j - c_i) t_j over j != i, t_failed taken from step 1
         for j in helpers:
             if j != i:
                 t_j = t_failed if j == failed else dec.complement_vectors[j]
-                residue = vec_sub(p, residue, vec_scale(p, cert.complement_coeffs[(i, j)], t_j))
-        expected = cert.repair_parts[(i, failed)]
+                residue = vec_sub(p, residue, vec_scale(p, c[j] - c[i], t_j))
+        expected = dec._lay.unpack(sigma[failed])
         ok = residue == expected
         all_ok = all_ok and ok
         recovered.append(residue)
@@ -493,9 +503,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "prob-sweep", help="alignment probability: formulas, census, and sampling"
     )
     sweep.add_argument("--k", type=_at_least(2), required=True, help="recovery threshold (>= 2)")
-    sweep.add_argument(
-        "--p", required=True, help="comma-separated list of prime moduli"
-    )
+    sweep.add_argument("--p", required=True, help="comma-separated list of prime moduli")
     sweep.add_argument("--trials", type=_at_least(1), default=1000, help="monte-carlo draws per prime")
     sweep.add_argument("--seed", type=int, default=0, help="random seed")
     sweep.add_argument("--csv", default=None, help="write rows to this file instead of stdout")

@@ -123,24 +123,17 @@ def synthesize_decomposition(
 def new_node_repair_witness(cert: AlignmentCertificate) -> dict[int, Subspace]:
     """Witness for repairing the certificate's node from its helpers.
 
-    Helper j sends span of sigma(i, j) + theta(i, j) * t_j over i != j; the
-    aligned basis vectors w(i) = sum of sigma(i, j) + tau(i) then reassemble
-    inside the sum of the sends, because tau(i) expands over the t_j.
+    Helper j sends the span of its parts of the w(i), i != j
+    (AlignmentCertificate.parts); each w(i) is the sum of its parts, so the
+    aligned basis reassembles inside the sum of the sends.
     """
     dec = cert.decomposition
-    lay = dec._lay
-    spaces = {}
-    for j in dec.helpers:
-        t = lay.pack(dec.complement_vectors[j])
-        rows = (
-            lay.combine(
-                (1, cert.complement_coeffs[(i, j)]), (lay.pack(cert.repair_parts[(i, j)]), t)
-            )
-            for i in dec.helpers
-            if i != j
+    return {
+        j: Subspace._span_packed(
+            dec.spec, dec.ambient_dim, (cert.parts[(i, j)] for i in dec.helpers if i != j)
         )
-        spaces[j] = Subspace._span_packed(dec.spec, dec.ambient_dim, rows)
-    return spaces
+        for j in dec.helpers
+    }
 
 
 def helper_repair_witness(
@@ -150,10 +143,11 @@ def helper_repair_witness(
     (stored at new_index) joining the remaining helpers.
 
     The new node sends span of w(i) over i != failed; each remaining helper j
-    sends span of sigma(i, j) for i outside {j, failed} plus its complement
-    vector t_j.  Subtracting the sigma and t contributions from the w(i)
-    isolates the k-1 components sigma(i, failed), which together with
-    t_failed = minus the sum of the other t_j rebuild the failed node.
+    sends its parts of the w(i) for i outside {j, failed} plus its complement
+    vector t_j, which span the sigma(i, j) plus t_j.  Subtracting the sigma
+    and t contributions from the w(i) isolates the k-1 components
+    sigma(i, failed), which together with t_failed = minus the sum of the
+    other t_j rebuild the failed node.
     """
     dec = cert.decomposition
     if failed not in dec.helpers:
@@ -163,15 +157,10 @@ def helper_repair_witness(
         dec.spec, dec.ambient_dim, [cert.basis[i] for i in dec.helpers if i != failed]
     )
     for j in dec.helpers:
-        if j == failed:
-            continue
-        rows = [
-            cert.repair_parts[(i, j)]
-            for i in dec.helpers
-            if i != j and i != failed
-        ]
-        rows.append(dec.complement_vectors[j])
-        spaces[j] = Subspace._span(dec.spec, dec.ambient_dim, rows)
+        if j != failed:
+            rows = [cert.parts[(i, j)] for i in dec.helpers if i not in (j, failed)]
+            rows.append(dec._lay.pack(dec.complement_vectors[j]))
+            spaces[j] = Subspace._span_packed(dec.spec, dec.ambient_dim, rows)
     return spaces
 
 

@@ -13,8 +13,9 @@ are the complement vectors t_j.  They satisfy:
   * the S_j are mutually independent and F = S_1 + ... + S_k + T directly.
 
 A Decomposition records this split and gives coordinates in one basis:
-the bases of S_1, ..., S_k, then t_j for every helper but the last.  It
-checks nothing, because its two producers establish every claim above.
+the bases of S_1, ..., S_k, then t_j for every helper but the last, off
+which _split reads a vector's parts in the S_j and its weights over the t_j.
+It checks nothing, because its two producers establish every claim above.
 extend.synthesize_decomposition takes that basis from the rows of a random
 invertible matrix and sets the last t_j to minus the sum of the others.
 compute_decomposition checks that each helper sends k-1 dimensions inside a
@@ -109,14 +110,12 @@ class Decomposition:
         off = self.helpers.index(j) * (self.k - 1)
         return coords[off : off + self.k - 1]
 
-    def complement_block(self, coords: Vec) -> Vec:
-        """The k-1 coordinates over t_j for the helpers j but the last."""
-        return coords[self.k * (self.k - 1) :]
-
-    def expand_repair(self, j: int, block: Vec) -> Vec:
-        """Turn repair-space coordinates for helper j back into a file-space vector."""
-        block = map(self.spec.p.__rmod__, block)
-        return self._lay.unpack(self.repair_spaces[j]._combine(block))
+    def _split(self, v) -> tuple[dict[int, int], dict[int, int]]:
+        """v read off _coords(v): its part in each S_j, packed, and the weight
+        c_j of each t_j in its part in T, with c_j = 0 for the last helper."""
+        c = self._lay.unpack(self._coords(v))
+        sigma = {j: s._combine(self.repair_block(c, j)) for j, s in self.repair_spaces.items()}
+        return sigma, dict(zip(self.helpers, c[self.k * (self.k - 1) :] + (0,)))
 
     def __repr__(self) -> str:
         tag = "synthetic" if self.failed_node is None else f"x={self.failed_node}"

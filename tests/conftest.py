@@ -52,39 +52,45 @@ def coordinates(dec, v):
     return dec._lay.unpack(dec._coords(v))
 
 
-def expand_complement(dec, block):
-    """The vector of T whose complement-block coordinates are block, which
-    weighs t_j for every helper j but the last."""
-    return combine(dec.spec.p, block, [dec.complement_vectors[j] for j in dec.helpers[:-1]])
+def split(dec, v):
+    """Decomposition._split(v) unpacked: v's part in each repair space, and
+    the weight of each t_j in its part in T, 0 for the last helper."""
+    sigma, weights = dec._split(v)
+    return {j: dec._lay.unpack(s) for j, s in sigma.items()}, weights
+
+
+def expand_complement(dec, weights):
+    """The vector of T that weighs each t_j by weights[j]."""
+    helpers = dec.helpers
+    return combine(
+        dec.spec.p, [weights[j] for j in helpers], [dec.complement_vectors[j] for j in helpers]
+    )
 
 
 def assert_certificate_consistent(cert, candidate):
-    """Re-verify every certificate claim from scratch."""
+    """Re-verify every certificate claim from scratch: the basis spans the
+    candidate, the part of w(i) that node j holds is sigma(i, j) plus a
+    multiple of t_j, the parts of w(i) sum to w(i), and for each j the
+    sigma(i, j), i != j, have rank k-1."""
     dec = cert.decomposition
     p = dec.spec.p
     helpers = dec.helpers
-    complement_space = Subspace(dec.spec, dec.ambient_dim, dec.complement_vectors.values())
     assert Subspace(dec.spec, dec.ambient_dim, cert.basis.values()) == candidate
+    sigma = {}
     for i in helpers:
-        # what the basis vector holds beyond its recorded repair parts lies in T
-        complement_part = cert.basis[i]
-        for j in helpers:
-            complement_part = vec_sub(p, complement_part, cert.repair_parts[(i, j)])
         assert candidate.contains(cert.basis[i])
-        assert not any(cert.repair_parts[(i, i)])
-        assert complement_space.contains(complement_part)
+        parts_i, _ = split(dec, cert.basis[i])
+        assert not any(parts_i[i])
+        total = (0,) * dec.ambient_dim
         for j in helpers:
-            assert dec.repair_spaces[j].contains(cert.repair_parts[(i, j)])
-        # recorded coefficients rebuild tau over the other leftovers
-        tau = (0,) * dec.ambient_dim
-        for j in helpers:
-            if j == i:
-                continue
-            c = cert.complement_coeffs[(i, j)]
-            tau = vec_add(
-                p, tau, tuple((c * v) % p for v in dec.complement_vectors[j])
-            )
-        assert tau == complement_part
+            sigma[(i, j)] = parts_i[j]
+            assert dec.repair_spaces[j].contains(parts_i[j])
+            if j != i:
+                part = dec._lay.unpack(cert.parts[(i, j)])
+                t_line = Subspace(dec.spec, dec.ambient_dim, [dec.complement_vectors[j]])
+                assert t_line.contains(vec_sub(p, part, parts_i[j]))
+                total = vec_add(p, total, part)
+        assert total == cert.basis[i]
     for j in helpers:
-        rows = [cert.repair_parts[(i, j)] for i in helpers if i != j]
+        rows = [sigma[(i, j)] for i in helpers if i != j]
         assert rank(p, rows) == dec.k - 1

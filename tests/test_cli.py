@@ -15,7 +15,7 @@ import regenext.cli as cli
 from regenext.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from regenext.gf import FieldSpec
 import regenext.structure as structure
-from regenext.linalg import Subspace
+from regenext.linalg import Subspace, count_subspaces
 from regenext.regen import MalformedCodeFileError, check_repair_pair, load_code
 
 
@@ -782,3 +782,43 @@ def test_verify_tests_each_send_for_containment_once(workdir, monkeypatch, capsy
     assert "repair witnesses: checked=60 violations=0" in capsys.readouterr().out
     assert len(calls) == 3 * 60
     assert all(other.dim == 2 for other in calls)
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_prob_sweep_refuses_counts_past_the_digit_limit(tmp_path, capsys, to_file):
+    """At k=9 and p=2^31-1 the subspace count has more digits than Python
+    converts to a string, so prob-sweep refuses before writing any row, even
+    the row of a prime listed first that would fit."""
+    csv_path = tmp_path / "x.csv"
+    argv = ["prob-sweep", "--k", "9", "--p", "3,2147483647", "--trials", "1"]
+    assert main(argv + (["--csv", str(csv_path)] if to_file else [])) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: k=9 at p=2147483647 gives counts too long to print in decimal\n"
+    )
+    assert not csv_path.exists()
+
+
+def test_verify_reports_a_combination_count_past_the_digit_limit(tmp_path, capsys):
+    """At k=22 and p=2^31-1 the oracle's combination count has more digits
+    than Python converts to a string.  verify still reports every section,
+    names a power of two below the count, and exits by its verdict."""
+    k = 22
+    obj = {
+        "version": 1, "p": 2**31 - 1, "k": k, "n": k + 1, "alpha": k, "beta": k - 1,
+        "F": k * k - 1, "nodes": [[] for _ in range(k + 1)], "witnesses": [],
+    }
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(obj))
+    combos = count_subspaces(k, k - 1, FieldSpec(2**31 - 1)) ** k
+    assert main(["verify", "--in", str(path)]) == EXIT_VERIFICATION
+    out = capsys.readouterr().out
+    sections = ["node dimensions", "data recovery", "repair witnesses", "decomposition structure"]
+    for section in sections:
+        assert f"{section}: checked=23 violations=23\n" in out
+    assert (
+        f"oracle cross-check: skipped (at least 2^{combos.bit_length() - 1} combinations "
+        f"per pair exceed the cap of {cli.DEFAULT_ORACLE_CAP})\n"
+    ) in out
+    assert out.endswith("result: FAIL\n")

@@ -6,7 +6,12 @@ from collections import Counter
 
 import pytest
 
-from regenext.alignment import probability_well_aligned, sample_well_aligned
+from regenext.alignment import (
+    census_well_aligned,
+    estimate_probability_monte_carlo,
+    probability_well_aligned,
+    sample_well_aligned,
+)
 from regenext.extend import (
     ExtensionError,
     SynthesisError,
@@ -19,11 +24,13 @@ from regenext.extend import (
     synthesize_decomposition,
 )
 from regenext.gf import FieldSpec
-from regenext.linalg import Subspace
+from regenext.linalg import Subspace, vec_add, vec_scale
 from regenext.regen import (
     Code, save_code, verify_data_recovery, verify_repair_witnesses
 )
-from regenext.structure import compute_decomposition, verify_structure
+from regenext.structure import Decomposition, compute_decomposition, verify_structure
+
+from conftest import combine, coordinates
 
 GF2 = FieldSpec(2)
 GF5 = FieldSpec(5)
@@ -333,3 +340,74 @@ def test_extend_catches_a_witness_that_misses_its_node(outcome_k3_big, monkeypat
     monkeypatch.setattr(extend, "helper_repair_witness", short_witness)
     with pytest.raises(ExtensionError, match="do not cover the failed node"):
         extend_code(base, random.Random("ext-test-draw"))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521, 2**31 - 1])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_builders_match_a_per_entry_reference(k, p):
+    """Both witness kinds equal the ones built entry by entry from
+    sigma(i, j) and theta(i, j) = c_j - c_i, read off coordinates: helper j
+    sends sigma(i, j) + theta(i, j) t_j over i != j to the new node, and the
+    sigma(i, j), i outside {j, f}, plus t_j when the new node helps repair f."""
+    spec = FieldSpec(p)
+    rng = random.Random(f"builders-{k}-{p}")
+    dec = synthesize_decomposition(k, spec, rng)
+    _, cert = sample_well_aligned(dec, rng)
+    helpers, t = dec.helpers, dec.complement_vectors
+    sigma, theta = {}, {}
+
+    def span(rows):
+        return Subspace(spec, dec.ambient_dim, rows)
+
+    def part(i, j):
+        return vec_add(p, sigma[(i, j)], vec_scale(p, theta[(i, j)], t[j]))
+
+    for i in helpers:
+        coords = coordinates(dec, cert.basis[i])
+        c = dict(zip(helpers, coords[k * (k - 1) :] + (0,)))
+        for n, j in enumerate(helpers):
+            block = coords[n * (k - 1) : (n + 1) * (k - 1)]
+            sigma[(i, j)] = combine(p, block, dec.repair_spaces[j].basis_rows())
+            theta[(i, j)] = (c[j] - c[i]) % p
+        assert not any(sigma[(i, i)])
+        total = (0,) * dec.ambient_dim
+        for j in helpers:
+            if j != i:
+                total = vec_add(p, total, part(i, j))
+        assert total == cert.basis[i]
+    assert new_node_repair_witness(cert) == {
+        j: span([part(i, j) for i in helpers if i != j]) for j in helpers
+    }
+    star = k + 1
+    for f in helpers:
+        expected = {star: span([cert.basis[i] for i in helpers if i != f])}
+        for j in helpers:
+            if j != f:
+                expected[j] = span([sigma[(i, j)] for i in helpers if i not in (j, f)] + [t[j]])
+        assert helper_repair_witness(cert, f, star) == expected
+
+
+def test_parts_are_split_only_for_kept_certificates(monkeypatch):
+    """A certificate splits its k basis vectors once, when a builder first
+    reads its parts: one k=3 step from 4 nodes keeps C(4, 3) certificates and
+    splits 3 * 4 times however many draws it rejects, and the Monte Carlo
+    estimate and the census, which keep no certificate, split nothing."""
+    gf3 = FieldSpec(3)
+    base = synthesize_base_code(3, gf3, random.Random("parts-base-0"))
+    calls = []
+    original = Decomposition._split
+
+    def counting(self, v):
+        calls.append(v)
+        return original(self, v)
+
+    monkeypatch.setattr(Decomposition, "_split", counting)
+    outcome = extend_code(base, random.Random("parts-draw-0"), max_attempts=500)
+    assert outcome.attempts > 1
+    assert len(calls) == 3 * math.comb(4, 3)
+    calls.clear()
+    rng = random.Random("parts-sample")
+    freq, _ = estimate_probability_monte_carlo(synthesize_decomposition(3, gf3, rng), 200, rng)
+    assert freq > 0
+    assert census_well_aligned(synthesize_decomposition(2, gf3, rng)) == 9
+    assert calls == []

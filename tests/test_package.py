@@ -68,3 +68,32 @@ def test_every_imported_name_is_used():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in sorted(imported - read)]
     assert unused == []
+
+
+def test_every_public_definition_is_read():
+    """Every public function, class and method that a submodule defines is
+    read somewhere in the package, so library code that only the tests use
+    is deleted.  Matrix and Subspace.contains are held by the benchmark's
+    binding check."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    defined = {}
+    for stem, tree in trees.items():
+        for node in tree.body if stem != "__init__" else ():
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] = node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        defined[f"{node.name}.{item.name}"] = item.name
+    unread = {
+        qualified
+        for qualified, name in defined.items()
+        if not name.startswith("_") and name not in read
+    }
+    assert unread == {"Matrix", "Subspace.contains"}

@@ -32,7 +32,7 @@ from regenext.regen import (
 from regenext.structure import DecompositionError, _lemma_applies, compute_decomposition
 
 from conftest import (
-    assert_certificate_consistent, combine, coordinates, expand_complement, identity_rows
+    assert_certificate_consistent, combine, expand_complement, identity_rows, split
 )
 
 PRIMES = [2, 3, 5, 65521, 2**31 - 1]
@@ -181,10 +181,10 @@ def assert_split_holds(dec, nodes, rng):
     assert Subspace(dec.spec, ambient, dec.complement_vectors.values()).dim == dec.k - 1
     for _ in range(5):
         v = tuple(rng.randrange(p) for _ in range(ambient))
-        coords = coordinates(dec, v)
-        back = expand_complement(dec, dec.complement_block(coords))
+        parts, weights = split(dec, v)
+        back = expand_complement(dec, weights)
         for j in dec.helpers:
-            back = vec_add(p, back, dec.expand_repair(j, dec.repair_block(coords, j)))
+            back = vec_add(p, back, parts[j])
         assert back == v
 
 

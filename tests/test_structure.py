@@ -15,7 +15,7 @@ from regenext.structure import (
     verify_structure,
 )
 
-from conftest import coordinates, expand_complement, identity_rows
+from conftest import combine, coordinates, expand_complement, identity_rows, split
 
 GF3 = FieldSpec(3)
 
@@ -85,9 +85,8 @@ def test_compute_decomposition_rejects_duplicated_helpers():
 
 def project(dec, v):
     """Components of v along each repair space and the complement space."""
-    coords = coordinates(dec, v)
-    parts = {j: dec.expand_repair(j, dec.repair_block(coords, j)) for j in dec.helpers}
-    return parts, expand_complement(dec, dec.complement_block(coords))
+    parts, weights = split(dec, v)
+    return parts, expand_complement(dec, weights)
 
 
 def test_project_splits_and_reassembles(base_k3_p5):
@@ -124,6 +123,7 @@ def test_project_known_components(base_k3_p5):
 
 
 def test_coordinate_blocks_roundtrip(base_k3_p5):
+    """The split reads each part off the coordinate blocks, entry by entry."""
     code = base_k3_p5
     x, helpers = next(iter(sorted(code.witnesses)))
     dec = compute_decomposition(code, helpers, x)
@@ -132,9 +132,13 @@ def test_coordinate_blocks_roundtrip(base_k3_p5):
     for _ in range(100):
         v = tuple(rng.randrange(p) for _ in range(8))
         coords = coordinates(dec, v)
-        total = expand_complement(dec, dec.complement_block(coords))
+        parts, weights = split(dec, v)
+        total = expand_complement(dec, weights)
         for j in helpers:
-            total = vec_add(p, total, dec.expand_repair(j, dec.repair_block(coords, j)))
+            rows = dec.repair_spaces[j].basis_rows()
+            assert parts[j] == combine(p, dec.repair_block(coords, j), rows)
+            total = vec_add(p, total, parts[j])
+        assert [weights[j] for j in helpers] == [*coords[6:], 0]
         assert total == v
 
 
@@ -144,12 +148,12 @@ def test_complement_block_is_over_the_complement_vectors(base_k3_p5):
     x, helpers = next(iter(sorted(code.witnesses)))
     dec = compute_decomposition(code, helpers, x)
     p = code.params.spec.p
-    expected = {helpers[0]: (1, 0), helpers[1]: (0, 1), helpers[2]: (p - 1, p - 1)}
+    expected = {helpers[0]: (1, 0, 0), helpers[1]: (0, 1, 0), helpers[2]: (p - 1, p - 1, 0)}
     for j, block in expected.items():
-        coords = coordinates(dec, dec.complement_vectors[j])
-        assert dec.complement_block(coords) == block
-        assert all(not any(dec.repair_block(coords, i)) for i in helpers)
-    assert dec.complement_block(coordinates(dec, (0,) * 8)) == (0, 0)
+        parts, weights = split(dec, dec.complement_vectors[j])
+        assert tuple(weights[i] for i in helpers) == block
+        assert all(not any(parts[i]) for i in helpers)
+    assert split(dec, (0,) * 8)[1] == dict.fromkeys(helpers, 0)
 
 
 def test_verify_structure_clean_codes(base_k2_p3, base_k3_p5):
