@@ -15,6 +15,29 @@ the rest of the split must have a one-dimensional kernel, and the k kernel
 lines must jointly span the candidate.  The checker tests exactly that and
 returns the aligned basis; the sampler builds such a basis directly and
 hands the candidate to the checker, so certificates are made in one place.
+
+The kernel lines in closed form.  Write the candidate's basis rows in the
+decomposition's coordinates and let B_j be the k x (k-1) block of helper j:
+row r holds the S_j coordinates of basis row r.  The projection to S_j
+maps the combination a of the basis rows to a B_j, so its kernel is the
+left kernel of B_j.  Let c_r = (-1)^r det(B_j without row r), r = 0..k-1.
+
+  * c B_j = 0.  For a column v of B_j the k x k matrix [v | B_j] repeats a
+    column, so its determinant is 0, and expanding it along its first
+    column gives sum over r of (-1)^r v_r det(B_j without row r) = c . v.
+  * If B_j has rank k-1, some minor of order k-1 is nonzero, so c != 0,
+    and the kernel has dimension k - (k-1) = 1: c spans it.
+  * If B_j has rank below k-1, every minor of order k-1 vanishes, so
+    c = 0, and the kernel has dimension at least 2: not aligned.
+
+So every kernel is a line exactly when every c is nonzero, and then the
+lines span the candidate exactly when the k x k matrix of the c's has a
+nonzero determinant, which the same expansion along its first column gives
+as its first column against the signed minors of the rest.  Scaled to a
+leading 1, a line is the one RREF row that nullspace returns for it, so the
+aligned basis is the same either way.  The minors are written out for
+k <= 4; beyond that they cost more than an elimination, and the checker
+takes nullspace and rank.
 """
 
 from __future__ import annotations
@@ -24,8 +47,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from .gf import FieldSpec
+from .gf import FieldSpec, inv_mod
 from .linalg import (
     Subspace,
     Vec,
@@ -93,18 +117,66 @@ def is_well_aligned(
         raise ValueError("candidate lives in a different space than the decomposition")
     if candidate.dim != k:
         raise ValueError(f"candidate has dimension {candidate.dim}, expected {k}")
-    lay = candidate._lay
-    coords = [lay.unpack(dec._coords(r)) for r in candidate.basis_rows()]
-    kernel_gens: dict[int, Vec] = {}
-    for j in dec.helpers:
-        kernel = nullspace(dec.spec, [dec.repair_block(c, j) for c in coords])
-        if kernel.dim != 1:
-            return None
-        kernel_gens[j] = kernel.basis_rows()[0]
-    if rank(dec.spec.p, kernel_gens.values()) != k:
+    lines = _kernel_lines(candidate, dec)
+    if lines is None:
         return None
-    basis = {i: lay.unpack(candidate._combine(g)) for i, g in kernel_gens.items()}
+    lay = candidate._lay
+    basis = {i: lay.unpack(candidate._combine(g)) for i, g in zip(dec.helpers, lines)}
     return AlignmentCertificate(decomposition=dec, basis=basis)
+
+
+def _kernel_lines(candidate: Subspace, dec: Decomposition) -> list[Vec] | None:
+    """The kernel line of each helper's block, in helper order and scaled to
+    a leading 1, or None when the candidate is not well aligned.  For
+    k <= 4 the lines are the blocks' signed minors, by the module docstring;
+    beyond, they come from nullspace."""
+    k = dec.k
+    p = dec.spec.p
+    coords = [candidate._lay.unpack(dec._coords(r)) for r in candidate.basis_rows()]
+    blocks = [[dec.repair_block(c, j) for c in coords] for j in dec.helpers]
+    if k > 4:
+        lines = []
+        for block in blocks:
+            kernel = nullspace(dec.spec, block)
+            if kernel.dim != 1:
+                return None
+            lines.append(kernel.basis_rows()[0])
+        return lines if rank(p, lines) == k else None
+    lines = []
+    for block in blocks:
+        line = [m % p for m in _signed_minors(block)]
+        if not any(line):
+            return None
+        lines.append(line)
+    firsts, rests = zip(*((line[0], line[1:]) for line in lines))
+    if not sum(map(mul, firsts, _signed_minors(rests))) % p:
+        return None
+    scaled = []
+    for line in lines:
+        lead = inv_mod(next(filter(None, line)), p)
+        scaled.append(tuple(lead * m % p for m in line))
+    return scaled
+
+
+def _signed_minors(rows) -> tuple[int, ...]:
+    """(-1)^r det(rows without row r) for r = 0, ..., k-1, unreduced, for k
+    rows of k-1 entries and k in {2, 3, 4}."""
+    if len(rows) == 2:
+        (a,), (b,) = rows
+        return b, -a
+    if len(rows) == 3:
+        (a0, a1), (b0, b1), (c0, c1) = rows
+        return b0 * c1 - b1 * c0, a1 * c0 - a0 * c1, a0 * b1 - a1 * b0
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2), (d0, d1, d2) = rows
+    # the 2x2 minors of the last two columns, one per pair of rows
+    ab, ac, ad = a1 * b2 - a2 * b1, a1 * c2 - a2 * c1, a1 * d2 - a2 * d1
+    bc, bd, cd = b1 * c2 - b2 * c1, b1 * d2 - b2 * d1, c1 * d2 - c2 * d1
+    return (
+        b0 * cd - c0 * bd + d0 * bc,
+        c0 * ad - a0 * cd - d0 * ac,
+        a0 * bd - b0 * ad + d0 * ab,
+        b0 * ac - a0 * bc - c0 * ab,
+    )
 
 
 def sample_well_aligned(

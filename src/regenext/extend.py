@@ -37,6 +37,7 @@ without node k+1.  A failure is a bug.  The witness builders check nothing;
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import random
@@ -299,8 +300,13 @@ def extend_code(
             )
         return ExtensionOutcome(grown, attempt, log)
     bound = attempts_bound(pr.n, pr.k, pr.spec)
+    shown = f"about {float(bound):.6f}"
+    # the exact bound only within Python's int-to-str limit, which is not
+    # lifted for a size the input picks
+    with contextlib.suppress(ValueError):
+        shown = f"{bound} ({shown})"
     raise ExtensionError(
         f"no aligned draw in {max_attempts} attempts at n={pr.n}, k={pr.k}, "
-        f"p={pr.spec.p}; single-draw success bound is {bound} "
-        f"(about {float(bound):.6f}), so small fields may need many more attempts"
+        f"p={pr.spec.p}; single-draw success bound is {shown}, "
+        "so small fields may need many more attempts"
     )

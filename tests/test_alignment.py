@@ -1,10 +1,12 @@
 """Tests for the well-aligned candidate checker, sampler, and counts."""
 
+import collections
 import random
 from fractions import Fraction
 
 import pytest
 
+import regenext.alignment as alignment
 from regenext.alignment import (
     census_well_aligned,
     count_well_aligned,
@@ -21,12 +23,14 @@ from regenext.linalg import (
     Subspace,
     count_subspaces,
     enumerate_subspaces,
+    nullspace,
     random_subspace,
+    rank,
     vec_add,
 )
 from regenext.structure import compute_decomposition
 
-from conftest import assert_certificate_consistent, coordinates, identity_rows
+from conftest import assert_certificate_consistent, combine, coordinates, identity_rows
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -185,3 +189,148 @@ def test_monte_carlo_brackets_exact_probability():
     assert abs(float(freq) - float(truth)) < 0.05
     with pytest.raises(ValueError):
         estimate_probability_monte_carlo(dec, 0, random.Random(1))
+
+
+def reference_alignment(candidate, dec):
+    """The verdict by elimination, independent of the closed form: each
+    helper's block through nullspace, then the rank of the kernel lines.
+    "deficient" when some kernel is not a line, "dependent" when the lines
+    do not span the candidate, else "aligned", with the aligned basis."""
+    p = dec.spec.p
+    rows = candidate.basis_rows()
+    coords = [coordinates(dec, r) for r in rows]
+    lines = []
+    for j in dec.helpers:
+        kernel = nullspace(dec.spec, [dec.repair_block(c, j) for c in coords])
+        if kernel.dim != 1:
+            return "deficient", None
+        lines.append(kernel.basis_rows()[0])
+    if rank(p, lines) < dec.k:
+        return "dependent", None
+    return "aligned", {i: combine(p, line, rows) for i, line in zip(dec.helpers, lines)}
+
+
+def from_coordinates(dec, rows):
+    """The span of the vectors with the given coordinates in the
+    decomposition's basis, or None when it is not k-dimensional."""
+    basis = [r for j in dec.helpers for r in dec.repair_spaces[j].basis_rows()]
+    basis += [dec.complement_vectors[j] for j in dec.helpers[:-1]]
+    span = Subspace(dec.spec, dec.ambient_dim, [combine(dec.spec.p, row, basis) for row in rows])
+    return span if span.dim == dec.k else None
+
+
+def random_rows(p, count, width, rng):
+    return [[rng.randrange(p) for _ in range(width)] for _ in range(count)]
+
+
+def block_with_kernel(p, line):
+    """A k x (k-1) block whose left kernel is the line: its columns are a
+    basis of the vectors orthogonal to the line."""
+    columns = nullspace(FieldSpec(p), [[x] for x in line]).basis_rows()
+    return [list(row) for row in zip(*columns)]
+
+
+def candidate_from_blocks(dec, make_blocks, rng):
+    """A candidate whose coordinates are the blocks make_blocks() returns,
+    one per helper, next to a random complement part; redrawn until the
+    rows are independent."""
+    k, p = dec.k, dec.spec.p
+    while True:
+        blocks = make_blocks()
+        rows = [sum((b[r] for b in blocks), []) for r in range(k)]
+        tail = random_rows(p, k, k - 1, rng)
+        candidate = from_coordinates(dec, [row + t for row, t in zip(rows, tail)])
+        if candidate is not None:
+            return candidate
+
+
+def deficient_candidate(dec, rng):
+    """One helper's block has rank at most k-2, the others are random."""
+    k, p = dec.k, dec.spec.p
+    low = rng.randrange(k)
+
+    def make_blocks():
+        blocks = [random_rows(p, k, k - 1, rng) for _ in range(k)]
+        factor = random_rows(p, k - 2, k - 1, rng)
+        blocks[low] = [
+            list(combine(p, g, factor)) if factor else [0] * (k - 1)
+            for g in random_rows(p, k, k - 2, rng)
+        ]
+        return blocks
+
+    return candidate_from_blocks(dec, make_blocks, rng)
+
+
+def dependent_candidate(dec, rng):
+    """Every block has rank k-1, so every minor vector is nonzero, but the
+    last kernel line is a combination of the others."""
+    k, p = dec.k, dec.spec.p
+
+    def nonzero_line(make):
+        while True:
+            line = make()
+            if any(line):
+                return line
+
+    def make_blocks():
+        lines = [nonzero_line(lambda: random_rows(p, 1, k, rng)[0]) for _ in range(k - 1)]
+        lines.append(nonzero_line(lambda: combine(p, random_rows(p, 1, k - 1, rng)[0], lines)))
+        return [block_with_kernel(p, line) for line in lines]
+
+    return candidate_from_blocks(dec, make_blocks, rng)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521, 2**31 - 1])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_closed_form_matches_elimination(k, p):
+    """is_well_aligned agrees with reference_alignment, verdict and basis, on
+    aligned, rank-deficient, dependent and uniform random candidates."""
+    spec = FieldSpec(p)
+    rng = random.Random(f"closed-form-{k}-{p}")
+    dec = synthesize_decomposition(k, spec, rng)
+    kinds = {
+        "aligned": lambda: sample_well_aligned(dec, rng)[0],
+        "deficient": lambda: deficient_candidate(dec, rng),
+        "dependent": lambda: dependent_candidate(dec, rng),
+        None: lambda: random_subspace(dec.ambient_dim, k, spec, rng),
+    }
+    seen = set()
+    for kind, draw in kinds.items():
+        for _ in range(8):
+            candidate = draw()
+            verdict, basis = reference_alignment(candidate, dec)
+            assert kind in (None, verdict)
+            seen.add(verdict)
+            cert = is_well_aligned(candidate, dec)
+            assert (cert and cert.basis) == basis
+    assert seen == {"aligned", "deficient", "dependent"}
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_closed_form_runs_no_elimination(k, monkeypatch):
+    """Up to k = 4 the test takes the signed minors and eliminates nothing;
+    from k = 5 on it takes nullspace and rank."""
+    calls = collections.Counter()
+
+    def counting(name):
+        original = getattr(alignment, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(alignment, name, wrapped)
+
+    counting("nullspace")
+    counting("rank")
+    rng = random.Random(f"fast-path-{k}")
+    dec = synthesize_decomposition(k, GF3, rng)
+    verdicts = set()
+    for _ in range(10):
+        verdicts.add(sample_well_aligned(dec, rng)[1] is not None)
+        verdicts.add(is_well_aligned(random_subspace(dec.ambient_dim, k, GF3, rng), dec) is not None)
+    assert verdicts == {True, False}
+    if k <= 4:
+        assert calls == {}
+    else:
+        assert calls["nullspace"] > 0 and calls["rank"] > 0

@@ -591,6 +591,28 @@ def test_gen_base_failure_is_one_line(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_grow_stall_past_the_digit_limit_is_one_line(tmp_path, monkeypatch, capsys):
+    """At k=10, p=2^31-1 the exact single-draw bound has more digits than
+    Python turns into a str, so the stall line gives only its float."""
+    import regenext.extend as extend
+
+    with pytest.raises(ValueError):
+        str(extend.attempts_bound(11, 10, FieldSpec(2147483647)))
+    base = tmp_path / "base.json"
+    assert main(["gen-base", "--k", "10", "--p", "2147483647", "--out", str(base)]) == EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setattr(extend, "find_alignments", lambda code, candidate, cache: None)
+    out = tmp_path / "grown.json"
+    argv = ["grow", "--in", str(base), "--out", str(out), "--n", "12", "--max-attempts", "1"]
+    assert main(argv) == EXIT_VERIFICATION
+    assert capsys.readouterr().err.splitlines() == [
+        "grow stalled at n=11: no aligned draw in 1 attempts at n=11, k=10, p=2147483647; "
+        "single-draw success bound is about 1.000000, so small fields may need many more "
+        "attempts",
+        f"saved the verified partial code to {out}.partial",
+    ]
+
+
 def test_grow_target_below_k_plus_one_is_a_usage_error(workdir, tmp_path, capsys):
     out = tmp_path / "out.json"
     rc = main(["grow", "--in", str(workdir / "base.json"), "--out", str(out), "--n", "3"])
