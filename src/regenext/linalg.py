@@ -16,7 +16,9 @@ Integers from outside enter through a checked door that reduces them mod p
 once: a Matrix (which also checks the row widths), the Subspace constructor
 or Subspace.contains.  Inside the package only load_code uses that door;
 every other span is built by the trusted Subspace._span (residue rows) or
-Subspace._span_packed (rows already packed).
+Subspace._span_packed (rows already packed).  The constructor adopts rows
+that already are the canonical RREF, as save_code writes them: it packs them
+and eliminates nothing (the last part below proves that exact).
 
 Gaussian elimination lives in one place, the private _Echelon.  It keeps
 each row also negated, N = p*ONES - row, whose slots lie in [1, p].  The
@@ -31,8 +33,10 @@ every slot back to [0, p) at once: a packed Barrett step
 and a packed conditional subtract of p.  _Layout fixes, per (p, n) and on
 first use, the slot width and the constants: B is the bit length of
 (n+1)p^2, m = floor(2^B / p), and W is B plus the bit length of m, rounded
-up to whole bytes so that struct packs a row.  Canonical reduction is
-exact for every slot x < 2^B:
+up to whole bytes so that struct packs a row, and at least one byte more
+than the 1, 2 or 4 bytes ('B', 'H' or 'I') that struct gives a residue
+(which widens only p = 2 with n <= 2, from 8 bits to 16).
+Canonical reduction is exact for every slot x < 2^B:
 
   * Every slot stays below (n+1)p^2 < 2^B.  A reduced vector starts
     canonical and meets each of at most n echelon rows once, so a slot
@@ -54,6 +58,27 @@ exact for every slot x < 2^B:
 So a slot that reaches canonical reduction never exceeds its W bits, and
 the result is the per-slot residue: the same rows as per-entry arithmetic
 mod p, for every p in [2, 2^31).
+
+The Subspace constructor packs its rows with the codec, which raises on an
+entry that is not an integer, is negative or overflows its field, and on a
+row of the wrong length; it packs a bool as 0 or 1, the value int() gives.
+It keeps the packed rows v_1, ..., v_r exactly when
+
+  * every v_i is nonzero and every slot is below p;
+  * the lowest nonzero slot of v_i, its pivot c_i, holds 1;
+  * c_1 < ... < c_r;
+  * v_i is 0 at every c_j with j != i,
+
+and otherwise reduces the rows mod p and eliminates.  The four conditions
+define a reduced row-echelon form with no zero row.  Its rows are
+independent, since only v_i is nonzero at c_i, so they are a basis of their
+span, and the RREF of a row space is unique: adopting gives the rows that
+_Echelon.rref() gives, in the same pivot order.  The rows save_code writes,
+a Subspace's own, meet all four.  The range test is one packed step: add
+HALF, which holds H - p in every slot, and test bit W-1 of each.  A packed
+slot x is below 2^(W-8) < H, since W is a byte wider than the codec's
+field, and H > 2p, so x + H - p lies in [0, 2^W): no slot carries into the
+next, and bit W-1 is set exactly when x >= p.
 """
 
 from __future__ import annotations
@@ -101,7 +126,10 @@ class _Layout:
         self.width = width
         self.shift = ((width + 1) * p * p).bit_length()
         self.barrett = (1 << self.shift) // p
-        self.slot = -(-(self.shift + self.barrett.bit_length()) // 8) * 8
+        # a residue fits the low 1, 2 or 4 bytes of its slot
+        field = "B" if p <= 1 << 8 else "H" if p <= 1 << 16 else "I"
+        size = struct.calcsize(field)
+        self.slot = max(-(-(self.shift + self.barrett.bit_length()) // 8), size + 1) * 8
         self.mask = (1 << self.slot) - 1
         self.ones = int.from_bytes((b"\x01" + bytes(self.slot // 8 - 1)) * width, "little")
         self.pones = p * self.ones
@@ -109,10 +137,7 @@ class _Layout:
         self.flag = self.slot - 1
         self.half = self.ones * ((1 << self.flag) - p)
         self.nbytes = width * self.slot // 8
-        # a residue fits the low 1, 2 or 4 bytes of its slot
-        field = "B" if p <= 1 << 8 else "H" if p <= 1 << 16 else "I"
-        pad = self.slot // 8 - struct.calcsize(field)
-        self._codec = struct.Struct("<" + f"{field}{pad}x" * width)
+        self._codec = struct.Struct("<" + f"{field}{self.slot // 8 - size}x" * width)
 
     def __reduce__(self):
         # a Struct does not pickle, so a copied or unpickled Subspace gets
@@ -309,6 +334,28 @@ def nullspace(spec: FieldSpec, rows: Sequence[Sequence[int]]) -> "Subspace":
     return Subspace._from_rref(spec, len(rows), kernel.rref())
 
 
+def _adopted(lay: _Layout, vectors: list) -> tuple[int, ...] | None:
+    """The rows packed, when they already are the canonical RREF with no zero
+    row; None otherwise.  The module docstring proves the test exact."""
+    try:
+        rows = tuple(map(lay.pack, vectors))
+    except (struct.error, TypeError):
+        return None
+    shifts, pivots = [], 0
+    for v in rows:
+        low = (v & -v).bit_length() - 1
+        shift = low - low % lay.slot
+        # a zero row, or a pivot that is not right of the one before
+        if not v or shifts and shift <= shifts[-1]:
+            return None
+        shifts.append(shift)
+        pivots |= lay.mask << shift
+    for v, shift in zip(rows, shifts):
+        if v & pivots != 1 << shift or (v + lay.half) >> lay.flag & lay.ones:
+            return None
+    return rows
+
+
 class Subspace:
     """A subspace of GF(p)^n held by its unique RREF rows, packed, with no
     zero rows."""
@@ -323,17 +370,21 @@ class Subspace:
     ):
         p = spec.p
         lay = _layout(p, ambient_dim)
-        echelon = _Echelon(lay)
-        for row in vectors:
-            if len(row) != ambient_dim:
-                raise ValueError(
-                    f"vector of length {len(row)} in ambient dimension {ambient_dim}"
-                )
-            echelon.push(lay.pack(map(p.__rmod__, map(int, row))))
+        vectors = list(vectors)
+        rows = _adopted(lay, vectors)
+        if rows is None:
+            echelon = _Echelon(lay)
+            for row in vectors:
+                if len(row) != ambient_dim:
+                    raise ValueError(
+                        f"vector of length {len(row)} in ambient dimension {ambient_dim}"
+                    )
+                echelon.push(lay.pack(map(p.__rmod__, map(int, row))))
+            rows = echelon.rref()
         self.spec = spec
         self.ambient_dim = ambient_dim
         self._lay = lay
-        self._rows = echelon.rref()
+        self._rows = rows
 
     @classmethod
     def _from_rref(cls, spec: FieldSpec, ambient_dim: int, rows: tuple[int, ...]) -> "Subspace":

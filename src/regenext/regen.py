@@ -40,7 +40,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .gf import FieldSpec, NotPrimeError
 from .linalg import (
@@ -427,20 +427,26 @@ def _expect(condition: bool, message: str) -> None:
         raise MalformedCodeFileError(message)
 
 
-def _subspace(raw: object, what: str, params: Params, bound: str, most: int) -> Subspace:
-    """The span of raw, checked to be at most `most` integer rows of length F."""
-    _expect(isinstance(raw, list), f"{what} must be a list of rows")
+def _subspace(
+    raw: object, what: Callable[[], str], params: Params, bound: str, most: int
+) -> Subspace:
+    """The span of raw, checked to be at most `most` integer rows of length F.
+    what() names raw in an error message, and is called only to raise one."""
+    if not isinstance(raw, list):
+        raise MalformedCodeFileError(f"{what()} must be a list of rows")
     for row in raw:
-        _expect(isinstance(row, list), f"{what} rows must be lists")
-        _expect(set(map(type, row)) <= {int}, f"{what} entries must be integers")
+        if not isinstance(row, list):
+            raise MalformedCodeFileError(f"{what()} rows must be lists")
+        if not set(map(type, row)) <= {int}:
+            raise MalformedCodeFileError(f"{what()} entries must be integers")
     for row in raw:
         if len(row) != params.f_dim:
             raise CodeDimensionError(
-                f"{what} row length {len(row)} != file dimension {params.f_dim}"
+                f"{what()} row length {len(row)} != file dimension {params.f_dim}"
             )
     if len(raw) > most:
         raise CodeDimensionError(
-            f"{what} stores {len(raw)} basis rows, more than {bound} = {most}"
+            f"{what()} stores {len(raw)} basis rows, more than {bound} = {most}"
         )
     return Subspace(params.spec, params.f_dim, raw)
 
@@ -487,7 +493,7 @@ def load_code(path: str) -> Code:
     if len(raw_nodes) != params.n:
         raise CodeDimensionError(f"expected {params.n} nodes, file has {len(raw_nodes)}")
     nodes = tuple(
-        _subspace(raw, f"node {idx}", params, "alpha", params.alpha)
+        _subspace(raw, lambda: f"node {idx}", params, "alpha", params.alpha)
         for idx, raw in enumerate(raw_nodes, start=1)
     )
     raw_witnesses = obj["witnesses"]
@@ -496,7 +502,8 @@ def load_code(path: str) -> Code:
     for raw in raw_witnesses:
         _expect(isinstance(raw, dict), "each witness must be an object")
         for key in ("x", "A", "R"):
-            _expect(key in raw, f"witness missing key {key!r}")
+            if key not in raw:
+                raise MalformedCodeFileError(f"witness missing key {key!r}")
         x = raw["x"]
         _expect(type(x) is int, "witness x must be an integer")
         _expect(isinstance(raw["A"], list), "witness A must be a list")
@@ -509,7 +516,11 @@ def load_code(path: str) -> Code:
             )
         spaces = {
             j: _subspace(
-                raw["R"][str(j)], f"witness ({x}, {helpers}) helper {j}", params, "beta", params.beta
+                raw["R"][str(j)],
+                lambda: f"witness ({x}, {helpers}) helper {j}",
+                params,
+                "beta",
+                params.beta,
             )
             for j in helpers
         }

@@ -1,13 +1,15 @@
-"""Shared fixtures: small verified codes built once per session, and the
-certificate check that the alignment and property tests share."""
+"""Shared fixtures: small verified codes built once per session, the
+certificate check that the alignment and property tests share, and
+rewrites of code files whose row sets are not in canonical form."""
 
+import json
 import random
 
 import pytest
 
 from regenext.extend import extend_code, synthesize_base_code
 from regenext.gf import FieldSpec
-from regenext.linalg import Subspace, rank, vec_add, vec_sub
+from regenext.linalg import Subspace, _Echelon, random_invertible_matrix, rank, vec_add, vec_sub
 
 
 def combine(p, coeffs, rows):
@@ -44,6 +46,44 @@ def extended_k3_big():
 def identity_rows(n):
     """The rows of the n x n identity matrix, as tuples."""
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+@pytest.fixture
+def pushes(monkeypatch):
+    """A list that records every row pushed onto an echelon: empty exactly
+    when nothing was eliminated."""
+    pushed = []
+    push = _Echelon.push
+    monkeypatch.setattr(_Echelon, "push", lambda self, v: pushed.append(v) or push(self, v))
+    return pushed
+
+
+def _mixed(spec, rows, rng):
+    """rows times a random invertible matrix other than the identity."""
+    m = identity_rows(len(rows))
+    while m == identity_rows(len(rows)):
+        m = random_invertible_matrix(spec, len(rows), rng)
+    return [list(combine(spec.p, coeffs, rows)) for coeffs in m]
+
+
+# ways to write a row set of a code file that span the same subspace but are
+# not its canonical RREF (reordering leaves a one-row set as it is)
+NONCANONICAL = {
+    "mixed": _mixed,
+    "shifted": lambda spec, rows, rng: [[x + spec.p for x in row] for row in rows],
+    "reordered": lambda spec, rows, rng: rows[::-1],
+}
+
+
+def noncanonical(obj, how, rng):
+    """A copy of a code file object with every row set, the nodes and each
+    witness's sends, rewritten by NONCANONICAL[how]."""
+    spec, edit = FieldSpec(obj["p"]), NONCANONICAL[how]
+    obj = json.loads(json.dumps(obj))
+    obj["nodes"] = [edit(spec, rows, rng) for rows in obj["nodes"]]
+    for witness in obj["witnesses"]:
+        witness["R"] = {j: edit(spec, rows, rng) for j, rows in witness["R"].items()}
+    return obj
 
 
 def coordinates(dec, v):

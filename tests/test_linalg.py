@@ -375,3 +375,84 @@ def test_longest_elimination_at_the_largest_prime(width, entry):
         assert lay.unpack(echelon.reduce(lay.pack(v))) == expected
     assert any(expected) and echelon.push(lay.pack(v))
     assert lay.unpack(echelon.rows[-1]) == rows[-1]
+
+
+FIELD_EDGES = [2, 3, 251, 257, 65521, 65537, 2**31 - 1]
+
+
+def codec_max(p):
+    """The largest value struct packs into a residue's 1, 2 or 4 bytes."""
+    return (1 << (8 if p <= 1 << 8 else 16 if p <= 1 << 16 else 32)) - 1
+
+
+@pytest.mark.parametrize("p", FIELD_EDGES)
+@pytest.mark.parametrize("width", [1, 2, 3, 8, 15, 30])
+def test_range_flag_is_exact_for_every_value_the_codec_packs(p, width):
+    """Every value the codec packs is below 2^(W-1) + p, so adding HALF
+    carries into no other slot and sets bit W-1 exactly for slots >= p."""
+    lay = _layout(p, width)
+    top = codec_max(p)
+    assert top < (1 << lay.flag) + p
+    for x in (0, p - 1, p, top):
+        packed = lay.pack([x] * width)
+        assert packed == slots_packed(lay, [x] * width)
+        assert (packed + lay.half) >> lay.flag & lay.ones == (lay.ones if x >= p else 0)
+
+
+def rref_with_one_flaw(p, width, rng):
+    """Row sets that are canonical RREF but for one flaw each, by name, from
+    a random RREF with free entries: at width 2 one row (1, a) and the rows
+    of the identity, wider three rows with pivots 0, 2 and width-1."""
+    if width == 2:
+        bases = [[[1, rng.randrange(p)]], [[1, 0], [0, 1]]]
+    else:
+        pivots = (0, 2, width - 1)
+        rows = []
+        for pc in pivots:
+            rows.append([rng.randrange(p) if c > pc else 0 for c in range(width)])
+            for c in pivots:
+                rows[-1][c] = int(c == pc)
+        bases = [rows]
+    flaws = []
+    for rows in bases:
+        pivots = [row.index(1) for row in rows]
+        free = [c for c in range(pivots[0] + 1, width) if c not in pivots]
+
+        def flawed(name, edit):
+            edited = [list(row) for row in rows]
+            edit(edited)
+            flaws.append((name, edited))
+
+        flawed("canonical", lambda r: None)
+        flawed("pivot of 2", lambda r: r[0].__setitem__(pivots[0], 2))
+        flawed("zero row", lambda r: r.append([0] * width))
+        flawed("repeated row", lambda r: r.append(list(r[0])))
+        flawed("bool at pivot", lambda r: r[0].__setitem__(pivots[0], True))
+        flawed("float at pivot", lambda r: r[0].__setitem__(pivots[0], 1.0))
+        if len(rows) > 1:
+            flawed("pivots out of order", lambda r: r.reverse())
+            flawed("entry at another pivot", lambda r: r[0].__setitem__(pivots[1], 1))
+        for c in free[:1]:
+            flawed("entry p", lambda r: r[0].__setitem__(c, p))
+            flawed("entry at the codec maximum", lambda r: r[0].__setitem__(c, codec_max(p)))
+            flawed("negative entry", lambda r: r[0].__setitem__(c, -1))
+            flawed("bool entry", lambda r: r[0].__setitem__(c, True))
+            flawed("float entry", lambda r: r[0].__setitem__(c, float(r[0][c])))
+    return flaws
+
+
+@pytest.mark.parametrize("p", FIELD_EDGES)
+@pytest.mark.parametrize("width", [2, 6])
+def test_checked_door_adopts_exactly_the_canonical_rref(p, width, pushes):
+    """Rows that are canonical RREF but for one flaw give the rows of the
+    plain elimination of their residues, given as a list or as a generator;
+    only the canonical sets skip elimination."""
+    spec = FieldSpec(p)
+    rng = random.Random(f"adopt-{p}-{width}")
+    for name, rows in rref_with_one_flaw(p, width, rng):
+        residues = [[int(x) % p for x in row] for row in rows]
+        expected = Subspace._span(spec, width, residues)._rows
+        pushes.clear()
+        assert Subspace(spec, width, rows)._rows == expected, name
+        assert bool(pushes) == (name not in ("canonical", "bool at pivot", "bool entry")), name
+        assert Subspace(spec, width, (row for row in rows))._rows == expected, name

@@ -38,7 +38,7 @@ from regenext.regen import (
     verify_repair_witnesses,
 )
 
-from conftest import combine, identity_rows
+from conftest import NONCANONICAL, combine, identity_rows, noncanonical
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -390,6 +390,27 @@ def test_subspaces_and_load_code_build_no_matrix(tmp_path, monkeypatch, base_k3_
     assert part.complement_in(whole).sum(part) == whole
     assert load_code(str(path)) == base_k3_p5
     assert built == []
+
+
+@pytest.mark.parametrize("fixture", ["extended_k3_big", "base_k2_p3"])
+def test_load_code_eliminates_only_rows_save_code_did_not_write(fixture, request, tmp_path, pushes):
+    """A file that save_code wrote loads with no elimination, since its row
+    sets are already canonical RREF.  With every row set mixed by an
+    invertible matrix, shifted by p or reordered, the file loads equal
+    through elimination and saves to the same bytes again."""
+    code = request.getfixturevalue(fixture)
+    path = tmp_path / "code.json"
+    save_code(code, str(path))
+    saved = path.read_bytes()
+    assert load_code(str(path)) == code
+    assert pushes == []
+    for how in NONCANONICAL:
+        path.write_text(json.dumps(noncanonical(json.loads(saved), how, random.Random(how))))
+        loaded = load_code(str(path))
+        assert loaded == code and pushes, how
+        pushes.clear()
+        save_code(loaded, str(path))
+        assert path.read_bytes() == saved, how
 
 
 def test_command_line_builds_no_matrix(tmp_path, monkeypatch, capsys):
