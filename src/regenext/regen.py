@@ -373,20 +373,23 @@ def brute_force_repairable(
     return search(0)
 
 
+# what save_code writes between the header's last value and the first witness
+_WITNESSES = ',"witnesses":['
+
+
 def _serialize_witness(x: int, helpers: tuple[int, ...], witness: dict[int, Subspace]) -> dict:
-    return {
-        "x": x,
-        "A": list(helpers),
-        "R": {str(j): [list(row) for row in witness[j].basis_rows()] for j in sorted(witness)},
-    }
+    # json writes the tuples of basis_rows() as arrays
+    return {"x": x, "A": helpers, "R": {str(j): witness[j].basis_rows() for j in sorted(witness)}}
 
 
 def save_code(code: Code, path: str) -> None:
     """Write the code as JSON; output bytes are a pure function of the code.
 
-    The bytes go to a temporary file next to the target, which then replaces
-    the target in one step, so an interrupted write leaves either the old
-    file or the complete new one.
+    The file holds the compact header, `,"witnesses":[`, the witnesses in key
+    order and `]}`, the layout that load_code streams, and is written one
+    witness at a time.  The bytes go to a temporary file next to the target,
+    which then replaces the target in one step, so an interrupted write
+    leaves either the old file or the complete new one.
     """
     pr = code.params
     encode = json.JSONEncoder(separators=(",", ":")).encode
@@ -399,19 +402,18 @@ def save_code(code: Code, path: str) -> None:
             "alpha": pr.alpha,
             "beta": pr.beta,
             "F": pr.f_dim,
-            "nodes": [[list(row) for row in node.basis_rows()] for node in code.nodes],
+            "nodes": [node.basis_rows() for node in code.nodes],
         }
-    )
-    # the C encoder holds every token of its input until it returns, so the
-    # witnesses, nearly all of the file, are encoded one at a time
-    witnesses = ",".join(
-        encode(_serialize_witness(x, helpers, code.witnesses[(x, helpers)]))
-        for x, helpers in sorted(code.witnesses)
     )
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(f'{head[:-1]},"witnesses":[{witnesses}]}}\n')
+            fh.write(head[:-1] + _WITNESSES)
+            # the C encoder holds every token of its input until it returns,
+            # so the witnesses, nearly all of the file, go one at a time
+            for i, key in enumerate(sorted(code.witnesses)):
+                fh.write("," * (i > 0) + encode(_serialize_witness(*key, code.witnesses[key])))
+            fh.write("]}\n")
         os.replace(tmp, path)
     except BaseException as exc:
         if os.path.exists(tmp):
@@ -454,16 +456,56 @@ def _subspace(
 def load_code(path: str) -> Code:
     """Read a code file, validating structure, version, field, and shapes.
 
+    A file in save_code's layout, ending in `]}` and JSON whitespace, is
+    streamed: its header is parsed, then each witness is decoded and checked
+    in turn, so the file's JSON tree is never held.  Any other file, or one
+    on which streaming raises anything, is parsed whole, and that path alone
+    decides the error; both feed one check, so results and errors agree.
+
     Raises MalformedCodeFileError, CodeVersionError, CodeDimensionError, or
     NotPrimeError depending on what is wrong.  Semantic properties (recovery,
     repair) are left to the verifiers.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        start = text.index(_WITNESSES) + len(_WITNESSES)
+        # closed by an empty list, the header parses only if that list is its
+        # last top-level value
+        return _checked(json.loads(text[:start] + "]}"), _streamed(text, start))
+    except Exception:
+        pass
+    return _load_whole(path)
+
+
+def _streamed(text: str, pos: int) -> Iterator[object]:
+    """The values of the compact array opening before text[pos], one at a time;
+    then raises ValueError unless only `}` and JSON whitespace follow it."""
+    decode = json.JSONDecoder().raw_decode
+    more = text[pos] != "]"
+    while more:
+        raw, pos = decode(text, pos)
+        yield raw
+        more = text[pos] == ","
+        pos += more
+    if text[pos:pos + 2] != "]}" or text[pos + 2:].strip(" \t\n\r"):
+        raise ValueError("the witness list does not end the file")
+
+
+def _load_whole(path: str) -> Code:
+    """load_code by one json.load of the whole file, which decides every error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     except (ValueError, RecursionError) as exc:
         # bad JSON, bytes that are not UTF-8, or nesting too deep to parse
         raise MalformedCodeFileError(f"not valid JSON: {exc}") from exc
+    return _checked(obj)
+
+
+def _checked(obj: object, streamed: Iterable[object] = ()) -> Code:
+    """The code that a parsed code file describes, with the witnesses of
+    obj["witnesses"] followed by those of streamed; raises as load_code does."""
     _expect(isinstance(obj, dict), "top level must be an object")
     for key in ("version", "p", "k", "n", "alpha", "beta", "F", "nodes", "witnesses"):
         _expect(key in obj, f"missing required key {key!r}")
@@ -499,7 +541,7 @@ def load_code(path: str) -> Code:
     raw_witnesses = obj["witnesses"]
     _expect(isinstance(raw_witnesses, list), "witnesses must be a list")
     witnesses: dict[tuple[int, tuple[int, ...]], dict[int, Subspace]] = {}
-    for raw in raw_witnesses:
+    for raw in itertools.chain(raw_witnesses, streamed):
         _expect(isinstance(raw, dict), "each witness must be an object")
         for key in ("x", "A", "R"):
             if key not in raw:

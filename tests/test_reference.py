@@ -28,6 +28,8 @@ from test_cli import RANDOM_CORRUPTIONS, grown_n5  # noqa: F401
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "benchmarks" / "reference" / "regenext"
 NAME = "reference_regenext"
+# json's separators in the layout that save_code writes
+COMPACT = (",", ":")
 
 # CHANGES.md, "One check per property": the stall message reads "bound is 0"
 # where the reference printed "bound is max(0, -11/13) = 0"
@@ -111,7 +113,8 @@ def test_verify_matches_the_reference(reference_main, grown_n5, tmp_path):
                 bad = json.loads(json.dumps(obj))
                 corrupt(bad, p, rng)
                 paths.append(tmp_path / f"{k}_{p}_{corrupt.__name__}_{i}.json")
-                paths[-1].write_text(json.dumps(bad))
+                # the second copy in save_code's compact layout, which load_code streams
+                paths[-1].write_text(json.dumps(bad, separators=COMPACT if i else None))
     departed = []
     for path in paths:
         argv = ["verify", "--in", str(path), "--oracle-cap", "100"]
@@ -136,7 +139,8 @@ def test_verify_matches_the_reference_on_noncanonical_rows(reference_main, grown
     for (k, p), obj in grown_n5.items():
         for how in NONCANONICAL:
             path = tmp_path / f"{k}_{p}_{how}.json"
-            path.write_text(json.dumps(noncanonical(obj, how, random.Random(f"{how}-{k}-{p}"))))
+            rewritten = noncanonical(obj, how, random.Random(f"{how}-{k}-{p}"))
+            path.write_text(json.dumps(rewritten, separators=COMPACT))
             argv = ["verify", "--in", str(path), "--oracle-cap", "100"]
             expected = _run(reference_main, argv)
             assert expected[0] == 0, path.name

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,7 @@ from regenext.regen import (
 )
 
 from conftest import NONCANONICAL, combine, identity_rows, noncanonical
+from test_fuzz import _flip_bytes
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -630,3 +632,140 @@ def test_load_reduces_large_integers_mod_p(tmp_path, base_k3_p5):
     assert load_code(_patched_file(tmp_path, base_k3_p5, shift)) == load_code(
         _patched_file(tmp_path, base_k3_p5, lambda o: None)
     )
+
+
+def _grown(k, p, n):
+    """A code on n nodes over GF(p), grown from a base at fixed seeds."""
+    code = synthesize_base_code(k, FieldSpec(p), random.Random(f"grown-{k}-{p}"))
+    while code.params.n < n:
+        code = extend_code(code, random.Random(f"grown-{k}-{p}-{code.params.n}"), 5000).code
+    return code
+
+
+@pytest.fixture
+def wholly_read(monkeypatch):
+    """The loads that reached the whole-tree path of load_code, by path."""
+    read = []
+    whole = regen._load_whole
+    monkeypatch.setattr(regen, "_load_whole", lambda path: read.append(path) or whole(path))
+    return read
+
+
+def _outcome(load, path):
+    """The code that load(path) gives, or the type and message it raises."""
+    try:
+        return load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _streams(path, wholly_read):
+    """Whether load_code streams the file at path, after checking that it
+    gives what parsing the whole file gives."""
+    expected = _outcome(regen._load_whole, path)
+    wholly_read.clear()
+    assert _outcome(load_code, path) == expected
+    return not wholly_read
+
+
+@pytest.mark.parametrize("k,p,n", [(2, 5, 4), (3, 3, 5)])
+def test_streamed_load_matches_the_whole_tree_on_mutated_files(tmp_path, wholly_read, k, p, n):
+    """On 200 byte mutations of a saved code, load_code gives what parsing
+    the whole file gives: the same code, or the same exception and message.
+    Some mutations stream to the end and some fall back."""
+    path = tmp_path / "code.json"
+    save_code(_grown(k, p, n), str(path))
+    saved = path.read_bytes()
+    rng = random.Random(f"streamed-{k}-{p}")
+    streamed = 0
+    for _ in range(200):
+        path.write_bytes(_flip_bytes(saved, rng))
+        streamed += _streams(str(path), wholly_read)
+    assert 0 < streamed < 200
+
+
+def _cases(saved: bytes) -> dict[str, tuple[bytes, bool]]:
+    """Hand-made variants of a saved code file, each with whether load_code
+    streams it."""
+    obj = json.loads(saved)
+    witnesses = obj.pop("witnesses")
+    compact = {"separators": (",", ":")}
+    head = json.dumps(obj, **compact)[:-1].encode()
+    items = list(obj.items())
+    deep = "[" * 100_000 + "]" * 100_000
+    return {
+        "indented": (json.dumps({**obj, "witnesses": witnesses}, indent=1).encode(), False),
+        "nodes last": (json.dumps(dict([*items[:-1], ("witnesses", witnesses), items[-1]]),
+                                  **compact).encode(), False),
+        "header reversed": (json.dumps(dict([*items[::-1], ("witnesses", witnesses)]),
+                                       **compact).encode(), True),
+        "witnesses first": (json.dumps({"witnesses": witnesses, **obj}, **compact).encode(),
+                            False),
+        "second key, not a list": (head + b',"witnesses":5' + saved[len(head):], True),
+        "second key, a list": (saved.replace(b',"p"', b',"witnesses":[],"p"', 1), False),
+        "space between witnesses": (saved.replace(b'},{"x"', b'}, {"x"', 1), False),
+        "comma missing": (saved.replace(b'},{"x"', b'}{"x"', 1), False),
+        "comma after the last": (saved.replace(b"}]}", b"},]}"), False),
+        "bytes after the end": (saved + b"x", False),
+        "whitespace after the end": (saved + b" \t\r\n", True),
+        "cut in a witness": (saved[: len(saved) - 40], False),
+        "no witnesses": (head + b',"witnesses":[]}', True),
+        "BOM": (b"\xef\xbb\xbf" + saved, False),
+        "nested too deep": (saved.replace(b'[{"x"', f"[{deep},{{\"x\"".encode(), 1), False),
+    }
+
+
+def test_streamed_load_matches_the_whole_tree_on_other_layouts(
+    tmp_path, wholly_read, extended_k3_big
+):
+    """Files that are not in save_code's layout go to the whole-tree path;
+    the others stream.  Either way load_code gives what parsing the whole
+    file gives."""
+    path = tmp_path / "code.json"
+    save_code(extended_k3_big, str(path))
+    saved = path.read_bytes()
+    for name, (data, streams) in _cases(saved).items():
+        assert data != saved, name
+        path.write_bytes(data)
+        assert _streams(str(path), wholly_read) == streams, name
+
+
+def _traced(make):
+    """make()'s result, the traced bytes still held when it returns, and the
+    traced peak while it ran."""
+    tracemalloc.start()
+    try:
+        result = make()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
+@pytest.fixture(scope="module")
+def saved_k3_n8(tmp_path_factory):
+    """An (8, 3, 3) code over GF(65521) and the path of its 82 KB file."""
+    code = _grown(3, 65521, 8)
+    path = tmp_path_factory.mktemp("n8") / "code.json"
+    save_code(code, str(path))
+    assert load_code(str(path)) == code  # builds the field's row layout
+    return code, path
+
+
+def test_load_code_never_holds_the_json_tree(saved_k3_n8):
+    """Loading a file in save_code's layout peaks below the size of its JSON
+    tree alone, since witnesses are decoded one at a time."""
+    code, path = saved_k3_n8
+    text = path.read_text()
+    _, tree, _ = _traced(lambda: json.loads(text))
+    loaded, _, peak = _traced(lambda: load_code(str(path)))
+    assert loaded == code
+    assert peak < tree
+
+
+def test_save_code_never_holds_the_text(saved_k3_n8):
+    """Saving peaks below half the size of the file, since each witness is
+    written as soon as it is encoded."""
+    code, path = saved_k3_n8
+    _, _, peak = _traced(lambda: save_code(code, str(path)))
+    assert peak < path.stat().st_size / 2
