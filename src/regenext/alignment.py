@@ -78,10 +78,11 @@ __all__ = [
 class AlignmentCertificate:
     """Aligned basis of a candidate node, split along a decomposition: basis
     maps each helper i to the basis vector w(i) whose component in S_i
-    vanishes.  The witnesses in both directions follow from it, via parts."""
+    vanishes, a canonical row packed in decomposition._lay.  The witnesses in
+    both directions follow from it, via parts."""
 
     decomposition: Decomposition
-    basis: dict[int, Vec]
+    basis: dict[int, int]
 
     @functools.cached_property
     def parts(self) -> dict[tuple[int, int], int]:
@@ -91,8 +92,7 @@ class AlignmentCertificate:
         tau(i) is the sum over j != i of theta(i, j) t_j with
         theta(i, j) = c_j - c_i (mod p), and the parts of w(i) sum to w(i)."""
         dec = self.decomposition
-        lay = dec._lay
-        t = {j: lay.pack(dec.complement_vectors[j]) for j in dec.helpers}
+        lay, t = dec._lay, dec.complement_vectors
         parts = {}
         for i, w in self.basis.items():
             sigma, c = dec._split(w)
@@ -120,8 +120,7 @@ def is_well_aligned(
     lines = _kernel_lines(candidate, dec)
     if lines is None:
         return None
-    lay = candidate._lay
-    basis = {i: lay.unpack(candidate._combine(g)) for i, g in zip(dec.helpers, lines)}
+    basis = {i: candidate._combine(g) for i, g in zip(dec.helpers, lines)}
     return AlignmentCertificate(decomposition=dec, basis=basis)
 
 
@@ -132,7 +131,7 @@ def _kernel_lines(candidate: Subspace, dec: Decomposition) -> list[Vec] | None:
     beyond, they come from nullspace."""
     k = dec.k
     p = dec.spec.p
-    coords = [candidate._lay.unpack(dec._coords(r)) for r in candidate.basis_rows()]
+    coords = [dec._lay.unpack(dec._coords(r)) for r in candidate._rows]
     blocks = [[dec.repair_block(c, j) for c in coords] for j in dec.helpers]
     if k > 4:
         lines = []
@@ -200,7 +199,7 @@ def sample_well_aligned(
         coeffs = random_invertible_matrix(spec, k - 1, rng)
         for i, crow in zip(others, coeffs):
             basis[i] += dec.repair_spaces[j]._combine(crow)
-    complement = Subspace._span(spec, dec.ambient_dim, dec.complement_vectors.values())
+    complement = Subspace._span_packed(spec, dec.ambient_dim, dec.complement_vectors.values())
     for i in dec.helpers:
         basis[i] += complement._combine([rng.randrange(p) for _ in range(k - 1)])
     candidate = Subspace._span_packed(spec, dec.ambient_dim, map(dec._lay.canon, basis.values()))

@@ -33,7 +33,7 @@ from .extend import (
     synthesize_decomposition,
 )
 from .gf import FieldSpec, NotPrimeError
-from .linalg import Subspace, count_subspaces, vec_add, vec_scale, vec_sub
+from .linalg import Subspace, count_subspaces
 from .regen import (
     DEFAULT_ORACLE_CAP,
     Code,
@@ -173,13 +173,12 @@ def _cmd_grow(args: argparse.Namespace) -> int:
 
         record("n", "F_dim", "alpha", "beta", "attempts")
         record(pr.n, pr.f_dim, pr.alpha, pr.beta, 0)
-        cache: dict = {}  # a step never changes a cached split, so all steps share it
         while code.params.n < args.n:
             current = code.params.n
             bound = attempts_bound(current, code.params.k, code.params.spec)
             # every unit is checked, so by the lemma in regenext.structure every split exists
             try:
-                outcome = extend_code(code, rng, max_attempts=args.max_attempts, cache=cache)
+                outcome = extend_code(code, rng, max_attempts=args.max_attempts)
             except ExtensionError as exc:
                 partial = args.out + ".partial"
                 save_code(code, partial)
@@ -376,6 +375,7 @@ def _cmd_repair_demo(args: argparse.Namespace) -> int:
     p = pr.spec.p
     helpers, cert = next(iter(outcome.alignment_log.items()))
     dec = cert.decomposition
+    lay = dec._lay
     star = pr.n
     failed = min(helpers)
     others = [j for j in helpers if j != failed]
@@ -395,11 +395,11 @@ def _cmd_repair_demo(args: argparse.Namespace) -> int:
     for j in helpers:
         for row in dec.repair_spaces[j].basis_rows():
             print(f"  node {j} repair row:  {_fmt_vec(row)}")
-        print(f"  node {j} leftover t_{j}: {_fmt_vec(dec.complement_vectors[j])}")
+        print(f"  node {j} leftover t_{j}: {_fmt_vec(lay.unpack(dec.complement_vectors[j]))}")
     print()
     print(f"aligned basis of node {star} (component in its own column vanishes):")
     for i in helpers:
-        print(f"  w({i}) = {_fmt_vec(cert.basis[i])}")
+        print(f"  w({i}) = {_fmt_vec(lay.unpack(cert.basis[i]))}")
     print()
     print("subspaces sent to the replacement node:")
     for j in key:
@@ -409,15 +409,12 @@ def _cmd_repair_demo(args: argparse.Namespace) -> int:
             print(f"  from {label}: {_fmt_vec(row)}")
     print()
     print("reassembly:")
-    total = (0,) * pr.f_dim
-    for j in others:
-        total = vec_add(p, total, dec.complement_vectors[j])
-    t_failed = vec_scale(p, -1, total)
+    t_failed = lay.combine([p - 1] * len(others), [dec.complement_vectors[j] for j in others])
     ok_t = t_failed == dec.complement_vectors[failed]
     print(
         f"  1. leftover of the failed node from the received t_j: "
-        f"t_{failed} = -({' + '.join(f't_{j}' for j in others)}) = {_fmt_vec(t_failed)} "
-        f"[{'verified' if ok_t else 'MISMATCH'}]"
+        f"t_{failed} = -({' + '.join(f't_{j}' for j in others)}) = "
+        f"{_fmt_vec(lay.unpack(t_failed))} [{'verified' if ok_t else 'MISMATCH'}]"
     )
     recovered = []
     all_ok = True
@@ -425,29 +422,29 @@ def _cmd_repair_demo(args: argparse.Namespace) -> int:
         if i == failed:
             continue
         sigma, c = dec._split(cert.basis[i])
-        residue = cert.basis[i]
-        for j in others:
-            residue = vec_sub(p, residue, dec._lay.unpack(sigma[j]))
-        # tau(i) is the sum of (c_j - c_i) t_j over j != i, t_failed taken from step 1
-        for j in helpers:
-            if j != i:
-                t_j = t_failed if j == failed else dec.complement_vectors[j]
-                residue = vec_sub(p, residue, vec_scale(p, c[j] - c[i], t_j))
-        expected = dec._lay.unpack(sigma[failed])
-        ok = residue == expected
+        # w(i) minus its parts in the received S_j and its tau(i), the sum of
+        # (c_j - c_i) t_j over j != i with t_failed taken from step 1: at most
+        # 2k-1 rows, within combine's bound of k^2-1
+        rest = [j for j in helpers if j != i]
+        ts = [t_failed if j == failed else dec.complement_vectors[j] for j in rest]
+        residue = lay.combine(
+            [1, *[p - 1] * len(others), *((c[i] - c[j]) % p for j in rest)],
+            [cert.basis[i], *(sigma[j] for j in others), *ts],
+        )
+        ok = residue == sigma[failed]
         all_ok = all_ok and ok
         recovered.append(residue)
         print(
             f"  2. w({i}) minus received interference leaves the component in "
-            f"node {failed}: {_fmt_vec(residue)} [{'verified' if ok else 'MISMATCH'}]"
+            f"node {failed}: {_fmt_vec(lay.unpack(residue))} [{'verified' if ok else 'MISMATCH'}]"
         )
-    span = Subspace._span(pr.spec, pr.f_dim, recovered)
+    span = Subspace._span_packed(pr.spec, pr.f_dim, recovered)
     ok_span = span == dec.repair_spaces[failed]
     print(
         f"  3. those components span the repair space of node {failed} "
         f"(dimension {span.dim}) [{'verified' if ok_span else 'MISMATCH'}]"
     )
-    rebuilt = span.sum(Subspace._span(pr.spec, pr.f_dim, [t_failed]))
+    rebuilt = span.sum(Subspace._span_packed(pr.spec, pr.f_dim, [t_failed]))
     ok_node = rebuilt == code.node(failed)
     print(
         f"  4. repair space plus leftover rebuilds node {failed} exactly "

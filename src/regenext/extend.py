@@ -51,7 +51,7 @@ from .alignment import (
     sample_well_aligned,
 )
 from .gf import FieldSpec
-from .linalg import Subspace, Vec, random_invertible_matrix, random_subspace, vec_add, vec_scale
+from .linalg import Subspace, _layout, random_invertible_matrix, random_subspace
 from .regen import Code, Params, verify_data_recovery, verify_repair_witnesses
 from .structure import Decomposition, compute_decomposition
 
@@ -111,13 +111,10 @@ def synthesize_decomposition(
     repair = {}
     for idx, j in enumerate(helpers):
         repair[j] = Subspace._span(spec, ambient, frame[idx * (k - 1) : (idx + 1) * (k - 1)])
-    tail = frame[k * (k - 1) :]
-    comp_vectors: dict[int, Vec] = {}
-    total = (0,) * ambient
-    for j, row in zip(helpers, tail):
-        comp_vectors[j] = row
-        total = vec_add(p, total, row)
-    comp_vectors[helpers[-1]] = vec_scale(p, -1, total)
+    lay = _layout(p, ambient)
+    tail = [lay.pack(row) for row in frame[k * (k - 1) :]]
+    comp_vectors = dict(zip(helpers, tail))
+    comp_vectors[helpers[-1]] = lay.combine([p - 1] * (k - 1), tail)
     return Decomposition(spec, helpers, None, repair, comp_vectors)
 
 
@@ -154,13 +151,13 @@ def helper_repair_witness(
     if failed not in dec.helpers:
         raise ValueError(f"{failed} is not a helper of the certificate's decomposition")
     spaces = {}
-    spaces[new_index] = Subspace._span(
+    spaces[new_index] = Subspace._span_packed(
         dec.spec, dec.ambient_dim, [cert.basis[i] for i in dec.helpers if i != failed]
     )
     for j in dec.helpers:
         if j != failed:
             rows = [cert.parts[(i, j)] for i in dec.helpers if i not in (j, failed)]
-            rows.append(dec._lay.pack(dec.complement_vectors[j]))
+            rows.append(dec.complement_vectors[j])
             spaces[j] = Subspace._span_packed(dec.spec, dec.ambient_dim, rows)
     return spaces
 
@@ -210,7 +207,9 @@ def synthesize_base_code(k: int, spec: FieldSpec, rng: random.Random) -> Code:
     """
     dec = synthesize_decomposition(k, spec, rng)
     nodes = tuple(
-        dec.repair_spaces[j].sum(Subspace._span(spec, dec.ambient_dim, [dec.complement_vectors[j]]))
+        dec.repair_spaces[j].sum(
+            Subspace._span_packed(spec, dec.ambient_dim, [dec.complement_vectors[j]])
+        )
         for j in dec.helpers
     )
     candidate, cert = sample_well_aligned(dec, rng)
@@ -224,17 +223,13 @@ def synthesize_base_code(k: int, spec: FieldSpec, rng: random.Random) -> Code:
 
 
 def find_alignments(
-    code: Code,
-    candidate: Subspace,
-    cache: dict,
+    code: Code, candidate: Subspace
 ) -> dict[tuple[int, ...], AlignmentCertificate] | None:
     """For every k-subset of nodes, find a repair pair the candidate aligns with.
 
     Scans failed nodes x outside each subset in ascending order and keeps the
     first certificate; returns None as soon as one subset has no aligned pair.
-    cache maps (helpers, x) to splits and is shared across draws and steps.
-    Its splits must come from this code or from a code it was grown from by
-    extend_code, which never changes an old node or witness.
+    Each split is derived once per code and kept in its _splits, by (helpers, x).
     """
     pr = code.params
     log: dict[tuple[int, ...], AlignmentCertificate] = {}
@@ -243,10 +238,9 @@ def find_alignments(
             if x in helpers:
                 continue
             key = (helpers, x)
-            dec = cache.get(key)
+            dec = code._splits.get(key)
             if dec is None:
-                dec = compute_decomposition(code, helpers, x)
-                cache[key] = dec
+                dec = code._splits[key] = compute_decomposition(code, helpers, x)
             cert = is_well_aligned(candidate, dec)
             if cert is not None:
                 log[helpers] = cert
@@ -271,7 +265,6 @@ def extend_code(
     code: Code,
     rng: random.Random,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    cache: dict | None = None,
 ) -> ExtensionOutcome:
     """Grow the code by one node via rejection sampling.
 
@@ -280,17 +273,15 @@ def extend_code(
     k-subset of old nodes has an aligned repair pair; acceptance builds the
     full witness set for the new node in both directions and checks the
     recovery subsets and repair pairs that contain the new node.  Raises
-    ExtensionError when those checks fail or the budget runs out.  Pass one
-    cache to every step of a growth chain; find_alignments has its contract.
+    ExtensionError when those checks fail or the budget runs out.  The grown
+    code starts with a copy of the code's splits, which growth leaves valid.
     """
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be positive, got {max_attempts}")
     pr = code.params
-    if cache is None:
-        cache = {}
     for attempt in range(1, max_attempts + 1):
         candidate = random_subspace(pr.f_dim, pr.k, pr.spec, rng)
-        log = find_alignments(code, candidate, cache)
+        log = find_alignments(code, candidate)
         if log is None:
             continue
         grown, problems = _add_node(code.nodes, code.witnesses, candidate, log)
@@ -298,6 +289,7 @@ def extend_code(
             raise ExtensionError(
                 "grown code failed verification, which indicates a bug: " + "; ".join(problems)
             )
+        grown._splits.update(code._splits)
         return ExtensionOutcome(grown, attempt, log)
     bound = attempts_bound(pr.n, pr.k, pr.spec)
     shown = f"about {float(bound):.6f}"

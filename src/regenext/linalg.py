@@ -10,8 +10,8 @@ one int whose slot i, bits i*W to i*W + W - 1, holds entry i, so a row
 operation or a combination of rows is a few big-int operations with no
 Python loop per entry.  A row is packed where it enters (the Subspace
 constructors, rank, inverse, nullspace) and unpacked where it leaves as a
-tuple (basis_rows, inverse, the alignment certificates); struct does
-either in one call.
+tuple (basis_rows, inverse); struct does either in one call.  The splits
+and alignment certificates built on a Subspace keep their rows packed too.
 Integers from outside enter through a checked door that reduces them mod p
 once: a Matrix (which also checks the row widths), the Subspace constructor
 or Subspace.contains.  Inside the package only load_code uses that door;
@@ -97,19 +97,6 @@ Vec = tuple[int, ...]
 
 class CapExceededError(RuntimeError):
     """An exhaustive enumeration would exceed its configured work cap."""
-
-
-def vec_add(p: int, a: Sequence[int], b: Sequence[int]) -> Vec:
-    return tuple((x + y) % p for x, y in zip(a, b))
-
-
-def vec_sub(p: int, a: Sequence[int], b: Sequence[int]) -> Vec:
-    return tuple((x - y) % p for x, y in zip(a, b))
-
-
-def vec_scale(p: int, c: int, a: Sequence[int]) -> Vec:
-    c %= p
-    return tuple((c * x) % p for x in a)
 
 
 class _Layout:

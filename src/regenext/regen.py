@@ -148,6 +148,8 @@ class Code:
     witnesses: dict[tuple[int, tuple[int, ...]], dict[int, Subspace]] = field(
         default_factory=dict
     )
+    # splits of this code by (helpers, x), kept by extend.find_alignments
+    _splits: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         pr = self.params

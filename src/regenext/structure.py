@@ -68,8 +68,8 @@ class Decomposition:
     helpers are the k node indices in ascending order; failed_node is the
     node whose repair induced the split (None for a synthetic frame).
     repair_spaces maps each helper to its sent subspace S_j and
-    complement_vectors to its t_j.  _coords builds the basis inverse on its
-    first call and keeps it.
+    complement_vectors to its t_j, a canonical row packed in _lay.  _coords
+    builds the basis inverse on its first call and keeps it.
     """
 
     __slots__ = (
@@ -95,24 +95,24 @@ class Decomposition:
         self._lay = _layout(spec.p, self.ambient_dim)
         self._basis_inv = None
 
-    def _coords(self, v) -> int:
-        """The coordinates of v, packed, in the basis of the module docstring:
-        the bases of the S_j, then t_j for every helper but the last."""
+    def _coords(self, v: int) -> int:
+        """The coordinates of packed v, packed, in the basis of the module
+        docstring: the bases of the S_j, then t_j for every helper but the last."""
         lay = self._lay
         if self._basis_inv is None:
             rows = [r for j in self.helpers for r in self.repair_spaces[j].basis_rows()]
-            rows.extend(self.complement_vectors[j] for j in self.helpers[:-1])
+            rows.extend(lay.unpack(self.complement_vectors[j]) for j in self.helpers[:-1])
             self._basis_inv = tuple(map(lay.pack, inverse(self.spec.p, rows)))
-        return lay.combine(map(lay.p.__rmod__, v), self._basis_inv)
+        return lay.combine(lay.unpack(v), self._basis_inv)
 
     def repair_block(self, coords: Vec, j: int) -> Vec:
         """The k-1 coordinates of the repair space of helper j."""
         off = self.helpers.index(j) * (self.k - 1)
         return coords[off : off + self.k - 1]
 
-    def _split(self, v) -> tuple[dict[int, int], dict[int, int]]:
-        """v read off _coords(v): its part in each S_j, packed, and the weight
-        c_j of each t_j in its part in T, with c_j = 0 for the last helper."""
+    def _split(self, v: int) -> tuple[dict[int, int], dict[int, int]]:
+        """Packed v read off _coords(v): its part in each S_j, packed, and the
+        weight c_j of each t_j in its part in T, with c_j = 0 for the last helper."""
         c = self._lay.unpack(self._coords(v))
         sigma = {j: s._combine(self.repair_block(c, j)) for j, s in self.repair_spaces.items()}
         return sigma, dict(zip(self.helpers, c[self.k * (self.k - 1) :] + (0,)))
@@ -179,7 +179,7 @@ def compute_decomposition(code: Code, helpers, x: int) -> Decomposition:
     scale = inv_mod(coeff[unit_positions[helpers[0]]], p)
     coeff = [(scale * c) % p for c in coeff]
     comp_vectors = {
-        j: lay.unpack(lay.combine(coeff[pos - pr.beta : pos + 1], rows[pos - pr.beta : pos + 1]))
+        j: lay.combine(coeff[pos - pr.beta : pos + 1], rows[pos - pr.beta : pos + 1])
         for j, pos in unit_positions.items()
     }
     return Decomposition(pr.spec, helpers, x, repair, comp_vectors)

@@ -9,7 +9,7 @@ import pytest
 
 from regenext.extend import extend_code, synthesize_base_code
 from regenext.gf import FieldSpec
-from regenext.linalg import Subspace, _Echelon, random_invertible_matrix, rank, vec_add, vec_sub
+from regenext.linalg import Subspace, _Echelon, random_invertible_matrix, rank
 
 
 def combine(p, coeffs, rows):
@@ -86,25 +86,34 @@ def noncanonical(obj, how, rng):
     return obj
 
 
+def complement(dec):
+    """The complement vectors t_j of a decomposition, unpacked."""
+    return {j: dec._lay.unpack(t) for j, t in dec.complement_vectors.items()}
+
+
+def aligned_basis(cert):
+    """The aligned basis w(i) of a certificate, unpacked."""
+    return {i: cert.decomposition._lay.unpack(w) for i, w in cert.basis.items()}
+
+
 def coordinates(dec, v):
-    """The coordinates of v in the decomposition's basis: the bases of the
-    repair spaces, then t_j for every helper but the last."""
-    return dec._lay.unpack(dec._coords(v))
+    """The coordinates of the residue row v in the decomposition's basis: the
+    bases of the repair spaces, then t_j for every helper but the last."""
+    return dec._lay.unpack(dec._coords(dec._lay.pack(v)))
 
 
 def split(dec, v):
-    """Decomposition._split(v) unpacked: v's part in each repair space, and
-    the weight of each t_j in its part in T, 0 for the last helper."""
-    sigma, weights = dec._split(v)
+    """Decomposition._split of the residue row v, unpacked: v's part in each
+    repair space, and the weight of each t_j in its part in T, 0 for the
+    last helper."""
+    sigma, weights = dec._split(dec._lay.pack(v))
     return {j: dec._lay.unpack(s) for j, s in sigma.items()}, weights
 
 
 def expand_complement(dec, weights):
     """The vector of T that weighs each t_j by weights[j]."""
-    helpers = dec.helpers
-    return combine(
-        dec.spec.p, [weights[j] for j in helpers], [dec.complement_vectors[j] for j in helpers]
-    )
+    t = complement(dec)
+    return combine(dec.spec.p, [weights[j] for j in dec.helpers], [t[j] for j in dec.helpers])
 
 
 def assert_certificate_consistent(cert, candidate):
@@ -115,22 +124,22 @@ def assert_certificate_consistent(cert, candidate):
     dec = cert.decomposition
     p = dec.spec.p
     helpers = dec.helpers
-    assert Subspace(dec.spec, dec.ambient_dim, cert.basis.values()) == candidate
+    basis, t = aligned_basis(cert), complement(dec)
+    assert Subspace(dec.spec, dec.ambient_dim, basis.values()) == candidate
     sigma = {}
     for i in helpers:
-        assert candidate.contains(cert.basis[i])
-        parts_i, _ = split(dec, cert.basis[i])
+        assert candidate.contains(basis[i])
+        parts_i, _ = split(dec, basis[i])
         assert not any(parts_i[i])
-        total = (0,) * dec.ambient_dim
+        parts = []
         for j in helpers:
             sigma[(i, j)] = parts_i[j]
             assert dec.repair_spaces[j].contains(parts_i[j])
             if j != i:
-                part = dec._lay.unpack(cert.parts[(i, j)])
-                t_line = Subspace(dec.spec, dec.ambient_dim, [dec.complement_vectors[j]])
-                assert t_line.contains(vec_sub(p, part, parts_i[j]))
-                total = vec_add(p, total, part)
-        assert total == cert.basis[i]
+                parts.append(dec._lay.unpack(cert.parts[(i, j)]))
+                t_line = Subspace(dec.spec, dec.ambient_dim, [t[j]])
+                assert t_line.contains(combine(p, (1, -1), (parts[-1], parts_i[j])))
+        assert combine(p, [1] * len(parts), parts) == basis[i]
     for j in helpers:
         rows = [sigma[(i, j)] for i in helpers if i != j]
         assert rank(p, rows) == dec.k - 1

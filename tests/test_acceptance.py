@@ -182,12 +182,11 @@ def test_criterion_08_union_bound_holds_empirically(artifacts):
         bound = attempts_bound(9, 3, BIG)
         assert 0 < bound < 1
         rng = random.Random("union-bound-draws")
-        cache: dict = {}
         hits = 0
         trials = 200
         for _ in range(trials):
             candidate = random_subspace(8, 3, BIG, rng)
-            if find_alignments(code, candidate, cache) is not None:
+            if find_alignments(code, candidate) is not None:
                 hits += 1
         rate = hits / trials
         sigma = math.sqrt(rate * (1 - rate) / trials)

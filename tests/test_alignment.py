@@ -26,11 +26,17 @@ from regenext.linalg import (
     nullspace,
     random_subspace,
     rank,
-    vec_add,
 )
 from regenext.structure import compute_decomposition
 
-from conftest import assert_certificate_consistent, combine, coordinates, identity_rows
+from conftest import (
+    aligned_basis,
+    assert_certificate_consistent,
+    combine,
+    complement,
+    coordinates,
+    identity_rows,
+)
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -97,8 +103,7 @@ def aligned_by_definition_k2(candidate, dec):
         for c1 in range(p):
             if c0 == 0 and c1 == 0:
                 continue
-            v = vec_add(p, tuple((c0 * t) % p for t in rows[0]),
-                        tuple((c1 * t) % p for t in rows[1]))
+            v = combine(p, (c0, c1), rows)
             coords = coordinates(dec, v)
             in_a = any(dec.repair_block(coords, a))
             in_b = any(dec.repair_block(coords, b))
@@ -214,7 +219,7 @@ def from_coordinates(dec, rows):
     """The span of the vectors with the given coordinates in the
     decomposition's basis, or None when it is not k-dimensional."""
     basis = [r for j in dec.helpers for r in dec.repair_spaces[j].basis_rows()]
-    basis += [dec.complement_vectors[j] for j in dec.helpers[:-1]]
+    basis += [complement(dec)[j] for j in dec.helpers[:-1]]
     span = Subspace(dec.spec, dec.ambient_dim, [combine(dec.spec.p, row, basis) for row in rows])
     return span if span.dim == dec.k else None
 
@@ -302,7 +307,7 @@ def test_closed_form_matches_elimination(k, p):
             assert kind in (None, verdict)
             seen.add(verdict)
             cert = is_well_aligned(candidate, dec)
-            assert (cert and cert.basis) == basis
+            assert (cert and aligned_basis(cert)) == basis
     assert seen == {"aligned", "deficient", "dependent"}
 
 

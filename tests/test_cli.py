@@ -601,7 +601,7 @@ def test_grow_stall_past_the_digit_limit_is_one_line(tmp_path, monkeypatch, caps
     base = tmp_path / "base.json"
     assert main(["gen-base", "--k", "10", "--p", "2147483647", "--out", str(base)]) == EXIT_OK
     capsys.readouterr()
-    monkeypatch.setattr(extend, "find_alignments", lambda code, candidate, cache: None)
+    monkeypatch.setattr(extend, "find_alignments", lambda code, candidate: None)
     out = tmp_path / "grown.json"
     argv = ["grow", "--in", str(base), "--out", str(out), "--n", "12", "--max-attempts", "1"]
     assert main(argv) == EXIT_VERIFICATION
@@ -768,10 +768,11 @@ def test_verify_runs_the_oracle_only_where_witnesses_pass(tmp_path, monkeypatch,
 
 
 def test_grow_derives_each_split_once(tmp_path, monkeypatch):
-    """grow keeps one decomposition cache for all its steps.  At p=65521 the
-    first x aligns for every helper subset, so 4 -> 9 derives C(8, 3) = 56
-    splits, one per helper subset of the largest code it extends; a cache per
-    step would derive C(4, 3) + ... + C(8, 3) = 125."""
+    """Each code grow extends hands its splits on to the grown code.  At
+    p=65521 the first x aligns for every helper subset, so 4 -> 9 derives
+    C(8, 3) = 56 splits, one per helper subset of the largest code it
+    extends; deriving them afresh at every step would take
+    C(4, 3) + ... + C(8, 3) = 125."""
     import regenext.extend as extend
 
     calls = []

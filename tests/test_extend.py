@@ -24,13 +24,13 @@ from regenext.extend import (
     synthesize_decomposition,
 )
 from regenext.gf import FieldSpec
-from regenext.linalg import Subspace, vec_add, vec_scale
+from regenext.linalg import Subspace
 from regenext.regen import (
     Code, save_code, verify_data_recovery, verify_repair_witnesses
 )
 from regenext.structure import Decomposition, compute_decomposition, verify_structure
 
-from conftest import combine, coordinates
+from conftest import aligned_basis, combine, complement, coordinates
 
 GF2 = FieldSpec(2)
 GF5 = FieldSpec(5)
@@ -48,7 +48,7 @@ def test_synthesize_decomposition_shape():
     assert dec.helpers == (1, 2, 3)
     assert dec.failed_node is None
     assert dec.ambient_dim == 8
-    assert Subspace(GF5, 8, dec.complement_vectors.values()).dim == 2
+    assert Subspace(GF5, 8, complement(dec).values()).dim == 2
     for j in dec.helpers:
         assert dec.repair_spaces[j].dim == 2
 
@@ -86,7 +86,7 @@ def test_new_node_repair_witness_structure():
     for j in dec.helpers:
         sub = witness[j]
         node = dec.repair_spaces[j].sum(
-            Subspace(dec.spec, 8, [dec.complement_vectors[j]])
+            Subspace(dec.spec, 8, [complement(dec)[j]])
         )
         assert sub.dim == 2
         assert node.contains_subspace(sub)
@@ -107,7 +107,7 @@ def test_helper_repair_witness_structure():
     sent_rows = [r for sub in witness.values() for r in sub.basis_rows()]
     sent = Subspace(dec.spec, 8, sent_rows)
     failed_node = dec.repair_spaces[failed].sum(
-        Subspace(dec.spec, 8, [dec.complement_vectors[failed]])
+        Subspace(dec.spec, 8, [complement(dec)[failed]])
     )
     assert sent.contains_subspace(failed_node)
     for j in witness:
@@ -160,7 +160,8 @@ def test_extend_alignment_log_covers_every_subset(outcome_k3_big):
         assert x not in helpers
         assert 1 <= x <= n
         dec = cert.decomposition
-        assert Subspace(dec.spec, dec.ambient_dim, cert.basis.values()) == outcome.code.nodes[-1]
+        basis = aligned_basis(cert).values()
+        assert Subspace(dec.spec, dec.ambient_dim, basis) == outcome.code.nodes[-1]
 
 
 def test_extend_builds_complete_witness_table(outcome_k3_big):
@@ -198,43 +199,62 @@ def test_extend_fails_deterministically_on_tiny_field():
 
 def test_find_alignments_accepts_the_grown_node(outcome_k3_big):
     base, outcome = outcome_k3_big
-    cache = {}
-    log = find_alignments(base, outcome.code.nodes[-1], cache)
+    log = find_alignments(base, outcome.code.nodes[-1])
     assert log is not None
     assert set(log) == set(base.recovery_subsets())
-    assert len(cache) > 0
-    before = dict(cache)
-    again = find_alignments(base, outcome.code.nodes[-1], cache)
+    assert len(base._splits) > 0
+    before = dict(base._splits)
+    again = find_alignments(base, outcome.code.nodes[-1])
     assert again is not None
-    assert cache == before
+    assert base._splits == before
 
 
 @pytest.mark.parametrize("p,target", [(65521, 8), (3, 6)])
 def test_shared_cache_holds_splits_of_the_grown_code(p, target, tmp_path):
-    """One cache passed to every step of a growth chain: each cached split is
-    still the one compute_decomposition derives from the final code, and the
-    grown bytes are those of a chain with a fresh cache at every step.  At
-    p=3 most draws are rejected and the x-scan goes past the first x; k=3 at
-    p=3 rarely reaches n=7 within thousands of draws, so that chain stops at 6."""
-    base = synthesize_base_code(3, FieldSpec(p), random.Random("cache-base"))
+    """Each step of a growth chain hands its splits on to the grown code:
+    every split the final code holds is still the one compute_decomposition
+    derives from it, and the grown bytes are those of a chain that clears
+    the splits at every step.  At p=3 most draws are rejected and the x-scan
+    goes past the first x; k=3 at p=3 rarely reaches n=7 within thousands of
+    draws, so that chain stops at 6."""
 
-    def grow(cache):
-        code, rng = base, random.Random("cache-grow")
+    def grow(keep):
+        code = synthesize_base_code(3, FieldSpec(p), random.Random("cache-base"))
+        n0, rng = code.params.n, random.Random("cache-grow")
         while code.params.n < target:
-            code = extend_code(code, rng, max_attempts=5000, cache=cache).code
-        return code
+            if not keep:
+                code._splits.clear()
+            code = extend_code(code, rng, max_attempts=5000).code
+        return n0, code
 
-    cache = {}
-    final = grow(cache)
-    save_code(final, str(tmp_path / "shared"))
-    save_code(grow(None), str(tmp_path / "fresh"))
-    assert (tmp_path / "shared").read_bytes() == (tmp_path / "fresh").read_bytes()
-    assert {max(helpers + (x,)) for helpers, x in cache} == set(range(base.params.n, target))
-    for (helpers, x), dec in cache.items():
+    n0, final = grow(keep=True)
+    save_code(final, str(tmp_path / "kept"))
+    save_code(grow(keep=False)[1], str(tmp_path / "fresh"))
+    assert (tmp_path / "kept").read_bytes() == (tmp_path / "fresh").read_bytes()
+    splits = final._splits
+    assert {max(helpers + (x,)) for helpers, x in splits} == set(range(n0, target))
+    for (helpers, x), dec in splits.items():
         derived = compute_decomposition(final, helpers, x)
         assert (dec.helpers, dec.failed_node) == (helpers, x)
         assert dec.repair_spaces == derived.repair_spaces
         assert dec.complement_vectors == derived.complement_vectors
+
+
+def test_sibling_extensions_hold_separate_splits():
+    """Two extensions of one parent each start from a copy of the parent's
+    splits, so what one child derives never reaches the other or the parent."""
+    parent = synthesize_base_code(3, BIG, random.Random("sibling-base"))
+    one = extend_code(parent, random.Random("sibling-1")).code
+    two = extend_code(parent, random.Random("sibling-2")).code
+    assert one.nodes[-1] != two.nodes[-1]
+    inherited = dict(parent._splits)
+    assert inherited and one._splits == two._splits == inherited
+    assert one._splits is not two._splits
+    extend_code(one, random.Random("sibling-3"))
+    assert len(one._splits) > len(inherited)
+    assert two._splits == parent._splits == inherited
+    # a split of the grown child names its new node, which the others lack
+    assert any(5 in helpers + (x,) for helpers, x in one._splits)
 
 
 def test_attempts_bound_values():
@@ -353,34 +373,30 @@ def test_builders_match_a_per_entry_reference(k, p):
     rng = random.Random(f"builders-{k}-{p}")
     dec = synthesize_decomposition(k, spec, rng)
     _, cert = sample_well_aligned(dec, rng)
-    helpers, t = dec.helpers, dec.complement_vectors
+    helpers, t, basis = dec.helpers, complement(dec), aligned_basis(cert)
     sigma, theta = {}, {}
 
     def span(rows):
         return Subspace(spec, dec.ambient_dim, rows)
 
     def part(i, j):
-        return vec_add(p, sigma[(i, j)], vec_scale(p, theta[(i, j)], t[j]))
+        return combine(p, (1, theta[(i, j)]), (sigma[(i, j)], t[j]))
 
     for i in helpers:
-        coords = coordinates(dec, cert.basis[i])
+        coords = coordinates(dec, basis[i])
         c = dict(zip(helpers, coords[k * (k - 1) :] + (0,)))
         for n, j in enumerate(helpers):
             block = coords[n * (k - 1) : (n + 1) * (k - 1)]
             sigma[(i, j)] = combine(p, block, dec.repair_spaces[j].basis_rows())
             theta[(i, j)] = (c[j] - c[i]) % p
         assert not any(sigma[(i, i)])
-        total = (0,) * dec.ambient_dim
-        for j in helpers:
-            if j != i:
-                total = vec_add(p, total, part(i, j))
-        assert total == cert.basis[i]
+        assert combine(p, [1] * (k - 1), [part(i, j) for j in helpers if j != i]) == basis[i]
     assert new_node_repair_witness(cert) == {
         j: span([part(i, j) for i in helpers if i != j]) for j in helpers
     }
     star = k + 1
     for f in helpers:
-        expected = {star: span([cert.basis[i] for i in helpers if i != f])}
+        expected = {star: span([basis[i] for i in helpers if i != f])}
         for j in helpers:
             if j != f:
                 expected[j] = span([sigma[(i, j)] for i in helpers if i not in (j, f)] + [t[j]])

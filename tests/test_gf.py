@@ -1,7 +1,8 @@
 """Tests for prime-field arithmetic.
 
-Field elements are plain residues; the vector helpers of regenext.linalg do
-the arithmetic, and inv_mod the inversion.
+Field elements are plain residues.  The packed rows of regenext.linalg do
+the arithmetic: _Layout.combine sums residue multiples of at most n rows of
+width n, and _Layout.canon reduces every slot mod p.  inv_mod inverts.
 """
 
 import random
@@ -9,25 +10,33 @@ import random
 import pytest
 
 from regenext.gf import MAX_MODULUS, FieldSpec, NotPrimeError, inv_mod, is_prime
-from regenext.linalg import Matrix, Subspace, vec_add, vec_scale, vec_sub
+from regenext.linalg import Matrix, Subspace, _layout
 
-PRIMES = [2, 3, 5, 7, 101]
+from conftest import combine
+
+PRIMES = [2, 3, 5, 7, 101, 65521, 2**31 - 1]
+
+
+def packed(p, coeffs, rows):
+    """_Layout.combine on the residue rows, unpacked."""
+    lay = _layout(p, len(rows[0]))
+    return lay.unpack(lay.combine(coeffs, map(lay.pack, rows)))
 
 
 def test_add_basic():
-    assert vec_add(7, (3,), (5,)) == (1,)
+    assert packed(7, (1, 1), [(3, 2), (5, 6)]) == (1, 1)
 
 
 def test_sub_underflow():
-    assert vec_sub(7, (2,), (5,)) == (4,)
+    assert packed(7, (1, 6), [(2, 0), (5, 0)]) == (4, 0)
 
 
 def test_mul_basic():
-    assert vec_scale(7, 3, (5,)) == (1,)
+    assert packed(7, (3,), [(5,)]) == (1,)
 
 
 def test_neg():
-    assert vec_scale(7, -1, (3, 0)) == (4, 0)
+    assert packed(7, (6,), [(3, 0)]) == (4, 0)
 
 
 def test_inv_known():
@@ -37,8 +46,8 @@ def test_inv_known():
 
 
 def test_canonical_residues():
-    assert vec_add(5, (12,), (0,)) == (2,)
-    assert vec_scale(5, 1, (-1,)) == (4,)
+    lay = _layout(5, 2)
+    assert lay.unpack(lay.canon(12 | 24 << lay.slot)) == (2, 4)
     assert Matrix(FieldSpec(5), [[5, -6]]).entries == ((0, 4),)
 
 
@@ -71,24 +80,37 @@ def test_inverse_exhaustive_small_primes():
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_field_axioms(p):
-    """Ring and field laws of the residue helpers on random triples."""
+    """Field laws of canon on one slot, and vector-space laws of combine on
+    rows of width 3, on random triples; every combination also equals the
+    per-entry reference."""
+    one, lay = _layout(p, 1), _layout(p, 3)
     rng = random.Random(f"axioms:{p}")
-    zero = (0,)
+
+    def add(x, y):
+        return lay.combine((1, 1), (x, y))
+
+    def scale(s, x):
+        return lay.combine((s,), (x,))
+
     for _ in range(10**4):
-        a, b, c = ((rng.randrange(p),) for _ in range(3))
-        assert vec_add(p, a, b) == vec_add(p, b, a)
-        assert vec_scale(p, a[0], b) == vec_scale(p, b[0], a)
-        assert vec_add(p, vec_add(p, a, b), c) == vec_add(p, a, vec_add(p, b, c))
-        assert vec_scale(p, a[0], vec_scale(p, b[0], c)) == vec_scale(p, a[0] * b[0], c)
-        assert vec_scale(p, a[0], vec_add(p, b, c)) == vec_add(
-            p, vec_scale(p, a[0], b), vec_scale(p, a[0], c)
-        )
-        assert vec_add(p, a, zero) == a
-        assert vec_scale(p, 1, a) == a
-        assert vec_add(p, a, vec_scale(p, -1, a)) == zero
-        assert vec_sub(p, a, b) == vec_add(p, a, vec_scale(p, -1, b))
-        if a[0] != 0:
-            assert vec_scale(p, inv_mod(a[0], p), a) == (1,)
+        s, t, u = (rng.randrange(p) for _ in range(3))
+        assert one.canon(s * t) == one.canon(t * s) == s * t % p
+        assert one.canon(one.canon(s * t) * u) == one.canon(s * one.canon(t * u))
+        assert one.canon(s * (t + u)) == one.canon(s * t + s * u)
+        if s:
+            assert one.canon(s * inv_mod(s, p)) == 1
+        rows = [tuple(rng.randrange(p) for _ in range(3)) for _ in range(3)]
+        a, b, c = map(lay.pack, rows)
+        assert lay.unpack(lay.combine((s, t, u), (a, b, c))) == combine(p, (s, t, u), rows)
+        assert add(a, b) == add(b, a)
+        assert add(add(a, b), c) == add(a, add(b, c)) == lay.combine((1, 1, 1), (a, b, c))
+        assert scale(s, scale(t, a)) == scale(one.canon(s * t), a)
+        assert scale(s, add(a, b)) == add(scale(s, a), scale(s, b))
+        assert lay.combine((s, t), (a, a)) == scale(one.canon(s + t), a)
+        assert add(a, 0) == scale(1, a) == a
+        assert add(a, scale(p - 1, a)) == 0
+        if s:
+            assert scale(inv_mod(s, p), scale(s, a)) == a
 
 
 def test_is_prime_knowns():
@@ -119,5 +141,5 @@ def test_spec_rejects_out_of_range():
 
 def test_spec_largest_supported_prime():
     spec = FieldSpec(2**31 - 1)
-    assert vec_scale(spec.p, 2**31 - 2, (2**31 - 2,)) == (1,)
+    assert packed(spec.p, (2**31 - 2,), [(2**31 - 2,)]) == (1,)
     assert inv_mod(2**31 - 2, spec.p) == 2**31 - 2

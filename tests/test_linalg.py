@@ -21,9 +21,6 @@ from regenext.linalg import (
     random_invertible_matrix,
     random_subspace,
     rank,
-    vec_add,
-    vec_scale,
-    vec_sub,
 )
 
 from conftest import combine, identity_rows
@@ -48,11 +45,16 @@ def random_rows(rng, p, rows, cols):
     return [tuple(rng.randrange(p) for _ in range(cols)) for _ in range(rows)]
 
 
-def test_vec_helpers():
-    assert vec_add(5, (1, 2, 3), (4, 4, 4)) == (0, 1, 2)
-    assert vec_sub(5, (1, 2, 3), (4, 4, 4)) == (2, 3, 4)
-    assert vec_scale(5, 3, (1, 2, 3)) == (3, 1, 4)
+def test_packed_combine_helpers():
+    """Sums, differences and multiples of rows by _Layout.combine, against
+    the per-entry reference."""
+    lay = _layout(5, 3)
+    a, b = lay.pack((1, 2, 3)), lay.pack((4, 4, 4))
+    assert lay.unpack(lay.combine((1, 1), (a, b))) == (0, 1, 2)
+    assert lay.unpack(lay.combine((1, 4), (a, b))) == (2, 3, 4)
+    assert lay.unpack(lay.combine((3,), (a,))) == (3, 1, 4)
     assert combine(7, (2, 3), [(1, 0, 1), (0, 1, 1)]) == (2, 3, 5)
+    assert combine(5, (1, -1), [(1, 2, 3), (4, 4, 4)]) == (2, 3, 4)
 
 
 def test_matrix_construction_reduces_mod_p():

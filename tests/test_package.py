@@ -97,3 +97,13 @@ def test_every_public_definition_is_read():
         if not name.startswith("_") and name not in read
     }
     assert unread == {"Matrix", "Subspace.contains"}
+
+
+def test_readme_library_example_runs(capsys):
+    """The python block under "Library use" in README.md runs as written, so
+    the example cannot fall behind the API."""
+    section = (SRC.parent.parent / "README.md").read_text().split("\n## Library use\n", 1)[1]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(example, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "140 pairs checked, 0 violations"

@@ -19,7 +19,6 @@ from regenext.linalg import (
     random_invertible_matrix,
     random_subspace,
     rank,
-    vec_add,
 )
 from regenext.regen import (
     Code,
@@ -32,7 +31,7 @@ from regenext.regen import (
 from regenext.structure import DecompositionError, _lemma_applies, compute_decomposition
 
 from conftest import (
-    assert_certificate_consistent, combine, expand_complement, identity_rows, split
+    assert_certificate_consistent, combine, complement, expand_complement, identity_rows, split
 )
 
 PRIMES = [2, 3, 5, 65521, 2**31 - 1]
@@ -170,22 +169,17 @@ def assert_split_holds(dec, nodes, rng):
     """What both producers guarantee of a split: the t_j sum to zero, each
     t_j lies in its node W_j but not in S_j, they span k-1 dimensions, and
     coordinates round-trip through the repair and complement blocks."""
-    p, ambient = dec.spec.p, dec.ambient_dim
-    total = (0,) * ambient
+    p, ambient, t = dec.spec.p, dec.ambient_dim, complement(dec)
     for j in dec.helpers:
-        t = dec.complement_vectors[j]
-        assert nodes[j].contains(t)
-        assert not dec.repair_spaces[j].contains(t)
-        total = vec_add(p, total, t)
-    assert not any(total)
-    assert Subspace(dec.spec, ambient, dec.complement_vectors.values()).dim == dec.k - 1
+        assert nodes[j].contains(t[j])
+        assert not dec.repair_spaces[j].contains(t[j])
+    assert not any(combine(p, [1] * dec.k, list(t.values())))
+    assert Subspace(dec.spec, ambient, t.values()).dim == dec.k - 1
     for _ in range(5):
         v = tuple(rng.randrange(p) for _ in range(ambient))
         parts, weights = split(dec, v)
-        back = expand_complement(dec, weights)
-        for j in dec.helpers:
-            back = vec_add(p, back, parts[j])
-        assert back == v
+        back = [expand_complement(dec, weights), *parts.values()]
+        assert combine(p, [1] * len(back), back) == v
 
 
 def _one_entry_changed(code, rng):
@@ -234,7 +228,7 @@ def test_producers_return_only_valid_splits(p, k, seed):
     spec = FieldSpec(p)
     dec = synthesize_decomposition(k, spec, rng)
     frame_nodes = {
-        j: dec.repair_spaces[j].sum(Subspace(spec, dec.ambient_dim, [dec.complement_vectors[j]]))
+        j: dec.repair_spaces[j].sum(Subspace(spec, dec.ambient_dim, [complement(dec)[j]]))
         for j in dec.helpers
     }
     assert_split_holds(dec, frame_nodes, rng)

@@ -145,3 +145,12 @@ def test_verify_matches_the_reference_on_noncanonical_rows(reference_main, grown
             expected = _run(reference_main, argv)
             assert expected[0] == 0, path.name
             assert _run(main, argv) == expected, path.name
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521, 2**31 - 1])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_repair_demo_matches_the_reference(reference_main, k, p):
+    """Same exit code, stdout and stderr of `repair-demo` at seed 1: the
+    reassembly it prints, at both ends of the slot widths."""
+    argv = ["repair-demo", "--k", str(k), "--p", str(p), "--seed", "1", "--max-attempts", "5000"]
+    assert _run(main, argv) == _run(reference_main, argv)

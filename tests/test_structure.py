@@ -6,7 +6,7 @@ import pytest
 
 import regenext.structure as structure
 from regenext.gf import FieldSpec
-from regenext.linalg import Subspace, vec_add, vec_scale
+from regenext.linalg import Subspace, _layout
 from regenext.regen import Code, Params, check_repair_pair
 from regenext.structure import (
     Decomposition,
@@ -15,7 +15,7 @@ from regenext.structure import (
     verify_structure,
 )
 
-from conftest import combine, coordinates, expand_complement, identity_rows, split
+from conftest import combine, complement, coordinates, expand_complement, identity_rows, split
 
 GF3 = FieldSpec(3)
 
@@ -24,13 +24,13 @@ E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
 def test_constructor_accepts_valid_split():
     repair = {1: Subspace(GF3, 3, [E1]), 2: Subspace(GF3, 3, [E2])}
-    complement = {1: E3, 2: vec_scale(3, -1, E3)}
-    dec = Decomposition(GF3, (1, 2), None, repair, complement)
+    lay = _layout(3, 3)
+    dec = Decomposition(GF3, (1, 2), None, repair, {1: lay.pack(E3), 2: lay.pack((0, 0, 2))})
     assert dec.k == 2
     assert dec.ambient_dim == 3
     assert dec.helpers == (1, 2)
     assert dec.failed_node is None
-    assert Subspace(GF3, 3, dec.complement_vectors.values()) == Subspace(GF3, 3, [E3])
+    assert Subspace(GF3, 3, complement(dec).values()) == Subspace(GF3, 3, [E3])
     assert coordinates(dec, (1, 2, 1)) == (1, 2, 1)
 
 
@@ -42,8 +42,9 @@ def test_compute_decomposition_k2(base_k2_p3):
     assert dec.failed_node == x
     assert dec.helpers == helpers
     a, b = helpers
-    assert dec.complement_vectors[a] == vec_scale(3, -1, dec.complement_vectors[b])
-    assert Subspace(GF3, 3, dec.complement_vectors.values()).dim == 1
+    t = complement(dec)
+    assert t[a] == combine(3, (2,), (t[b],))
+    assert Subspace(GF3, 3, t.values()).dim == 1
     witness = code.witness(x, helpers)
     for j in helpers:
         assert dec.repair_spaces[j] == witness[j]
@@ -56,7 +57,7 @@ def test_compute_decomposition_uses_stored_witness(base_k3_p5):
         witness = code.witness(x, helpers)
         for j in helpers:
             assert dec.repair_spaces[j] == witness[j]
-            assert code.node(j).contains(dec.complement_vectors[j])
+            assert code.node(j).contains(complement(dec)[j])
 
 
 def test_compute_decomposition_rejects_thin_witness(base_k3_p5):
@@ -94,17 +95,15 @@ def test_project_splits_and_reassembles(base_k3_p5):
     x, helpers = next(iter(sorted(code.witnesses)))
     dec = compute_decomposition(code, helpers, x)
     p = code.params.spec.p
-    complement_space = Subspace(code.params.spec, 8, dec.complement_vectors.values())
+    complement_space = Subspace(code.params.spec, 8, complement(dec).values())
     rng = random.Random("project")
     for _ in range(10**3):
         v = tuple(rng.randrange(p) for _ in range(8))
         parts, tau = project(dec, v)
-        total = tau
         for j in helpers:
             assert dec.repair_spaces[j].contains(parts[j])
-            total = vec_add(p, total, parts[j])
         assert complement_space.contains(tau)
-        assert total == v
+        assert combine(p, [1] * 4, [tau, *parts.values()]) == v
 
 
 def test_project_known_components(base_k3_p5):
@@ -117,8 +116,8 @@ def test_project_known_components(base_k3_p5):
     assert parts[j0] == row
     assert all(not any(parts[j]) for j in helpers if j != j0)
     assert not any(tau)
-    parts, tau = project(dec, dec.complement_vectors[j0])
-    assert tau == dec.complement_vectors[j0]
+    parts, tau = project(dec, complement(dec)[j0])
+    assert tau == complement(dec)[j0]
     assert all(not any(parts[j]) for j in helpers)
 
 
@@ -133,13 +132,11 @@ def test_coordinate_blocks_roundtrip(base_k3_p5):
         v = tuple(rng.randrange(p) for _ in range(8))
         coords = coordinates(dec, v)
         parts, weights = split(dec, v)
-        total = expand_complement(dec, weights)
         for j in helpers:
             rows = dec.repair_spaces[j].basis_rows()
             assert parts[j] == combine(p, dec.repair_block(coords, j), rows)
-            total = vec_add(p, total, parts[j])
         assert [weights[j] for j in helpers] == [*coords[6:], 0]
-        assert total == v
+        assert combine(p, [1] * 4, [expand_complement(dec, weights), *parts.values()]) == v
 
 
 def test_complement_block_is_over_the_complement_vectors(base_k3_p5):
@@ -150,7 +147,7 @@ def test_complement_block_is_over_the_complement_vectors(base_k3_p5):
     p = code.params.spec.p
     expected = {helpers[0]: (1, 0, 0), helpers[1]: (0, 1, 0), helpers[2]: (p - 1, p - 1, 0)}
     for j, block in expected.items():
-        parts, weights = split(dec, dec.complement_vectors[j])
+        parts, weights = split(dec, complement(dec)[j])
         assert tuple(weights[i] for i in helpers) == block
         assert all(not any(parts[i]) for i in helpers)
     assert split(dec, (0,) * 8)[1] == dict.fromkeys(helpers, 0)
