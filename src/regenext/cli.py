@@ -444,7 +444,7 @@ def _cmd_repair_demo(args: argparse.Namespace) -> int:
         f"  3. those components span the repair space of node {failed} "
         f"(dimension {span.dim}) [{'verified' if ok_span else 'MISMATCH'}]"
     )
-    rebuilt = span.sum(Subspace._span_packed(pr.spec, pr.f_dim, [t_failed]))
+    rebuilt = Subspace._span_packed(pr.spec, pr.f_dim, (*span._rows, t_failed))
     ok_node = rebuilt == code.node(failed)
     print(
         f"  4. repair space plus leftover rebuilds node {failed} exactly "

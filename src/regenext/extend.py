@@ -106,13 +106,14 @@ def synthesize_decomposition(
         raise ValueError(f"k must be at least 2, got {k}")
     ambient = k * k - 1
     p = spec.p
-    frame = random_invertible_matrix(spec, ambient, rng)
-    helpers = tuple(range(1, k + 1))
-    repair = {}
-    for idx, j in enumerate(helpers):
-        repair[j] = Subspace._span(spec, ambient, frame[idx * (k - 1) : (idx + 1) * (k - 1)])
     lay = _layout(p, ambient)
-    tail = [lay.pack(row) for row in frame[k * (k - 1) :]]
+    frame = [lay.pack(row) for row in random_invertible_matrix(spec, ambient, rng)]
+    helpers = tuple(range(1, k + 1))
+    repair = {
+        j: Subspace._span_packed(spec, ambient, frame[idx * (k - 1) : (idx + 1) * (k - 1)])
+        for idx, j in enumerate(helpers)
+    }
+    tail = frame[k * (k - 1) :]
     comp_vectors = dict(zip(helpers, tail))
     comp_vectors[helpers[-1]] = lay.combine([p - 1] * (k - 1), tail)
     return Decomposition(spec, helpers, None, repair, comp_vectors)
@@ -207,8 +208,8 @@ def synthesize_base_code(k: int, spec: FieldSpec, rng: random.Random) -> Code:
     """
     dec = synthesize_decomposition(k, spec, rng)
     nodes = tuple(
-        dec.repair_spaces[j].sum(
-            Subspace._span_packed(spec, dec.ambient_dim, [dec.complement_vectors[j]])
+        Subspace._span_packed(
+            spec, dec.ambient_dim, (*dec.repair_spaces[j]._rows, dec.complement_vectors[j])
         )
         for j in dec.helpers
     )

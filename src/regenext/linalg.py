@@ -15,10 +15,11 @@ and alignment certificates built on a Subspace keep their rows packed too.
 Integers from outside enter through a checked door that reduces them mod p
 once: a Matrix (which also checks the row widths), the Subspace constructor
 or Subspace.contains.  Inside the package only load_code uses that door;
-every other span is built by the trusted Subspace._span (residue rows) or
-Subspace._span_packed (rows already packed).  The constructor adopts rows
-that already are the canonical RREF, as save_code writes them: it packs them
-and eliminates nothing (the last part below proves that exact).
+every other span is built by one of two trusted constructors:
+Subspace._from_rref (packed rows already in RREF) or Subspace._span_packed
+(canonical packed rows, eliminated).  The constructor adopts rows that
+already are the canonical RREF, as save_code writes them: it packs them and
+eliminates nothing (the last part below proves that exact).
 
 Gaussian elimination lives in one place, the private _Echelon.  It keeps
 each row also negated, N = p*ONES - row, whose slots lie in [1, p].  The
@@ -384,14 +385,6 @@ class Subspace:
         return obj
 
     @classmethod
-    def _span(
-        cls, spec: FieldSpec, ambient_dim: int, rows: Iterable[Sequence[int]]
-    ) -> "Subspace":
-        """Trusted constructor for the span of rows of residues."""
-        lay = _layout(spec.p, ambient_dim)
-        return cls._span_packed(spec, ambient_dim, map(lay.pack, rows))
-
-    @classmethod
     def _span_packed(cls, spec: FieldSpec, ambient_dim: int, rows: Iterable[int]) -> "Subspace":
         """Trusted constructor for the span of canonical packed rows."""
         echelon = _Echelon(_layout(spec.p, ambient_dim))
@@ -420,36 +413,10 @@ class Subspace:
         return not _Echelon(lay, self._rows).reduce(lay.pack(map(lay.p.__rmod__, map(int, v))))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        self._check_compatible(other)
-        echelon = _Echelon(self._lay, self._rows)
-        return not any(map(echelon.reduce, other._rows))
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check_compatible(other)
-        echelon = _Echelon(self._lay, self._rows)
-        for row in other._rows:
-            echelon.push(row)
-        return Subspace._from_rref(self.spec, self.ambient_dim, echelon.rref())
-
-    def complement_in(self, whole: "Subspace") -> "Subspace":
-        """A direct complement of self inside whole.
-
-        Deterministic: greedily keeps the first basis vectors of whole (in its
-        canonical basis order) that are independent of self and of the vectors
-        already kept.
-        """
-        self._check_compatible(whole)
-        echelon = _Echelon(self._lay, self._rows)
-        chosen = [cand for cand in whole._rows if echelon.push(cand)]
-        # self and the chosen vectors span self + whole, which is whole
-        # exactly when self lies inside it
-        if self.dim + len(chosen) != whole.dim:
-            raise ValueError("complement_in needs self to be a subspace of whole")
-        return Subspace._span_packed(self.spec, self.ambient_dim, chosen)
-
-    def _check_compatible(self, other: "Subspace") -> None:
         if self.spec != other.spec or self.ambient_dim != other.ambient_dim:
             raise ValueError("subspaces live in different ambient spaces")
+        echelon = _Echelon(self._lay, self._rows)
+        return not any(map(echelon.reduce, other._rows))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subspace):
@@ -486,10 +453,10 @@ def random_subspace(
     """
     if not 0 <= dim <= ambient_dim:
         raise ValueError(f"dimension {dim} outside [0, {ambient_dim}]")
-    p = spec.p
+    p, lay = spec.p, _layout(spec.p, ambient_dim)
     while True:
-        rows = [[rng.randrange(p) for _ in range(ambient_dim)] for _ in range(dim)]
-        sub = Subspace._span(spec, ambient_dim, rows)
+        rows = [lay.pack([rng.randrange(p) for _ in range(ambient_dim)]) for _ in range(dim)]
+        sub = Subspace._span_packed(spec, ambient_dim, rows)
         if sub.dim == dim:
             return sub
 

@@ -45,7 +45,7 @@ The recovery of A itself follows, so the lemma does not ask for it.
 from __future__ import annotations
 
 from .gf import inv_mod
-from .linalg import Vec, _layout, inverse, nullspace
+from .linalg import Vec, _Echelon, _layout, inverse, nullspace
 from .regen import Code
 
 __all__ = [
@@ -136,6 +136,7 @@ def compute_decomposition(code: Code, helpers, x: int) -> Decomposition:
     helpers = tuple(sorted(helpers))
     witness = code.witness(x, helpers)
     p = pr.spec.p
+    lay = _layout(p, pr.f_dim)
     repair = {}
     rows: list[int] = []
     unit_positions = {}
@@ -147,22 +148,24 @@ def compute_decomposition(code: Code, helpers, x: int) -> Decomposition:
                 f"the split needs exactly {pr.beta}"
             )
         node = code.node(j)
-        try:
-            comp = sub.complement_in(node)
-        except ValueError as exc:
+        echelon = _Echelon(lay, sub._rows)
+        leftover = [row for row in node._rows if echelon.push(row)]
+        # the send and the leftover span send + node, which is the node
+        # exactly when the send lies inside it
+        if sub.dim + len(leftover) != node.dim:
             raise DecompositionError(
                 f"witness for ({x}, {helpers}): helper {j} sends vectors outside its node"
-            ) from exc
-        if comp.dim != 1:
+            )
+        if len(leftover) != 1:
             raise DecompositionError(
                 f"witness for ({x}, {helpers}): helper {j} stores dimension {node.dim}, "
-                f"leftover has dimension {comp.dim}"
+                f"leftover has dimension {len(leftover)}"
             )
         repair[j] = sub
         rows.extend(sub._rows)
         unit_positions[j] = len(rows)
-        rows.append(comp._rows[0])
-    lay = _layout(p, pr.f_dim)
+        # a node row has a leading 1 already, so it is the leftover line's RREF
+        rows.append(leftover[0])
     kernel = nullspace(pr.spec, [lay.unpack(row) for row in rows])
     if kernel.dim != 1:
         raise DecompositionError(

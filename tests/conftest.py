@@ -1,7 +1,9 @@
 """Shared fixtures: small verified codes built once per session, the
-certificate check that the alignment and property tests share, and
-rewrites of code files whose row sets are not in canonical form."""
+certificate check that the alignment and property tests share, rewrites of
+code files whose row sets are not in canonical form, and the conic codes
+of PG(2, p)."""
 
+import itertools
 import json
 import random
 
@@ -9,7 +11,8 @@ import pytest
 
 from regenext.extend import extend_code, synthesize_base_code
 from regenext.gf import FieldSpec
-from regenext.linalg import Subspace, _Echelon, random_invertible_matrix, rank
+from regenext.linalg import Subspace, _Echelon, nullspace, random_invertible_matrix, rank
+from regenext.regen import Code, Params
 
 
 def combine(p, coeffs, rows):
@@ -41,6 +44,37 @@ def extended_k3_big():
     )
     outcome = extend_code(base, random.Random("fixture-grow-3-big"))
     return outcome.code
+
+
+def subspace_sum(*spaces):
+    """The sum of subspaces of one ambient space: the span of their basis
+    rows, built through the checked constructor."""
+    spec, n = spaces[0].spec, spaces[0].ambient_dim
+    return Subspace(spec, n, [row for space in spaces for row in space.basis_rows()])
+
+
+def conic_code(p):
+    """The k=2 code whose node j is the plane orthogonal to point j of the
+    conic (1, t, t^2), t in GF(p), plus (0, 0, 1) of PG(2, p).  Helpers a, b
+    repair node x by sending the lines W_a meet W_x and W_b meet W_x, which
+    differ since no three conic points are collinear."""
+    spec = FieldSpec(p)
+    points = [(1, t, t * t % p) for t in range(p)] + [(0, 0, 1)]
+
+    def orthogonal(*us):
+        # the c of GF(p)^3 with sum c_i u_i = 0 for every u given
+        return nullspace(spec, list(zip(*us)))
+
+    nodes = tuple(orthogonal(u) for u in points)
+    n = len(nodes)
+    witnesses = {}
+    for x in range(1, n + 1):
+        others = [j for j in range(1, n + 1) if j != x]
+        for helpers in itertools.combinations(others, 2):
+            witnesses[(x, helpers)] = {
+                j: orthogonal(points[j - 1], points[x - 1]) for j in helpers
+            }
+    return Code(Params(n, 2, spec), nodes, witnesses)
 
 
 def identity_rows(n):

@@ -63,6 +63,16 @@ def test_gen_base_rejects_composite_modulus(tmp_path):
     assert rc == EXIT_USAGE
 
 
+def test_gen_base_rejects_a_composite_with_no_small_factor(tmp_path, capsys):
+    """121 = 11^2 has no factor among the Miller-Rabin witnesses 2, 3, 5 and
+    7, so only a Miller-Rabin round can reject it."""
+    out = tmp_path / "x.json"
+    assert main(["gen-base", "--k", "3", "--p", "121", "--out", str(out)]) == EXIT_USAGE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "121 is not prime" in lines[0]
+    assert not out.exists()
+
+
 def test_gen_base_rejects_small_k(tmp_path):
     rc = main(["gen-base", "--k", "1", "--p", "5", "--out", str(tmp_path / "x.json")])
     assert rc == EXIT_USAGE

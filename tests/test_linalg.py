@@ -23,7 +23,7 @@ from regenext.linalg import (
     rank,
 )
 
-from conftest import combine, identity_rows
+from conftest import combine, identity_rows, subspace_sum
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -221,32 +221,10 @@ def test_sum_intersect_modular_law():
         n = rng.randrange(2, 6)
         u = random_subspace(n, rng.randrange(0, n + 1), spec, rng)
         v = random_subspace(n, rng.randrange(0, n + 1), spec, rng)
-        total = u.sum(v)
+        total = subspace_sum(u, v)
         meet = sum(1 for w in span_vectors(u) if v.contains(w))
         assert p ** (u.dim + v.dim - total.dim) == meet
         assert total.contains_subspace(u) and total.contains_subspace(v)
-
-
-def test_complement_in_direct_sum_law():
-    rng = random.Random("complement")
-    for _ in range(150):
-        p = rng.choice([2, 3, 5])
-        spec = FieldSpec(p)
-        n = rng.randrange(2, 6)
-        whole = random_subspace(n, rng.randrange(1, n + 1), spec, rng)
-        inner_rows = whole.basis_rows()[: rng.randrange(0, whole.dim + 1)]
-        inner = Subspace(spec, n, inner_rows)
-        comp = inner.complement_in(whole)
-        # the sum is whole and the dimensions add up, so the sum is direct
-        assert inner.sum(comp) == whole
-        assert comp.dim == whole.dim - inner.dim
-
-
-def test_complement_in_requires_containment():
-    inner = Subspace(GF3, 3, [(1, 0, 0)])
-    whole = Subspace(GF3, 3, [(0, 1, 0), (0, 0, 1)])
-    with pytest.raises(ValueError):
-        inner.complement_in(whole)
 
 
 def test_random_subspace_dimension_and_determinism():
@@ -452,8 +430,9 @@ def test_checked_door_adopts_exactly_the_canonical_rref(p, width, pushes):
     spec = FieldSpec(p)
     rng = random.Random(f"adopt-{p}-{width}")
     for name, rows in rref_with_one_flaw(p, width, rng):
-        residues = [[int(x) % p for x in row] for row in rows]
-        expected = Subspace._span(spec, width, residues)._rows
+        lay = _layout(p, width)
+        residues = [lay.pack(int(x) % p for x in row) for row in rows]
+        expected = Subspace._span_packed(spec, width, residues)._rows
         pushes.clear()
         assert Subspace(spec, width, rows)._rows == expected, name
         assert bool(pushes) == (name not in ("canonical", "bool at pivot", "bool entry")), name

@@ -14,6 +14,7 @@ from regenext.gf import FieldSpec
 from regenext.linalg import (
     Matrix,
     Subspace,
+    _layout,
     inverse,
     nullspace,
     random_invertible_matrix,
@@ -31,7 +32,13 @@ from regenext.regen import (
 from regenext.structure import DecompositionError, _lemma_applies, compute_decomposition
 
 from conftest import (
-    assert_certificate_consistent, combine, complement, expand_complement, identity_rows, split
+    assert_certificate_consistent,
+    combine,
+    complement,
+    expand_complement,
+    identity_rows,
+    split,
+    subspace_sum,
 )
 
 PRIMES = [2, 3, 5, 65521, 2**31 - 1]
@@ -75,27 +82,33 @@ def test_rref_is_canonical_and_idempotent(case, rng):
 @PROPERTY
 @given(matrices(), st.randoms(use_true_random=False))
 def test_every_constructor_gives_equal_and_hash_equal_subspaces(case, rng):
-    """Subspace(...), the trusted _span and _from_rref, and nullspace all hold
-    one canonical packed form, so the same space compares and hashes equal
-    whichever built it; basis_rows() round-trips through Subspace(...)."""
+    """Subspace(...), the trusted _span_packed and _from_rref, and nullspace
+    all hold one canonical packed form, so the same space compares and
+    hashes equal whichever built it; basis_rows() round-trips through
+    Subspace(...)."""
     spec, cols, rows = case
     p = spec.p
     entries = Matrix(spec, rows, cols=cols).entries
+
+    def span_packed(n, residue_rows):
+        lay = _layout(p, n)
+        return Subspace._span_packed(spec, n, map(lay.pack, residue_rows))
+
     for space in (Subspace(spec, cols, rows), nullspace(spec, entries)):
         n, basis = space.ambient_dim, space.basis_rows()
         built = [
             Subspace(spec, n, basis),
             Subspace(spec, n, [[x + p for x in row] for row in basis]),
-            Subspace._span(spec, n, basis),
+            span_packed(n, basis),
             Subspace._from_rref(spec, n, space._rows),
         ]
         if basis:
             mixer = random_invertible_matrix(spec, len(basis), rng)
-            built.append(Subspace._span(spec, n, [combine(p, t, basis) for t in mixer]))
+            built.append(span_packed(n, [combine(p, t, basis) for t in mixer]))
         for other in built:
             assert other == space and hash(other) == hash(space)
             assert other.basis_rows() == basis
-    assert Subspace._span(spec, cols, entries) == Subspace(spec, cols, rows)
+    assert span_packed(cols, entries) == Subspace(spec, cols, rows)
 
 
 @PROPERTY
@@ -126,28 +139,6 @@ def test_inverse_round_trips_or_rejects_singular(case):
     inv = inverse(p, m)
     assert tuple(combine(p, row, inv) for row in m) == identity_rows(n)
     assert tuple(combine(p, row, m) for row in inv) == identity_rows(n)
-
-
-@PROPERTY
-@given(matrices(), st.data())
-def test_complement_in_gives_a_direct_sum(case, data):
-    spec, cols, rows = case
-    u = Subspace(spec, cols, rows)
-    vectors = st.lists(
-        st.lists(st.integers(0, spec.p - 1), min_size=cols, max_size=cols), max_size=4
-    )
-    extra = Subspace(spec, cols, data.draw(vectors))
-    # whole keeps only some of u's basis rows, so it may miss part of u
-    kept = data.draw(st.lists(st.booleans(), min_size=u.dim, max_size=u.dim))
-    whole = extra.sum(Subspace(spec, cols, [r for r, k in zip(u.basis_rows(), kept) if k]))
-    if not whole.contains_subspace(u):
-        with pytest.raises(ValueError):
-            u.complement_in(whole)
-        return
-    comp = u.complement_in(whole)
-    assert whole.contains_subspace(comp)
-    assert u.dim + comp.dim == whole.dim
-    assert u.sum(comp) == whole
 
 
 @PROPERTY
@@ -227,8 +218,9 @@ def test_producers_return_only_valid_splits(p, k, seed):
     rng = random.Random(seed)
     spec = FieldSpec(p)
     dec = synthesize_decomposition(k, spec, rng)
+    t = complement(dec)
     frame_nodes = {
-        j: dec.repair_spaces[j].sum(Subspace(spec, dec.ambient_dim, [complement(dec)[j]]))
+        j: subspace_sum(dec.repair_spaces[j], Subspace(spec, dec.ambient_dim, [t[j]]))
         for j in dec.helpers
     }
     assert_split_holds(dec, frame_nodes, rng)

@@ -38,8 +38,9 @@ from regenext.regen import (
     verify_data_recovery,
     verify_repair_witnesses,
 )
+from regenext.structure import compute_decomposition
 
-from conftest import NONCANONICAL, combine, identity_rows, noncanonical
+from conftest import NONCANONICAL, combine, identity_rows, noncanonical, subspace_sum
 from test_fuzz import _flip_bytes
 
 GF2 = FieldSpec(2)
@@ -382,14 +383,17 @@ def test_save_load_roundtrip(tmp_path, extended_k3_big):
 
 
 def test_subspaces_and_load_code_build_no_matrix(tmp_path, monkeypatch, base_k3_p5):
-    """A Subspace holds its RREF rows, so building, summing or splitting
-    subspaces, or loading a code, constructs no Matrix."""
+    """A Subspace holds its RREF rows, so building or summing subspaces,
+    splitting a repair pair's helper nodes, or loading a code, constructs no
+    Matrix."""
     path = tmp_path / "code.json"
     save_code(base_k3_p5, str(path))
     built = _count_matrices(monkeypatch)
     whole = Subspace(GF5, 3, [(1, 2, 3), (2, 4, 6), (0, 1, 7)])
     part = Subspace(GF5, 3, [(1, 2, 3)])
-    assert part.complement_in(whole).sum(part) == whole
+    assert subspace_sum(part, Subspace(GF5, 3, [(0, 1, 7)])) == whole
+    x, helpers = next(base_k3_p5.repair_pairs())
+    assert compute_decomposition(base_k3_p5, helpers, x).helpers == helpers
     assert load_code(str(path)) == base_k3_p5
     assert built == []
 

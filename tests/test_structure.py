@@ -70,6 +70,51 @@ def test_compute_decomposition_rejects_thin_witness(base_k3_p5):
         compute_decomposition(broken, helpers, x)
 
 
+def _outside(node):
+    """The first unit vector outside node."""
+    return next(e for e in identity_rows(8) if not node.contains(e))
+
+
+def _send_outside_node(code):
+    """Helper 1 of pair (4, (1, 2, 3)) sends one row of its node and one
+    vector outside it."""
+    node, spec = code.node(1), code.params.spec
+    witnesses = dict(code.witnesses)
+    witnesses[(4, (1, 2, 3))] = {
+        **code.witness(4, (1, 2, 3)), 1: Subspace(spec, 8, [node.basis_rows()[0], _outside(node)])
+    }
+    return Code(code.params, code.nodes, witnesses)
+
+
+def _node_one_short(code):
+    """Node 1 shrunk to what it sends for pair (4, (1, 2, 3))."""
+    return Code(code.params, (code.witness(4, (1, 2, 3))[1],) + code.nodes[1:], code.witnesses)
+
+
+def _node_one_long(code):
+    """Node 1 grown by a vector outside it."""
+    node = code.node(1)
+    grown = Subspace(code.params.spec, 8, [*node.basis_rows(), _outside(node)])
+    return Code(code.params, (grown,) + code.nodes[1:], code.witnesses)
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (_send_outside_node, "helper 1 sends vectors outside its node"),
+        (_node_one_short, "helper 1 stores dimension 2, leftover has dimension 0"),
+        (_node_one_long, "helper 1 stores dimension 4, leftover has dimension 2"),
+    ],
+    ids=["send-outside-node", "node-one-short", "node-one-long"],
+)
+def test_compute_decomposition_rejects_a_bad_leftover(base_k3_p5, edit, message):
+    """Each helper's send must lie in its node and leave exactly one line of
+    it over: a send that leaves its node, and a node one dimension short or
+    long of k, are each named in the error."""
+    with pytest.raises(DecompositionError, match=message):
+        compute_decomposition(edit(base_k3_p5), (1, 2, 3), 4)
+
+
 def test_compute_decomposition_rejects_duplicated_helpers():
     """Identical helpers give a dependency space of dimension above one."""
     pr = Params(3, 2, GF3)
