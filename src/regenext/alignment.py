@@ -20,15 +20,10 @@ The kernel lines in closed form.  Write the candidate's basis rows in the
 decomposition's coordinates and let B_j be the k x (k-1) block of helper j:
 row r holds the S_j coordinates of basis row r.  The projection to S_j
 maps the combination a of the basis rows to a B_j, so its kernel is the
-left kernel of B_j.  Let c_r = (-1)^r det(B_j without row r), r = 0..k-1.
-
-  * c B_j = 0.  For a column v of B_j the k x k matrix [v | B_j] repeats a
-    column, so its determinant is 0, and expanding it along its first
-    column gives sum over r of (-1)^r v_r det(B_j without row r) = c . v.
-  * If B_j has rank k-1, some minor of order k-1 is nonzero, so c != 0,
-    and the kernel has dimension k - (k-1) = 1: c spans it.
-  * If B_j has rank below k-1, every minor of order k-1 vanishes, so
-    c = 0, and the kernel has dimension at least 2: not aligned.
+left kernel of B_j, the dependencies among its rows.  Let c be the signed
+minors of B_j, c_r = (-1)^r det(B_j without row r), r = 0..k-1.  The lemma
+at linalg._signed_minors shows that c spans the kernel when B_j has rank
+k-1 and is 0 otherwise, when the kernel has dimension at least 2.
 
 So every kernel is a line exactly when every c is nonzero, and then the
 lines span the candidate exactly when the k x k matrix of the c's has a
@@ -38,6 +33,13 @@ leading 1, a line is the one RREF row that nullspace returns for it, so the
 aligned basis is the same either way.  The minors are written out for
 k <= 4; beyond that they cost more than an elimination, and the checker
 takes nullspace and rank.
+
+A certificate is lazy.  The checker keeps the candidate and its kernel
+lines as they come, and the certificate builds the aligned basis, each
+line scaled to a leading 1 and combined with the candidate's rows, on its
+first read, as it builds the parts on theirs.  Most certificates are never
+read: a draw is rejected as soon as one helper subset has no aligned
+pair, and Monte Carlo estimation only counts the hits.
 """
 
 from __future__ import annotations
@@ -48,11 +50,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+from typing import Sequence
 
 from .gf import FieldSpec, inv_mod
 from .linalg import (
     Subspace,
-    Vec,
+    _signed_minors,
     count_subspaces,
     enumerate_subspaces,
     nullspace,
@@ -76,13 +79,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AlignmentCertificate:
-    """Aligned basis of a candidate node, split along a decomposition: basis
-    maps each helper i to the basis vector w(i) whose component in S_i
-    vanishes, a canonical row packed in decomposition._lay.  The witnesses in
-    both directions follow from it, via parts."""
+    """A well-aligned candidate node, split along a decomposition, with the
+    kernel line of each helper's block in helper order, as the checker found
+    them.  The witnesses in both directions follow from its basis, via
+    parts."""
 
     decomposition: Decomposition
-    basis: dict[int, int]
+    candidate: Subspace
+    lines: list[Sequence[int]]
+
+    @functools.cached_property
+    def basis(self) -> dict[int, int]:
+        """Maps each helper i to the aligned basis vector w(i) whose component
+        in S_i vanishes, a canonical row packed in decomposition._lay; built
+        on first read, from line i scaled to a leading 1."""
+        dec, p = self.decomposition, self.decomposition.spec.p
+        basis = {}
+        for i, line in zip(dec.helpers, self.lines):
+            lead = inv_mod(next(filter(None, line)), p)
+            basis[i] = self.candidate._combine([lead * m % p for m in line])
+        return basis
 
     @functools.cached_property
     def parts(self) -> dict[tuple[int, int], int]:
@@ -108,7 +124,8 @@ def is_well_aligned(
     """Certificate for a well-aligned candidate, or None.
 
     The test reads the coordinates of the candidate's basis, and a hit
-    builds only the aligned basis.  The candidate must be a k-dimensional
+    keeps its kernel lines for the certificate to build the aligned basis
+    from, when it is read.  The candidate must be a k-dimensional
     subspace of the decomposition's file space; anything else raises
     ValueError.
     """
@@ -120,15 +137,14 @@ def is_well_aligned(
     lines = _kernel_lines(candidate, dec)
     if lines is None:
         return None
-    basis = {i: candidate._combine(g) for i, g in zip(dec.helpers, lines)}
-    return AlignmentCertificate(decomposition=dec, basis=basis)
+    return AlignmentCertificate(decomposition=dec, candidate=candidate, lines=lines)
 
 
-def _kernel_lines(candidate: Subspace, dec: Decomposition) -> list[Vec] | None:
-    """The kernel line of each helper's block, in helper order and scaled to
-    a leading 1, or None when the candidate is not well aligned.  For
-    k <= 4 the lines are the blocks' signed minors, by the module docstring;
-    beyond, they come from nullspace."""
+def _kernel_lines(candidate: Subspace, dec: Decomposition) -> list[Sequence[int]] | None:
+    """A nonzero vector on the kernel line of each helper's block, in helper
+    order, or None when the candidate is not well aligned.  For k <= 4 the
+    lines are the blocks' signed minors, by the module docstring; beyond,
+    they come from nullspace."""
     k = dec.k
     p = dec.spec.p
     coords = [dec._lay.unpack(dec._coords(r)) for r in candidate._rows]
@@ -150,32 +166,7 @@ def _kernel_lines(candidate: Subspace, dec: Decomposition) -> list[Vec] | None:
     firsts, rests = zip(*((line[0], line[1:]) for line in lines))
     if not sum(map(mul, firsts, _signed_minors(rests))) % p:
         return None
-    scaled = []
-    for line in lines:
-        lead = inv_mod(next(filter(None, line)), p)
-        scaled.append(tuple(lead * m % p for m in line))
-    return scaled
-
-
-def _signed_minors(rows) -> tuple[int, ...]:
-    """(-1)^r det(rows without row r) for r = 0, ..., k-1, unreduced, for k
-    rows of k-1 entries and k in {2, 3, 4}."""
-    if len(rows) == 2:
-        (a,), (b,) = rows
-        return b, -a
-    if len(rows) == 3:
-        (a0, a1), (b0, b1), (c0, c1) = rows
-        return b0 * c1 - b1 * c0, a1 * c0 - a0 * c1, a0 * b1 - a1 * b0
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2), (d0, d1, d2) = rows
-    # the 2x2 minors of the last two columns, one per pair of rows
-    ab, ac, ad = a1 * b2 - a2 * b1, a1 * c2 - a2 * c1, a1 * d2 - a2 * d1
-    bc, bd, cd = b1 * c2 - b2 * c1, b1 * d2 - b2 * d1, c1 * d2 - c2 * d1
-    return (
-        b0 * cd - c0 * bd + d0 * bc,
-        c0 * ad - a0 * cd - d0 * ac,
-        a0 * bd - b0 * ad + d0 * ab,
-        b0 * ac - a0 * bc - c0 * ab,
-    )
+    return lines
 
 
 def sample_well_aligned(

@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import csv
 import errno
+import functools
 import os
 import random
 import sys
@@ -453,7 +454,10 @@ def _cmd_repair_demo(args: argparse.Namespace) -> int:
     return EXIT_OK if (ok_t and all_ok and ok_span and ok_node) else EXIT_VERIFICATION
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it as
+    it was, so every main call can share it."""
     parser = argparse.ArgumentParser(
         prog="regenext",
         description=(

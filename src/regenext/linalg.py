@@ -21,13 +21,23 @@ Subspace._from_rref (packed rows already in RREF) or Subspace._span_packed
 already are the canonical RREF, as save_code writes them: it packs them and
 eliminates nothing (the last part below proves that exact).
 
-Gaussian elimination lives in one place, the private _Echelon.  It keeps
-each row also negated, N = p*ONES - row, whose slots lie in [1, p].  The
-pivot of a row is its lowest nonzero slot, found from its lowest set bit.
-Reducing v by a row of pivot c adds f*N for f = v_c mod p: modulo p that
-subtracts f*row, and since it only ever adds, no slot borrows.  The slots
-then hold residues plus multiples of p, and one canonical reduction brings
-every slot back to [0, p) at once: a packed Barrett step
+Gaussian elimination comes as two routines on packed rows.  The private
+_Echelon is incremental and undoable: it pushes rows, reduces vectors
+against them and truncates back to a saved size, and its rows form an
+echelon but not, in general, the RREF.  rank, the recovery and repair
+checks, the oracle and the decomposition use it.  _rref is canonical: one
+Gauss-Jordan pass returns the RREF of the span of its rows, in pivot order,
+and every Subspace basis that is not adopted or built by _from_rref comes
+from it.  nullspace and inverse eliminate their tall augmented rows with
+_Echelon first and hand _rref the echelon from its highest pivot down, the
+order in which a pass only back-substitutes (see _top_down); on raw rows it
+would clear each new pivot from every finished row.  Both keep each row
+also negated, N = p*ONES - row, whose slots lie in [1, p].  The pivot of a
+row is its lowest nonzero slot, found from its lowest set bit.  Reducing v
+by a row of pivot c adds f*N for f = v_c mod p: modulo p that subtracts
+f*row, and since it only ever adds, no slot borrows.  The slots then hold
+residues plus multiples of p, and one canonical reduction brings every slot
+back to [0, p) at once: a packed Barrett step
 
     V -= p * (((V * m) >> B) & QMASK)
 
@@ -37,13 +47,36 @@ first use, the slot width and the constants: B is the bit length of
 up to whole bytes so that struct packs a row, and at least one byte more
 than the 1, 2 or 4 bytes ('B', 'H' or 'I') that struct gives a residue
 (which widens only p = 2 with n <= 2, from 8 bits to 16).
-Canonical reduction is exact for every slot x < 2^B:
+
+_rref keeps its rows r_1, ..., r_s, with pivots c_1, ..., c_s, as the RREF
+of the rows given so far, up to order: each r_i is canonical with a 1 at
+c_i, its lowest nonzero slot, and a 0 at every other c_j, and together
+they span the rows given so far.  A new canonical row v keeps it so:
+
+  * Reduction: w = v + sum of v_(c_i) * N_i, one canonical reduction.
+    Modulo p that is v - sum of v_(c_i) * r_i, which is 0 at every c_j,
+    since only r_j is nonzero there.  So each factor is read straight off
+    v, which is canonical, and no factor depends on another.  w is 0
+    exactly when v lies in the span, and then nothing changes.
+  * Otherwise w is scaled to a 1 at its lowest nonzero slot c, which is no
+    c_j.  Back-elimination: each r_i with f = r_i[c] != 0 becomes
+    r_i + f*N_w, one addition and one canonical reduction.  Modulo p that
+    is r_i - f*w: 0 at c, and unchanged left of c and at every c_j, where w
+    is 0.  Such an r_i is 0 left of c_i and nonzero at c, so c_i < c, and
+    r_i keeps its 1 at c_i as its lowest nonzero slot.
+  * w is 0 at every c_j and every new r_i at c, so the rows with w
+    appended keep the invariant, and they span v too.
+
+At the end the rows sorted by pivot are the RREF of the span, which is
+unique.  Canonical reduction is exact for every slot x < 2^B:
 
   * Every slot stays below (n+1)p^2 < 2^B.  A reduced vector starts
     canonical and meets each of at most n echelon rows once, so a slot
-    stays below p + n(p-1)p <= (n+1)p^2.  Scaling a canonical row by a
-    residue leaves slots below p^2, and a combination of at most n
-    canonical rows with residue coefficients below n*p^2.
+    stays below p + n(p-1)p <= (n+1)p^2.  A back-elimination step adds one
+    f*N to a canonical row, so a slot stays below p + (p-1)p = p^2.
+    Scaling a canonical row by a residue leaves slots below p^2, and a
+    combination of at most n canonical rows with residue coefficients
+    below n*p^2.
   * The Barrett quotient is off by at most 1, since x < 2^B: with
     m > 2^B/p - 1, x/p - 1 < x/p - x/2^B < x*m/2^B <= x/p, so
     q = floor(x*m / 2^B) is floor(x/p) or one less, and x - q*p lies in
@@ -74,7 +107,7 @@ and otherwise reduces the rows mod p and eliminates.  The four conditions
 define a reduced row-echelon form with no zero row.  Its rows are
 independent, since only v_i is nonzero at c_i, so they are a basis of their
 span, and the RREF of a row space is unique: adopting gives the rows that
-_Echelon.rref() gives, in the same pivot order.  The rows save_code writes,
+_rref gives, in the same pivot order.  The rows save_code writes,
 a Subspace's own, meet all four.  The range test is one packed step: add
 HALF, which holds H - p in every slot, and test bit W-1 of each.  A packed
 slot x is below 2^(W-8) < H, since W is a byte wider than the codec's
@@ -157,7 +190,7 @@ def _layout(p: int, width: int) -> _Layout:
 
 
 class _Echelon:
-    """Gaussian elimination over GF(p) on packed rows, one row at a time.
+    """Incremental, undoable Gaussian elimination over GF(p) on packed rows.
 
     Rows are canonical with a leading 1 at their pivot and are each reduced
     against the rows before them, so reducing a vector against them in
@@ -209,21 +242,38 @@ class _Echelon:
         del self.negs[size:]
         del self.shifts[size:]
 
-    def rref(self) -> tuple[int, ...]:
-        """Turn the rows into the canonical RREF, in pivot order, and return
-        them.  Back-substitution runs from the highest pivot down, against
-        finished rows, which are zero at one another's pivots."""
-        order = sorted(zip(self.shifts, self.rows), reverse=True)
-        self.truncate(0)
-        for shift, row in order:
-            row = self.reduce(row)
-            self.rows.append(row)
-            self.negs.append(self.lay.pones - row)
-            self.shifts.append(shift)
-        self.rows.reverse()
-        self.negs.reverse()
-        self.shifts.reverse()
-        return tuple(self.rows)
+
+def _rref(lay: _Layout, rows: Iterable[int]) -> tuple[int, ...]:
+    """The canonical RREF of the span of canonical packed rows, in pivot
+    order, by one Gauss-Jordan pass; the module docstring proves it."""
+    p, mask, pones, slot = lay.p, lay.mask, lay.pones, lay.slot
+    out, negs, shifts = [], [], []
+    for v in rows:
+        # the rows so far are RREF, so each factor is v's own pivot entry
+        w = v
+        for neg, shift in zip(negs, shifts):
+            f = v >> shift & mask
+            if f:
+                w += f * neg
+        if w != v:
+            w = lay.canon(w)
+        if not w:
+            continue
+        low = (w & -w).bit_length() - 1
+        shift = low - low % slot
+        head = w >> shift & mask
+        if head != 1:
+            w = lay.canon(w * inv_mod(head, p))
+        neg = pones - w
+        for i, row in enumerate(out):
+            f = row >> shift & mask
+            if f:
+                out[i] = row = lay.canon(row + f * neg)
+                negs[i] = pones - row
+        out.append(w)
+        negs.append(neg)
+        shifts.append(shift)
+    return tuple(row for _, row in sorted(zip(shifts, out)))
 
 
 class Matrix:
@@ -273,6 +323,42 @@ def rank(p: int, rows: Iterable[Sequence[int]]) -> int:
     return sum(echelon.push(lay.pack(row)) for row in rows)
 
 
+def _signed_minors(rows) -> tuple[int, ...]:
+    """(-1)^r det(rows without row r) for r = 0, ..., k-1, unreduced, for k
+    rows of k-1 entries and k in {2, 3, 4}: their dependencies in closed
+    form.  Write B for the k x (k-1) matrix of the rows and c for the minors.
+
+      * c B = 0.  For a column v of B the k x k matrix [v | B] repeats a
+        column, so its determinant is 0, and expanding it along its first
+        column gives sum over r of (-1)^r v_r det(B without row r) = c . v.
+      * If B has rank k-1, some minor of order k-1 is nonzero, so c != 0,
+        and the dependencies {a : a B = 0} have dimension k - (k-1) = 1:
+        c spans them.
+      * If B has rank below k-1, every minor of order k-1 vanishes, so
+        c = 0, and the dependencies have dimension at least 2.
+
+    So c is nonzero exactly when B has rank k-1, and then it spans the
+    dependencies among the rows.  The same expansion gives the determinant
+    of a k x k matrix as its first column against the minors of the rest.
+    """
+    if len(rows) == 2:
+        (a,), (b,) = rows
+        return b, -a
+    if len(rows) == 3:
+        (a0, a1), (b0, b1), (c0, c1) = rows
+        return b0 * c1 - b1 * c0, a1 * c0 - a0 * c1, a0 * b1 - a1 * b0
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2), (d0, d1, d2) = rows
+    # the 2x2 minors of the last two columns, one per pair of rows
+    ab, ac, ad = a1 * b2 - a2 * b1, a1 * c2 - a2 * c1, a1 * d2 - a2 * d1
+    bc, bd, cd = b1 * c2 - b2 * c1, b1 * d2 - b2 * d1, c1 * d2 - c2 * d1
+    return (
+        b0 * cd - c0 * bd + d0 * bc,
+        c0 * ad - a0 * cd - d0 * ac,
+        a0 * bd - b0 * ad + d0 * ab,
+        b0 * ac - a0 * bc - c0 * ab,
+    )
+
+
 def _augmented(p: int, rows: Sequence[Sequence[int]]) -> tuple[_Echelon, int]:
     """An echelon of the rows [row_i | e_i], and the width of the rows: a row
     whose pivot lies in the unit block is zero on the left, so its unit part
@@ -287,20 +373,30 @@ def _augmented(p: int, rows: Sequence[Sequence[int]]) -> tuple[_Echelon, int]:
     return echelon, width
 
 
+def _top_down(echelon: _Echelon, cut: int = 0) -> list[int]:
+    """The echelon's rows whose pivot lies at bit cut or beyond, from the
+    highest pivot down.  In that order each row _rref takes is zero at the
+    pivots of the rows it has, so it clears nothing and only back-substitutes,
+    one reduction per row."""
+    order = sorted(zip(echelon.shifts, echelon.rows), reverse=True)
+    return [row for shift, row in order if shift >= cut]
+
+
 def inverse(p: int, rows: Sequence[Sequence[int]]) -> tuple[Vec, ...]:
     """Rows of the inverse of the square matrix of residue rows.
 
-    The rows [m | I] reduce to [I | m^-1] exactly when m is invertible.
+    The rows [m | I] reduce to [I | m^-1] exactly when m is invertible, that
+    is when the echelon has a pivot in each of the first n slots.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("only square matrices can be inverted")
     echelon, _ = _augmented(p, rows)
-    reduced = echelon.rref()
-    slot = echelon.lay.slot
-    if echelon.shifts != list(range(0, n * slot, slot)):
+    lay = echelon.lay
+    if sorted(echelon.shifts) != list(range(0, n * lay.slot, lay.slot)):
         raise ValueError("matrix is singular")
-    return tuple(echelon.lay.unpack(row)[n:] for row in reduced)
+    reduced = _rref(lay, _top_down(echelon))
+    return tuple(lay.unpack(row)[n:] for row in reduced)
 
 
 def nullspace(spec: FieldSpec, rows: Sequence[Sequence[int]]) -> "Subspace":
@@ -309,17 +405,11 @@ def nullspace(spec: FieldSpec, rows: Sequence[Sequence[int]]) -> "Subspace":
     echelon, width = _augmented(spec.p, rows)
     lay, unit = echelon.lay, _layout(spec.p, len(rows))
     cut = width * lay.slot
-    # the unit parts of the rows pivoting in the unit block already form an
-    # echelon, so they need only back-substitution, not a second elimination
-    kernel = _Echelon(
-        unit,
-        (
-            unit.pack(lay.unpack(row)[width:])
-            for row, shift in zip(echelon.rows, echelon.shifts)
-            if shift >= cut
-        ),
-    )
-    return Subspace._from_rref(spec, len(rows), kernel.rref())
+    # the unit parts of the rows pivoting in the unit block span the
+    # dependencies and already form an echelon, so they need only
+    # back-substitution, not a second elimination
+    kernel = [unit.pack(lay.unpack(row)[width:]) for row in _top_down(echelon, cut)]
+    return Subspace._from_rref(spec, len(rows), _rref(unit, kernel))
 
 
 def _adopted(lay: _Layout, vectors: list) -> tuple[int, ...] | None:
@@ -348,7 +438,10 @@ class Subspace:
     """A subspace of GF(p)^n held by its unique RREF rows, packed, with no
     zero rows."""
 
-    __slots__ = ("spec", "ambient_dim", "_lay", "_rows")
+    # a fifth slot would move every instance up an allocator size class,
+    # about 1 MB more peak memory while verifying an n=12 code file, so
+    # ambient_dim is read off the layout
+    __slots__ = ("spec", "_lay", "_rows", "_echelon")
 
     def __init__(
         self,
@@ -361,16 +454,15 @@ class Subspace:
         vectors = list(vectors)
         rows = _adopted(lay, vectors)
         if rows is None:
-            echelon = _Echelon(lay)
+            packed = []
             for row in vectors:
                 if len(row) != ambient_dim:
                     raise ValueError(
                         f"vector of length {len(row)} in ambient dimension {ambient_dim}"
                     )
-                echelon.push(lay.pack(map(p.__rmod__, map(int, row))))
-            rows = echelon.rref()
+                packed.append(lay.pack(map(p.__rmod__, map(int, row))))
+            rows = _rref(lay, packed)
         self.spec = spec
-        self.ambient_dim = ambient_dim
         self._lay = lay
         self._rows = rows
 
@@ -379,7 +471,6 @@ class Subspace:
         """Trusted constructor for packed rows already in RREF with no zero rows."""
         obj = cls.__new__(cls)
         obj.spec = spec
-        obj.ambient_dim = ambient_dim
         obj._lay = _layout(spec.p, ambient_dim)
         obj._rows = rows
         return obj
@@ -387,10 +478,11 @@ class Subspace:
     @classmethod
     def _span_packed(cls, spec: FieldSpec, ambient_dim: int, rows: Iterable[int]) -> "Subspace":
         """Trusted constructor for the span of canonical packed rows."""
-        echelon = _Echelon(_layout(spec.p, ambient_dim))
-        for row in rows:
-            echelon.push(row)
-        return cls._from_rref(spec, ambient_dim, echelon.rref())
+        return cls._from_rref(spec, ambient_dim, _rref(_layout(spec.p, ambient_dim), rows))
+
+    @property
+    def ambient_dim(self) -> int:
+        return self._lay.width
 
     @property
     def dim(self) -> int:
@@ -410,13 +502,21 @@ class Subspace:
                 f"vector of length {len(v)} in ambient dimension {self.ambient_dim}"
             )
         lay = self._lay
-        return not _Echelon(lay, self._rows).reduce(lay.pack(map(lay.p.__rmod__, map(int, v))))
+        return not self._reducer().reduce(lay.pack(map(lay.p.__rmod__, map(int, v))))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if self.spec != other.spec or self.ambient_dim != other.ambient_dim:
             raise ValueError("subspaces live in different ambient spaces")
-        echelon = _Echelon(self._lay, self._rows)
-        return not any(map(echelon.reduce, other._rows))
+        return not any(map(self._reducer().reduce, other._rows))
+
+    def _reducer(self) -> _Echelon:
+        """The echelon of the basis rows, built on the first containment test
+        and kept; equality and hashing ignore it."""
+        try:
+            return self._echelon
+        except AttributeError:
+            self._echelon = _Echelon(self._lay, self._rows)
+            return self._echelon
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subspace):

@@ -29,8 +29,14 @@ over the helpers j of dimension k whose g_{i,j} span GF(p)^k:
      e_0 is not in R^perp.
   4. R^perp is the sum of the R_j^perp = {c : B_j c = 0} = D_j, the linear
      dependencies of the g_{i,j}.
+  5. When helper j stores k dimensions and t = k, the g_{i,j} are k+1 rows
+     of k entries.  Their signed minors span D_j when the rows span
+     GF(p)^k and are 0 otherwise (the lemma at linalg._signed_minors, with
+     k+1 for its k), so for k <= 3 the line of minors stands in for D_j,
+     and a zero line adds nothing to the sum.  Other shapes, and k = 4,
+     take nullspace.
 dim K = 1 on every pair whose helpers store k dimensions each and span F,
-hence on every pair of a valid code.
+hence on every pair of a valid code, and there t = dim W_x = k.
 """
 
 from __future__ import annotations
@@ -44,8 +50,8 @@ from typing import Callable, Iterable, Iterator
 
 from .gf import FieldSpec, NotPrimeError
 from .linalg import (
-    CapExceededError, Subspace, _augmented, _Echelon, _layout, count_subspaces,
-    enumerate_subspaces, nullspace,
+    CapExceededError, Subspace, _augmented, _Echelon, _layout, _signed_minors,
+    count_subspaces, enumerate_subspaces, nullspace,
 )
 
 DEFAULT_ORACLE_CAP = 10**6
@@ -241,8 +247,9 @@ def check_repair_pair(code: Code, x: int, helpers: tuple[int, ...]) -> list[str]
         return [str(exc)]
     msgs = []
     target = code.node(x)
-    sent = _Echelon(target._lay)
-    for j in helpers:
+    # the first send's rows are RREF, so they seed the echelon as they are
+    sent = _Echelon(target._lay, witness[helpers[0]]._rows)
+    for i, j in enumerate(helpers):
         sub = witness[j]
         if sub.dim > pr.beta:
             msgs.append(
@@ -252,8 +259,9 @@ def check_repair_pair(code: Code, x: int, helpers: tuple[int, ...]) -> list[str]
             msgs.append(
                 f"repair of {x} by {helpers}: helper {j} sends vectors outside its node"
             )
-        for row in sub._rows:
-            sent.push(row)
+        if i:
+            for row in sub._rows:
+                sent.push(row)
     if any(map(sent.reduce, target._rows)):
         msgs.append(
             f"repair of {x} by {helpers}: sent subspaces do not cover the failed node"
@@ -296,8 +304,13 @@ def _closed_form_repairable(code: Code, x: int, helpers: tuple[int, ...]) -> boo
     deps = _Echelon(_layout(p, len(gens)))
     start = 0
     for node in nodes:
-        dep = nullspace(pr.spec, [g[start:start + node.dim] for g in gens])
+        block = [g[start:start + node.dim] for g in gens]
         start += node.dim
+        if k <= 3 and node.dim == k and len(gens) == k + 1:
+            # D_j by minors; push leaves the sum as it is for a zero line
+            deps.push(deps.lay.pack([m % p for m in _signed_minors(block)]))
+            continue
+        dep = nullspace(pr.spec, block)
         # only a helper whose g_{i,j} span GF(p)^k, leaving t+1-k
         # dependencies, imposes a condition
         if dep.dim == len(gens) - k:

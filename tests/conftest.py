@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from regenext import linalg
 from regenext.extend import extend_code, synthesize_base_code
 from regenext.gf import FieldSpec
 from regenext.linalg import Subspace, _Echelon, nullspace, random_invertible_matrix, rank
@@ -84,11 +85,19 @@ def identity_rows(n):
 
 @pytest.fixture
 def pushes(monkeypatch):
-    """A list that records every row pushed onto an echelon: empty exactly
-    when nothing was eliminated."""
+    """A list that records every row that enters an elimination, pushed onto
+    an echelon or given to the Gauss-Jordan routine: empty exactly when
+    nothing was eliminated."""
     pushed = []
-    push = _Echelon.push
+    push, rref = _Echelon.push, linalg._rref
+
+    def recording_rref(lay, rows):
+        rows = list(rows)
+        pushed.extend(rows)
+        return rref(lay, rows)
+
     monkeypatch.setattr(_Echelon, "push", lambda self, v: pushed.append(v) or push(self, v))
+    monkeypatch.setattr(linalg, "_rref", recording_rref)
     return pushed
 
 

@@ -855,3 +855,29 @@ def test_verify_reports_a_combination_count_past_the_digit_limit(tmp_path, capsy
         f"per pair exceed the cap of {cli.DEFAULT_ORACLE_CAP})\n"
     ) in out
     assert out.endswith("result: FAIL\n")
+
+
+def test_one_parser_serves_every_call(workdir, capsys):
+    """main builds its parser once per process: bounds, a usage error,
+    --help and verify, run in one process, give the exit codes and output of
+    runs that each build a fresh parser."""
+    argvs = [
+        ["bounds", "--k", "3"],
+        ["bounds", "--k", "1"],
+        ["--help"],
+        ["verify", "--in", str(workdir / "grown.json")],
+    ]
+
+    def run(argv):
+        rc = main(argv)
+        return (rc, *capsys.readouterr())
+
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    cli._build_parser.cache_clear()
+    shared = [run(argv) for argv in argvs]
+    assert cli._build_parser.cache_info().misses == 1
+    assert shared == fresh
+    assert [rc for rc, _, _ in shared] == [EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK]

@@ -6,7 +6,9 @@ from collections import Counter
 
 import pytest
 
+import regenext.extend as extend
 from regenext.alignment import (
+    AlignmentCertificate,
     census_well_aligned,
     estimate_probability_monte_carlo,
     probability_well_aligned,
@@ -448,3 +450,37 @@ def test_parts_are_split_only_for_kept_certificates(monkeypatch):
     assert freq > 0
     assert census_well_aligned(synthesize_decomposition(2, gf3, rng)) == 9
     assert calls == []
+
+
+def test_bases_are_built_only_for_kept_certificates(monkeypatch):
+    """A certificate builds its aligned basis on first read: one k=3 step
+    from 4 nodes at p=3 builds the C(4, 3) bases it keeps, though the draws
+    it rejects made more certificates, and the Monte Carlo estimate, which
+    only counts hits, builds none."""
+    gf3 = FieldSpec(3)
+    base = synthesize_base_code(3, gf3, random.Random("parts-base-0"))
+    built, made = [], []
+    build = AlignmentCertificate.basis.func
+    check = extend.is_well_aligned
+
+    def counting_build(cert):
+        built.append(cert)
+        return build(cert)
+
+    def counting_check(candidate, dec):
+        cert = check(candidate, dec)
+        if cert is not None:
+            made.append(cert)
+        return cert
+
+    monkeypatch.setattr(AlignmentCertificate.basis, "func", counting_build)
+    monkeypatch.setattr(extend, "is_well_aligned", counting_check)
+    outcome = extend_code(base, random.Random("parts-draw-0"), max_attempts=500)
+    assert outcome.attempts > 1
+    assert built == list(outcome.alignment_log.values())
+    assert len(made) > len(built) == math.comb(4, 3)
+    built.clear()
+    rng = random.Random("parts-sample")
+    freq, _ = estimate_probability_monte_carlo(synthesize_decomposition(3, gf3, rng), 200, rng)
+    assert freq > 0
+    assert built == []

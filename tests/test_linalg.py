@@ -13,7 +13,9 @@ from regenext.linalg import (
     Matrix,
     Subspace,
     _Echelon,
+    _Layout,
     _layout,
+    _rref,
     count_subspaces,
     enumerate_subspaces,
     inverse,
@@ -154,6 +156,18 @@ def test_subspace_pickles_and_copies():
     for other in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
         assert other == s and hash(other) == hash(s)
         assert other.contains_subspace(s) and other.basis_rows() == s.basis_rows()
+
+
+def test_subspace_keeps_its_echelon_through_copies():
+    """The echelon a containment test keeps changes no answer: a pickled or
+    copied subspace still equals, hashes and contains as before."""
+    s = Subspace(FieldSpec(65521), 4, [(1, 2, 3, 4), (0, 5, 6, 7)])
+    outside = (0, 0, 0, 1)
+    assert s.contains_subspace(s) and not s.contains(outside)
+    for other in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+        assert other == s and hash(other) == hash(s)
+        assert other.contains((1, 2, 3, 4)) and not other.contains(outside)
+        assert not other.contains_subspace(Subspace(FieldSpec(65521), 4, [outside]))
 
 
 def test_subspace_zero_and_full():
@@ -437,3 +451,120 @@ def test_checked_door_adopts_exactly_the_canonical_rref(p, width, pushes):
         assert Subspace(spec, width, rows)._rows == expected, name
         assert bool(pushes) == (name not in ("canonical", "bool at pivot", "bool entry")), name
         assert Subspace(spec, width, (row for row in rows))._rows == expected, name
+
+
+def reference_rref(p, rows, width):
+    """Per-entry Gauss-Jordan over GF(p) on residue tuples: the RREF rows of
+    their span, in pivot order, with no zero row."""
+    rows = [[x % p for x in row] for row in rows]
+    done = 0
+    for c in range(width):
+        pick = next((i for i in range(done, len(rows)) if rows[i][c]), None)
+        if pick is None:
+            continue
+        rows[done], rows[pick] = rows[pick], rows[done]
+        inv = pow(rows[done][c], p - 2, p)
+        rows[done] = [x * inv % p for x in rows[done]]
+        for i, row in enumerate(rows):
+            if i != done and row[c]:
+                rows[i] = [(x - row[c] * y) % p for x, y in zip(row, rows[done])]
+        done += 1
+    return tuple(map(tuple, rows[:done]))
+
+
+def reference_dependencies(p, rows, width):
+    """The RREF of {c : sum c_i rows_i = 0}, from the free columns of the
+    RREF of the transposed rows, per entry."""
+    n = len(rows)
+    reduced = reference_rref(p, [[row[c] for row in rows] for c in range(width)], n)
+    pivots = [row.index(1) for row in reduced]
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        c = [0] * n
+        c[free] = 1
+        for row, pc in zip(reduced, pivots):
+            c[pc] = -row[free] % p
+        basis.append(c)
+    return reference_rref(p, basis, n)
+
+
+def row_sets(p, width, rng):
+    """Row sets of width residues, from 0 to width+2 rows: uniform rows, the
+    same with one row zero, one repeated and one a combination of others,
+    and rows drawn from a span of lower dimension."""
+    for count in range(width + 3):
+        rows = random_rows(rng, p, count, width)
+        yield rows
+        if count >= 1:
+            zero = list(rows)
+            zero[rng.randrange(count)] = (0,) * width
+            yield zero
+        if count >= 2:
+            i, j = rng.sample(range(count), 2)
+            repeated = list(rows)
+            repeated[j] = rows[i]
+            yield repeated
+            dependent = list(rows)
+            coeffs = [rng.randrange(p) if m != j else 0 for m in range(count)]
+            dependent[j] = combine(p, coeffs, rows)
+            yield dependent
+        if count >= 1:
+            span = random_rows(rng, p, rng.randrange(min(count, width)), width)
+            yield [combine(p, random_rows(rng, p, 1, len(span))[0], span) if span else (0,) * width
+                   for _ in range(count)]
+
+
+@pytest.mark.parametrize("p", FIELD_EDGES)
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 8])
+def test_gauss_jordan_matches_the_per_entry_reference(p, width):
+    """_span_packed, the checked door, nullspace and inverse against per-entry
+    Gauss-Jordan, on row sets with zero, repeated and dependent rows, from 0
+    to width+2 rows, at every edge of the packed layouts."""
+    spec = FieldSpec(p)
+    lay = _layout(p, width)
+    rng = random.Random(f"gauss-jordan-{p}-{width}")
+    for rows in row_sets(p, width, rng):
+        expected = reference_rref(p, rows, width)
+        assert Subspace._span_packed(spec, width, map(lay.pack, rows)).basis_rows() == expected
+        # shifted by p, no row is canonical, so the door eliminates
+        assert Subspace(spec, width, [[x + p for x in row] for row in rows]).basis_rows() == expected
+        assert nullspace(spec, rows).basis_rows() == reference_dependencies(p, rows, width)
+        if len(rows) == width:
+            if len(expected) == width:
+                inv = inverse(p, rows)
+                assert [combine(p, row, rows) for row in inv] == list(identity_rows(width))
+            else:
+                with pytest.raises(ValueError, match="singular"):
+                    inverse(p, rows)
+
+
+@pytest.mark.parametrize("width", [8, 15, 30])
+@pytest.mark.parametrize("order", ["back-elimination", "reduction"])
+def test_longest_gauss_jordan_at_the_largest_prime(width, order, monkeypatch):
+    """At p = 2^31-1 the row (1, p-1, ..., p-1) and the unit rows e_1, ...,
+    e_(n-1) span everything.  Given first, the row meets each unit row in a
+    back-elimination step with factor p-1, and the negated unit row holds p
+    in every other slot, so the row's slots right of the new pivot reach
+    p-1 + (p-1)p = p^2 - 1, the most one step can add.  Given last, it is
+    reduced against every unit row at once with factor p-1, so its first
+    slot reaches 1 + (n-1)(p-1)p.  Either way _rref returns the identity,
+    and no slot that reaches canonical reduction exceeds 2^B."""
+    p = 2**31 - 1
+    lay = _layout(p, width)
+    head = (1,) + (p - 1,) * (width - 1)
+    units = list(identity_rows(width))[1:]
+    rows = [head, *units] if order == "back-elimination" else [*units, head]
+    seen = []
+    canon = _Layout.canon
+
+    def recording(self, v):
+        seen.append(max(v >> i * self.slot & self.mask for i in range(self.width)))
+        return canon(self, v)
+
+    monkeypatch.setattr(_Layout, "canon", recording)
+    assert _rref(lay, map(lay.pack, rows)) == tuple(map(lay.pack, identity_rows(width)))
+    assert reference_rref(p, rows, width) == identity_rows(width)
+    most = p * p - 1 if order == "back-elimination" else 1 + (width - 1) * (p - 1) * p
+    assert max(seen) == most < 1 << lay.shift
+    if order == "back-elimination":
+        assert len(seen) == width - 1

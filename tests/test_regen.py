@@ -351,6 +351,25 @@ def test_brute_force_matches_reference_in_closed_form_and_search(k, p, monkeypat
     assert {True, False, None} <= set(paths)
 
 
+@pytest.mark.parametrize("k,p", [(2, 3), (2, 65521), (3, 3), (3, 65521), (4, 2)])
+def test_oracle_reads_dependencies_off_minors_up_to_k3(k, p, monkeypatch):
+    """On every pair of a valid code the oracle finds each helper's D_j as
+    the signed minors of its block for k in {2, 3}, with no nullspace call;
+    at k = 4 it still takes one nullspace per helper."""
+    spec = FieldSpec(p)
+    rng = random.Random(f"minors-{k}-{p}")
+    code = synthesize_base_code(k, spec, rng)
+    if k < 4:
+        code = extend_code(code, rng, max_attempts=10**4).code
+    calls = []
+    original = regen.nullspace
+    monkeypatch.setattr(regen, "nullspace", lambda *args: calls.append(args) or original(*args))
+    pairs = list(code.repair_pairs())
+    for x, helpers in pairs:
+        assert brute_force_repairable(code, x, helpers, cap=10**100)
+    assert len(calls) == (k * len(pairs) if k == 4 else 0)
+
+
 def test_brute_force_builds_no_subspace(base_k2_p3, monkeypatch):
     built = []
     original = Subspace.__init__
