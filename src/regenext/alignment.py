@@ -32,7 +32,7 @@ as its first column against the signed minors of the rest.  Scaled to a
 leading 1, a line is the one RREF row that nullspace returns for it, so the
 aligned basis is the same either way.  The minors are written out for
 k <= 4; beyond that they cost more than an elimination, and the checker
-takes nullspace and rank.
+takes nullspace.
 
 A certificate is lazy.  The checker keeps the candidate and its kernel
 lines as they come, and the certificate builds the aligned basis, each
@@ -55,13 +55,13 @@ from typing import Sequence
 from .gf import FieldSpec, inv_mod
 from .linalg import (
     Subspace,
+    _independent_rows,
+    _layout,
     _signed_minors,
     count_subspaces,
     enumerate_subspaces,
     nullspace,
-    random_invertible_matrix,
     random_subspace,
-    rank,
 )
 from .structure import Decomposition
 
@@ -156,7 +156,7 @@ def _kernel_lines(candidate: Subspace, dec: Decomposition) -> list[Sequence[int]
             if kernel.dim != 1:
                 return None
             lines.append(kernel.basis_rows()[0])
-        return lines if rank(p, lines) == k else None
+        return lines if nullspace(dec.spec, lines).dim == 0 else None
     lines = []
     for block in blocks:
         line = [m % p for m in _signed_minors(block)]
@@ -185,11 +185,12 @@ def sample_well_aligned(
     k = dec.k
     # packed sums of canonical parts, k per vector, reduced once at the end
     basis = dict.fromkeys(dec.helpers, 0)
+    lay = _layout(p, k - 1)
     for j in dec.helpers:
         others = [i for i in dec.helpers if i != j]
-        coeffs = random_invertible_matrix(spec, k - 1, rng)
+        coeffs, _ = _independent_rows(lay, k - 1, rng)
         for i, crow in zip(others, coeffs):
-            basis[i] += dec.repair_spaces[j]._combine(crow)
+            basis[i] += dec.repair_spaces[j]._combine(lay.unpack(crow))
     complement = Subspace._span_packed(spec, dec.ambient_dim, dec.complement_vectors.values())
     for i in dec.helpers:
         basis[i] += complement._combine([rng.randrange(p) for _ in range(k - 1)])

@@ -51,7 +51,7 @@ from .alignment import (
     sample_well_aligned,
 )
 from .gf import FieldSpec
-from .linalg import Subspace, _layout, random_invertible_matrix, random_subspace
+from .linalg import Subspace, _independent_rows, _layout, random_subspace
 from .regen import Code, Params, verify_data_recovery, verify_repair_witnesses
 from .structure import Decomposition, compute_decomposition
 
@@ -107,7 +107,7 @@ def synthesize_decomposition(
     ambient = k * k - 1
     p = spec.p
     lay = _layout(p, ambient)
-    frame = [lay.pack(row) for row in random_invertible_matrix(spec, ambient, rng)]
+    frame, _ = _independent_rows(lay, ambient, rng)
     helpers = tuple(range(1, k + 1))
     repair = {
         j: Subspace._span_packed(spec, ambient, frame[idx * (k - 1) : (idx + 1) * (k - 1)])

@@ -9,13 +9,13 @@ Rows are tuples at the API and packed ints inside.  A row of n residues is
 one int whose slot i, bits i*W to i*W + W - 1, holds entry i, so a row
 operation or a combination of rows is a few big-int operations with no
 Python loop per entry.  A row is packed where it enters (the Subspace
-constructors, rank, inverse, nullspace) and unpacked where it leaves as a
-tuple (basis_rows, inverse); struct does either in one call.  The splits
-and alignment certificates built on a Subspace keep their rows packed too.
-Integers from outside enter through a checked door that reduces them mod p
-once: a Matrix (which also checks the row widths), the Subspace constructor
-or Subspace.contains.  Inside the package only load_code uses that door;
-every other span is built by one of two trusted constructors:
+constructors, inverse, nullspace) and unpacked where it leaves as a tuple
+(basis_rows, inverse); struct does either in one call.  Splits and
+alignment certificates keep their rows packed too.  Integers from outside
+enter through a checked door that reduces them mod p once: a Matrix (which
+also checks the row widths) or the Subspace constructor, which
+Subspace.contains goes through.  Inside the package only load_code uses
+that door; every other span is built by one of two trusted constructors:
 Subspace._from_rref (packed rows already in RREF) or Subspace._span_packed
 (canonical packed rows, eliminated).  The constructor adopts rows that
 already are the canonical RREF, as save_code writes them: it packs them and
@@ -24,20 +24,22 @@ eliminates nothing (the last part below proves that exact).
 Gaussian elimination comes as two routines on packed rows.  The private
 _Echelon is incremental and undoable: it pushes rows, reduces vectors
 against them and truncates back to a saved size, and its rows form an
-echelon but not, in general, the RREF.  rank, the recovery and repair
-checks, the oracle and the decomposition use it.  _rref is canonical: one
+echelon but not, in general, the RREF.  Its callers take their rows one at
+a time: _augmented (so nullspace and inverse), the recovery and cover
+checks of regen, and the oracle with its search.  _rref is canonical: one
 Gauss-Jordan pass returns the RREF of the span of its rows, in pivot order,
 and every Subspace basis that is not adopted or built by _from_rref comes
 from it.  nullspace and inverse eliminate their tall augmented rows with
 _Echelon first and hand _rref the echelon from its highest pivot down, the
 order in which a pass only back-substitutes (see _top_down); on raw rows it
-would clear each new pivot from every finished row.  Both keep each row
-also negated, N = p*ONES - row, whose slots lie in [1, p].  The pivot of a
-row is its lowest nonzero slot, found from its lowest set bit.  Reducing v
-by a row of pivot c adds f*N for f = v_c mod p: modulo p that subtracts
-f*row, and since it only ever adds, no slot borrows.  The slots then hold
-residues plus multiples of p, and one canonical reduction brings every slot
-back to [0, p) at once: a packed Barrett step
+would clear each new pivot from every finished row.  Both reduce by a row
+negated, N = p*ONES - row, whose slots lie in [1, p], and _Echelon keeps it
+with the row.  The pivot of a row is its lowest nonzero slot, found from
+its lowest set bit.  Reducing v by a row of pivot c adds f*N for f = v_c
+mod p: modulo p that subtracts f*row, and since it only ever adds, no slot
+borrows.  The slots then hold residues plus multiples of p, and one
+canonical reduction brings every slot back to [0, p) at once: a packed
+Barrett step
 
     V -= p * (((V * m) >> B) & QMASK)
 
@@ -53,11 +55,11 @@ of the rows given so far, up to order: each r_i is canonical with a 1 at
 c_i, its lowest nonzero slot, and a 0 at every other c_j, and together
 they span the rows given so far.  A new canonical row v keeps it so:
 
-  * Reduction: w = v + sum of v_(c_i) * N_i, one canonical reduction.
-    Modulo p that is v - sum of v_(c_i) * r_i, which is 0 at every c_j,
-    since only r_j is nonzero there.  So each factor is read straight off
-    v, which is canonical, and no factor depends on another.  w is 0
-    exactly when v lies in the span, and then nothing changes.
+  * Reduction, by _residue: w = v + sum of v_(c_i) * N_i, one canonical
+    reduction.  Modulo p that is v - sum of v_(c_i) * r_i, which is 0 at
+    every c_j, since only r_j is nonzero there.  So each factor is read
+    straight off v, which is canonical, and no factor depends on another.
+    w is 0 exactly when v lies in the span, and then nothing changes.
   * Otherwise w is scaled to a 1 at its lowest nonzero slot c, which is no
     c_j.  Back-elimination: each r_i with f = r_i[c] != 0 becomes
     r_i + f*N_w, one addition and one canonical reduction.  Modulo p that
@@ -92,6 +94,11 @@ unique.  Canonical reduction is exact for every slot x < 2^B:
 So a slot that reaches canonical reduction never exceeds its W bits, and
 the result is the per-slot residue: the same rows as per-entry arithmetic
 mod p, for every p in [2, 2^31).
+
+A membership test needs only the reduction step.  A Subspace's rows are
+RREF, so _residue reduces a vector against them as it does against _rref's
+rows: each factor is the vector's own entry at a pivot, and every slot
+stays below (n+1)p^2.
 
 The Subspace constructor packs its rows with the codec, which raises on an
 entry that is not an integer, is negative or overflows its field, and on a
@@ -243,20 +250,26 @@ class _Echelon:
         del self.shifts[size:]
 
 
+def _residue(lay: _Layout, rows: Iterable[int], v: int) -> int:
+    """v minus its component along RREF rows, in any order, canonical, for
+    canonical v: zero exactly when v is in their span.  Each factor is v's
+    own entry at a pivot; the module docstring proves it."""
+    mask, pones = lay.mask, lay.pones
+    w = v
+    for row in rows:
+        f = v >> (row & -row).bit_length() - 1 & mask
+        if f:
+            w += f * (pones - row)
+    return w if w == v else lay.canon(w)
+
+
 def _rref(lay: _Layout, rows: Iterable[int]) -> tuple[int, ...]:
     """The canonical RREF of the span of canonical packed rows, in pivot
     order, by one Gauss-Jordan pass; the module docstring proves it."""
     p, mask, pones, slot = lay.p, lay.mask, lay.pones, lay.slot
-    out, negs, shifts = [], [], []
+    out, shifts = [], []
     for v in rows:
-        # the rows so far are RREF, so each factor is v's own pivot entry
-        w = v
-        for neg, shift in zip(negs, shifts):
-            f = v >> shift & mask
-            if f:
-                w += f * neg
-        if w != v:
-            w = lay.canon(w)
+        w = _residue(lay, out, v)
         if not w:
             continue
         low = (w & -w).bit_length() - 1
@@ -268,10 +281,8 @@ def _rref(lay: _Layout, rows: Iterable[int]) -> tuple[int, ...]:
         for i, row in enumerate(out):
             f = row >> shift & mask
             if f:
-                out[i] = row = lay.canon(row + f * neg)
-                negs[i] = pones - row
+                out[i] = lay.canon(row + f * neg)
         out.append(w)
-        negs.append(neg)
         shifts.append(shift)
     return tuple(row for _, row in sorted(zip(shifts, out)))
 
@@ -281,7 +292,7 @@ class Matrix:
 
     The checked door for integers from outside: it reduces every entry mod p
     and checks that the rows have one width.  Its entries are residue rows
-    that rank, inverse and nullspace take as they are.
+    that inverse and nullspace take as they are.
     """
 
     __slots__ = ("spec", "rows", "cols", "entries")
@@ -311,16 +322,6 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix(GF({self.spec.p}), {self.rows}x{self.cols})"
-
-
-def rank(p: int, rows: Iterable[Sequence[int]]) -> int:
-    """Dimension of the span of residue rows."""
-    rows = list(rows)
-    if not rows:
-        return 0
-    lay = _layout(p, len(rows[0]))
-    echelon = _Echelon(lay)
-    return sum(echelon.push(lay.pack(row)) for row in rows)
 
 
 def _signed_minors(rows) -> tuple[int, ...]:
@@ -438,10 +439,7 @@ class Subspace:
     """A subspace of GF(p)^n held by its unique RREF rows, packed, with no
     zero rows."""
 
-    # a fifth slot would move every instance up an allocator size class,
-    # about 1 MB more peak memory while verifying an n=12 code file, so
-    # ambient_dim is read off the layout
-    __slots__ = ("spec", "_lay", "_rows", "_echelon")
+    __slots__ = ("spec", "_lay", "_rows")
 
     def __init__(
         self,
@@ -497,26 +495,17 @@ class Subspace:
         return self._lay.combine(coeffs, self._rows)
 
     def contains(self, v: Sequence[int]) -> bool:
-        if len(v) != self.ambient_dim:
-            raise ValueError(
-                f"vector of length {len(v)} in ambient dimension {self.ambient_dim}"
-            )
-        lay = self._lay
-        return not self._reducer().reduce(lay.pack(map(lay.p.__rmod__, map(int, v))))
+        return self.contains_subspace(Subspace(self.spec, self.ambient_dim, [v]))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if self.spec != other.spec or self.ambient_dim != other.ambient_dim:
             raise ValueError("subspaces live in different ambient spaces")
-        return not any(map(self._reducer().reduce, other._rows))
-
-    def _reducer(self) -> _Echelon:
-        """The echelon of the basis rows, built on the first containment test
-        and kept; equality and hashing ignore it."""
-        try:
-            return self._echelon
-        except AttributeError:
-            self._echelon = _Echelon(self._lay, self._rows)
-            return self._echelon
+        lay, rows = self._lay, self._rows
+        # a loop: any() over a generator made each test a tenth slower
+        for v in other._rows:
+            if _residue(lay, rows, v):
+                return False
+        return True
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subspace):
@@ -534,13 +523,18 @@ class Subspace:
         return f"Subspace(GF({self.spec.p}), dim {self.dim} of {self.ambient_dim})"
 
 
-def random_invertible_matrix(spec: FieldSpec, n: int, rng: random.Random) -> tuple[Vec, ...]:
-    """Rows of a uniformly random invertible n x n matrix, by rejection."""
-    p = spec.p
+def _independent_rows(
+    lay: _Layout, count: int, rng: random.Random
+) -> tuple[list[int], tuple[int, ...]]:
+    """count uniform packed rows of lay.width residues, conditioned on being
+    independent, by rejection, and their RREF.  Each round draws the rows'
+    entries in row order, one randrange(p) each."""
+    p, width = lay.p, lay.width
     while True:
-        rows = tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n))
-        if rank(p, rows) == n:
-            return rows
+        rows = [lay.pack([rng.randrange(p) for _ in range(width)]) for _ in range(count)]
+        reduced = _rref(lay, rows)
+        if len(reduced) == count:
+            return rows, reduced
 
 
 def random_subspace(
@@ -553,12 +547,8 @@ def random_subspace(
     """
     if not 0 <= dim <= ambient_dim:
         raise ValueError(f"dimension {dim} outside [0, {ambient_dim}]")
-    p, lay = spec.p, _layout(spec.p, ambient_dim)
-    while True:
-        rows = [lay.pack([rng.randrange(p) for _ in range(ambient_dim)]) for _ in range(dim)]
-        sub = Subspace._span_packed(spec, ambient_dim, rows)
-        if sub.dim == dim:
-            return sub
+    _, reduced = _independent_rows(_layout(spec.p, ambient_dim), dim, rng)
+    return Subspace._from_rref(spec, ambient_dim, reduced)
 
 
 def count_subspaces(ambient_dim: int, dim: int, spec: FieldSpec) -> int:

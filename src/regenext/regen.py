@@ -481,16 +481,20 @@ def load_code(path: str) -> Code:
     NotPrimeError depending on what is wrong.  Semantic properties (recovery,
     repair) are left to the verifiers.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
             text = fh.read()
+        except ValueError as exc:
+            # bytes that are not UTF-8
+            raise MalformedCodeFileError(f"not valid JSON: {exc}") from exc
+    try:
         start = text.index(_WITNESSES) + len(_WITNESSES)
         # closed by an empty list, the header parses only if that list is its
         # last top-level value
         return _checked(json.loads(text[:start] + "]}"), _streamed(text, start))
     except Exception:
         pass
-    return _load_whole(path)
+    return _load_whole(text)
 
 
 def _streamed(text: str, pos: int) -> Iterator[object]:
@@ -507,13 +511,12 @@ def _streamed(text: str, pos: int) -> Iterator[object]:
         raise ValueError("the witness list does not end the file")
 
 
-def _load_whole(path: str) -> Code:
-    """load_code by one json.load of the whole file, which decides every error."""
+def _load_whole(text: str) -> Code:
+    """load_code by one parse of the whole text, which decides every error."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+        obj = json.loads(text)
     except (ValueError, RecursionError) as exc:
-        # bad JSON, bytes that are not UTF-8, or nesting too deep to parse
+        # bad JSON, or nesting too deep to parse
         raise MalformedCodeFileError(f"not valid JSON: {exc}") from exc
     return _checked(obj)
 

@@ -45,7 +45,7 @@ The recovery of A itself follows, so the lemma does not ask for it.
 from __future__ import annotations
 
 from .gf import inv_mod
-from .linalg import Vec, _Echelon, _layout, inverse, nullspace
+from .linalg import Vec, _layout, _residue, inverse, nullspace
 from .regen import Code
 
 __all__ = [
@@ -148,24 +148,21 @@ def compute_decomposition(code: Code, helpers, x: int) -> Decomposition:
                 f"the split needs exactly {pr.beta}"
             )
         node = code.node(j)
-        echelon = _Echelon(lay, sub._rows)
-        leftover = [row for row in node._rows if echelon.push(row)]
-        # the send and the leftover span send + node, which is the node
-        # exactly when the send lies inside it
-        if sub.dim + len(leftover) != node.dim:
+        if not node.contains_subspace(sub):
             raise DecompositionError(
                 f"witness for ({x}, {helpers}): helper {j} sends vectors outside its node"
             )
-        if len(leftover) != 1:
+        if node.dim - sub.dim != 1:
             raise DecompositionError(
                 f"witness for ({x}, {helpers}): helper {j} stores dimension {node.dim}, "
-                f"leftover has dimension {len(leftover)}"
+                f"leftover has dimension {node.dim - sub.dim}"
             )
         repair[j] = sub
         rows.extend(sub._rows)
         unit_positions[j] = len(rows)
-        # a node row has a leading 1 already, so it is the leftover line's RREF
-        rows.append(leftover[0])
+        # the leftover line is spanned by the first node row outside the
+        # send; that row has a leading 1 already, so it is the line's RREF
+        rows.append(next(row for row in node._rows if _residue(lay, sub._rows, row)))
     kernel = nullspace(pr.spec, [lay.unpack(row) for row in rows])
     if kernel.dim != 1:
         raise DecompositionError(

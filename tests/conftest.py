@@ -1,7 +1,8 @@
-"""Shared fixtures: small verified codes built once per session, the
-certificate check that the alignment and property tests share, rewrites of
-code files whose row sets are not in canonical form, and the conic codes
-of PG(2, p)."""
+"""Shared fixtures: small verified codes built once per session, per-entry
+references for rank and row reduction, the certificate check that the
+alignment and property tests share, rewrites of code files whose row sets
+are not in canonical form, and the arc codes of PG(2, p), the conic's
+among them."""
 
 import itertools
 import json
@@ -12,7 +13,7 @@ import pytest
 from regenext import linalg
 from regenext.extend import extend_code, synthesize_base_code
 from regenext.gf import FieldSpec
-from regenext.linalg import Subspace, _Echelon, nullspace, random_invertible_matrix, rank
+from regenext.linalg import Subspace, _Echelon, nullspace
 from regenext.regen import Code, Params
 
 
@@ -25,6 +26,41 @@ def combine(p, coeffs, rows):
         for idx, x in enumerate(row):
             acc[idx] += c * x
     return tuple(x % p for x in acc)
+
+
+def reference_rref(p, rows, width):
+    """Per-entry Gauss-Jordan over GF(p) on residue tuples: the RREF rows of
+    their span, in pivot order, with no zero row."""
+    rows = [[x % p for x in row] for row in rows]
+    done = 0
+    for c in range(width):
+        pick = next((i for i in range(done, len(rows)) if rows[i][c]), None)
+        if pick is None:
+            continue
+        rows[done], rows[pick] = rows[pick], rows[done]
+        inv = pow(rows[done][c], p - 2, p)
+        rows[done] = [x * inv % p for x in rows[done]]
+        for i, row in enumerate(rows):
+            if i != done and row[c]:
+                rows[i] = [(x - row[c] * y) % p for x, y in zip(row, rows[done])]
+        done += 1
+    return tuple(map(tuple, rows[:done]))
+
+
+def rank(p, rows):
+    """Dimension of the span of integer rows over GF(p), per entry."""
+    rows = list(rows)
+    return len(reference_rref(p, rows, len(rows[0]))) if rows else 0
+
+
+def random_invertible_matrix(spec, n, rng):
+    """Rows of a uniformly random invertible n x n matrix, by rejection:
+    each round draws the entries in row order, one randrange(p) each."""
+    p = spec.p
+    while True:
+        rows = tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n))
+        if rank(p, rows) == n:
+            return rows
 
 
 @pytest.fixture(scope="session")
@@ -54,13 +90,23 @@ def subspace_sum(*spaces):
     return Subspace(spec, n, [row for space in spaces for row in space.basis_rows()])
 
 
+def conic_points(p):
+    """The conic (1, t, t^2), t in GF(p), plus (0, 0, 1) of PG(2, p), in
+    that order."""
+    return [(1, t, t * t % p) for t in range(p)] + [(0, 0, 1)]
+
+
 def conic_code(p):
-    """The k=2 code whose node j is the plane orthogonal to point j of the
-    conic (1, t, t^2), t in GF(p), plus (0, 0, 1) of PG(2, p).  Helpers a, b
+    """The arc code of the conic points of PG(2, p)."""
+    return arc_code(p, conic_points(p))
+
+
+def arc_code(p, points):
+    """The k=2 code whose node j is the plane orthogonal to point j of
+    PG(2, p), for points no three of which are collinear.  Helpers a, b
     repair node x by sending the lines W_a meet W_x and W_b meet W_x, which
-    differ since no three conic points are collinear."""
+    differ since points a, b and x are not collinear."""
     spec = FieldSpec(p)
-    points = [(1, t, t * t % p) for t in range(p)] + [(0, 0, 1)]
 
     def orthogonal(*us):
         # the c of GF(p)^3 with sum c_i u_i = 0 for every u given

@@ -25,7 +25,6 @@ from regenext.linalg import (
     enumerate_subspaces,
     nullspace,
     random_subspace,
-    rank,
 )
 from regenext.structure import compute_decomposition
 
@@ -36,6 +35,7 @@ from conftest import (
     complement,
     coordinates,
     identity_rows,
+    rank,
 )
 
 GF2 = FieldSpec(2)
@@ -314,28 +314,27 @@ def test_closed_form_matches_elimination(k, p):
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_closed_form_runs_no_elimination(k, monkeypatch):
     """Up to k = 4 the test takes the signed minors and eliminates nothing;
-    from k = 5 on it takes nullspace and rank."""
+    from k = 5 on it takes nullspace, k+1 times for an aligned candidate:
+    once per helper's block and once for the span of the kernel lines."""
     calls = collections.Counter()
+    original = alignment.nullspace
 
-    def counting(name):
-        original = getattr(alignment, name)
+    def counting(*args):
+        calls["nullspace"] += 1
+        return original(*args)
 
-        def wrapped(*args):
-            calls[name] += 1
-            return original(*args)
-
-        monkeypatch.setattr(alignment, name, wrapped)
-
-    counting("nullspace")
-    counting("rank")
+    monkeypatch.setattr(alignment, "nullspace", counting)
     rng = random.Random(f"fast-path-{k}")
     dec = synthesize_decomposition(k, GF3, rng)
-    verdicts = set()
+    verdicts, aligned = set(), []
     for _ in range(10):
+        before = calls["nullspace"]
         verdicts.add(sample_well_aligned(dec, rng)[1] is not None)
+        aligned.append(calls["nullspace"] - before)
         verdicts.add(is_well_aligned(random_subspace(dec.ambient_dim, k, GF3, rng), dec) is not None)
     assert verdicts == {True, False}
     if k <= 4:
         assert calls == {}
     else:
-        assert calls["nullspace"] > 0 and calls["rank"] > 0
+        # each uniform draw takes at least one block's nullspace
+        assert aligned == [k + 1] * 10 and calls["nullspace"] >= 10 * (k + 2)

@@ -13,6 +13,7 @@ from regenext.linalg import (
     Matrix,
     Subspace,
     _Echelon,
+    _independent_rows,
     _Layout,
     _layout,
     _rref,
@@ -20,12 +21,17 @@ from regenext.linalg import (
     enumerate_subspaces,
     inverse,
     nullspace,
-    random_invertible_matrix,
     random_subspace,
-    rank,
 )
 
-from conftest import combine, identity_rows, subspace_sum
+from conftest import (
+    combine,
+    identity_rows,
+    random_invertible_matrix,
+    rank,
+    reference_rref,
+    subspace_sum,
+)
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -158,9 +164,9 @@ def test_subspace_pickles_and_copies():
         assert other.contains_subspace(s) and other.basis_rows() == s.basis_rows()
 
 
-def test_subspace_keeps_its_echelon_through_copies():
-    """The echelon a containment test keeps changes no answer: a pickled or
-    copied subspace still equals, hashes and contains as before."""
+def test_subspace_contains_the_same_through_copies():
+    """After a containment test, a pickled or copied subspace still equals,
+    hashes and contains as before."""
     s = Subspace(FieldSpec(65521), 4, [(1, 2, 3, 4), (0, 5, 6, 7)])
     outside = (0, 0, 0, 1)
     assert s.contains_subspace(s) and not s.contains(outside)
@@ -453,25 +459,6 @@ def test_checked_door_adopts_exactly_the_canonical_rref(p, width, pushes):
         assert Subspace(spec, width, (row for row in rows))._rows == expected, name
 
 
-def reference_rref(p, rows, width):
-    """Per-entry Gauss-Jordan over GF(p) on residue tuples: the RREF rows of
-    their span, in pivot order, with no zero row."""
-    rows = [[x % p for x in row] for row in rows]
-    done = 0
-    for c in range(width):
-        pick = next((i for i in range(done, len(rows)) if rows[i][c]), None)
-        if pick is None:
-            continue
-        rows[done], rows[pick] = rows[pick], rows[done]
-        inv = pow(rows[done][c], p - 2, p)
-        rows[done] = [x * inv % p for x in rows[done]]
-        for i, row in enumerate(rows):
-            if i != done and row[c]:
-                rows[i] = [(x - row[c] * y) % p for x, y in zip(row, rows[done])]
-        done += 1
-    return tuple(map(tuple, rows[:done]))
-
-
 def reference_dependencies(p, rows, width):
     """The RREF of {c : sum c_i rows_i = 0}, from the free columns of the
     RREF of the transposed rows, per entry."""
@@ -568,3 +555,67 @@ def test_longest_gauss_jordan_at_the_largest_prime(width, order, monkeypatch):
     assert max(seen) == most < 1 << lay.shift
     if order == "back-elimination":
         assert len(seen) == width - 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521, 2**31 - 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 15])
+def test_independent_draw_is_the_invertible_matrix_draw(p, n):
+    """The private draw of n independent rows returns the rows of a
+    per-entry rejection sampler of invertible matrices, with their RREF,
+    and leaves the generator where that sampler does; at p = 2 most
+    rounds are rejected."""
+    spec, lay = FieldSpec(p), _layout(p, n)
+    for seed in range(20):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        rows, reduced = _independent_rows(lay, n, ours)
+        assert tuple(map(lay.unpack, rows)) == random_invertible_matrix(spec, n, theirs)
+        assert reduced == tuple(map(lay.pack, identity_rows(n)))
+        assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("p", FIELD_EDGES)
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 8])
+def test_membership_matches_the_per_entry_reference(p, width):
+    """contains and contains_subspace against per-entry rank, for vectors
+    inside and outside the span, the zero vector, and spans of part of the
+    rows or of other rows, on the row sets of the Gauss-Jordan test."""
+    spec = FieldSpec(p)
+    rng = random.Random(f"membership-{p}-{width}")
+    for rows in row_sets(p, width, rng):
+        space = Subspace(spec, width, rows)
+        basis = list(space.basis_rows())
+        inside = combine(p, random_rows(rng, p, 1, len(basis))[0], basis) if basis else None
+        outside = random_rows(rng, p, 1, width)[0]
+        for v in (inside or (0,) * width, outside, (0,) * width):
+            expected = rank(p, basis + [v]) == len(basis)
+            assert space.contains(v) == expected
+            assert space.contains_subspace(Subspace(spec, width, [v])) == expected
+        for others in (rows[: len(rows) // 2], random_rows(rng, p, 2, width)):
+            expected = rank(p, basis + list(others)) == len(basis)
+            assert space.contains_subspace(Subspace(spec, width, others)) == expected
+
+
+@pytest.mark.parametrize("width", [8, 15, 30])
+def test_longest_membership_test_at_the_largest_prime(width, monkeypatch):
+    """At p = 2^31-1 the vector (p-1, ..., p-1), held as it is, meets every
+    row of the full space's RREF, the identity, with factor p-1: each slot
+    reaches p-1 + (p-1)(p-1) + (n-1)(p-1)p = n(p-1)p, p below the bound
+    p + n(p-1)p of the module docstring.  The full space contains it and
+    the space without the last unit row does not, as per entry."""
+    p = 2**31 - 1
+    spec, lay = FieldSpec(p), _layout(p, width)
+    v = (p - 1,) * width
+    seen = []
+    canon = _Layout.canon
+
+    def recording(self, x):
+        seen.append(max(x >> i * self.slot & self.mask for i in range(self.width)))
+        return canon(self, x)
+
+    full = Subspace(spec, width, identity_rows(width))
+    short = Subspace(spec, width, identity_rows(width)[:-1])
+    monkeypatch.setattr(_Layout, "canon", recording)
+    assert full.contains_subspace(Subspace._from_rref(spec, width, (lay.pack(v),)))
+    assert seen == [width * (p - 1) * p] and seen[0] < 1 << lay.shift
+    assert full.contains(v) and not short.contains(v)
+    assert rank(p, [*short.basis_rows(), v]) == width

@@ -17,9 +17,7 @@ from regenext.linalg import (
     _layout,
     inverse,
     nullspace,
-    random_invertible_matrix,
     random_subspace,
-    rank,
 )
 from regenext.regen import (
     Code,
@@ -37,6 +35,8 @@ from conftest import (
     complement,
     expand_complement,
     identity_rows,
+    random_invertible_matrix,
+    rank,
     split,
     subspace_sum,
 )

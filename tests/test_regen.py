@@ -667,11 +667,22 @@ def _grown(k, p, n):
 
 @pytest.fixture
 def wholly_read(monkeypatch):
-    """The loads that reached the whole-tree path of load_code, by path."""
+    """The loads that reached the whole-tree path of load_code, by text."""
     read = []
     whole = regen._load_whole
-    monkeypatch.setattr(regen, "_load_whole", lambda path: read.append(path) or whole(path))
+    monkeypatch.setattr(regen, "_load_whole", lambda text: read.append(text) or whole(text))
     return read
+
+
+def _whole_tree(path):
+    """load_code by one json.load of the whole file, which decides every
+    error: the reference that load_code's single read is checked against."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise MalformedCodeFileError(f"not valid JSON: {exc}") from exc
+    return regen._checked(obj)
 
 
 def _outcome(load, path):
@@ -685,7 +696,7 @@ def _outcome(load, path):
 def _streams(path, wholly_read):
     """Whether load_code streams the file at path, after checking that it
     gives what parsing the whole file gives."""
-    expected = _outcome(regen._load_whole, path)
+    expected = _outcome(_whole_tree, path)
     wholly_read.clear()
     assert _outcome(load_code, path) == expected
     return not wholly_read
@@ -751,6 +762,21 @@ def test_streamed_load_matches_the_whole_tree_on_other_layouts(
         assert data != saved, name
         path.write_bytes(data)
         assert _streams(str(path), wholly_read) == streams, name
+
+
+def test_load_code_opens_the_file_once(tmp_path, monkeypatch, wholly_read, extended_k3_big):
+    """An indented file, not in save_code's layout, falls back to the whole
+    parse of the text already read: one open, one read."""
+    path = tmp_path / "code.json"
+    save_code(extended_k3_big, str(path))
+    path.write_text(json.dumps(json.loads(path.read_text()), indent=1))
+    opened = []
+    monkeypatch.setattr(
+        regen, "open", lambda *args, **kw: opened.append(args[0]) or open(*args, **kw),
+        raising=False,
+    )
+    assert load_code(str(path)) == extended_k3_big
+    assert opened == [str(path)] and len(wholly_read) == 1
 
 
 def _traced(make):

@@ -5,8 +5,9 @@ import random
 import pytest
 
 import regenext.structure as structure
+from regenext.extend import extend_code, synthesize_base_code
 from regenext.gf import FieldSpec
-from regenext.linalg import Subspace, _layout
+from regenext.linalg import Subspace, _Echelon, _layout, nullspace
 from regenext.regen import Code, Params, check_repair_pair
 from regenext.structure import (
     Decomposition,
@@ -113,6 +114,40 @@ def test_compute_decomposition_rejects_a_bad_leftover(base_k3_p5, edit, message)
     long of k, are each named in the error."""
     with pytest.raises(DecompositionError, match=message):
         compute_decomposition(edit(base_k3_p5), (1, 2, 3), 4)
+
+
+def echelon_complement_vectors(code, helpers, x):
+    """The t_j as compute_decomposition found them with one echelon per
+    helper: push the send's rows, then the node's, and keep the one node row
+    that enters as the leftover; then the unique dependency among the sends
+    and leftovers, scaled to 1 at the first helper's leftover, per entry."""
+    pr, witness = code.params, code.witness(x, helpers)
+    p, lay = pr.spec.p, _layout(pr.spec.p, pr.f_dim)
+    rows, ends = [], []
+    for j in helpers:
+        echelon = _Echelon(lay, witness[j]._rows)
+        (leftover,) = [row for row in code.node(j)._rows if echelon.push(row)]
+        rows += [*witness[j].basis_rows(), lay.unpack(leftover)]
+        ends.append(len(rows))
+    (coeff,) = nullspace(pr.spec, rows).basis_rows()
+    scale = pow(coeff[ends[0] - 1], p - 2, p)
+    coeff = [scale * c % p for c in coeff]
+    starts = [0, *ends[:-1]]
+    return {j: combine(p, coeff[a:b], rows[a:b]) for j, a, b in zip(helpers, starts, ends)}
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_leftover_is_the_row_the_echelon_kept(k):
+    """The leftover of each helper is the first node row outside its send,
+    the row an echelon of the send keeps, so the complement vectors of every
+    repair pair of a grown code are the echelon's."""
+    spec = FieldSpec(65521)
+    code = synthesize_base_code(k, spec, random.Random(f"leftover-base-{k}"))
+    for step in range(2):
+        code = extend_code(code, random.Random(f"leftover-grow-{k}-{step}")).code
+    for x, helpers in code.repair_pairs():
+        dec = compute_decomposition(code, helpers, x)
+        assert complement(dec) == echelon_complement_vectors(code, helpers, x)
 
 
 def test_compute_decomposition_rejects_duplicated_helpers():
