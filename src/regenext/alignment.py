@@ -130,7 +130,8 @@ def is_well_aligned(
     ValueError.
     """
     k = dec.k
-    if candidate.spec != dec.spec or candidate.ambient_dim != dec.ambient_dim:
+    # one layout per (p, width), so the same layout is the same space
+    if candidate._lay is not dec._lay:
         raise ValueError("candidate lives in a different space than the decomposition")
     if candidate.dim != k:
         raise ValueError(f"candidate has dimension {candidate.dim}, expected {k}")

@@ -21,25 +21,27 @@ Subspace._from_rref (packed rows already in RREF) or Subspace._span_packed
 already are the canonical RREF, as save_code writes them: it packs them and
 eliminates nothing (the last part below proves that exact).
 
-Gaussian elimination comes as two routines on packed rows.  The private
-_Echelon is incremental and undoable: it pushes rows, reduces vectors
-against them and truncates back to a saved size, and its rows form an
-echelon but not, in general, the RREF.  Its callers take their rows one at
-a time: _augmented (so nullspace and inverse), the recovery and cover
-checks of regen, and the oracle with its search.  _rref is canonical: one
-Gauss-Jordan pass returns the RREF of the span of its rows, in pivot order,
-and every Subspace basis that is not adopted or built by _from_rref comes
-from it.  nullspace and inverse eliminate their tall augmented rows with
-_Echelon first and hand _rref the echelon from its highest pivot down, the
-order in which a pass only back-substitutes (see _top_down); on raw rows it
-would clear each new pivot from every finished row.  Both reduce by a row
-negated, N = p*ONES - row, whose slots lie in [1, p], and _Echelon keeps it
-with the row.  The pivot of a row is its lowest nonzero slot, found from
-its lowest set bit.  Reducing v by a row of pivot c adds f*N for f = v_c
-mod p: modulo p that subtracts f*row, and since it only ever adds, no slot
-borrows.  The slots then hold residues plus multiples of p, and one
-canonical reduction brings every slot back to [0, p) at once: a packed
-Barrett step
+Gaussian elimination comes as two routines on packed rows.  An echelon is a
+plain list of canonical rows, each with a leading 1 and reduced against the
+rows before it, but not, in general, the RREF.  _push reduces a row against
+the list, scales it to a leading 1 and appends it; _reduce reduces a vector
+against the list, each factor read off the running sum; del rows[mark:]
+undoes pushes.  Callers that take their rows one at a time keep such a list:
+_augmented (so nullspace and inverse), the recovery and cover checks of
+regen, and the oracle with its search.  _residue reduces against RREF rows
+instead, each factor read straight off v (proved below), and _rref is the
+Gauss-Jordan pass: it returns the RREF of the span of its rows, in pivot
+order, and every Subspace basis that is not adopted or built by _from_rref
+comes from it.  nullspace and inverse first eliminate their tall augmented
+rows into an echelon and hand _rref the echelon from its highest pivot
+down, the order in which a pass only back-substitutes (see _top_down); on
+raw rows it would clear each new pivot from every finished row.  All of them
+reduce by a row negated, N = p*ONES - row, whose slots lie in [1, p].  The
+pivot of a row is its lowest nonzero slot, found from its lowest set bit.
+Reducing v by a row of pivot c adds f*N for f = v_c mod p: modulo p that
+subtracts f*row, and since it only ever adds, no slot borrows.  The slots
+then hold residues plus multiples of p, and one canonical reduction brings
+every slot back to [0, p) at once: a packed Barrett step
 
     V -= p * (((V * m) >> B) & QMASK)
 
@@ -196,58 +198,39 @@ def _layout(p: int, width: int) -> _Layout:
     return _Layout(p, width)
 
 
-class _Echelon:
-    """Incremental, undoable Gaussian elimination over GF(p) on packed rows.
+def _pivot(row: int) -> int:
+    """The bit offset of the pivot slot of a packed row with a leading 1,
+    which is its lowest set bit."""
+    return (row & -row).bit_length() - 1
 
-    Rows are canonical with a leading 1 at their pivot and are each reduced
-    against the rows before them, so reducing a vector against them in
-    order clears every pivot.  Rows given to the constructor must already
-    form such an echelon, as a Subspace's rows do.  negs holds each row
-    negated and shifts the bit offset of its pivot slot, which is its lowest
-    set bit.  Undo pushes by truncating back to a saved len(rows).
-    """
 
-    __slots__ = ("lay", "rows", "negs", "shifts")
+def _reduce(lay: _Layout, rows: list[int], v: int) -> int:
+    """v minus its component along echelon rows, canonical, for canonical v:
+    zero exactly when v is in their span.  Each row is canonical with a
+    leading 1 and reduced against the rows before it, so each factor is
+    read off the running sum, in row order."""
+    p, mask, pones = lay.p, lay.mask, lay.pones
+    acc = v
+    for row in rows:
+        f = (acc >> (row & -row).bit_length() - 1 & mask) % p
+        if f:
+            acc += f * (pones - row)
+    # a row operation only ever adds, so an unchanged v is still canonical
+    return v if acc == v else lay.canon(acc)
 
-    def __init__(self, lay: _Layout, rows: Iterable[int] = ()):
-        self.lay = lay
-        self.rows = list(rows)
-        self.negs = [lay.pones - row for row in self.rows]
-        self.shifts = [(row & -row).bit_length() - 1 for row in self.rows]
 
-    def reduce(self, v: int) -> int:
-        """v minus its component along the rows, canonical, for canonical v;
-        zero exactly when v is in their span."""
-        p, mask = self.lay.p, self.lay.mask
-        acc = v
-        for neg, shift in zip(self.negs, self.shifts):
-            f = (acc >> shift & mask) % p
-            if f:
-                acc += f * neg
-        # a row operation only ever adds, so an unchanged v is still canonical
-        return v if acc == v else self.lay.canon(acc)
-
-    def push(self, v: int) -> bool:
-        """Add canonical v as a row; False, changing nothing, when v is
-        already in the span."""
-        w = self.reduce(v)
-        if not w:
-            return False
-        lay = self.lay
-        low = (w & -w).bit_length() - 1
-        shift = low - low % lay.slot
-        head = w >> shift & lay.mask
-        if head != 1:
-            w = lay.canon(w * inv_mod(head, lay.p))
-        self.rows.append(w)
-        self.negs.append(lay.pones - w)
-        self.shifts.append(shift)
-        return True
-
-    def truncate(self, size: int) -> None:
-        del self.rows[size:]
-        del self.negs[size:]
-        del self.shifts[size:]
+def _push(lay: _Layout, rows: list[int], v: int) -> bool:
+    """Append canonical v, reduced and scaled to a leading 1, to echelon
+    rows; False, leaving them as they are, when v is already in their span."""
+    w = _reduce(lay, rows, v)
+    if not w:
+        return False
+    low = (w & -w).bit_length() - 1
+    head = w >> low - low % lay.slot & lay.mask
+    if head != 1:
+        w = lay.canon(w * inv_mod(head, lay.p))
+    rows.append(w)
+    return True
 
 
 def _residue(lay: _Layout, rows: Iterable[int], v: int) -> int:
@@ -360,26 +343,26 @@ def _signed_minors(rows) -> tuple[int, ...]:
     )
 
 
-def _augmented(p: int, rows: Sequence[Sequence[int]]) -> tuple[_Echelon, int]:
-    """An echelon of the rows [row_i | e_i], and the width of the rows: a row
-    whose pivot lies in the unit block is zero on the left, so its unit part
-    c has sum c_i row_i = 0."""
+def _augmented(p: int, rows: Sequence[Sequence[int]]) -> tuple[_Layout, list[int], int]:
+    """The layout and an echelon of the rows [row_i | e_i], row i at index
+    i, and the width of the rows: a row whose pivot lies in the unit block
+    is zero on the left, so its unit part c has sum c_i row_i = 0."""
     n = len(rows)
     width = len(rows[0]) if rows else 0
     lay = _layout(p, width + n)
-    echelon = _Echelon(lay)
+    echelon: list[int] = []
     pad = (0,) * n
     for i, row in enumerate(rows):
-        echelon.push(lay.pack((*row, *pad)) | 1 << (width + i) * lay.slot)
-    return echelon, width
+        _push(lay, echelon, lay.pack((*row, *pad)) | 1 << (width + i) * lay.slot)
+    return lay, echelon, width
 
 
-def _top_down(echelon: _Echelon, cut: int = 0) -> list[int]:
+def _top_down(echelon: list[int], cut: int = 0) -> list[int]:
     """The echelon's rows whose pivot lies at bit cut or beyond, from the
     highest pivot down.  In that order each row _rref takes is zero at the
     pivots of the rows it has, so it clears nothing and only back-substitutes,
     one reduction per row."""
-    order = sorted(zip(echelon.shifts, echelon.rows), reverse=True)
+    order = sorted(((_pivot(row), row) for row in echelon), reverse=True)
     return [row for shift, row in order if shift >= cut]
 
 
@@ -392,9 +375,10 @@ def inverse(p: int, rows: Sequence[Sequence[int]]) -> tuple[Vec, ...]:
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("only square matrices can be inverted")
-    echelon, _ = _augmented(p, rows)
-    lay = echelon.lay
-    if sorted(echelon.shifts) != list(range(0, n * lay.slot, lay.slot)):
+    lay, echelon, _ = _augmented(p, rows)
+    # n rows with n distinct pivots: all of them in the first n slots, or
+    # some row zero on the left
+    if any(_pivot(row) >= n * lay.slot for row in echelon):
         raise ValueError("matrix is singular")
     reduced = _rref(lay, _top_down(echelon))
     return tuple(lay.unpack(row)[n:] for row in reduced)
@@ -403,8 +387,8 @@ def inverse(p: int, rows: Sequence[Sequence[int]]) -> tuple[Vec, ...]:
 def nullspace(spec: FieldSpec, rows: Sequence[Sequence[int]]) -> "Subspace":
     """The dependencies among residue rows, {c : sum c_i rows_i = 0}, as a
     subspace of GF(p)^len(rows)."""
-    echelon, width = _augmented(spec.p, rows)
-    lay, unit = echelon.lay, _layout(spec.p, len(rows))
+    lay, echelon, width = _augmented(spec.p, rows)
+    unit = _layout(spec.p, len(rows))
     cut = width * lay.slot
     # the unit parts of the rows pivoting in the unit block span the
     # dependencies and already form an echelon, so they need only
@@ -498,7 +482,8 @@ class Subspace:
         return self.contains_subspace(Subspace(self.spec, self.ambient_dim, [v]))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        if self.spec != other.spec or self.ambient_dim != other.ambient_dim:
+        # one layout per (p, width), so the same layout is the same space
+        if other._lay is not self._lay:
             raise ValueError("subspaces live in different ambient spaces")
         lay, rows = self._lay, self._rows
         # a loop: any() over a generator made each test a tenth slower

@@ -50,8 +50,8 @@ from typing import Callable, Iterable, Iterator
 
 from .gf import FieldSpec, NotPrimeError
 from .linalg import (
-    CapExceededError, Subspace, _augmented, _Echelon, _layout, _signed_minors,
-    count_subspaces, enumerate_subspaces, nullspace,
+    CapExceededError, Subspace, _augmented, _layout, _pivot, _push, _reduce,
+    _signed_minors, count_subspaces, enumerate_subspaces, nullspace,
 )
 
 DEFAULT_ORACLE_CAP = 10**6
@@ -218,11 +218,11 @@ class Code:
 
 def check_recovery_subset(code: Code, subset: tuple[int, ...]) -> str | None:
     """None if the subset's nodes span the file space, else a violation line."""
-    echelon = _Echelon(_layout(code.params.spec.p, code.params.f_dim))
+    lay, echelon = _layout(code.params.spec.p, code.params.f_dim), []
     for j in subset:
         for row in code.node(j)._rows:
-            echelon.push(row)
-    joint = len(echelon.rows)
+            _push(lay, echelon, row)
+    joint = len(echelon)
     if joint != code.params.f_dim:
         return f"recovery subset {subset}: joint rank {joint} != {code.params.f_dim}"
     return None
@@ -247,8 +247,9 @@ def check_repair_pair(code: Code, x: int, helpers: tuple[int, ...]) -> list[str]
         return [str(exc)]
     msgs = []
     target = code.node(x)
+    lay = target._lay
     # the first send's rows are RREF, so they seed the echelon as they are
-    sent = _Echelon(target._lay, witness[helpers[0]]._rows)
+    sent = list(witness[helpers[0]]._rows)
     for i, j in enumerate(helpers):
         sub = witness[j]
         if sub.dim > pr.beta:
@@ -261,11 +262,14 @@ def check_repair_pair(code: Code, x: int, helpers: tuple[int, ...]) -> list[str]
             )
         if i:
             for row in sub._rows:
-                sent.push(row)
-    if any(map(sent.reduce, target._rows)):
-        msgs.append(
-            f"repair of {x} by {helpers}: sent subspaces do not cover the failed node"
-        )
+                _push(lay, sent, row)
+    # a loop: any() over a generator made verify a twentieth slower
+    for row in target._rows:
+        if _reduce(lay, sent, row):
+            msgs.append(
+                f"repair of {x} by {helpers}: sent subspaces do not cover the failed node"
+            )
+            break
     return msgs
 
 
@@ -293,31 +297,31 @@ def _closed_form_repairable(code: Code, x: int, helpers: tuple[int, ...]) -> boo
     # parts of the rows that pivot in the unit block span K among the helper
     # rows and N among all of them
     m = len(rows)
-    echelon, _ = _augmented(p, rows + list(code.node(x).basis_rows()))
-    cut = width * echelon.lay.slot
-    if any(shift < cut for shift in echelon.shifts[m:]):
+    lay, echelon, _ = _augmented(p, rows + list(code.node(x).basis_rows()))
+    cut = width * lay.slot
+    if any(_pivot(row) < cut for row in echelon[m:]):
         return False  # W_x is not in im sigma
-    kernel = [row for row, shift in zip(echelon.rows[:m], echelon.shifts) if shift >= cut]
+    kernel = [row for row in echelon[:m] if _pivot(row) >= cut]
     if len(kernel) != 1:
         return None
-    gens = [echelon.lay.unpack(row)[width:width + m] for row in kernel + echelon.rows[m:]]
-    deps = _Echelon(_layout(p, len(gens)))
+    gens = [lay.unpack(row)[width:width + m] for row in kernel + echelon[m:]]
+    unit, deps = _layout(p, len(gens)), []
     start = 0
     for node in nodes:
         block = [g[start:start + node.dim] for g in gens]
         start += node.dim
         if k <= 3 and node.dim == k and len(gens) == k + 1:
             # D_j by minors; push leaves the sum as it is for a zero line
-            deps.push(deps.lay.pack([m % p for m in _signed_minors(block)]))
+            _push(unit, deps, unit.pack([m % p for m in _signed_minors(block)]))
             continue
         dep = nullspace(pr.spec, block)
         # only a helper whose g_{i,j} span GF(p)^k, leaving t+1-k
         # dependencies, imposes a condition
         if dep.dim == len(gens) - k:
             for row in dep._rows:
-                deps.push(row)
+                _push(unit, deps, row)
     # e_0 packs to 1
-    return bool(deps.reduce(1))
+    return bool(_reduce(unit, deps, 1))
 
 
 def brute_force_repairable(
@@ -362,25 +366,26 @@ def brute_force_repairable(
         for node, send_dim in per_node
     ]
     target = code.node(x)
+    lay = target._lay
     # one echelon for the whole search: a choice pushes its rows on the way
-    # down and is truncated away on the way back up
-    echelon = _Echelon(target._lay)
+    # down and the list is cut back to its length on the way back up
+    echelon: list[int] = []
 
     def search(i: int) -> bool:
-        mark = len(echelon.rows)
+        mark = len(echelon)
         # prune unless x is covered when helpers i, i+1, ... send all they store
         for node, _ in per_node[i:]:
             for row in node._rows:
-                echelon.push(row)
-        coverable = not any(map(echelon.reduce, target._rows))
-        echelon.truncate(mark)
+                _push(lay, echelon, row)
+        coverable = not any(_reduce(lay, echelon, row) for row in target._rows)
+        del echelon[mark:]
         if not coverable or i == len(helpers):
             return coverable
         for opt in candidates[i]:
             for row in opt:
-                echelon.push(row)
+                _push(lay, echelon, row)
             found = search(i + 1)
-            echelon.truncate(mark)
+            del echelon[mark:]
             if found:
                 return True
         return False

@@ -10,10 +10,10 @@ import random
 
 import pytest
 
-from regenext import linalg
+from regenext import linalg, regen
 from regenext.extend import extend_code, synthesize_base_code
 from regenext.gf import FieldSpec
-from regenext.linalg import Subspace, _Echelon, nullspace
+from regenext.linalg import Subspace, nullspace
 from regenext.regen import Code, Params
 
 
@@ -133,16 +133,21 @@ def identity_rows(n):
 def pushes(monkeypatch):
     """A list that records every row that enters an elimination, pushed onto
     an echelon or given to the Gauss-Jordan routine: empty exactly when
-    nothing was eliminated."""
+    nothing was eliminated.  _push is patched at each of its bindings."""
     pushed = []
-    push, rref = _Echelon.push, linalg._rref
+    push, rref = linalg._push, linalg._rref
+
+    def recording_push(lay, rows, v):
+        pushed.append(v)
+        return push(lay, rows, v)
 
     def recording_rref(lay, rows):
         rows = list(rows)
         pushed.extend(rows)
         return rref(lay, rows)
 
-    monkeypatch.setattr(_Echelon, "push", lambda self, v: pushed.append(v) or push(self, v))
+    for module in (linalg, regen):
+        monkeypatch.setattr(module, "_push", recording_push)
     monkeypatch.setattr(linalg, "_rref", recording_rref)
     return pushed
 

@@ -1,0 +1,283 @@
+"""Mutation check for the elimination code.
+
+Each entry of MUTANTS is a small wrong version of the package: one exact
+text in one file of src/regenext, its replacement, and the tests that must
+fail on it.  The script copies src/, tests/ and pyproject.toml into a
+temporary directory and checks that every named test passes there.  Then,
+for each mutant, it applies the replacement to a fresh copy, runs only the
+mutant's tests against it, and reports the mutant as killed when they fail.
+It lists every survivor and exits 1 if there is one.
+
+    python tests/mutants.py             # every mutant
+    python tests/mutants.py NAME ...    # the named mutants only
+
+pytest does not collect this file.  tests/test_mutants.py checks that every
+old text occurs exactly once in its file, so a refactor that changes one
+has to update the catalogue.
+"""
+
+from __future__ import annotations
+
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+# a mutant that makes a search loop forever counts as killed after this long
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/regenext
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+
+
+LINALG, REGEN, STRUCTURE = "linalg.py", "regen.py", "structure.py"
+T_LINALG, T_REGEN, T_STRUCTURE = "tests/test_linalg.py", "tests/test_regen.py", "tests/test_structure.py"
+
+MUTANTS = [
+    # the packed kernel and its bounds
+    Mutant(
+        "canon drops the conditional subtract",
+        LINALG,
+        "        return v - ((v + self.half) >> self.flag & self.ones) * self.p\n",
+        "        return v\n",
+        (f"{T_LINALG}::test_packed_canonical_reduction_is_the_per_slot_residue",),
+    ),
+    Mutant(
+        "B one bit short",
+        LINALG,
+        "self.shift = ((width + 1) * p * p).bit_length()\n",
+        "self.shift = ((width + 1) * p * p).bit_length() - 1\n",
+        (f"{T_LINALG}::test_packed_canonical_reduction_is_the_per_slot_residue",),
+    ),
+    Mutant(
+        "W one byte short",
+        LINALG,
+        "max(-(-(self.shift + self.barrett.bit_length()) // 8), size + 1) * 8",
+        "max(-(-(self.shift + self.barrett.bit_length()) // 8) - 1, size + 1) * 8",
+        (f"{T_LINALG}::test_packed_canonical_reduction_is_the_per_slot_residue",),
+    ),
+    Mutant(
+        "8-bit slot kept at p = 2, n <= 2",
+        LINALG,
+        "// 8), size + 1) * 8",
+        "// 8), size) * 8",
+        (f"{T_LINALG}::test_range_flag_is_exact_for_every_value_the_codec_packs",),
+    ),
+    # the checked door adopts exactly the canonical RREF
+    Mutant(
+        "adopted drops the range flag",
+        LINALG,
+        "if v & pivots != 1 << shift or (v + lay.half) >> lay.flag & lay.ones:",
+        "if v & pivots != 1 << shift:",
+        (f"{T_LINALG}::test_checked_door_adopts_exactly_the_canonical_rref",),
+    ),
+    Mutant(
+        "adopted drops the pivot-equals-1 test",
+        LINALG,
+        "if v & pivots != 1 << shift or",
+        "if v & pivots != v & lay.mask << shift or",
+        (f"{T_LINALG}::test_checked_door_adopts_exactly_the_canonical_rref",),
+    ),
+    Mutant(
+        "adopted drops the zero-at-other-pivots test",
+        LINALG,
+        "if v & pivots != 1 << shift or",
+        "if v >> shift & lay.mask != 1 or",
+        (f"{T_LINALG}::test_checked_door_adopts_exactly_the_canonical_rref",),
+    ),
+    Mutant(
+        "adopted drops the increasing-pivot test",
+        LINALG,
+        "if not v or shifts and shift <= shifts[-1]:",
+        "if not v:",
+        (f"{T_LINALG}::test_checked_door_adopts_exactly_the_canonical_rref",),
+    ),
+    Mutant(
+        "adopted drops the zero-row test",
+        LINALG,
+        "if not v or shifts and shift <= shifts[-1]:",
+        "if shifts and shift <= shifts[-1]:",
+        (f"{T_LINALG}::test_rref_idempotent_on_randoms",),
+    ),
+    Mutant(
+        "the checked door reads its vectors twice",
+        LINALG,
+        "        vectors = list(vectors)\n",
+        "",
+        (f"{T_LINALG}::test_checked_door_adopts_exactly_the_canonical_rref",),
+    ),
+    # the Gauss-Jordan pass and the reduction against RREF rows
+    Mutant(
+        "rref drops the back-elimination",
+        LINALG,
+        "                out[i] = lay.canon(row + f * neg)\n",
+        "                out[i] = row\n",
+        (f"{T_LINALG}::test_gauss_jordan_matches_the_per_entry_reference",),
+    ),
+    Mutant(
+        "rref drops the scaling to a leading 1",
+        LINALG,
+        "            w = lay.canon(w * inv_mod(head, p))\n",
+        "            pass\n",
+        (f"{T_LINALG}::test_gauss_jordan_matches_the_per_entry_reference",),
+    ),
+    Mutant(
+        "residue drops the canonical reduction",
+        LINALG,
+        "    return w if w == v else lay.canon(w)\n",
+        "    return w\n",
+        (f"{T_LINALG}::test_membership_matches_the_per_entry_reference",),
+    ),
+    Mutant(
+        "residue reads each factor at the row's highest set bit",
+        LINALG,
+        "        f = v >> (row & -row).bit_length() - 1 & mask\n",
+        "        f = v >> (row.bit_length() - 1) // lay.slot * lay.slot & mask\n",
+        (f"{T_LINALG}::test_membership_matches_the_per_entry_reference",),
+    ),
+    Mutant(
+        "independent draw drops the rejection",
+        LINALG,
+        "        if len(reduced) == count:\n",
+        "        if True:\n",
+        (f"{T_LINALG}::test_independent_draw_is_the_invertible_matrix_draw",),
+    ),
+    # the echelon
+    Mutant(
+        "reduce reads each factor off v",
+        LINALG,
+        "        f = (acc >> (row & -row).bit_length() - 1 & mask) % p\n",
+        "        f = (v >> (row & -row).bit_length() - 1 & mask) % p\n",
+        (f"{T_LINALG}::test_echelon_matches_the_per_entry_reference",),
+    ),
+    Mutant(
+        "push drops the scaling to a leading 1",
+        LINALG,
+        "        w = lay.canon(w * inv_mod(head, lay.p))\n",
+        "        pass\n",
+        (f"{T_LINALG}::test_echelon_matches_the_per_entry_reference",),
+    ),
+    Mutant(
+        "inverse drops its singular test",
+        LINALG,
+        "    if any(_pivot(row) >= n * lay.slot for row in echelon):\n",
+        "    if False:\n",
+        (f"{T_LINALG}::test_inverse_of_no_rows_and_of_singular_rows",),
+    ),
+    # regen's uses of the echelon
+    Mutant(
+        "oracle drops the minors line",
+        REGEN,
+        "        if k <= 3 and node.dim == k and len(gens) == k + 1:\n",
+        "        if False:\n",
+        (f"{T_REGEN}::test_oracle_reads_dependencies_off_minors_up_to_k3",),
+    ),
+    Mutant(
+        "oracle takes minors for every shape",
+        REGEN,
+        "        if k <= 3 and node.dim == k and len(gens) == k + 1:\n",
+        "        if True:\n",
+        (f"{T_REGEN}::test_brute_force_matches_reference_in_closed_form_and_search",),
+    ),
+    Mutant(
+        "repair check seeds its cover without the first send",
+        REGEN,
+        "    sent = list(witness[helpers[0]]._rows)\n",
+        "    sent = []\n",
+        ("tests/test_properties.py::test_coverage_verdict_is_containment_in_the_sent_span",),
+    ),
+    Mutant(
+        "search keeps the rows of its pruning test",
+        REGEN,
+        "        coverable = not any(_reduce(lay, echelon, row) for row in target._rows)\n"
+        "        del echelon[mark:]\n",
+        "        coverable = not any(_reduce(lay, echelon, row) for row in target._rows)\n",
+        (f"{T_REGEN}::test_brute_force_matches_reference_search",),
+    ),
+    Mutant(
+        "search keeps the rows of a failed choice",
+        REGEN,
+        "            found = search(i + 1)\n            del echelon[mark:]\n",
+        "            found = search(i + 1)\n",
+        (f"{T_REGEN}::test_brute_force_matches_reference_search",),
+    ),
+    # the decomposition's leftover
+    Mutant(
+        "leftover is the last node row outside the send",
+        STRUCTURE,
+        "rows.append(next(row for row in node._rows if _residue(lay, sub._rows, row)))",
+        "rows.append([row for row in node._rows if _residue(lay, sub._rows, row)][-1])",
+        (f"{T_STRUCTURE}::test_leftover_is_the_row_the_echelon_kept",),
+    ),
+]
+
+
+def _copy(dest: pathlib.Path) -> None:
+    shutil.copytree(ROOT / "src", dest / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(ROOT / "tests", dest / "tests", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "pyproject.toml", dest)
+
+
+def _run(tree: pathlib.Path, tests) -> int | None:
+    """pytest's exit code on the tests in the tree, or None on a timeout."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "--tb=no", "-p", "no:cacheprovider", *tests]
+    try:
+        return subprocess.run(
+            cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            timeout=TIMEOUT_S,
+        ).returncode
+    except subprocess.TimeoutExpired:
+        return None
+
+
+def main(names: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        base = pathlib.Path(tmp) / "base"
+        _copy(base)
+        tests = sorted({t for m in chosen for t in m.tests})
+        if _run(base, tests) != 0:
+            print("the named tests fail on the unmutated copy", file=sys.stderr)
+            return 2
+        survivors = []
+        for i, m in enumerate(chosen):
+            tree = pathlib.Path(tmp) / f"m{i}"
+            _copy(tree)
+            path = tree / "src" / "regenext" / m.file
+            text = path.read_text()
+            if text.count(m.old) != 1:
+                print(f"{m.name}: old text occurs {text.count(m.old)} times", file=sys.stderr)
+                return 2
+            path.write_text(text.replace(m.old, m.new))
+            t0 = time.perf_counter()
+            code = _run(tree, m.tests)
+            verdict = "killed (timeout)" if code is None else "killed" if code == 1 else f"SURVIVED (exit {code})"
+            print(f"{verdict:<20} {time.perf_counter() - t0:6.1f} s  {m.name}", flush=True)
+            if not verdict.startswith("killed"):
+                survivors.append(m.name)
+            shutil.rmtree(tree)
+    print(f"{len(chosen) - len(survivors)} of {len(chosen)} killed in {time.perf_counter() - start:.0f} s")
+    for name in survivors:
+        print(f"survivor: {name}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1,6 +1,8 @@
 """Tests for the well-aligned candidate checker, sampler, and counts."""
 
 import collections
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -85,6 +87,24 @@ def test_is_well_aligned_rejects_wrong_shapes(base_k3_p5):
         is_well_aligned(Subspace(dec.spec, 8, identity_rows(8)), dec)
     with pytest.raises(ValueError):
         is_well_aligned(random_subspace(3, 2, dec.spec, random.Random(1)), dec)
+
+
+def test_is_well_aligned_compares_spaces_by_layout(base_k3_p5):
+    """A candidate over another field or of another width raises, with its
+    message; a pickled or deep-copied candidate and decomposition give the
+    verdicts of the originals."""
+    dec = first_decomposition(base_k3_p5)
+    rng = random.Random("layout")
+    message = "^candidate lives in a different space than the decomposition$"
+    for other in (random_subspace(8, 3, FieldSpec(7), rng), random_subspace(9, 3, dec.spec, rng)):
+        with pytest.raises(ValueError, match=message):
+            is_well_aligned(other, dec)
+    aligned, _ = sample_well_aligned(dec, rng)
+    helper = base_k3_p5.node(dec.helpers[0])
+    for copied in (copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))):
+        cert = is_well_aligned(copied(aligned), copied(dec))
+        assert cert is not None and cert.candidate == aligned
+        assert is_well_aligned(copied(helper), copied(dec)) is None
 
 
 def aligned_by_definition_k2(candidate, dec):

@@ -12,10 +12,12 @@ from regenext.linalg import (
     CapExceededError,
     Matrix,
     Subspace,
-    _Echelon,
     _independent_rows,
     _Layout,
     _layout,
+    _push,
+    _reduce,
+    _residue,
     _rref,
     count_subspaces,
     enumerate_subspaces,
@@ -362,7 +364,7 @@ def test_longest_elimination_at_the_largest_prime(width, entry):
     pivot every factor and entry is p-1; with entries 0 each negated row
     holds p in every other slot, the largest addend.  Packed elimination
     matches the per-entry reference, for the full echelon (remainder 0) and
-    without its last row (a nonzero remainder that push normalizes)."""
+    without its last row (a nonzero remainder that _push normalizes)."""
     p = 2**31 - 1
     e = p - 1 if entry == "p-1" else 0
     rows = [tuple([0] * i + [1] + [e] * (width - 1 - i)) for i in range(width)]
@@ -371,10 +373,10 @@ def test_longest_elimination_at_the_largest_prime(width, entry):
     for size in (width, width - 1):
         expected, factors = reference_reduce(p, rows[:size], range(size), v)
         assert factors == [p - 1] * size
-        echelon = _Echelon(lay, map(lay.pack, rows[:size]))
-        assert lay.unpack(echelon.reduce(lay.pack(v))) == expected
-    assert any(expected) and echelon.push(lay.pack(v))
-    assert lay.unpack(echelon.rows[-1]) == rows[-1]
+        echelon = list(map(lay.pack, rows[:size]))
+        assert lay.unpack(_reduce(lay, echelon, lay.pack(v))) == expected
+    assert any(expected) and _push(lay, echelon, lay.pack(v))
+    assert lay.unpack(echelon[-1]) == rows[-1]
 
 
 FIELD_EDGES = [2, 3, 251, 257, 65521, 65537, 2**31 - 1]
@@ -523,6 +525,86 @@ def test_gauss_jordan_matches_the_per_entry_reference(p, width):
             else:
                 with pytest.raises(ValueError, match="singular"):
                     inverse(p, rows)
+
+
+def reference_push(p, rows, pivots, v):
+    """Per-entry push of v onto an echelon: v reduced against its rows and
+    scaled to a 1 at its first nonzero entry; False when v is in the span."""
+    w, _ = reference_reduce(p, rows, pivots, v)
+    if not any(w):
+        return False
+    c = next(i for i, x in enumerate(w) if x)
+    inv = pow(w[c], p - 2, p)
+    rows.append(tuple(x * inv % p for x in w))
+    pivots.append(c)
+    return True
+
+
+@pytest.mark.parametrize("p", FIELD_EDGES)
+@pytest.mark.parametrize("width", [2, 5, 8])
+def test_echelon_matches_the_per_entry_reference(p, width):
+    """_push and _reduce against per-entry elimination that reads each
+    factor off the running vector, on echelons pushed from the staircase
+    (1 at and right of each pivot, so every earlier row is 1 at every later
+    pivot and a factor read off v would be wrong), from the row sets of the
+    Gauss-Jordan test, and from RREF rows in shuffled order, where reading
+    each factor off v is right too.  A row already in the span is refused
+    and leaves the list as it was."""
+    lay = _layout(p, width)
+    rng = random.Random(f"echelon-{p}-{width}")
+    staircase = [tuple([0] * i + [1] * (width - i)) for i in range(width)]
+    grown = [staircase, *row_sets(p, width, rng)]
+    shuffled = [rng.sample(rref, len(rref)) for rref in (reference_rref(p, r, width) for r in grown)]
+    unit = (1,) + (0,) * (width - 1)
+    refused = read_off_v_wrong = 0
+    for i, rows in enumerate(grown + shuffled):
+        echelon, ref_rows, pivots = [], [], []
+        for row in rows:
+            before = list(echelon)
+            pushed = _push(lay, echelon, lay.pack(row))
+            assert pushed == reference_push(p, ref_rows, pivots, row)
+            if not pushed:
+                refused += 1
+                assert echelon == before
+            assert tuple(map(lay.unpack, echelon)) == tuple(ref_rows)
+        inside = combine(p, random_rows(rng, p, 1, len(ref_rows))[0], ref_rows) if ref_rows else unit
+        for v in (unit, inside, *random_rows(rng, p, 3, width)):
+            expected, _ = reference_reduce(p, ref_rows, pivots, v)
+            w = _reduce(lay, echelon, lay.pack(v))
+            assert lay.unpack(w) == expected
+            read_off_v = _residue(lay, echelon, lay.pack(v))
+            if i >= len(grown):
+                assert read_off_v == w
+            read_off_v_wrong += read_off_v != w
+    assert refused and read_off_v_wrong
+
+
+@pytest.mark.parametrize("p", FIELD_EDGES)
+def test_inverse_of_no_rows_and_of_singular_rows(p):
+    """The matrix with no rows is its own inverse, and a matrix with a
+    repeated, a zero or a dependent row is singular, at every edge of the
+    packed layouts."""
+    assert inverse(p, []) == ()
+    for rows in ([[1, 1], [1, 1]], [[1, 0], [0, 0]], [[1, 2, 3], [0, 1, 4], [1, 3, 7]]):
+        with pytest.raises(ValueError, match="singular"):
+            inverse(p, [[x % p for x in row] for row in rows])
+
+
+def test_spaces_are_compared_by_layout():
+    """contains_subspace raises for a space over another field or of another
+    width, with its message, and takes a pickled or deep-copied operand as
+    the original: copies get their layout from the cache."""
+    spec = FieldSpec(65521)
+    s = Subspace(spec, 4, [(1, 2, 3, 4), (0, 5, 6, 7)])
+    message = "^subspaces live in different ambient spaces$"
+    for other in (Subspace(FieldSpec(65537), 4, [(1, 2, 3, 4)]), Subspace(spec, 5, [(1, 2, 3, 4, 0)])):
+        with pytest.raises(ValueError, match=message):
+            s.contains_subspace(other)
+        with pytest.raises(ValueError, match=message):
+            other.contains_subspace(s)
+    for other in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+        assert other._lay is s._lay
+        assert s.contains_subspace(other) and other.contains_subspace(s)
 
 
 @pytest.mark.parametrize("width", [8, 15, 30])

@@ -7,7 +7,7 @@ import pytest
 import regenext.structure as structure
 from regenext.extend import extend_code, synthesize_base_code
 from regenext.gf import FieldSpec
-from regenext.linalg import Subspace, _Echelon, _layout, nullspace
+from regenext.linalg import Subspace, _layout, _push, nullspace
 from regenext.regen import Code, Params, check_repair_pair
 from regenext.structure import (
     Decomposition,
@@ -125,8 +125,8 @@ def echelon_complement_vectors(code, helpers, x):
     p, lay = pr.spec.p, _layout(pr.spec.p, pr.f_dim)
     rows, ends = [], []
     for j in helpers:
-        echelon = _Echelon(lay, witness[j]._rows)
-        (leftover,) = [row for row in code.node(j)._rows if echelon.push(row)]
+        echelon = list(witness[j]._rows)
+        (leftover,) = [row for row in code.node(j)._rows if _push(lay, echelon, row)]
         rows += [*witness[j].basis_rows(), lay.unpack(leftover)]
         ends.append(len(rows))
     (coeff,) = nullspace(pr.spec, rows).basis_rows()
