@@ -18,7 +18,6 @@ from .regen import (
     CodeFileError,
     CodeVersionError,
     MalformedCodeFileError,
-    MissingWitnessError,
     Params,
     brute_force_repairable,
     corner_point,
@@ -67,7 +66,6 @@ __all__ = [
     "MalformedCodeFileError",
     "CodeVersionError",
     "CodeDimensionError",
-    "MissingWitnessError",
     "corner_point",
     "functional_repair_capacity",
     "cutset_bound",

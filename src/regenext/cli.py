@@ -39,7 +39,6 @@ from .regen import (
     DEFAULT_ORACLE_CAP,
     Code,
     CodeFileError,
-    MissingWitnessError,
     brute_force_repairable,
     check_repair_pair,
     corner_point,
@@ -229,7 +228,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         witness_violations.extend(msgs)
         try:
             verify_structure(code, helpers, x, established=(not msgs, spanning))
-        except (DecompositionError, MissingWitnessError) as exc:
+        except DecompositionError as exc:
             structure_violations.append(f"pair ({x}, {helpers}): {exc}")
         # the oracle backs up witnesses that pass; a failed pair is flagged already
         if run_oracle and not msgs and not brute_force_repairable(
@@ -381,7 +380,7 @@ def _cmd_repair_demo(args: argparse.Namespace) -> int:
     failed = min(helpers)
     others = [j for j in helpers if j != failed]
     key = tuple(sorted(others + [star]))
-    witness = code.witness(failed, key)
+    witness = code.witnesses[(failed, key)]
     print(_params_line(code))
     print(
         f"scenario: node {failed} fails and is rebuilt from helpers {key} "

@@ -73,10 +73,6 @@ class CodeDimensionError(CodeFileError):
     """The file's parameters and matrix shapes do not fit together."""
 
 
-class MissingWitnessError(LookupError):
-    """No repair witness is stored for the requested (failed node, helper set)."""
-
-
 def corner_point(m: int, k: int) -> tuple[Fraction, Fraction]:
     """Normalized (storage, bandwidth) corner point number m on the d=k tradeoff.
 
@@ -196,16 +192,6 @@ class Code:
             raise ValueError(f"node index {j} outside 1..{self.params.n}")
         return self.nodes[j - 1]
 
-    def witness(self, x: int, helpers: tuple[int, ...]) -> dict[int, Subspace]:
-        key = (x, tuple(sorted(helpers)))
-        self._check_key(*key)
-        try:
-            return self.witnesses[key]
-        except KeyError:
-            raise MissingWitnessError(
-                f"no witness for failed node {x} with helpers {key[1]}"
-            ) from None
-
     def recovery_subsets(self) -> Iterator[tuple[int, ...]]:
         return itertools.combinations(range(1, self.params.n + 1), self.params.k)
 
@@ -241,10 +227,10 @@ def verify_data_recovery(code: Code, subsets: Iterable | None = None) -> dict[tu
 def check_repair_pair(code: Code, x: int, helpers: tuple[int, ...]) -> list[str]:
     """Violation lines for the stored witness of one pair, or for its absence."""
     pr = code.params
-    try:
-        witness = code.witness(x, helpers)
-    except MissingWitnessError as exc:
-        return [str(exc)]
+    witness = code.witnesses.get((x, helpers))
+    if witness is None:
+        code._check_key(x, helpers)
+        return [f"no witness for failed node {x} with helpers {helpers}"]
     msgs = []
     target = code.node(x)
     lay = target._lay

@@ -129,12 +129,15 @@ def compute_decomposition(code: Code, helpers, x: int) -> Decomposition:
     the complement vectors come from the unique dependency among the k^2
     stacked vectors (repair bases plus one leftover generator per helper).
     Raises DecompositionError when the code data is not a valid exact-repair
-    code at this operating point (dependency not unique, or a leftover
-    coefficient vanishes).
+    code at this operating point (no witness stored, dependency not unique,
+    or a leftover coefficient vanishes).
     """
     pr = code.params
     helpers = tuple(sorted(helpers))
-    witness = code.witness(x, helpers)
+    witness = code.witnesses.get((x, helpers))
+    if witness is None:
+        code._check_key(x, helpers)
+        raise DecompositionError(f"no witness for failed node {x} with helpers {helpers}")
     p = pr.spec.p
     lay = _layout(p, pr.f_dim)
     repair = {}
@@ -185,17 +188,17 @@ def compute_decomposition(code: Code, helpers, x: int) -> Decomposition:
     return Decomposition(pr.spec, helpers, x, repair, comp_vectors)
 
 
-def verify_structure(code: Code, helpers, x: int, *, established=None) -> None:
+def verify_structure(code: Code, helpers, x: int, *, established) -> None:
     """Check the split for one repair pair, deriving it unless the lemma settles it.
 
-    established, when given, is what the other checks found: (whether the
-    pair's witness passed check_repair_pair, the set of recovery subsets
-    that span F).  Where it meets the premises of the module docstring's
-    lemma, the split exists.  Elsewhere, and always without it,
-    compute_decomposition derives the split, and by the module docstring a
-    derivation that succeeds leaves nothing to flag; its errors propagate.
+    established is what the other checks found: (whether the pair's witness
+    passed check_repair_pair, the set of recovery subsets that span F).
+    Where it meets the premises of the module docstring's lemma, the split
+    exists.  Elsewhere compute_decomposition derives the split, and by the
+    module docstring a derivation that succeeds leaves nothing to flag; its
+    errors propagate.
     """
-    if established is None or not _lemma_applies(code, helpers, x, *established):
+    if not _lemma_applies(code, helpers, x, *established):
         compute_decomposition(code, helpers, x)
 
 

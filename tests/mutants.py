@@ -1,4 +1,4 @@
-"""Mutation check for the elimination code.
+"""Mutation check for the elimination code, the lemma and the witness readers.
 
 Each entry of MUTANTS is a small wrong version of the package: one exact
 text in one file of src/regenext, its replacement, and the tests that must
@@ -42,6 +42,10 @@ class Mutant(NamedTuple):
 
 LINALG, REGEN, STRUCTURE = "linalg.py", "regen.py", "structure.py"
 T_LINALG, T_REGEN, T_STRUCTURE = "tests/test_linalg.py", "tests/test_regen.py", "tests/test_structure.py"
+LEMMA = "tests/test_properties.py::test_lemma_premises_give_a_split"
+EQUIVALENCE = "tests/test_cli.py::test_verify_output_is_that_of_deriving_every_split"
+MISSING = f"{T_REGEN}::test_verify_repair_witnesses_reports_missing_witness"
+LAYOUTS = f"{T_REGEN}::test_streamed_load_matches_the_whole_tree_on_other_layouts"
 
 MUTANTS = [
     # the packed kernel and its bounds
@@ -218,6 +222,65 @@ MUTANTS = [
         "rows.append(next(row for row in node._rows if _residue(lay, sub._rows, row)))",
         "rows.append([row for row in node._rows if _residue(lay, sub._rows, row)][-1])",
         (f"{T_STRUCTURE}::test_leftover_is_the_row_the_echelon_kept",),
+    ),
+    # the lemma that lets verify skip a derivation
+    Mutant(
+        "lemma drops the witness verdict",
+        STRUCTURE,
+        "        witness_passed\n        and all(",
+        "        all(",
+        (LEMMA, EQUIVALENCE),
+    ),
+    Mutant(
+        "lemma drops the node-dimension premise",
+        STRUCTURE,
+        "        and all(code.node(j).dim <= code.params.alpha for j in helpers)\n",
+        "",
+        (LEMMA, f"{T_STRUCTURE}::test_verify_structure_derives_where_the_lemma_does_not_apply"),
+    ),
+    Mutant(
+        "lemma tests only the recovery subsets without the first helper",
+        STRUCTURE,
+        "in spanning for m in helpers)",
+        "in spanning for m in helpers[1:])",
+        (LEMMA, EQUIVALENCE),
+    ),
+    # a witness read from the table: a miss on an invalid key is a ValueError
+    Mutant(
+        "repair check drops the key check on a miss",
+        REGEN,
+        "        code._check_key(x, helpers)\n        return [",
+        "        return [",
+        (MISSING,),
+    ),
+    Mutant(
+        "split drops the key check on a miss",
+        STRUCTURE,
+        "        code._check_key(x, helpers)\n",
+        "",
+        (MISSING,),
+    ),
+    # the streamed loader, the table's other reader
+    Mutant(
+        "stream accepts bytes after the end",
+        REGEN,
+        'if text[pos:pos + 2] != "]}" or text[pos + 2:].strip(" \\t\\n\\r"):',
+        'if text[pos:pos + 2] != "]}":',
+        (LAYOUTS,),
+    ),
+    Mutant(
+        "stream skips the comma between witnesses",
+        REGEN,
+        '        more = text[pos] == ","\n        pos += more\n',
+        '        more = text[pos] != "]"\n        pos += text[pos] == ","\n',
+        (LAYOUTS,),
+    ),
+    Mutant(
+        "stream reads the header up to its last witnesses list",
+        REGEN,
+        "start = text.index(_WITNESSES)",
+        "start = text.rindex(_WITNESSES)",
+        (LAYOUTS,),
     ),
 ]
 

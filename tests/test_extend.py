@@ -30,7 +30,7 @@ from regenext.linalg import Subspace, random_subspace
 from regenext.regen import (
     Code, save_code, verify_data_recovery, verify_repair_witnesses
 )
-from regenext.structure import Decomposition, compute_decomposition, verify_structure
+from regenext.structure import Decomposition, compute_decomposition
 
 from conftest import aligned_basis, combine, complement, coordinates, subspace_sum
 
@@ -73,7 +73,7 @@ def test_synthesize_base_code_verified(k, p):
     assert verify_data_recovery(code) == {}
     assert verify_repair_witnesses(code) == []
     for x, a in code.repair_pairs():
-        verify_structure(code, a, x)
+        compute_decomposition(code, a, x)
     assert set(code.witnesses) == set(
         (x, helpers) for x, helpers in code.repair_pairs()
     )
@@ -125,7 +125,7 @@ def test_extend_grows_and_verifies(outcome_k3_big):
     assert verify_data_recovery(grown) == {}
     assert verify_repair_witnesses(grown) == []
     for x, a in grown.repair_pairs():
-        verify_structure(grown, a, x)
+        compute_decomposition(grown, a, x)
 
 
 def test_extend_checks_only_the_witnesses_it_adds(monkeypatch):

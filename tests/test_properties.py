@@ -294,7 +294,7 @@ def test_coverage_verdict_is_containment_in_the_sent_span(p, k, seed):
         witnesses[key] = spaces
     variant = Code(code.params, code.nodes, witnesses)
     for x, helpers in variant.repair_pairs():
-        sent = [row for sub in variant.witness(x, helpers).values() for row in sub.basis_rows()]
+        sent = [row for sub in variant.witnesses[(x, helpers)].values() for row in sub.basis_rows()]
         covered = Subspace(spec, ambient, sent).contains_subspace(variant.node(x))
         gap = [m for m in check_repair_pair(variant, x, helpers) if "do not cover" in m]
         assert gap == ([] if covered else [

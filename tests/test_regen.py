@@ -26,7 +26,6 @@ from regenext.regen import (
     CodeDimensionError,
     CodeVersionError,
     MalformedCodeFileError,
-    MissingWitnessError,
     Params,
     brute_force_repairable,
     check_repair_pair,
@@ -38,7 +37,7 @@ from regenext.regen import (
     verify_data_recovery,
     verify_repair_witnesses,
 )
-from regenext.structure import compute_decomposition
+from regenext.structure import DecompositionError, compute_decomposition
 
 from conftest import NONCANONICAL, combine, identity_rows, noncanonical, subspace_sum
 from test_fuzz import _flip_bytes
@@ -142,14 +141,6 @@ def test_code_node_indexing(base_k3_p5):
         code.node(5)
 
 
-def test_code_witness_lookup(base_k3_p5):
-    code = base_k3_p5
-    w = code.witness(4, (3, 1, 2))
-    assert tuple(sorted(w)) == (1, 2, 3)
-    with pytest.raises(MissingWitnessError):
-        Code(code.params, code.nodes, {}).witness(4, (1, 2, 3))
-
-
 def test_subset_and_pair_enumeration(base_k3_p5):
     code = base_k3_p5
     n, k = code.params.n, code.params.k
@@ -192,6 +183,23 @@ def test_verify_repair_witnesses_reports_missing_witness(base_k3_p5):
     # given pairs, only those are checked
     assert verify_repair_witnesses(code, [(x, helpers)]) == [line]
     assert verify_repair_witnesses(code, sorted(stripped)) == []
+    # the split reports the missing witness in the same words
+    with pytest.raises(DecompositionError) as exc:
+        compute_decomposition(code, helpers, x)
+    assert str(exc.value) == line
+    # a miss on an invalid key is a ValueError, not a missing witness
+    with pytest.raises(ValueError, match="own helper"):
+        check_repair_pair(code, helpers[0], helpers)
+    with pytest.raises(ValueError, match="own helper"):
+        compute_decomposition(code, helpers, helpers[0])
+    # check_repair_pair reads the sorted key as stored; compute_decomposition
+    # sorts its helpers first
+    y, others = next(iter(sorted(stripped)))
+    with pytest.raises(ValueError, match="sorted ascending"):
+        check_repair_pair(code, y, others[::-1])
+    split, reversed_split = (compute_decomposition(code, a, y) for a in (others, others[::-1]))
+    assert reversed_split.repair_spaces == split.repair_spaces
+    assert reversed_split.complement_vectors == split.complement_vectors
 
 
 def test_check_repair_pair_flags_coverage_gap(base_k3_p5):

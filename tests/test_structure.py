@@ -22,6 +22,9 @@ GF3 = FieldSpec(3)
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
+# no passed witness and no spanning subset: verify_structure derives the split
+DERIVE = (False, frozenset())
+
 
 def test_constructor_accepts_valid_split():
     repair = {1: Subspace(GF3, 3, [E1]), 2: Subspace(GF3, 3, [E2])}
@@ -46,7 +49,7 @@ def test_compute_decomposition_k2(base_k2_p3):
     t = complement(dec)
     assert t[a] == combine(3, (2,), (t[b],))
     assert Subspace(GF3, 3, t.values()).dim == 1
-    witness = code.witness(x, helpers)
+    witness = code.witnesses[(x, helpers)]
     for j in helpers:
         assert dec.repair_spaces[j] == witness[j]
 
@@ -55,7 +58,7 @@ def test_compute_decomposition_uses_stored_witness(base_k3_p5):
     code = base_k3_p5
     for x, helpers in code.repair_pairs():
         dec = compute_decomposition(code, helpers, x)
-        witness = code.witness(x, helpers)
+        witness = code.witnesses[(x, helpers)]
         for j in helpers:
             assert dec.repair_spaces[j] == witness[j]
             assert code.node(j).contains(complement(dec)[j])
@@ -82,14 +85,14 @@ def _send_outside_node(code):
     node, spec = code.node(1), code.params.spec
     witnesses = dict(code.witnesses)
     witnesses[(4, (1, 2, 3))] = {
-        **code.witness(4, (1, 2, 3)), 1: Subspace(spec, 8, [node.basis_rows()[0], _outside(node)])
+        **code.witnesses[(4, (1, 2, 3))], 1: Subspace(spec, 8, [node.basis_rows()[0], _outside(node)])
     }
     return Code(code.params, code.nodes, witnesses)
 
 
 def _node_one_short(code):
     """Node 1 shrunk to what it sends for pair (4, (1, 2, 3))."""
-    return Code(code.params, (code.witness(4, (1, 2, 3))[1],) + code.nodes[1:], code.witnesses)
+    return Code(code.params, (code.witnesses[(4, (1, 2, 3))][1],) + code.nodes[1:], code.witnesses)
 
 
 def _node_one_long(code):
@@ -121,7 +124,7 @@ def echelon_complement_vectors(code, helpers, x):
     helper: push the send's rows, then the node's, and keep the one node row
     that enters as the leftover; then the unique dependency among the sends
     and leftovers, scaled to 1 at the first helper's leftover, per entry."""
-    pr, witness = code.params, code.witness(x, helpers)
+    pr, witness = code.params, code.witnesses[(x, helpers)]
     p, lay = pr.spec.p, _layout(pr.spec.p, pr.f_dim)
     rows, ends = [], []
     for j in helpers:
@@ -161,7 +164,7 @@ def test_compute_decomposition_rejects_duplicated_helpers():
     with pytest.raises(DecompositionError, match="dependency"):
         compute_decomposition(code, (1, 2), 3)
     with pytest.raises(DecompositionError, match="dependency"):
-        verify_structure(code, (1, 2), 3)
+        verify_structure(code, (1, 2), 3, established=DERIVE)
 
 
 def project(dec, v):
@@ -237,21 +240,21 @@ def test_verify_structure_clean_codes(base_k2_p3, base_k3_p5):
     for code in (base_k2_p3, base_k3_p5):
         for x, helpers in code.repair_pairs():
             # a split that holds leaves nothing to report
-            assert verify_structure(code, helpers, x) is None
+            assert verify_structure(code, helpers, x, established=DERIVE) is None
 
 
 def test_verify_structure_all_counts_pairs(base_k3_p5):
     pairs = list(base_k3_p5.repair_pairs())
     assert len(pairs) == 4
     for x, helpers in pairs:
-        verify_structure(base_k3_p5, helpers, x)
+        verify_structure(base_k3_p5, helpers, x, established=DERIVE)
 
 
 def test_verify_structure_all_extended(extended_k3_big):
     pairs = list(extended_k3_big.repair_pairs())
     assert len(pairs) == 5 * 4
     for x, helpers in pairs:
-        verify_structure(extended_k3_big, helpers, x)
+        verify_structure(extended_k3_big, helpers, x, established=DERIVE)
 
 
 def test_verify_structure_derives_where_the_lemma_does_not_apply(base_k3_p5, monkeypatch):
