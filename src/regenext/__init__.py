@@ -42,7 +42,6 @@ from .alignment import (
 from .extend import (
     ExtensionError,
     ExtensionOutcome,
-    SynthesisError,
     attempts_bound,
     extend_code,
     find_alignments,
@@ -86,7 +85,6 @@ __all__ = [
     "census_well_aligned",
     "probability_well_aligned",
     "estimate_probability_monte_carlo",
-    "SynthesisError",
     "ExtensionError",
     "ExtensionOutcome",
     "synthesize_decomposition",

@@ -27,7 +27,6 @@ from .alignment import (
 from .extend import (
     DEFAULT_MAX_ATTEMPTS,
     ExtensionError,
-    SynthesisError,
     attempts_bound,
     extend_code,
     synthesize_base_code,
@@ -87,9 +86,9 @@ def _field(p: int) -> FieldSpec:
 
 
 def _check_out_dir(path: str) -> None:
-    """Fail before any work when an output cannot go to path: its directory
-    is missing, or path names a directory."""
-    if not os.path.isdir(os.path.dirname(path) or "."):
+    """Fail before any work when an output cannot go to path: it is empty or
+    its directory is missing, or path names a directory."""
+    if not path or not os.path.isdir(os.path.dirname(path) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
@@ -126,7 +125,7 @@ def _cmd_gen_base(args: argparse.Namespace) -> int:
     rng = random.Random(f"gen-base:{args.seed}")
     try:
         code = synthesize_base_code(args.k, spec, rng)
-    except SynthesisError as exc:
+    except ExtensionError as exc:
         _log(f"gen-base failed: {exc}")
         return EXIT_VERIFICATION
     save_code(code, args.out)
@@ -215,7 +214,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     _print_section("data recovery", len(subsets), list(recovery.values()))
     spanning = set(subsets).difference(recovery)
 
-    # load_code keeps every node to at most alpha rows, so each helper offers
+    # a Code holds no node of more than alpha dimensions, so each helper offers
     # at most per_node sends and no pair's search exceeds combos: a pair can
     # only hit the oracle's cap when combos does
     per_node = count_subspaces(pr.alpha, pr.beta, pr.spec)
@@ -367,7 +366,7 @@ def _cmd_repair_demo(args: argparse.Namespace) -> int:
     try:
         base = synthesize_base_code(args.k, spec, rng)
         outcome = extend_code(base, rng, max_attempts=args.max_attempts)
-    except (SynthesisError, ExtensionError) as exc:
+    except ExtensionError as exc:
         _log(f"repair-demo could not build its example code: {exc}")
         return EXIT_VERIFICATION
     code = outcome.code

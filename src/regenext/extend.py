@@ -30,9 +30,10 @@ rank rejection), and any k-1 of the t_j span T because they sum to zero.
 
 Each step checks the units that contain its new node.  A growth step assumes
 a verified input, whose units it leaves unchanged; the base is a step on the
-frame's k nodes and also checks its frame subset (1, ..., k), its one unit
-without node k+1.  A failure is a bug.  The witness builders check nothing;
-`check_repair_pair` checks each witness's coverage.
+frame's k nodes, where every unit is new, so it checks them all, the frame
+subset (1, ..., k) among them.  A failure is a bug and raises
+ExtensionError.  The witness builders check nothing; `check_repair_pair`
+checks each witness's coverage.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from .regen import Code, Params, verify_data_recovery, verify_repair_witnesses
 from .structure import Decomposition, compute_decomposition
 
 __all__ = [
-    "SynthesisError",
     "ExtensionError",
     "ExtensionOutcome",
     "DEFAULT_MAX_ATTEMPTS",
@@ -72,12 +72,9 @@ __all__ = [
 DEFAULT_MAX_ATTEMPTS = 64
 
 
-class SynthesisError(RuntimeError):
-    """The synthesized base code failed verification, which indicates a bug."""
-
-
 class ExtensionError(RuntimeError):
-    """Could not extend the code within the attempt budget."""
+    """Could not extend the code within the attempt budget, or a built code
+    failed its check, which indicates a bug."""
 
 
 @dataclass
@@ -168,17 +165,18 @@ def _add_node(
     witnesses: dict[tuple[int, tuple[int, ...]], dict[int, Subspace]],
     candidate: Subspace,
     log: dict[tuple[int, ...], AlignmentCertificate],
-) -> tuple[Code, list[str]]:
-    """Append the candidate as node n+1 and check what that added.
+) -> Code:
+    """Append the candidate as node n+1, check what that added, and return
+    the grown code.
 
     For every helper subset in the log, the subset's certificate yields the
     witnesses in both directions: the new node repaired by the subset, and
     each member repaired by the others plus the new node.  The one rule:
-    check the recovery subsets that hold the new node and the repair pairs
-    whose witnesses were just added, which are the pairs that hold it.  Code
-    keeps the added dict as its table, so those keys are read before the old
-    witnesses join it.  Returns the grown code and its first few problems
-    (none when it passes).
+    check the recovery subsets that hold the new node (every subset on the
+    base, n = k+1, whose units are all new) and the repair pairs whose
+    witnesses were just added, which are the pairs that hold it.  Code keeps
+    the added dict as its table, so those keys are read before the old
+    witnesses join it.  Raises ExtensionError with the first few problems.
     """
     star = len(nodes) + 1
     added = {}
@@ -193,8 +191,15 @@ def _add_node(
     grown = Code(params, nodes + (candidate,), added)
     pairs = sorted(added)
     grown.witnesses.update(witnesses)
-    recovery = verify_data_recovery(grown, (s for s in grown.recovery_subsets() if star in s))
-    return grown, [*recovery.values(), *verify_repair_witnesses(grown, pairs)][:3]
+    base = star == params.k + 1
+    subsets = (s for s in grown.recovery_subsets() if base or star in s)
+    recovery = verify_data_recovery(grown, subsets)
+    problems = [*recovery.values(), *verify_repair_witnesses(grown, pairs)][:3]
+    if problems:
+        raise ExtensionError(
+            "grown code failed verification, which indicates a bug: " + "; ".join(problems)
+        )
+    return grown
 
 
 def synthesize_base_code(k: int, spec: FieldSpec, rng: random.Random) -> Code:
@@ -203,8 +208,8 @@ def synthesize_base_code(k: int, spec: FieldSpec, rng: random.Random) -> Code:
     Nodes 1..k are repair space plus complement vector from a random frame;
     node k+1 is sampled well aligned relative to that frame and added as a
     one-subset extension of it.  The module docstring shows why the result
-    is valid; the frame subset is checked here and the units holding node
-    k+1 by the step, and a failure raises SynthesisError.
+    is valid; the step checks every unit, and a failure raises
+    ExtensionError.
     """
     dec = synthesize_decomposition(k, spec, rng)
     nodes = tuple(
@@ -214,13 +219,7 @@ def synthesize_base_code(k: int, spec: FieldSpec, rng: random.Random) -> Code:
         for j in dec.helpers
     )
     candidate, cert = sample_well_aligned(dec, rng)
-    code, problems = _add_node(nodes, {}, candidate, {dec.helpers: cert})
-    problems = [*verify_data_recovery(code, [dec.helpers]).values(), *problems][:3]
-    if problems:
-        raise SynthesisError(
-            "base code failed verification, which indicates a bug: " + "; ".join(problems)
-        )
-    return code
+    return _add_node(nodes, {}, candidate, {dec.helpers: cert})
 
 
 def find_alignments(
@@ -285,11 +284,7 @@ def extend_code(
         log = find_alignments(code, candidate)
         if log is None:
             continue
-        grown, problems = _add_node(code.nodes, code.witnesses, candidate, log)
-        if problems:
-            raise ExtensionError(
-                "grown code failed verification, which indicates a bug: " + "; ".join(problems)
-            )
+        grown = _add_node(code.nodes, code.witnesses, candidate, log)
         grown._splits.update(code._splits)
         return ExtensionOutcome(grown, attempt, log)
     bound = attempts_bound(pr.n, pr.k, pr.spec)

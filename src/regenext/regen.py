@@ -9,13 +9,14 @@ a repairability oracle, and the JSON file format.
 
 Repair in closed form.  Fix x and helpers A, let V be the direct sum of the
 W_j, j in A, in coordinates on each node's RREF rows, sigma: V -> F the sum
-map, K = ker sigma and N = sigma^-1(W_x), which holds K.  A helper with
-dim W_j < k sends all of W_j; one with dim W_j = k may as well send a
-hyperplane ker phi_j, phi_j != 0.  With Phi(v) = (phi_j(v_j)) over the
-latter, the sends add up to sigma(ker Phi).  So x is repairable iff W_x lies
-in im sigma and, for some nonzero phi_j, Phi(N) lies in Phi(K).  When
-K = span(kappa), that holds iff e_0 is not in the sum of the D_j below,
-over the helpers j of dimension k whose g_{i,j} span GF(p)^k:
+map, K = ker sigma and N = sigma^-1(W_x), which holds K.  A Code holds no
+node of more than k dimensions, so a helper with dim W_j < k sends all of
+W_j, and one with dim W_j = k may as well send a hyperplane ker phi_j,
+phi_j != 0.  With Phi(v) = (phi_j(v_j)) over the latter, the sends add up
+to sigma(ker Phi).  So x is repairable iff W_x lies in im sigma and, for
+some nonzero phi_j, Phi(N) lies in Phi(K).  When K = span(kappa), that
+holds iff e_0 is not in the sum of the D_j below, over the helpers j of
+dimension k whose g_{i,j} span GF(p)^k:
   1. With W_x = sigma(N), sigma(ker Phi) holds W_x iff N lies in
      ker Phi + K, that is iff Phi(N) lies in Phi(K).
   2. Let g_0 = kappa, g_1, ..., g_t span N, and let B_j be the k x (t+1)
@@ -139,10 +140,12 @@ class Code:
     """An (n, k, k) code: node subspaces plus a table of repair witnesses.
 
     Nodes are indexed 1..n.  Witness keys are (failed node, sorted helper
-    tuple), and a witness maps each helper to the subspace it sends.  A
-    fully verified code has every node of dimension exactly k and a witness
-    for every valid key; partially built or corrupted codes may fall short,
-    and the verifiers report exactly how.
+    tuple), and a witness maps each helper to the subspace it sends.  No
+    node has more than alpha = k dimensions and no send more than beta =
+    k-1, which construction enforces.  A fully verified code has every node
+    of dimension exactly k and a witness for every valid key; partially
+    built or corrupted codes may fall short, and the verifiers report
+    exactly how.
     """
 
     params: Params
@@ -164,15 +167,22 @@ class Code:
                 raise ValueError(
                     f"node {idx} lives in dimension {node.ambient_dim}, expected {pr.f_dim}"
                 )
+            if node.dim > pr.alpha:
+                raise ValueError(f"node {idx} has dimension {node.dim} > alpha = {pr.alpha}")
         for (x, helpers), witness in self.witnesses.items():
             self._check_key(x, helpers)
             if witness.keys() != set(helpers):
                 raise ValueError(
                     f"witness for {(x, helpers)} covers helpers {tuple(sorted(witness))}"
                 )
-            for sub in witness.values():
+            for j, sub in witness.items():
                 if sub.spec != pr.spec or sub.ambient_dim != pr.f_dim:
                     raise ValueError(f"witness for {(x, helpers)} has a misplaced subspace")
+                if sub.dim > pr.beta:
+                    raise ValueError(
+                        f"witness for {(x, helpers)}: helper {j} sends dimension "
+                        f"{sub.dim} > beta = {pr.beta}"
+                    )
 
     def _check_key(self, x: int, helpers: tuple[int, ...]) -> None:
         pr = self.params
@@ -226,7 +236,6 @@ def verify_data_recovery(code: Code, subsets: Iterable | None = None) -> dict[tu
 
 def check_repair_pair(code: Code, x: int, helpers: tuple[int, ...]) -> list[str]:
     """Violation lines for the stored witness of one pair, or for its absence."""
-    pr = code.params
     witness = code.witnesses.get((x, helpers))
     if witness is None:
         code._check_key(x, helpers)
@@ -238,10 +247,6 @@ def check_repair_pair(code: Code, x: int, helpers: tuple[int, ...]) -> list[str]
     sent = list(witness[helpers[0]]._rows)
     for i, j in enumerate(helpers):
         sub = witness[j]
-        if sub.dim > pr.beta:
-            msgs.append(
-                f"repair of {x} by {helpers}: helper {j} sends dimension {sub.dim} > {pr.beta}"
-            )
         if not code.node(j).contains_subspace(sub):
             msgs.append(
                 f"repair of {x} by {helpers}: helper {j} sends vectors outside its node"
@@ -271,13 +276,12 @@ def verify_repair_witnesses(code: Code, pairs: Iterable | None = None) -> list[s
 
 def _closed_form_repairable(code: Code, x: int, helpers: tuple[int, ...]) -> bool | None:
     """The oracle's verdict by the closed form of the module docstring, or
-    None when a helper stores more than k dimensions, or when W_x lies in
-    im sigma and dim K != 1."""
+    None when W_x lies in im sigma and dim K != 1."""
     pr = code.params
     p, k, width = pr.spec.p, pr.k, pr.f_dim
     nodes = [code.node(j) for j in helpers]
     rows = [row for node in nodes for row in node.basis_rows()]
-    if not rows or max(node.dim for node in nodes) > k:
+    if not rows:
         return None
     # rows [r | e_r], the helper rows first, then the target rows: the helper
     # parts of the rows that pivot in the unit block span K among the helper
@@ -317,14 +321,13 @@ def brute_force_repairable(
     subspace of dimension min(beta, dim W_j) inside its node (larger sends
     never exist, smaller ones never help).
 
-    When every helper stores at most k dimensions, the closed form of the
-    module docstring decides if the helpers' rows have exactly one
-    dependency, as on every pair of a valid code, or do not span the failed
-    node.  Otherwise it searches all choices of sends, pruning a prefix as
-    soon as the failed node cannot be covered even if all remaining helpers
-    sent everything they store.  Either way it raises CapExceededError up
-    front when the search would exceed cap choices.  Independent of the
-    witness table.
+    The closed form of the module docstring decides if the helpers' rows
+    have exactly one dependency, as on every pair of a valid code, or do
+    not span the failed node.  Otherwise it searches all choices of sends,
+    pruning a prefix as soon as the failed node cannot be covered even if
+    all remaining helpers sent everything they store.  Either way it raises
+    CapExceededError up front when the search would exceed cap choices.
+    Independent of the witness table.
     """
     pr = code.params
     helpers = tuple(sorted(helpers))

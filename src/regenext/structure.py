@@ -28,16 +28,17 @@ each S_j, each t_j (t_k being minus the sum of the others) and so each
 leftover, hence F; having k^2-1 vectors, it is a basis.  So the sum is
 direct, dim T = k-1, and by the zero sum any k-1 of the t_j span T.
 
-Lemma: if the witness of (x, A) passes check_repair_pair, every node of A
-has dimension at most k, and the k recovery subsets (A - {m}) + {x}, m in
-A, span F, then compute_decomposition succeeds.  Proof: W_x lies in the
-sum of the S_j, so recovery of (A - {m}) + {x} gives F = sum over j != m of
-W_j, plus S_m.  By the premises that sum has dimension at most k(k-1) +
-(k-1) = k^2-1, so dim S_m = k-1, each W_j, j != m, has dimension k (k >= 2,
-so every node of A does), and the sum is direct.  S_m lies in W_m, leaving a line, and
-the k^2 stacked vectors span the sum of the W_j, which holds F: rank k^2-1,
-one dependency.  Each helper's k vectors are a basis of its node, so were
-the dependency's leftover coefficient for m zero, it would be a nonzero
+Lemma: if the witness of (x, A) passes check_repair_pair and the k
+recovery subsets (A - {m}) + {x}, m in A, span F, then
+compute_decomposition succeeds.  Proof: W_x lies in the sum of the S_j, so
+recovery of (A - {m}) + {x} gives F = sum over j != m of W_j, plus S_m.  A
+Code holds no node of more than k dimensions and no send of more than k-1,
+so that sum has dimension at most k(k-1) + (k-1) = k^2-1, hence dim S_m =
+k-1, each W_j, j != m, has dimension k (k >= 2, so every node of A does),
+and the sum is direct.  S_m lies in W_m, leaving a line, and the k^2
+stacked vectors span the sum of the W_j, which holds F: rank k^2-1, one
+dependency.  Each helper's k vectors are a basis of its node, so were the
+dependency's leftover coefficient for m zero, it would be a nonzero
 relation among the W_j, j != m, and S_m, which the direct sum forbids.
 The recovery of A itself follows, so the lemma does not ask for it.
 """
@@ -206,6 +207,5 @@ def _lemma_applies(code: Code, helpers, x: int, witness_passed: bool, spanning) 
     """Whether the premises of the module docstring's lemma hold for (x, helpers)."""
     return (
         witness_passed
-        and all(code.node(j).dim <= code.params.alpha for j in helpers)
         and all(tuple(sorted({x, *helpers} - {m})) in spanning for m in helpers)
     )

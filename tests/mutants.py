@@ -1,4 +1,5 @@
-"""Mutation check for the elimination code, the lemma and the witness readers.
+"""Mutation check for the elimination code, the oracle, the lemma, the bounds
+that construction enforces, the witness readers and the build check.
 
 Each entry of MUTANTS is a small wrong version of the package: one exact
 text in one file of src/regenext, its replacement, and the tests that must
@@ -40,8 +41,9 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest node ids, relative to the repository root
 
 
-LINALG, REGEN, STRUCTURE = "linalg.py", "regen.py", "structure.py"
+LINALG, REGEN, STRUCTURE, EXTEND = "linalg.py", "regen.py", "structure.py", "extend.py"
 T_LINALG, T_REGEN, T_STRUCTURE = "tests/test_linalg.py", "tests/test_regen.py", "tests/test_structure.py"
+T_EXTEND = "tests/test_extend.py"
 LEMMA = "tests/test_properties.py::test_lemma_premises_give_a_split"
 EQUIVALENCE = "tests/test_cli.py::test_verify_output_is_that_of_deriving_every_split"
 MISSING = f"{T_REGEN}::test_verify_repair_witnesses_reports_missing_witness"
@@ -178,6 +180,52 @@ MUTANTS = [
         "    if False:\n",
         (f"{T_LINALG}::test_inverse_of_no_rows_and_of_singular_rows",),
     ),
+    # a Code holds only what a file may: nodes of at most alpha dimensions,
+    # sends of at most beta
+    Mutant(
+        "Code drops the node-dimension bound",
+        REGEN,
+        "            if node.dim > pr.alpha:\n",
+        "            if False:\n",
+        (f"{T_STRUCTURE}::test_compute_decomposition_rejects_a_bad_leftover",),
+    ),
+    Mutant(
+        "Code drops the send-dimension bound",
+        REGEN,
+        "                if sub.dim > pr.beta:\n",
+        "                if False:\n",
+        (f"{T_REGEN}::test_check_repair_pair_flags_oversized_send",),
+    ),
+    # the step that builds a code is the one that checks it
+    Mutant(
+        "the base checks only the subsets holding node k+1",
+        EXTEND,
+        "if base or star in s)",
+        "if star in s)",
+        (f"{T_EXTEND}::test_base_synthesis_checks_its_frame_subset",),
+    ),
+    # the closed-form oracle
+    Mutant(
+        "oracle drops the block-spans-GF(p)^k filter",
+        REGEN,
+        "        if dep.dim == len(gens) - k:\n",
+        "        if node.dim == k:\n",
+        (f"{T_REGEN}::test_brute_force_matches_reference_search",),
+    ),
+    Mutant(
+        "oracle drops the W_x in im sigma test",
+        REGEN,
+        "        return False  # W_x is not in im sigma\n",
+        "        pass\n",
+        (f"{T_REGEN}::test_brute_force_matches_reference_in_closed_form_and_search",),
+    ),
+    Mutant(
+        "oracle sums D_j over every helper",
+        REGEN,
+        "        if dep.dim == len(gens) - k:\n",
+        "        if True:\n",
+        (f"{T_REGEN}::test_brute_force_matches_reference_search",),
+    ),
     # regen's uses of the echelon
     Mutant(
         "oracle drops the minors line",
@@ -230,13 +278,6 @@ MUTANTS = [
         "        witness_passed\n        and all(",
         "        all(",
         (LEMMA, EQUIVALENCE),
-    ),
-    Mutant(
-        "lemma drops the node-dimension premise",
-        STRUCTURE,
-        "        and all(code.node(j).dim <= code.params.alpha for j in helpers)\n",
-        "",
-        (LEMMA, f"{T_STRUCTURE}::test_verify_structure_derives_where_the_lemma_does_not_apply"),
     ),
     Mutant(
         "lemma tests only the recovery subsets without the first helper",

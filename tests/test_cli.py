@@ -597,7 +597,7 @@ def test_gen_base_failure_is_one_line(tmp_path, monkeypatch, capsys):
     out = tmp_path / "x.json"
     assert main(["gen-base", "--k", "3", "--p", "5", "--out", str(out)]) == EXIT_VERIFICATION
     err = capsys.readouterr().err
-    assert err.startswith("gen-base failed: base code failed verification, which indicates a bug")
+    assert err.startswith("gen-base failed: grown code failed verification, which indicates a bug")
     assert err.count("\n") == 1
     assert not out.exists()
 
@@ -650,25 +650,45 @@ def _missing_dir_error(path) -> str:
     return f"error: [Errno 2] No such file or directory: '{path}'\n"
 
 
-@pytest.mark.parametrize("n,attempts", [(4, "64"), (6, "500")], ids=["grows", "stalls"])
-def test_grow_into_missing_directory_fails_first(tmp_path, capsys, n, attempts):
+def _forbid_work(monkeypatch) -> None:
+    """Make synthesis and every growth step fail the test if they start."""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began")
+
+    monkeypatch.setattr(cli, "synthesize_base_code", no_work)
+    monkeypatch.setattr(cli, "extend_code", no_work)
+
+
+@pytest.mark.parametrize(
+    "n,attempts,out",
+    [(4, "64", "missing/x.json"), (6, "500", "missing/x.json"), (6, "500", "")],
+    ids=["grows", "stalls", "empty"],
+)
+def test_grow_into_missing_directory_fails_first(tmp_path, monkeypatch, capsys, n, attempts, out):
     """The directory of --out is checked before the first draw, and the
-    error names the path given, not a temporary file."""
+    error names the path given, not a temporary file.  An empty --out is a
+    missing path: a grow that would stall writes no .partial either."""
+    monkeypatch.chdir(tmp_path)
     base = tmp_path / "p2.json"
     assert main(["gen-base", "--k", "2", "--p", "2", "--seed", "1", "--out", str(base)]) == EXIT_OK
     capsys.readouterr()
-    out = tmp_path / "missing" / "x.json"
-    argv = ["grow", "--in", str(base), "--out", str(out), "--n", str(n),
+    _forbid_work(monkeypatch)
+    argv = ["grow", "--in", str(base), "--out", out, "--n", str(n),
             "--max-attempts", attempts, "--csv", str(tmp_path / "x.csv")]
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr().err == _missing_dir_error(out)
     assert sorted(tmp_path.iterdir()) == [base]
 
 
-def test_gen_base_into_missing_directory_fails_first(tmp_path, capsys):
-    out = tmp_path / "missing" / "x.json"
-    assert main(["gen-base", "--k", "3", "--p", "3", "--out", str(out)]) == EXIT_USAGE
-    assert capsys.readouterr().err == _missing_dir_error(out)
+def test_gen_base_into_missing_directory_fails_first(tmp_path, monkeypatch, capsys):
+    """Nothing is synthesized when the directory of --out is missing or
+    --out is empty."""
+    monkeypatch.chdir(tmp_path)
+    _forbid_work(monkeypatch)
+    for out in (str(tmp_path / "missing" / "x.json"), ""):
+        assert main(["gen-base", "--k", "3", "--p", "3", "--out", out]) == EXIT_USAGE
+        assert capsys.readouterr().err == _missing_dir_error(out)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -695,12 +715,7 @@ def test_out_naming_a_directory_fails_first(tmp_path, monkeypatch, capsys, comma
     base = tmp_path / "p2.json"
     assert main(["gen-base", "--k", "2", "--p", "2", "--seed", "1", "--out", str(base)]) == EXIT_OK
     capsys.readouterr()
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("work began")
-
-    monkeypatch.setattr(cli, "synthesize_base_code", no_work)
-    monkeypatch.setattr(cli, "extend_code", no_work)
+    _forbid_work(monkeypatch)
     taken = tmp_path / "taken"
     taken.mkdir()
     out = str(taken)

@@ -16,7 +16,6 @@ from regenext.alignment import (
 )
 from regenext.extend import (
     ExtensionError,
-    SynthesisError,
     attempts_bound,
     extend_code,
     find_alignments,
@@ -351,7 +350,7 @@ def test_base_synthesis_checks_its_frame_subset(monkeypatch):
         return real(code, subset)
 
     monkeypatch.setattr(regen, "check_recovery_subset", frame_fails)
-    with pytest.raises(SynthesisError, match=r"indicates a bug: recovery subset \(1, 2, 3\)"):
+    with pytest.raises(ExtensionError, match=r"indicates a bug: recovery subset \(1, 2, 3\)"):
         synthesize_base_code(3, BIG, random.Random("ext-test-base"))
 
 
@@ -365,7 +364,7 @@ def test_base_synthesis_catches_a_witness_that_misses_its_node(monkeypatch):
         return {j: Subspace(spec, dim, []) if j == new_index else sub for j, sub in real.items()}
 
     monkeypatch.setattr(extend, "helper_repair_witness", short_witness)
-    with pytest.raises(SynthesisError, match="indicates a bug: .*do not cover the failed node"):
+    with pytest.raises(ExtensionError, match="indicates a bug: .*do not cover the failed node"):
         synthesize_base_code(3, GF5, random.Random(1))
 
 

@@ -234,28 +234,15 @@ def test_producers_return_only_valid_splits(p, k, seed):
             assert_split_holds(dec, {j: variant.node(j) for j in helpers}, rng)
 
 
-def _one_node_enlarged(code, rng):
-    """A copy of the code with one node grown by a random vector past k
-    dimensions, which load_code never returns but Code(...) accepts."""
-    spec, ambient = code.params.spec, code.params.f_dim
-    nodes = list(code.nodes)
-    i = rng.randrange(len(nodes))
-    extra = tuple(rng.randrange(spec.p) for _ in range(ambient))
-    nodes[i] = Subspace(spec, ambient, [*nodes[i].basis_rows(), extra])
-    return Code(code.params, tuple(nodes), code.witnesses)
-
-
 @PROPERTY
 @given(st.sampled_from(PRIMES), st.sampled_from([2, 3]), st.integers(0, 2**32))
 def test_lemma_premises_give_a_split(p, k, seed):
     """Where the lemma of regenext.structure applies to what the witness and
-    recovery checks found, compute_decomposition succeeds: on the valid code,
-    on codes with one node or witness entry redrawn, and on codes with one
-    node enlarged past k dimensions."""
+    recovery checks found, compute_decomposition succeeds: on the valid code
+    and on codes with one node or witness entry redrawn."""
     rng = random.Random(seed)
     code = synthesize_base_code(k, FieldSpec(p), rng)
     variants = [code] + [_one_entry_changed(code, rng) for _ in range(6)]
-    variants.append(_one_node_enlarged(code, rng))
     applied = 0
     for variant in variants:
         spanning = {s for s in variant.recovery_subsets() if not check_recovery_subset(variant, s)}
@@ -273,7 +260,7 @@ def test_coverage_verdict_is_containment_in_the_sent_span(p, k, seed):
     """check_repair_pair reduces the failed node against the sent rows in one
     echelon; its verdict must be that of the span's contains_subspace, on
     stored sends and on sends cut short, with a row redrawn or replaced by
-    the whole helper node, which leave gaps or close them."""
+    k-1 rows of the helper node, which leave gaps or close them."""
     rng = random.Random(seed)
     spec = FieldSpec(p)
     code = synthesize_base_code(k, spec, rng)
@@ -289,7 +276,7 @@ def test_coverage_verdict_is_containment_in_the_sent_span(p, k, seed):
             elif change == 2:
                 rows[rng.randrange(len(rows))] = tuple(rng.randrange(p) for _ in range(ambient))
             elif change == 3:
-                rows = code.node(j).basis_rows()
+                rows = rng.sample(code.node(j).basis_rows(), k - 1)
             spaces[j] = Subspace(spec, ambient, rows)
         witnesses[key] = spaces
     variant = Code(code.params, code.nodes, witnesses)

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -119,7 +120,7 @@ def test_code_rejects_wrong_node_count():
 
 def test_code_rejects_bad_witness_keys():
     pr = Params(3, 2, GF2)
-    nodes = (Subspace(GF2, 3, identity_rows(3)),) * 3
+    nodes = (Subspace(GF2, 3, identity_rows(3)[:2]),) * 3
     w = {1: Subspace(GF2, 3), 2: Subspace(GF2, 3)}
     with pytest.raises(ValueError, match="own helper"):
         Code(pr, nodes, {(1, (1, 2)): w})
@@ -213,16 +214,19 @@ def test_check_repair_pair_flags_coverage_gap(base_k3_p5):
 
 
 def test_check_repair_pair_flags_oversized_send(base_k3_p5):
+    """A send of more than beta = k-1 dimensions is a ValueError from Code,
+    naming the witness, the helper and the dimension, so check_repair_pair
+    never sees one.  The node bound is checked with the other node edits in
+    test_structure::test_compute_decomposition_rejects_a_bad_leftover."""
     code = base_k3_p5
     x, helpers = next(iter(sorted(code.witnesses)))
     j0 = helpers[0]
-    w = code.witnesses[(x, helpers)]
-    fat = {j: w[j] for j in helpers}
+    fat = dict(code.witnesses[(x, helpers)])
     fat[j0] = code.node(j0)
-    patched = dict(code.witnesses)
-    patched[(x, helpers)] = fat
-    msgs = check_repair_pair(Code(code.params, code.nodes, patched), x, helpers)
-    assert any(f"helper {j0} sends dimension 3 > 2" in m for m in msgs)
+    patched = {**code.witnesses, (x, helpers): fat}
+    message = f"witness for {(x, helpers)}: helper {j0} sends dimension 3 > beta = 2"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Code(code.params, code.nodes, patched)
 
 
 def test_check_repair_pair_flags_escaped_send(base_k3_p5):

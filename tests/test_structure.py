@@ -8,7 +8,7 @@ import regenext.structure as structure
 from regenext.extend import extend_code, synthesize_base_code
 from regenext.gf import FieldSpec
 from regenext.linalg import Subspace, _layout, _push, nullspace
-from regenext.regen import Code, Params, check_repair_pair
+from regenext.regen import Code, Params, check_recovery_subset, check_repair_pair
 from regenext.structure import (
     Decomposition,
     DecompositionError,
@@ -103,19 +103,20 @@ def _node_one_long(code):
 
 
 @pytest.mark.parametrize(
-    "edit,message",
+    "edit,error,message",
     [
-        (_send_outside_node, "helper 1 sends vectors outside its node"),
-        (_node_one_short, "helper 1 stores dimension 2, leftover has dimension 0"),
-        (_node_one_long, "helper 1 stores dimension 4, leftover has dimension 2"),
+        (_send_outside_node, DecompositionError, "helper 1 sends vectors outside its node"),
+        (_node_one_short, DecompositionError, "helper 1 stores dimension 2, leftover has dimension 0"),
+        (_node_one_long, ValueError, "node 1 has dimension 4 > alpha = 3"),
     ],
     ids=["send-outside-node", "node-one-short", "node-one-long"],
 )
-def test_compute_decomposition_rejects_a_bad_leftover(base_k3_p5, edit, message):
+def test_compute_decomposition_rejects_a_bad_leftover(base_k3_p5, edit, error, message):
     """Each helper's send must lie in its node and leave exactly one line of
-    it over: a send that leaves its node, and a node one dimension short or
-    long of k, are each named in the error."""
-    with pytest.raises(DecompositionError, match=message):
+    it over: a send that leaves its node, and a node one dimension short of
+    k, are each named in the error.  A node one dimension long of k is no
+    Code: building it raises, before any decomposition."""
+    with pytest.raises(error, match=message):
         compute_decomposition(edit(base_k3_p5), (1, 2, 3), 4)
 
 
@@ -259,9 +260,10 @@ def test_verify_structure_all_extended(extended_k3_big):
 
 def test_verify_structure_derives_where_the_lemma_does_not_apply(base_k3_p5, monkeypatch):
     """Told that every witness passed and every recovery subset spans,
-    verify_structure derives no split on a valid code.  A hand-built Code may
-    hold a helper node of dimension k+1 that keeps all of that true; the
-    lemma then does not apply, and the derivation finds the split broken."""
+    verify_structure derives no split on a valid code.  Shrinking helper
+    node 1 to its send keeps that witness passing but breaks recovery
+    subset (1, 2, 4); the lemma then does not apply, and the derivation
+    finds the split broken."""
     code = base_k3_p5
     spanning = set(code.recovery_subsets())
     calls = []
@@ -275,11 +277,10 @@ def test_verify_structure_derives_where_the_lemma_does_not_apply(base_k3_p5, mon
     for x, helpers in code.repair_pairs():
         verify_structure(code, helpers, x, established=(True, spanning))
     assert calls == []
-    rows = code.node(1).basis_rows()
-    enlarged = (Subspace(code.params.spec, 8, [*rows, extra]) for extra in identity_rows(8))
-    node = next(sub for sub in enlarged if sub.dim == 4)
-    big = Code(code.params, (node,) + code.nodes[1:], code.witnesses)
-    assert not check_repair_pair(big, 4, (1, 2, 3))
-    with pytest.raises(DecompositionError, match="leftover has dimension 2"):
-        verify_structure(big, (1, 2, 3), 4, established=(True, spanning))
+    short = _node_one_short(code)
+    assert not check_repair_pair(short, 4, (1, 2, 3))
+    spanning = {s for s in short.recovery_subsets() if not check_recovery_subset(short, s)}
+    assert (1, 2, 4) not in spanning
+    with pytest.raises(DecompositionError, match="leftover has dimension 0"):
+        verify_structure(short, (1, 2, 3), 4, established=(True, spanning))
     assert calls == [(4, (1, 2, 3))]
