@@ -51,8 +51,8 @@ from typing import Callable, Iterable, Iterator
 
 from .gf import FieldSpec, NotPrimeError
 from .linalg import (
-    CapExceededError, Subspace, _augmented, _layout, _pivot, _push, _reduce,
-    _signed_minors, count_subspaces, enumerate_subspaces, nullspace,
+    CapExceededError, Subspace, _adopted, _augmented, _Layout, _layout, _pivot, _push,
+    _reduce, _signed_minors, count_subspaces, enumerate_subspaces, nullspace,
 )
 
 DEFAULT_ORACLE_CAP = 10**6
@@ -386,23 +386,19 @@ def brute_force_repairable(
 _WITNESSES = ',"witnesses":['
 
 
-def _serialize_witness(x: int, helpers: tuple[int, ...], witness: dict[int, Subspace]) -> dict:
-    # json writes the tuples of basis_rows() as arrays
-    return {"x": x, "A": helpers, "R": {str(j): witness[j].basis_rows() for j in sorted(witness)}}
-
-
 def save_code(code: Code, path: str) -> None:
     """Write the code as JSON; output bytes are a pure function of the code.
 
     The file holds the compact header, `,"witnesses":[`, the witnesses in key
     order and `]}`, the layout that load_code streams, and is written one
-    witness at a time.  The bytes go to a temporary file next to the target,
-    which then replaces the target in one step, so an interrupted write
-    leaves either the old file or the complete new one.
+    witness at a time.  A witness is one format string, filled from the
+    unpacked rows of its sends in helper order; %d prints an int as json
+    does.  The bytes go to a temporary file next to the target, which then
+    replaces the target in one step, so an interrupted write leaves either
+    the old file or the complete new one.
     """
     pr = code.params
-    encode = json.JSONEncoder(separators=(",", ":")).encode
-    head = encode(
+    head = json.dumps(
         {
             "version": 1,
             "p": pr.spec.p,
@@ -412,16 +408,33 @@ def save_code(code: Code, path: str) -> None:
             "beta": pr.beta,
             "F": pr.f_dim,
             "nodes": [node.basis_rows() for node in code.nodes],
-        }
+        },
+        separators=(",", ":"),
     )
+    unpack = _layout(pr.spec.p, pr.f_dim).unpack
+    row = "[" + ",".join(["%d"] * pr.f_dim) + "]"
+    # a witness's format string, by the dimensions of its sends
+    formats: dict[tuple[int, ...], str] = {}
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(head[:-1] + _WITNESSES)
-            # the C encoder holds every token of its input until it returns,
-            # so the witnesses, nearly all of the file, go one at a time
+            # the witnesses, nearly all of the file, go one at a time
             for i, key in enumerate(sorted(code.witnesses)):
-                fh.write("," * (i > 0) + encode(_serialize_witness(*key, code.witnesses[key])))
+                x, helpers = key
+                sends = [code.witnesses[key][j]._rows for j in helpers]
+                dims = tuple(map(len, sends))
+                if dims not in formats:
+                    formats[dims] = (
+                        '{"x":%d,"A":[' + ",".join(["%d"] * len(dims)) + '],"R":{'
+                        + ",".join('"%d":[' + ",".join([row] * d) + "]" for d in dims) + "}}"
+                    )
+                values = [x, *helpers]
+                for j, rows in zip(helpers, sends):
+                    values.append(j)
+                    for v in rows:
+                        values += unpack(v)
+                fh.write("," * (i > 0) + formats[dims] % tuple(values))
             fh.write("]}\n")
         os.replace(tmp, path)
     except BaseException as exc:
@@ -439,10 +452,21 @@ def _expect(condition: bool, message: str) -> None:
 
 
 def _subspace(
-    raw: object, what: Callable[[], str], params: Params, bound: str, most: int
+    raw: object, what: Callable[[], str], params: Params, bound: str, most: int,
+    lay: _Layout | None = None,
 ) -> Subspace:
     """The span of raw, checked to be at most `most` integer rows of length F.
-    what() names raw in an error message, and is called only to raise one."""
+    what() names raw in an error message, and is called only to raise one.
+
+    Given lay, a list of at most `most` rows is first read by packing: the
+    codec rejects a row that is not F residues, and _adopted rows that are
+    not the canonical RREF, so the checks, and the reduction mod p, run only
+    when that read fails.  The codec packs a bool as 0 or 1, so lay is given
+    only for a text with no bool in it."""
+    if lay is not None and type(raw) is list and len(raw) <= most:
+        rows = _adopted(lay, raw)
+        if rows is not None:
+            return Subspace._from_rref(params.spec, params.f_dim, rows)
     if not isinstance(raw, list):
         raise MalformedCodeFileError(f"{what()} must be a list of rows")
     for row in raw:
@@ -462,6 +486,12 @@ def _subspace(
     return Subspace(params.spec, params.f_dim, raw)
 
 
+def _no_bool(text: str) -> bool:
+    """Whether the JSON text holds no bool, which it gives only from these
+    literals; a literal inside a string counts too, which costs only speed."""
+    return "true" not in text and "false" not in text
+
+
 def load_code(path: str) -> Code:
     """Read a code file, validating structure, version, field, and shapes.
 
@@ -470,6 +500,8 @@ def load_code(path: str) -> Code:
     in turn, so the file's JSON tree is never held.  Any other file, or one
     on which streaming raises anything, is parsed whole, and that path alone
     decides the error; both feed one check, so results and errors agree.
+    In a text with no bool, each node and witness is read by packing its
+    rows, and the checks run only when that read fails, to name the error.
 
     Raises MalformedCodeFileError, CodeVersionError, CodeDimensionError, or
     NotPrimeError depending on what is wrong.  Semantic properties (recovery,
@@ -485,7 +517,8 @@ def load_code(path: str) -> Code:
         start = text.index(_WITNESSES) + len(_WITNESSES)
         # closed by an empty list, the header parses only if that list is its
         # last top-level value
-        return _checked(json.loads(text[:start] + "]}"), _streamed(text, start))
+        head = json.loads(text[:start] + "]}")
+        return _checked(head, _streamed(text, start), _no_bool(text))
     except Exception:
         pass
     return _load_whole(text)
@@ -512,12 +545,14 @@ def _load_whole(text: str) -> Code:
     except (ValueError, RecursionError) as exc:
         # bad JSON, or nesting too deep to parse
         raise MalformedCodeFileError(f"not valid JSON: {exc}") from exc
-    return _checked(obj)
+    return _checked(obj, packed=_no_bool(text))
 
 
-def _checked(obj: object, streamed: Iterable[object] = ()) -> Code:
+def _checked(obj: object, streamed: Iterable[object] = (), packed: bool = False) -> Code:
     """The code that a parsed code file describes, with the witnesses of
-    obj["witnesses"] followed by those of streamed; raises as load_code does."""
+    obj["witnesses"] followed by those of streamed; raises as load_code does.
+    packed, for a text with no bool, reads each node and witness by packing
+    first, and runs the checks only when that read fails."""
     _expect(isinstance(obj, dict), "top level must be an object")
     for key in ("version", "p", "k", "n", "alpha", "beta", "F", "nodes", "witnesses"):
         _expect(key in obj, f"missing required key {key!r}")
@@ -546,39 +581,17 @@ def _checked(obj: object, streamed: Iterable[object] = ()) -> Code:
     _expect(isinstance(raw_nodes, list), "nodes must be a list")
     if len(raw_nodes) != params.n:
         raise CodeDimensionError(f"expected {params.n} nodes, file has {len(raw_nodes)}")
+    lay = _layout(spec.p, params.f_dim) if packed else None
     nodes = tuple(
-        _subspace(raw, lambda: f"node {idx}", params, "alpha", params.alpha)
+        _subspace(raw, lambda: f"node {idx}", params, "alpha", params.alpha, lay)
         for idx, raw in enumerate(raw_nodes, start=1)
     )
     raw_witnesses = obj["witnesses"]
     _expect(isinstance(raw_witnesses, list), "witnesses must be a list")
     witnesses: dict[tuple[int, tuple[int, ...]], dict[int, Subspace]] = {}
     for raw in itertools.chain(raw_witnesses, streamed):
-        _expect(isinstance(raw, dict), "each witness must be an object")
-        for key in ("x", "A", "R"):
-            if key not in raw:
-                raise MalformedCodeFileError(f"witness missing key {key!r}")
-        x = raw["x"]
-        _expect(type(x) is int, "witness x must be an integer")
-        _expect(isinstance(raw["A"], list), "witness A must be a list")
-        helpers = tuple(raw["A"])
-        _expect(all(type(j) is int for j in helpers), "witness helpers must be integers")
-        _expect(isinstance(raw["R"], dict), "witness R must be an object")
-        if set(raw["R"]) != {str(j) for j in helpers}:
-            raise MalformedCodeFileError(
-                f"witness for ({x}, {helpers}) must list exactly its helpers"
-            )
-        spaces = {
-            j: _subspace(
-                raw["R"][str(j)],
-                lambda: f"witness ({x}, {helpers}) helper {j}",
-                params,
-                "beta",
-                params.beta,
-            )
-            for j in helpers
-        }
-        key = (x, helpers)
+        read = None if lay is None else _packed_witness(raw, lay, params)
+        key, spaces = _witness(raw, params) if read is None else read
         if key in witnesses:
             raise MalformedCodeFileError(f"duplicate witness for {key}")
         witnesses[key] = spaces
@@ -586,3 +599,59 @@ def _checked(obj: object, streamed: Iterable[object] = ()) -> Code:
         return Code(params, nodes, witnesses)
     except ValueError as exc:
         raise MalformedCodeFileError(str(exc)) from exc
+
+
+def _witness(raw: object, params: Params) -> tuple[tuple, dict]:
+    """The key and the sends of a parsed witness, checked; raises as
+    load_code does."""
+    _expect(isinstance(raw, dict), "each witness must be an object")
+    for key in ("x", "A", "R"):
+        if key not in raw:
+            raise MalformedCodeFileError(f"witness missing key {key!r}")
+    x = raw["x"]
+    _expect(type(x) is int, "witness x must be an integer")
+    _expect(isinstance(raw["A"], list), "witness A must be a list")
+    helpers = tuple(raw["A"])
+    _expect(all(type(j) is int for j in helpers), "witness helpers must be integers")
+    _expect(isinstance(raw["R"], dict), "witness R must be an object")
+    if set(raw["R"]) != {str(j) for j in helpers}:
+        raise MalformedCodeFileError(
+            f"witness for ({x}, {helpers}) must list exactly its helpers"
+        )
+    spaces = {
+        j: _subspace(
+            raw["R"][str(j)],
+            lambda: f"witness ({x}, {helpers}) helper {j}",
+            params,
+            "beta",
+            params.beta,
+        )
+        for j in helpers
+    }
+    return (x, helpers), spaces
+
+
+def _packed_witness(raw: object, lay: _Layout, params: Params) -> tuple[tuple, dict] | None:
+    """What _witness gives, read by cheap type tests and by packing the sends
+    as _subspace does with lay, when every check of _witness would pass;
+    None on any surprise, so that _witness runs and names any error."""
+    if type(raw) is not dict:
+        return None
+    x, helpers, sends = raw.get("x"), raw.get("A"), raw.get("R")
+    if type(x) is not int or type(helpers) is not list or type(sends) is not dict:
+        return None
+    spec, width, beta = params.spec, params.f_dim, params.beta
+    spaces = {}
+    for j in helpers:
+        rows = sends.get(str(j)) if type(j) is int else None
+        if type(rows) is not list or len(rows) > beta:
+            return None
+        packed = _adopted(lay, rows)
+        if packed is None:
+            return None
+        spaces[j] = Subspace._from_rref(spec, width, packed)
+    # str is one-to-one on ints, so sends holds a key for each of the
+    # len(spaces) helpers, and with no more keys than that, no other key
+    if len(sends) != len(spaces):
+        return None
+    return (x, tuple(helpers)), spaces

@@ -1,5 +1,6 @@
 """Mutation check for the elimination code, the oracle, the lemma, the bounds
-that construction enforces, the witness readers and the build check.
+that construction enforces, the witness readers, the file reader and writer,
+and the build check.
 
 Each entry of MUTANTS is a small wrong version of the package: one exact
 text in one file of src/regenext, its replacement, and the tests that must
@@ -11,6 +12,10 @@ It lists every survivor and exits 1 if there is one.
 
     python tests/mutants.py             # every mutant
     python tests/mutants.py NAME ...    # the named mutants only
+    python tests/mutants.py --jobs 2    # two mutants at a time
+
+--jobs N runs N mutants at once, at most one per CPU, and still prints the
+results in catalogue order.
 
 pytest does not collect this file.  tests/test_mutants.py checks that every
 old text occurs exactly once in its file, so a refactor that changes one
@@ -19,6 +24,7 @@ has to update the catalogue.
 
 from __future__ import annotations
 
+import argparse
 import os
 import pathlib
 import shutil
@@ -26,6 +32,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -48,6 +55,11 @@ LEMMA = "tests/test_properties.py::test_lemma_premises_give_a_split"
 EQUIVALENCE = "tests/test_cli.py::test_verify_output_is_that_of_deriving_every_split"
 MISSING = f"{T_REGEN}::test_verify_repair_witnesses_reports_missing_witness"
 LAYOUTS = f"{T_REGEN}::test_streamed_load_matches_the_whole_tree_on_other_layouts"
+ORACLE = (
+    f"{T_REGEN}::test_brute_force_matches_reference_search",
+    f"{T_REGEN}::test_brute_force_matches_reference_in_closed_form_and_search",
+)
+PACKED = f"{T_REGEN}::test_packed_read_leaves_every_surprise_to_the_checks"
 
 MUTANTS = [
     # the packed kernel and its bounds
@@ -210,7 +222,7 @@ MUTANTS = [
         REGEN,
         "        if dep.dim == len(gens) - k:\n",
         "        if node.dim == k:\n",
-        (f"{T_REGEN}::test_brute_force_matches_reference_search",),
+        ORACLE,
     ),
     Mutant(
         "oracle drops the W_x in im sigma test",
@@ -224,7 +236,7 @@ MUTANTS = [
         REGEN,
         "        if dep.dim == len(gens) - k:\n",
         "        if True:\n",
-        (f"{T_REGEN}::test_brute_force_matches_reference_search",),
+        ORACLE,
     ),
     # regen's uses of the echelon
     Mutant(
@@ -323,6 +335,43 @@ MUTANTS = [
         "start = text.rindex(_WITNESSES)",
         (LAYOUTS,),
     ),
+    # the packed read: only a text with no bool, and only what every check passes
+    Mutant(
+        "the bool screen always passes",
+        REGEN,
+        '    return "true" not in text and "false" not in text\n',
+        "    return True\n",
+        (PACKED,),
+    ),
+    Mutant(
+        "the packed read drops the most bound",
+        REGEN,
+        "        if type(rows) is not list or len(rows) > beta:\n",
+        "        if type(rows) is not list:\n",
+        (PACKED,),
+    ),
+    Mutant(
+        "the packed node read drops the most bound",
+        REGEN,
+        "if lay is not None and type(raw) is list and len(raw) <= most:",
+        "if lay is not None and type(raw) is list:",
+        (PACKED,),
+    ),
+    Mutant(
+        "the witness read drops the helper/R key-set equality",
+        REGEN,
+        "    if len(sends) != len(spaces):\n        return None\n",
+        "",
+        (PACKED,),
+    ),
+    # the writer's one format string per witness
+    Mutant(
+        "the row format drops a comma",
+        REGEN,
+        'row = "[" + ",".join(["%d"] * pr.f_dim) + "]"',
+        'row = "[" + ",".join(["%d"] * (pr.f_dim - 1)) + "%d]"',
+        (f"{T_REGEN}::test_save_code_writes_what_json_writes",),
+    ),
 ]
 
 
@@ -346,12 +395,38 @@ def _run(tree: pathlib.Path, tests) -> int | None:
         return None
 
 
-def main(names: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not names or m.name in names]
-    unknown = set(names) - {m.name for m in MUTANTS}
+def _try(tree: pathlib.Path, m: Mutant) -> tuple[int | None, float]:
+    """pytest's exit code on the mutant's tests in a fresh mutated copy at
+    tree, or None on a timeout, and the seconds those tests took."""
+    _copy(tree)
+    path = tree / "src" / "regenext" / m.file
+    path.write_text(path.read_text().replace(m.old, m.new))
+    t0 = time.perf_counter()
+    code = _run(tree, m.tests)
+    seconds = time.perf_counter() - t0
+    shutil.rmtree(tree)
+    return code, seconds
+
+
+def main(argv: list[str]) -> int:
+    ap = argparse.ArgumentParser(description="Run the mutants of the catalogue.")
+    ap.add_argument("names", nargs="*", help="mutants to run, every one by default")
+    ap.add_argument("--jobs", type=int, default=1,
+                    help="mutants run at once, at most the CPU count (default 1)")
+    args = ap.parse_args(argv)
+    if args.jobs < 1:
+        ap.error("--jobs must be at least 1")
+    jobs = min(args.jobs, os.cpu_count() or 1)
+    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
+    unknown = set(args.names) - {m.name for m in MUTANTS}
     if unknown:
         print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
         return 2
+    for m in chosen:
+        count = (ROOT / "src" / "regenext" / m.file).read_text().count(m.old)
+        if count != 1:
+            print(f"{m.name}: old text occurs {count} times", file=sys.stderr)
+            return 2
     start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         base = pathlib.Path(tmp) / "base"
@@ -361,22 +436,17 @@ def main(names: list[str]) -> int:
             print("the named tests fail on the unmutated copy", file=sys.stderr)
             return 2
         survivors = []
-        for i, m in enumerate(chosen):
-            tree = pathlib.Path(tmp) / f"m{i}"
-            _copy(tree)
-            path = tree / "src" / "regenext" / m.file
-            text = path.read_text()
-            if text.count(m.old) != 1:
-                print(f"{m.name}: old text occurs {text.count(m.old)} times", file=sys.stderr)
-                return 2
-            path.write_text(text.replace(m.old, m.new))
-            t0 = time.perf_counter()
-            code = _run(tree, m.tests)
-            verdict = "killed (timeout)" if code is None else "killed" if code == 1 else f"SURVIVED (exit {code})"
-            print(f"{verdict:<20} {time.perf_counter() - t0:6.1f} s  {m.name}", flush=True)
-            if not verdict.startswith("killed"):
-                survivors.append(m.name)
-            shutil.rmtree(tree)
+        trees = [pathlib.Path(tmp) / f"m{i}" for i in range(len(chosen))]
+        with ThreadPoolExecutor(jobs) as pool:
+            # map yields in catalogue order, whichever mutant ends first
+            for m, (code, seconds) in zip(chosen, pool.map(_try, trees, chosen)):
+                verdict = (
+                    "killed (timeout)" if code is None
+                    else "killed" if code == 1 else f"SURVIVED (exit {code})"
+                )
+                print(f"{verdict:<20} {seconds:6.1f} s  {m.name}", flush=True)
+                if not verdict.startswith("killed"):
+                    survivors.append(m.name)
     print(f"{len(chosen) - len(survivors)} of {len(chosen)} killed in {time.perf_counter() - start:.0f} s")
     for name in survivors:
         print(f"survivor: {name}")

@@ -40,7 +40,9 @@ from regenext.regen import (
 )
 from regenext.structure import DecompositionError, compute_decomposition
 
-from conftest import NONCANONICAL, combine, identity_rows, noncanonical, subspace_sum
+from conftest import (
+    NONCANONICAL, combine, identity_rows, noncanonical, random_invertible_matrix, subspace_sum,
+)
 from test_fuzz import _flip_bytes
 
 GF2 = FieldSpec(2)
@@ -327,13 +329,32 @@ def _node_changed(code, rng, drop_row):
     return Code(code.params, tuple(nodes))
 
 
+def _short_failed_node(k, spec, rng):
+    """A code on k+1 nodes whose helpers 1..k split the rows of a random
+    invertible matrix, helpers 1 and 2 sharing the first row, and whose node
+    k+1 is one dimension short: the shared row and the first row of each of
+    helpers 3..k.  The helpers' one dependency is the shared row, so on the
+    pair (k+1, (1, ..., k)) every block of the closed form has k rows, none
+    spanning GF(p)^k, and only the filter on D_j keeps e_0 out of their sum:
+    the node is repairable."""
+    f = k * k - 1
+    rows = random_invertible_matrix(spec, f, rng)
+    parts = [rows[:k], rows[:1] + rows[k:2 * k - 1]]
+    parts += [rows[start:start + k] for start in range(2 * k - 1, f, k)]
+    failed = rows[:1] + tuple(part[0] for part in parts[2:])
+    return Code(
+        Params(k + 1, k, spec), tuple(Subspace(spec, f, part) for part in parts + [failed])
+    )
+
+
 @pytest.mark.parametrize("k,p", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (3, 5)])
 def test_brute_force_matches_reference_in_closed_form_and_search(k, p, monkeypatch):
     """The closed form of regenext.regen and the search behind it must give
     the plain search's verdict on every pair of a grown valid code, of codes
-    with one node entry changed or one node a dimension short, and of a
-    random code; both verdicts and both paths must occur, and some pair must
-    be found unrepairable in closed form."""
+    with one node entry changed or one node a dimension short, of a code
+    whose failed node is a dimension short and whose helper blocks span
+    nothing, and of a random code; both verdicts and both paths must occur,
+    and some pair must be found unrepairable in closed form."""
     spec = FieldSpec(p)
     rng = random.Random(f"oracle-{k}-{p}")
     grown = extend_code(synthesize_base_code(k, spec, rng), rng, max_attempts=10**4).code
@@ -343,6 +364,7 @@ def test_brute_force_matches_reference_in_closed_form_and_search(k, p, monkeypat
         _node_changed(grown, rng, drop_row=False),
         _node_changed(grown, rng, drop_row=False),
         _node_changed(grown, rng, drop_row=True),
+        _short_failed_node(k, spec, rng),
         Code(pr, tuple(random_subspace(pr.f_dim, k, spec, rng) for _ in range(pr.n))),
     ]
     closed_form = regen._closed_form_repairable
@@ -774,6 +796,129 @@ def test_streamed_load_matches_the_whole_tree_on_other_layouts(
         assert data != saved, name
         path.write_bytes(data)
         assert _streams(str(path), wholly_read) == streams, name
+
+
+def _first_send(o):
+    """The rows that the first witness of a parsed code file sends from its
+    first helper."""
+    w = o["witnesses"][0]
+    return w["R"][str(w["A"][0])]
+
+
+def _set_leading_one(value):
+    """An edit that writes value over the leading 1 of the first send row."""
+
+    def edit(o):
+        row = _first_send(o)[0]
+        row[next(i for i, e in enumerate(row) if e)] = value
+
+    return edit
+
+
+def _note_true(o):
+    witnesses = o.pop("witnesses")
+    o["note"] = "true"
+    o["witnesses"] = witnesses
+
+
+def _helper_node_sent(o):
+    w = o["witnesses"][0]
+    w["R"][str(w["A"][0])] = [list(row) for row in o["nodes"][w["A"][0] - 1]]
+
+
+def _node_of_four_rows(o):
+    spec, width = FieldSpec(o["p"]), o["F"]
+    o["nodes"][0] = [list(row) for row in Subspace(spec, width, o["nodes"][0] + o["nodes"][1])
+                     .basis_rows()[:4]]
+
+
+def _rows_mixed(o):
+    rows = _first_send(o)
+    rows[0] = [(a + b) % o["p"] for a, b in zip(*rows)]
+
+
+def _helper_repeated(o):
+    w = o["witnesses"][0]
+    w["A"] = [w["A"][0], w["A"][0], w["A"][1]]
+
+
+def _extra_send(o):
+    o["witnesses"][0]["R"]["99"] = _first_send(o)
+
+
+def _rows_shifted(o):
+    rows, p = _first_send(o), o["p"]
+    rows[0] = [e + p * 2**40 for e in rows[0]]
+    rows[1] = [e - p for e in rows[1]]
+
+
+# edits of a compact code file, each with the outcome of the checks: None
+# for the saved code, else the error's type and the end of its message
+_PACKED_CASES = {
+    "true at a leading 1": (_set_leading_one(True), (MalformedCodeFileError, "must be integers")),
+    "true in a string only": (_note_true, None),
+    "1.0 at a leading 1": (_set_leading_one(1.0), (MalformedCodeFileError, "must be integers")),
+    "row of F-1 entries": (lambda o: _first_send(o)[0].pop(),
+                           (CodeDimensionError, "row length 7 != file dimension 8")),
+    "row of F+1 entries": (lambda o: _first_send(o)[0].append(0),
+                           (CodeDimensionError, "row length 9 != file dimension 8")),
+    "beta+1 rows in a send": (_helper_node_sent,
+                              (CodeDimensionError, "stores 3 basis rows, more than beta = 2")),
+    "alpha+1 rows in a node": (_node_of_four_rows,
+                               (CodeDimensionError, "stores 4 basis rows, more than alpha = 3")),
+    "rows not in RREF": (_rows_mixed, None),
+    "a helper twice": (_helper_repeated, (MalformedCodeFileError, "must list exactly its helpers")),
+    "an extra R key": (_extra_send, (MalformedCodeFileError, "must list exactly its helpers")),
+    "entries off by multiples of p": (_rows_shifted, None),
+}
+
+
+def test_packed_read_leaves_every_surprise_to_the_checks(tmp_path, wholly_read, extended_k3_big):
+    """load_code reads a compact file with no bool by packing its rows, and
+    runs the checks only when that read fails.  On edits that only a check,
+    the reduction mod p or an elimination reads right, the streamed load
+    gives what the whole-tree checks give, and a file that loads streams."""
+    path = tmp_path / "code.json"
+    save_code(extended_k3_big, str(path))
+    saved = json.loads(path.read_text())
+    for name, (edit, outcome) in _PACKED_CASES.items():
+        obj = json.loads(json.dumps(saved))
+        edit(obj)
+        path.write_text(json.dumps(obj, separators=(",", ":")) + "\n")
+        assert _streams(str(path), wholly_read) == (outcome is None), name
+        got = _outcome(load_code, str(path))
+        if outcome is None:
+            assert got == extended_k3_big, name
+        else:
+            assert got[0] is outcome[0] and got[1].endswith(outcome[1]), (name, got)
+
+
+@pytest.mark.parametrize("p", [2, 65521, 2**31 - 1])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_save_code_writes_what_json_writes(tmp_path, k, p):
+    """save_code formats each witness itself; its bytes are json's compact
+    text of the code plus a newline, for the widest entries, the longest
+    rows and sends of every dimension up to beta."""
+    spec, rng = FieldSpec(p), random.Random(f"encoder-{k}-{p}")
+    pr = Params(k + 2, k, spec)
+    nodes = tuple(random_subspace(pr.f_dim, k, spec, rng) for _ in range(pr.n))
+    sends = {
+        (x, helpers): {j: random_subspace(pr.f_dim, rng.randrange(k), spec, rng) for j in helpers}
+        for x, helpers in Code(pr, nodes).repair_pairs()
+    }
+    code = Code(pr, nodes, sends)
+    obj = {
+        "version": 1, "p": p, "k": k, "n": pr.n, "alpha": k, "beta": k - 1, "F": pr.f_dim,
+        "nodes": [node.basis_rows() for node in code.nodes],
+        "witnesses": [
+            {"x": x, "A": helpers, "R": {str(j): w[j].basis_rows() for j in helpers}}
+            for (x, helpers), w in sorted(code.witnesses.items())
+        ],
+    }
+    path = tmp_path / "code.json"
+    save_code(code, str(path))
+    assert path.read_text() == json.dumps(obj, separators=(",", ":")) + "\n"
+    assert load_code(str(path)) == code
 
 
 def test_load_code_opens_the_file_once(tmp_path, monkeypatch, wholly_read, extended_k3_big):
