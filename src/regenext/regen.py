@@ -169,6 +169,7 @@ class Code:
                 )
             if node.dim > pr.alpha:
                 raise ValueError(f"node {idx} has dimension {node.dim} > alpha = {pr.alpha}")
+        lay = _layout(pr.spec.p, pr.f_dim)
         for (x, helpers), witness in self.witnesses.items():
             self._check_key(x, helpers)
             if witness.keys() != set(helpers):
@@ -176,7 +177,8 @@ class Code:
                     f"witness for {(x, helpers)} covers helpers {tuple(sorted(witness))}"
                 )
             for j, sub in witness.items():
-                if sub.spec != pr.spec or sub.ambient_dim != pr.f_dim:
+                # one layout per (p, width), so the same layout is the same space
+                if sub._lay is not lay:
                     raise ValueError(f"witness for {(x, helpers)} has a misplaced subspace")
                 if sub.dim > pr.beta:
                     raise ValueError(
@@ -461,7 +463,8 @@ def _subspace(
     Given lay, a list of at most `most` rows is first read by packing: the
     codec rejects a row that is not F residues, and _adopted rows that are
     not the canonical RREF, so the checks, and the reduction mod p, run only
-    when that read fails.  The codec packs a bool as 0 or 1, so lay is given
+    when that read fails.  This is the loader's one fast path, for every
+    node and every send.  The codec packs a bool as 0 or 1, so lay is given
     only for a text with no bool in it."""
     if lay is not None and type(raw) is list and len(raw) <= most:
         rows = _adopted(lay, raw)
@@ -500,8 +503,9 @@ def load_code(path: str) -> Code:
     in turn, so the file's JSON tree is never held.  Any other file, or one
     on which streaming raises anything, is parsed whole, and that path alone
     decides the error; both feed one check, so results and errors agree.
-    In a text with no bool, each node and witness is read by packing its
-    rows, and the checks run only when that read fails, to name the error.
+    Every node and every send goes through one checked reader, which, in a
+    text with no bool, first reads it by packing its rows and runs the
+    checks only when that read fails, to name the error.
 
     Raises MalformedCodeFileError, CodeVersionError, CodeDimensionError, or
     NotPrimeError depending on what is wrong.  Semantic properties (recovery,
@@ -518,7 +522,7 @@ def load_code(path: str) -> Code:
         # closed by an empty list, the header parses only if that list is its
         # last top-level value
         head = json.loads(text[:start] + "]}")
-        return _checked(head, _streamed(text, start), _no_bool(text))
+        return _checked(head, len(text), _streamed(text, start), _no_bool(text))
     except Exception:
         pass
     return _load_whole(text)
@@ -545,14 +549,16 @@ def _load_whole(text: str) -> Code:
     except (ValueError, RecursionError) as exc:
         # bad JSON, or nesting too deep to parse
         raise MalformedCodeFileError(f"not valid JSON: {exc}") from exc
-    return _checked(obj, packed=_no_bool(text))
+    return _checked(obj, len(text), packed=_no_bool(text))
 
 
-def _checked(obj: object, streamed: Iterable[object] = (), packed: bool = False) -> Code:
-    """The code that a parsed code file describes, with the witnesses of
-    obj["witnesses"] followed by those of streamed; raises as load_code does.
-    packed, for a text with no bool, reads each node and witness by packing
-    first, and runs the checks only when that read fails."""
+def _checked(obj: object, size: int, streamed: Iterable = (), packed: bool = False) -> Code:
+    """The code that a parsed code file of size characters describes, with
+    the witnesses of obj["witnesses"] followed by those of streamed; raises
+    as load_code does.  packed, for a text with no bool, has _subspace read
+    each node and send by packing first.  A row of F entries takes at least
+    2F-1 characters, so an F above size is refused before anything F wide
+    is built."""
     _expect(isinstance(obj, dict), "top level must be an object")
     for key in ("version", "p", "k", "n", "alpha", "beta", "F", "nodes", "witnesses"):
         _expect(key in obj, f"missing required key {key!r}")
@@ -581,6 +587,8 @@ def _checked(obj: object, streamed: Iterable[object] = (), packed: bool = False)
     _expect(isinstance(raw_nodes, list), "nodes must be a list")
     if len(raw_nodes) != params.n:
         raise CodeDimensionError(f"expected {params.n} nodes, file has {len(raw_nodes)}")
+    if params.f_dim > size:
+        raise CodeDimensionError(f"file dimension {params.f_dim} exceeds the file's length {size}")
     lay = _layout(spec.p, params.f_dim) if packed else None
     nodes = tuple(
         _subspace(raw, lambda: f"node {idx}", params, "alpha", params.alpha, lay)
@@ -590,8 +598,7 @@ def _checked(obj: object, streamed: Iterable[object] = (), packed: bool = False)
     _expect(isinstance(raw_witnesses, list), "witnesses must be a list")
     witnesses: dict[tuple[int, tuple[int, ...]], dict[int, Subspace]] = {}
     for raw in itertools.chain(raw_witnesses, streamed):
-        read = None if lay is None else _packed_witness(raw, lay, params)
-        key, spaces = _witness(raw, params) if read is None else read
+        key, spaces = _witness(raw, params, lay)
         if key in witnesses:
             raise MalformedCodeFileError(f"duplicate witness for {key}")
         witnesses[key] = spaces
@@ -601,57 +608,26 @@ def _checked(obj: object, streamed: Iterable[object] = (), packed: bool = False)
         raise MalformedCodeFileError(str(exc)) from exc
 
 
-def _witness(raw: object, params: Params) -> tuple[tuple, dict]:
+def _witness(raw: object, params: Params, lay: _Layout | None) -> tuple[tuple, dict]:
     """The key and the sends of a parsed witness, checked; raises as
-    load_code does."""
+    load_code does.  Each send goes through _subspace with lay."""
     _expect(isinstance(raw, dict), "each witness must be an object")
     for key in ("x", "A", "R"):
         if key not in raw:
             raise MalformedCodeFileError(f"witness missing key {key!r}")
-    x = raw["x"]
+    x, helpers, sends = raw["x"], raw["A"], raw["R"]
     _expect(type(x) is int, "witness x must be an integer")
-    _expect(isinstance(raw["A"], list), "witness A must be a list")
-    helpers = tuple(raw["A"])
+    _expect(isinstance(helpers, list), "witness A must be a list")
+    helpers = tuple(helpers)
     _expect(all(type(j) is int for j in helpers), "witness helpers must be integers")
-    _expect(isinstance(raw["R"], dict), "witness R must be an object")
-    if set(raw["R"]) != {str(j) for j in helpers}:
+    _expect(isinstance(sends, dict), "witness R must be an object")
+    names = [str(j) for j in helpers]
+    if set(sends) != set(names):
         raise MalformedCodeFileError(
             f"witness for ({x}, {helpers}) must list exactly its helpers"
         )
-    spaces = {
-        j: _subspace(
-            raw["R"][str(j)],
-            lambda: f"witness ({x}, {helpers}) helper {j}",
-            params,
-            "beta",
-            params.beta,
-        )
-        for j in helpers
-    }
-    return (x, helpers), spaces
-
-
-def _packed_witness(raw: object, lay: _Layout, params: Params) -> tuple[tuple, dict] | None:
-    """What _witness gives, read by cheap type tests and by packing the sends
-    as _subspace does with lay, when every check of _witness would pass;
-    None on any surprise, so that _witness runs and names any error."""
-    if type(raw) is not dict:
-        return None
-    x, helpers, sends = raw.get("x"), raw.get("A"), raw.get("R")
-    if type(x) is not int or type(helpers) is not list or type(sends) is not dict:
-        return None
-    spec, width, beta = params.spec, params.f_dim, params.beta
     spaces = {}
-    for j in helpers:
-        rows = sends.get(str(j)) if type(j) is int else None
-        if type(rows) is not list or len(rows) > beta:
-            return None
-        packed = _adopted(lay, rows)
-        if packed is None:
-            return None
-        spaces[j] = Subspace._from_rref(spec, width, packed)
-    # str is one-to-one on ints, so sends holds a key for each of the
-    # len(spaces) helpers, and with no more keys than that, no other key
-    if len(sends) != len(spaces):
-        return None
-    return (x, tuple(helpers)), spaces
+    for j, name in zip(helpers, names):
+        spaces[j] = _subspace(sends[name], lambda: f"witness ({x}, {helpers}) helper {j}",
+                              params, "beta", params.beta, lay)
+    return (x, helpers), spaces

@@ -1,6 +1,6 @@
-"""Mutation check for the elimination code, the oracle, the lemma, the bounds
-that construction enforces, the witness readers, the file reader and writer,
-and the build check.
+"""Mutation check for the elimination code, the oracle, the alignment test,
+the lemma, the bounds and spaces that construction enforces, the witness
+reader, the file reader and writer, and the build check.
 
 Each entry of MUTANTS is a small wrong version of the package: one exact
 text in one file of src/regenext, its replacement, and the tests that must
@@ -49,8 +49,9 @@ class Mutant(NamedTuple):
 
 
 LINALG, REGEN, STRUCTURE, EXTEND = "linalg.py", "regen.py", "structure.py", "extend.py"
+ALIGNMENT = "alignment.py"
 T_LINALG, T_REGEN, T_STRUCTURE = "tests/test_linalg.py", "tests/test_regen.py", "tests/test_structure.py"
-T_EXTEND = "tests/test_extend.py"
+T_EXTEND, T_ALIGNMENT = "tests/test_extend.py", "tests/test_alignment.py"
 LEMMA = "tests/test_properties.py::test_lemma_premises_give_a_split"
 EQUIVALENCE = "tests/test_cli.py::test_verify_output_is_that_of_deriving_every_split"
 MISSING = f"{T_REGEN}::test_verify_repair_witnesses_reports_missing_witness"
@@ -60,6 +61,7 @@ ORACLE = (
     f"{T_REGEN}::test_brute_force_matches_reference_in_closed_form_and_search",
 )
 PACKED = f"{T_REGEN}::test_packed_read_leaves_every_surprise_to_the_checks"
+CLOSED_FORM = f"{T_ALIGNMENT}::test_closed_form_matches_elimination"
 
 MUTANTS = [
     # the packed kernel and its bounds
@@ -208,6 +210,13 @@ MUTANTS = [
         "                if False:\n",
         (f"{T_REGEN}::test_check_repair_pair_flags_oversized_send",),
     ),
+    Mutant(
+        "Code's send check accepts any layout",
+        REGEN,
+        "                if sub._lay is not lay:\n",
+        "                if False:\n",
+        (f"{T_REGEN}::test_code_rejects_a_node_or_send_from_another_space",),
+    ),
     # the step that builds a code is the one that checks it
     Mutant(
         "the base checks only the subsets holding node k+1",
@@ -335,7 +344,8 @@ MUTANTS = [
         "start = text.rindex(_WITNESSES)",
         (LAYOUTS,),
     ),
-    # the packed read: only a text with no bool, and only what every check passes
+    # the witness reader: a send is packed only in a text with no bool, and
+    # adopted only when every check would pass
     Mutant(
         "the bool screen always passes",
         REGEN,
@@ -346,8 +356,8 @@ MUTANTS = [
     Mutant(
         "the packed read drops the most bound",
         REGEN,
-        "        if type(rows) is not list or len(rows) > beta:\n",
-        "        if type(rows) is not list:\n",
+        '"beta", params.beta, lay)',
+        '"beta", len(sends[name]), lay)',
         (PACKED,),
     ),
     Mutant(
@@ -360,9 +370,52 @@ MUTANTS = [
     Mutant(
         "the witness read drops the helper/R key-set equality",
         REGEN,
-        "    if len(sends) != len(spaces):\n        return None\n",
-        "",
+        "    if set(sends) != set(names):\n",
+        "    if False:\n",
         (PACKED,),
+    ),
+    # the closed-form alignment test
+    Mutant(
+        "alignment drops the determinant of the kernel lines",
+        ALIGNMENT,
+        "    if not sum(map(mul, firsts, _signed_minors(rests))) % p:\n",
+        "    if False:\n",
+        (CLOSED_FORM,),
+    ),
+    Mutant(
+        "a signed minor of two rows flips its sign",
+        LINALG,
+        "        return b, -a\n",
+        "        return b, a\n",
+        (CLOSED_FORM,),
+    ),
+    Mutant(
+        "a signed minor of three rows flips its sign",
+        LINALG,
+        "a1 * c0 - a0 * c1,",
+        "a0 * c1 - a1 * c0,",
+        (CLOSED_FORM,),
+    ),
+    Mutant(
+        "a signed minor of four rows flips its sign",
+        LINALG,
+        "        c0 * ad - a0 * cd - d0 * ac,\n",
+        "        a0 * cd - c0 * ad + d0 * ac,\n",
+        (CLOSED_FORM,),
+    ),
+    Mutant(
+        "alignment eliminates for every k",
+        ALIGNMENT,
+        "    if k > 4:\n",
+        "    if True:\n",
+        (f"{T_ALIGNMENT}::test_closed_form_runs_no_elimination",),
+    ),
+    Mutant(
+        "the certificate basis drops the scaling to a leading 1",
+        ALIGNMENT,
+        "            lead = inv_mod(next(filter(None, line)), p)\n",
+        "            lead = 1\n",
+        (CLOSED_FORM,),
     ),
     # the writer's one format string per witness
     Mutant(

@@ -852,11 +852,13 @@ def test_prob_sweep_refuses_counts_past_the_digit_limit(tmp_path, capsys, to_fil
 def test_verify_reports_a_combination_count_past_the_digit_limit(tmp_path, capsys):
     """At k=22 and p=2^31-1 the oracle's combination count has more digits
     than Python converts to a string.  verify still reports every section,
-    names a power of two below the count, and exits by its verdict."""
+    names a power of two below the count, and exits by its verdict.  Node 1
+    holds one row, so the file is longer than F and loads."""
     k = 22
     obj = {
         "version": 1, "p": 2**31 - 1, "k": k, "n": k + 1, "alpha": k, "beta": k - 1,
-        "F": k * k - 1, "nodes": [[] for _ in range(k + 1)], "witnesses": [],
+        "F": k * k - 1, "nodes": [[[1] + [0] * (k * k - 2)]] + [[] for _ in range(k)],
+        "witnesses": [],
     }
     path = tmp_path / "empty.json"
     path.write_text(json.dumps(obj))

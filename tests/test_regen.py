@@ -48,6 +48,7 @@ from test_fuzz import _flip_bytes
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
 GF5 = FieldSpec(5)
+GF7 = FieldSpec(7)
 
 
 def test_corner_point_values():
@@ -132,6 +133,30 @@ def test_code_rejects_bad_witness_keys():
         Code(pr, nodes, {(3, (1, 2)): {1: Subspace(GF2, 3)}})
     with pytest.raises(ValueError, match=r"covers helpers \(1, 2, 3\)"):
         Code(pr, nodes, {(3, (1, 2)): {**w, 3: Subspace(GF2, 3)}})
+
+
+@pytest.mark.parametrize(
+    "node,send,message",
+    [
+        (Subspace(GF7, 8, identity_rows(8)[:3]), None, "node 2 uses a different field"),
+        (Subspace(GF5, 9, identity_rows(9)[:3]), None, "node 2 lives in dimension 9, expected 8"),
+        (None, Subspace(GF7, 8, identity_rows(8)[:2]), "misplaced subspace"),
+        (None, Subspace(GF5, 9, identity_rows(9)[:2]), "misplaced subspace"),
+    ],
+    ids=["node over GF(7)", "node of width F+1", "send over GF(7)", "send of width F+1"],
+)
+def test_code_rejects_a_node_or_send_from_another_space(node, send, message):
+    """Code names a node over another field or of another width, and a send
+    whose layout is not that of the code's file space."""
+    pr = Params(4, 3, GF5)
+    nodes = [Subspace(GF5, 8, identity_rows(8)[:3])] * 4
+    sends = {j: Subspace(GF5, 8, identity_rows(8)[:2]) for j in (2, 3, 4)}
+    if node is not None:
+        nodes[1] = node
+    if send is not None:
+        sends[3] = send
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Code(pr, tuple(nodes), {(1, (2, 3, 4)): sends})
 
 
 def test_code_node_indexing(base_k3_p5):
@@ -713,10 +738,11 @@ def _whole_tree(path):
     error: the reference that load_code's single read is checked against."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            text = fh.read()
+        obj = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise MalformedCodeFileError(f"not valid JSON: {exc}") from exc
-    return regen._checked(obj)
+    return regen._checked(obj, len(text))
 
 
 def _outcome(load, path):
@@ -832,9 +858,21 @@ def _node_of_four_rows(o):
                      .basis_rows()[:4]]
 
 
-def _rows_mixed(o):
-    rows = _first_send(o)
-    rows[0] = [(a + b) % o["p"] for a, b in zip(*rows)]
+def _second_send(o):
+    """The rows that the first witness sends from its second helper."""
+    w = o["witnesses"][0]
+    return w["R"][str(w["A"][1])]
+
+
+def _rows_mixed(send):
+    """An edit that adds the second row of a send to its first, so that its
+    rows span the same space but are not in RREF."""
+
+    def edit(o):
+        rows = send(o)
+        rows[0] = [(a + b) % o["p"] for a, b in zip(*rows)]
+
+    return edit
 
 
 def _helper_repeated(o):
@@ -866,7 +904,10 @@ _PACKED_CASES = {
                               (CodeDimensionError, "stores 3 basis rows, more than beta = 2")),
     "alpha+1 rows in a node": (_node_of_four_rows,
                                (CodeDimensionError, "stores 4 basis rows, more than alpha = 3")),
-    "rows not in RREF": (_rows_mixed, None),
+    "rows not in RREF": (_rows_mixed(_first_send), None),
+    "second send not in RREF": (_rows_mixed(_second_send), None),
+    "second send of F+1 entries": (lambda o: _second_send(o)[0].append(0),
+                                   (CodeDimensionError, "row length 9 != file dimension 8")),
     "a helper twice": (_helper_repeated, (MalformedCodeFileError, "must list exactly its helpers")),
     "an extra R key": (_extra_send, (MalformedCodeFileError, "must list exactly its helpers")),
     "entries off by multiples of p": (_rows_shifted, None),
@@ -975,3 +1016,21 @@ def test_save_code_never_holds_the_text(saved_k3_n8):
     code, path = saved_k3_n8
     _, _, peak = _traced(lambda: save_code(code, str(path)))
     assert peak < path.stat().st_size / 2
+
+
+def test_load_refuses_a_file_dimension_longer_than_the_file(tmp_path):
+    """A 3 KB file declaring k = 1000 holds no row of F = 999,999 entries,
+    so it fails on its header, before anything F wide is built."""
+    k = 1000
+    head = {"version": 1, "p": 65521, "k": k, "n": k + 1, "alpha": k, "beta": k - 1,
+            "F": k * k - 1, "nodes": [[]] * (k + 1), "witnesses": []}
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(head, separators=(",", ":")) + "\n")
+    assert path.stat().st_size < 3200
+
+    def load():
+        with pytest.raises(CodeDimensionError, match="file dimension 999999 exceeds"):
+            load_code(str(path))
+
+    _, _, peak = _traced(load)
+    assert peak < 2**20
