@@ -13,10 +13,12 @@ import contextlib
 import csv
 import errno
 import functools
+import math
 import os
 import random
 import sys
 from fractions import Fraction
+from typing import Iterable
 
 from .alignment import (
     census_well_aligned,
@@ -45,6 +47,7 @@ from .regen import (
     functional_repair_capacity,
     load_code,
     save_code,
+    scan_code,
     verify_data_recovery,
     verify_repair_witnesses,
 )
@@ -109,12 +112,24 @@ def _decimal(n: int) -> str | None:
         return str(n)
 
 
-def _print_section(name: str, checked: int, violations: list[str]) -> None:
-    print(f"{name}: checked={checked} violations={len(violations)}")
-    for line in violations[:_MAX_LISTED]:
-        print(f"  {line}")
-    if len(violations) > _MAX_LISTED:
-        print(f"  ... and {len(violations) - _MAX_LISTED} more")
+class _Section:
+    """One section of the verify report: the number of violations, and the
+    lines of the first _MAX_LISTED, the only ones it prints."""
+
+    def __init__(self, name: str, checked: int):
+        self.name, self.checked, self.count, self.listed = name, checked, 0, []
+
+    def add(self, violations: Iterable[str]) -> None:
+        for line in violations:
+            self.count += 1
+            if len(self.listed) < _MAX_LISTED:
+                self.listed.append(f"  {line}")
+
+    def lines(self) -> list[str]:
+        lines = [f"{self.name}: checked={self.checked} violations={self.count}", *self.listed]
+        if self.count > _MAX_LISTED:
+            lines.append(f"  ... and {self.count - _MAX_LISTED} more")
+        return lines
 
 
 def _cmd_gen_base(args: argparse.Namespace) -> int:
@@ -198,20 +213,34 @@ def _cmd_grow(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    code = load_code(args.in_path)
-    pr = code.params
-    print(_params_line(code))
+    """Print the verify report of the code file; exit 1 if any check fails.
 
-    node_violations = [
+    regen.scan_code opens and reads the file once.  In save_code's layout
+    the repair pairs are checked batch by batch as the witnesses stream, so
+    memory follows the size of the file, not the number of pairs, and each
+    section keeps only its count and the lines it prints.  The report is
+    printed when every check is done, so that a file that scan_code hands to
+    the whole parse prints only what that parse decides."""
+    check = functools.partial(_verify_report, cap=args.oracle_cap)
+    report, failed = scan_code(args.in_path, check)
+    print("\n".join(report))
+    return EXIT_VERIFICATION if failed else EXIT_OK
+
+
+def _verify_report(code: Code, pairs: Iterable, cap: int) -> tuple[list[str], bool]:
+    """The lines of the verify report and whether a check failed, for code's
+    nodes and the repair pairs that scan_code gives with their witnesses."""
+    pr = code.params
+    nodes = _Section("node dimensions", pr.n)
+    nodes.add(
         f"node {j}: dimension {code.node(j).dim} != alpha = {pr.alpha}"
         for j in range(1, pr.n + 1)
         if code.node(j).dim != pr.alpha
-    ]
-    _print_section("node dimensions", pr.n, node_violations)
-
+    )
     subsets = list(code.recovery_subsets())
     recovery = verify_data_recovery(code, subsets)
-    _print_section("data recovery", len(subsets), list(recovery.values()))
+    data = _Section("data recovery", len(subsets))
+    data.add(recovery.values())
     spanning = set(subsets).difference(recovery)
 
     # a Code holds no node of more than alpha dimensions, so each helper offers
@@ -219,41 +248,40 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # only hit the oracle's cap when combos does
     per_node = count_subspaces(pr.alpha, pr.beta, pr.spec)
     combos = per_node**pr.k
-    run_oracle = combos <= args.oracle_cap
-    pairs = list(code.repair_pairs())
-    witness_violations, structure_violations, oracle_violations = [], [], []
-    for x, helpers in pairs:
-        msgs = check_repair_pair(code, x, helpers)
-        witness_violations.extend(msgs)
+    run_oracle = combos <= cap
+    checked = pr.n * math.comb(pr.n - 1, pr.d)
+    witnesses = _Section("repair witnesses", checked)
+    structure = _Section("decomposition structure", checked)
+    oracle = _Section("oracle cross-check", checked)
+    for (x, helpers), holder in pairs:
+        msgs = check_repair_pair(holder, x, helpers)
+        witnesses.add(msgs)
         try:
-            verify_structure(code, helpers, x, established=(not msgs, spanning))
+            verify_structure(holder, helpers, x, established=(not msgs, spanning))
         except DecompositionError as exc:
-            structure_violations.append(f"pair ({x}, {helpers}): {exc}")
+            structure.add([f"pair ({x}, {helpers}): {exc}"])
         # the oracle backs up witnesses that pass; a failed pair is flagged already
-        if run_oracle and not msgs and not brute_force_repairable(
-            code, x, helpers, cap=args.oracle_cap
-        ):
-            oracle_violations.append(
+        if run_oracle and not msgs and not brute_force_repairable(code, x, helpers, cap=cap):
+            oracle.add([
                 f"pair ({x}, {helpers}): witness checks pass but exhaustive "
                 f"search finds no repair"
-            )
-    _print_section("repair witnesses", len(pairs), witness_violations)
-    _print_section("decomposition structure", len(pairs), structure_violations)
+            ])
+    report = [
+        _params_line(code), *nodes.lines(), *data.lines(), *witnesses.lines(),
+        *structure.lines(),
+    ]
     if run_oracle:
-        _print_section("oracle cross-check", len(pairs), oracle_violations)
+        report += oracle.lines()
     else:
         shown = _decimal(combos) or f"at least 2^{combos.bit_length() - 1}"
-        print(
+        report.append(
             f"oracle cross-check: skipped ({shown} combinations per pair exceed "
-            f"the cap of {args.oracle_cap})"
+            f"the cap of {cap})"
         )
-    failed = bool(
-        node_violations or recovery or witness_violations or structure_violations
-        or oracle_violations
-    )
-
-    print("result: " + ("FAIL" if failed else "PASS"))
-    return EXIT_VERIFICATION if failed else EXIT_OK
+    sections = (nodes, data, witnesses, structure, oracle)
+    failed = any(section.count for section in sections)
+    report.append("result: " + ("FAIL" if failed else "PASS"))
+    return report, failed
 
 
 def _parse_prime_list(raw: str) -> list[int]:

@@ -47,7 +47,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .gf import FieldSpec, NotPrimeError
 from .linalg import (
@@ -498,39 +498,119 @@ def _no_bool(text: str) -> bool:
 def load_code(path: str) -> Code:
     """Read a code file, validating structure, version, field, and shapes.
 
-    A file in save_code's layout, ending in `]}` and JSON whitespace, is
-    streamed: its header is parsed, then each witness is decoded and checked
-    in turn, so the file's JSON tree is never held.  Any other file, or one
-    on which streaming raises anything, is parsed whole, and that path alone
-    decides the error; both feed one check, so results and errors agree.
-    Every node and every send goes through one checked reader, which, in a
-    text with no bool, first reads it by packing its rows and runs the
-    checks only when that read fails, to name the error.
+    The file is opened and read once.  A file in save_code's layout, ending
+    in `]}` and JSON whitespace, is streamed: its header is parsed, then
+    each witness is decoded and checked in turn, so the file's JSON tree is
+    never held.  Any other file, or one on which streaming raises anything,
+    is parsed whole, and that path alone decides the error; both feed one
+    check, so results and errors agree.  Every node and every send goes
+    through one checked reader, which, in a text with no bool, first reads
+    it by packing its rows and runs the checks only when that read fails,
+    to name the error.
 
     Raises MalformedCodeFileError, CodeVersionError, CodeDimensionError, or
     NotPrimeError depending on what is wrong.  Semantic properties (recovery,
     repair) are left to the verifiers.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except ValueError as exc:
-            # bytes that are not UTF-8
-            raise MalformedCodeFileError(f"not valid JSON: {exc}") from exc
+    text = _read(path)
     try:
-        start = text.index(_WITNESSES) + len(_WITNESSES)
-        # closed by an empty list, the header parses only if that list is its
-        # last top-level value
-        head = json.loads(text[:start] + "]}")
+        head, start = _head(text)
         return _checked(head, len(text), _streamed(text, start), _no_bool(text))
     except Exception:
         pass
     return _load_whole(text)
 
 
+# witnesses per Code that scan_code builds from a streamed file
+_BATCH = 64
+
+_T = TypeVar("_T")
+
+
+def scan_code(path: str, check: Callable[[Code, Iterator], _T]) -> _T:
+    """check(code, pairs) on the code file at path, opened and read once.
+    pairs yields each repair pair (x, helpers) of code in order, with a Code
+    that holds the pair's witness if the file has one, so check_repair_pair
+    and verify_structure give on it what they give on load_code's code.
+
+    A file in save_code's layout is streamed as load_code streams it: code
+    holds the nodes only, and each pair comes with the Code of the batch of
+    at most _BATCH witnesses that reaches it, decoded when the pairs reach
+    it, so at most one batch of witnesses is held.  Any anomaly (another
+    layout, keys that do not strictly increase, anything raised while
+    streaming or in check) discards that run; check then runs on load_code's
+    whole parse of the same text, with that code for every pair, and that
+    run alone decides the result and any error.
+    """
+    text = _read(path)
+    try:
+        head, start = _head(text)
+        params, nodes, lay = _header(head, len(text), _no_bool(text))
+        code = Code(params, nodes)
+        batches = _batches(code, lay, _streamed(text, start))
+        result = check(code, _holders(code, batches))
+        # drives the stream to its end, which checks what follows the list
+        if next(batches, None) is None:
+            return result
+    except Exception:
+        pass
+    code = _load_whole(text)
+    return check(code, ((pair, code) for pair in code.repair_pairs()))
+
+
+def _batches(code: Code, lay: _Layout | None, stream: Iterable) -> Iterator[Code]:
+    """Codes with code's nodes and the witnesses of stream, at most _BATCH
+    each, in stream order; raises ValueError unless their keys strictly
+    increase."""
+    params, nodes = code.params, code.nodes
+    batch: dict[tuple[int, tuple[int, ...]], dict[int, Subspace]] = {}
+    last = None
+    for raw in stream:
+        key, spaces = _witness(raw, params, lay)
+        if last is not None and key <= last:
+            raise ValueError(f"witness {key} does not follow {last}")
+        batch[key], last = spaces, key
+        if len(batch) == _BATCH:
+            yield Code(params, nodes, batch)
+            batch = {}
+    if batch:
+        yield Code(params, nodes, batch)
+
+
+def _holders(code: Code, batches: Iterator[Code]) -> Iterator[tuple[tuple, Code]]:
+    """Each repair pair of code in order, with the batch that reaches it: the
+    first of batches, whose keys increase, whose last key is not below the
+    pair, or code once every batch is passed."""
+    batch = next(batches, code)
+    for pair in code.repair_pairs():
+        while batch is not code and pair > next(reversed(batch.witnesses)):
+            batch = next(batches, code)
+        yield pair, batch
+
+
+def _read(path: str) -> str:
+    """The text of the file at path, opened and read once."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except ValueError as exc:
+            # bytes that are not UTF-8
+            raise MalformedCodeFileError(f"not valid JSON: {exc}") from exc
+
+
+def _head(text: str) -> tuple[object, int]:
+    """The parsed header of a text in save_code's layout, with an empty
+    witness list, and the position of its first witness."""
+    start = text.index(_WITNESSES) + len(_WITNESSES)
+    # closed by an empty list, the header parses only if that list is its
+    # last top-level value
+    return json.loads(text[:start] + "]}"), start
+
+
 def _streamed(text: str, pos: int) -> Iterator[object]:
-    """The values of the compact array opening before text[pos], one at a time;
-    then raises ValueError unless only `}` and JSON whitespace follow it."""
+    """The values of the compact array opening before text[pos], one at a
+    time, as load_code and scan_code take a file's witnesses; then raises
+    ValueError unless only `}` and JSON whitespace follow it."""
     decode = json.JSONDecoder().raw_decode
     more = text[pos] != "]"
     while more:
@@ -555,10 +635,27 @@ def _load_whole(text: str) -> Code:
 def _checked(obj: object, size: int, streamed: Iterable = (), packed: bool = False) -> Code:
     """The code that a parsed code file of size characters describes, with
     the witnesses of obj["witnesses"] followed by those of streamed; raises
-    as load_code does.  packed, for a text with no bool, has _subspace read
-    each node and send by packing first.  A row of F entries takes at least
-    2F-1 characters, so an F above size is refused before anything F wide
-    is built."""
+    as load_code does.  packed is _header's."""
+    params, nodes, lay = _header(obj, size, packed)
+    witnesses: dict[tuple[int, tuple[int, ...]], dict[int, Subspace]] = {}
+    for raw in itertools.chain(obj["witnesses"], streamed):
+        key, spaces = _witness(raw, params, lay)
+        if key in witnesses:
+            raise MalformedCodeFileError(f"duplicate witness for {key}")
+        witnesses[key] = spaces
+    try:
+        return Code(params, nodes, witnesses)
+    except ValueError as exc:
+        raise MalformedCodeFileError(str(exc)) from exc
+
+
+def _header(obj: object, size: int, packed: bool) -> tuple[Params, tuple, _Layout | None]:
+    """The parameters and nodes of a parsed code file of size characters,
+    checked down to its witness list being a list, and the layout that
+    _subspace reads by, if any; raises as load_code does.  packed, for a
+    text with no bool, has _subspace read each node and send by packing
+    first.  A row of F entries takes at least 2F-1 characters, so an F
+    above size is refused before anything F wide is built."""
     _expect(isinstance(obj, dict), "top level must be an object")
     for key in ("version", "p", "k", "n", "alpha", "beta", "F", "nodes", "witnesses"):
         _expect(key in obj, f"missing required key {key!r}")
@@ -594,18 +691,8 @@ def _checked(obj: object, size: int, streamed: Iterable = (), packed: bool = Fal
         _subspace(raw, lambda: f"node {idx}", params, "alpha", params.alpha, lay)
         for idx, raw in enumerate(raw_nodes, start=1)
     )
-    raw_witnesses = obj["witnesses"]
-    _expect(isinstance(raw_witnesses, list), "witnesses must be a list")
-    witnesses: dict[tuple[int, tuple[int, ...]], dict[int, Subspace]] = {}
-    for raw in itertools.chain(raw_witnesses, streamed):
-        key, spaces = _witness(raw, params, lay)
-        if key in witnesses:
-            raise MalformedCodeFileError(f"duplicate witness for {key}")
-        witnesses[key] = spaces
-    try:
-        return Code(params, nodes, witnesses)
-    except ValueError as exc:
-        raise MalformedCodeFileError(str(exc)) from exc
+    _expect(isinstance(obj["witnesses"], list), "witnesses must be a list")
+    return params, nodes, lay
 
 
 def _witness(raw: object, params: Params, lay: _Layout | None) -> tuple[tuple, dict]:

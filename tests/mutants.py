@@ -1,6 +1,7 @@
 """Mutation check for the elimination code, the oracle, the alignment test,
 the lemma, the bounds and spaces that construction enforces, the witness
-reader, the file reader and writer, and the build check.
+reader and builders, the file reader and writer, verify's streamed checks,
+and the build check.
 
 Each entry of MUTANTS is a small wrong version of the package: one exact
 text in one file of src/regenext, its replacement, and the tests that must
@@ -61,6 +62,8 @@ ORACLE = (
     f"{T_REGEN}::test_brute_force_matches_reference_in_closed_form_and_search",
 )
 PACKED = f"{T_REGEN}::test_packed_read_leaves_every_surprise_to_the_checks"
+BATCH_EDGES = f"{T_REGEN}::test_verify_streams_what_the_whole_parse_gives_at_batch_edges"
+BUILDERS = f"{T_EXTEND}::test_builders_match_a_per_entry_reference"
 CLOSED_FORM = f"{T_ALIGNMENT}::test_closed_form_matches_elimination"
 
 MUTANTS = [
@@ -424,6 +427,50 @@ MUTANTS = [
         'row = "[" + ",".join(["%d"] * pr.f_dim) + "]"',
         'row = "[" + ",".join(["%d"] * (pr.f_dim - 1)) + "%d]"',
         (f"{T_REGEN}::test_save_code_writes_what_json_writes",),
+    ),
+    Mutant(
+        "the writer takes the sends in dict order, not helper order",
+        REGEN,
+        "sends = [code.witnesses[key][j]._rows for j in helpers]",
+        "sends = [sub._rows for sub in code.witnesses[key].values()]",
+        (f"{T_REGEN}::test_save_load_roundtrip",),
+    ),
+    # verify's streamed witnesses, checked batch by batch
+    Mutant(
+        "verify's stream takes keys out of order",
+        REGEN,
+        "        if last is not None and key <= last:\n",
+        "        if False:\n",
+        (BATCH_EDGES,),
+    ),
+    Mutant(
+        "verify checks a batch's last pair against the next batch",
+        REGEN,
+        "pair > next(reversed(batch.witnesses))",
+        "pair >= next(reversed(batch.witnesses))",
+        (BATCH_EDGES,),
+    ),
+    Mutant(
+        "verify lets a stream error propagate",
+        REGEN,
+        "            return result\n    except Exception:\n",
+        "            return result\n    except ArithmeticError:\n",
+        (BATCH_EDGES,),
+    ),
+    # the certificate's parts and the witnesses built from them
+    Mutant(
+        "theta flips its sign",
+        ALIGNMENT,
+        "(c[j] - c[i]) % lay.p",
+        "(c[i] - c[j]) % lay.p",
+        (BUILDERS,),
+    ),
+    Mutant(
+        "a helper's repair send drops t_j",
+        EXTEND,
+        "            rows.append(dec.complement_vectors[j])\n",
+        "",
+        (BUILDERS,),
     ),
 ]
 

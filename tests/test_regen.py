@@ -1,5 +1,7 @@
 """Tests for code parameters, verification, oracles, and the file format."""
 
+import contextlib
+import io
 import json
 import math
 import random
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import regenext.regen as regen
-from regenext.cli import EXIT_OK, main
+from regenext.cli import EXIT_OK, EXIT_VERIFICATION, main
 from regenext.extend import extend_code, synthesize_base_code
 from regenext.gf import FieldSpec, NotPrimeError
 from regenext.linalg import (
@@ -43,6 +45,7 @@ from regenext.structure import DecompositionError, compute_decomposition
 from conftest import (
     NONCANONICAL, combine, identity_rows, noncanonical, random_invertible_matrix, subspace_sum,
 )
+from test_cli import RANDOM_CORRUPTIONS, grown_n5  # noqa: F401
 from test_fuzz import _flip_bytes
 
 GF2 = FieldSpec(2)
@@ -1034,3 +1037,186 @@ def test_load_refuses_a_file_dimension_longer_than_the_file(tmp_path):
 
     _, _, peak = _traced(load)
     assert peak < 2**20
+
+
+def _verify(path, *flags):
+    """verify's exit code, stdout and stderr on the file at path."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["verify", "--in", str(path), *flags])
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _no_stream(text, pos):
+    raise ValueError("streaming is switched off")
+
+
+@pytest.fixture
+def verify_both(monkeypatch, wholly_read):
+    """A check that `verify --oracle-cap 100` gives the same exit code, stdout
+    and stderr on a file as it gives with the streamed source made to fail,
+    so that only the whole parse runs; it returns whether the first run
+    streamed the file to the end."""
+
+    def check(path):
+        wholly_read.clear()
+        run = _verify(path, "--oracle-cap", "100")
+        streamed = not wholly_read
+        with monkeypatch.context() as m:
+            m.setattr(regen, "_streamed", _no_stream)
+            assert _verify(path, "--oracle-cap", "100") == run, path.name
+        return streamed
+
+    return check
+
+
+def test_verify_streams_what_the_whole_parse_gives_on_the_reference_files(
+    grown_n5, tmp_path, verify_both
+):
+    """The 78 files of test_reference's verify test: test_cli's corpus and
+    two corrupted copies per kind, the second in save_code's layout."""
+    paths = []
+    for (k, p), obj in grown_n5.items():
+        paths.append(tmp_path / f"{k}_{p}.json")
+        paths[-1].write_text(json.dumps(obj))
+        rng = random.Random(f"reference-{k}-{p}")
+        for corrupt in RANDOM_CORRUPTIONS:
+            for i in range(2):
+                bad = json.loads(json.dumps(obj))
+                corrupt(bad, p, rng)
+                paths.append(tmp_path / f"{k}_{p}_{corrupt.__name__}_{i}.json")
+                paths[-1].write_text(json.dumps(bad, separators=(",", ":") if i else None))
+    assert len(paths) == 78
+    assert sum(map(verify_both, paths)) == 36
+
+
+@pytest.mark.parametrize("k,p,n", [(2, 5, 4), (3, 3, 5)])
+def test_verify_streams_what_the_whole_parse_gives_on_mutated_files(tmp_path, verify_both, k, p, n):
+    """The 200 byte mutations of
+    test_streamed_load_matches_the_whole_tree_on_mutated_files."""
+    path = tmp_path / "code.json"
+    save_code(_grown(k, p, n), str(path))
+    saved = path.read_bytes()
+    rng = random.Random(f"streamed-{k}-{p}")
+    streamed = 0
+    for _ in range(200):
+        path.write_bytes(_flip_bytes(saved, rng))
+        streamed += verify_both(path)
+    assert 0 < streamed < 200
+
+
+def _swap(i, j):
+    def edit(ws):
+        ws[i], ws[j] = ws[j], ws[i]
+
+    return edit
+
+
+def _x_set(i, x):
+    def edit(ws):
+        ws[i]["x"] = x
+
+    return edit
+
+
+# edits of the witness list of a saved (7, 3, 3) code, 140 witnesses in key
+# order, each with whether verify streams the file: batches of 64 make
+# witnesses 0, 63, 64 and 139 the first and last of a batch
+_BATCH_CASES = {
+    "as saved": (lambda ws: None, True),
+    "the first missing": (lambda ws: ws.pop(0), True),
+    "the last of a batch missing": (lambda ws: ws.pop(63), True),
+    "the first of a batch missing, between two batches": (lambda ws: ws.pop(64), True),
+    "the last missing": (lambda ws: ws.pop(), True),
+    "two batches only": (lambda ws: ws.__delitem__(slice(128, None)), True),
+    # the last batch then ends at the last pair, so only the stream's end
+    # check reads what follows the list
+    "the first twelve missing": (lambda ws: ws.__delitem__(slice(12)), True),
+    "two swapped in a batch": (_swap(10, 11), False),
+    "two swapped across batches": (_swap(63, 64), False),
+    "the last two swapped": (_swap(138, 139), False),
+    "a key repeated": (lambda ws: ws.insert(11, ws[10]), False),
+    "a key repeated across batches": (lambda ws: ws.insert(64, ws[63]), False),
+    "a failed node 0": (_x_set(0, 0), False),
+    "a failed node n+1": (_x_set(139, 8), False),
+}
+
+
+def test_verify_streams_what_the_whole_parse_gives_at_batch_edges(tmp_path, verify_both):
+    """Witnesses missing, swapped or repeated at the edges of the batches
+    verify checks, keys outside 1..n, and text after the closing `]}`."""
+    path = tmp_path / "code.json"
+    save_code(_grown(3, 65521, 7), str(path))
+    saved = json.loads(path.read_text())
+    assert len(saved["witnesses"]) == 140 and regen._BATCH == 64
+    for name, (edit, streams) in _BATCH_CASES.items():
+        obj = json.loads(json.dumps(saved))
+        edit(obj["witnesses"])
+        text = json.dumps(obj, separators=(",", ":")) + "\n"
+        path.write_text(text)
+        assert verify_both(path) == streams, name
+        path.write_text(text + "x")
+        assert not verify_both(path), name
+
+
+@pytest.fixture(scope="module")
+def saved_k3_n12(tmp_path_factory):
+    """The path of an (12, 3, 3) code's file over GF(65521), 579 KB with
+    1,980 witnesses."""
+    path = tmp_path_factory.mktemp("n12") / "code.json"
+    save_code(_grown(3, 65521, 12), str(path))
+    return path
+
+
+def test_verify_holds_the_text_and_one_batch(saved_k3_n12, monkeypatch, wholly_read):
+    """verify checks the witnesses of a file in save_code's layout as they
+    stream, so its traced peak stays below 2.5 times the file's size, where
+    the table of every witness took 4.9; no Code it builds holds more than
+    one batch of witnesses."""
+    assert _verify(saved_k3_n12)[0] == EXIT_OK  # builds the field's row layout
+    sizes = []
+
+    def counted(params, nodes, witnesses=None):
+        sizes.append(len(witnesses or ()))
+        return Code(params, nodes, witnesses or {})
+
+    monkeypatch.setattr(regen, "Code", counted)
+    (rc, out, _), _, peak = _traced(lambda: _verify(saved_k3_n12))
+    assert rc == EXIT_OK and out.endswith("result: PASS\n") and not wholly_read
+    assert peak < 2.5 * saved_k3_n12.stat().st_size
+    assert max(sizes) == regen._BATCH and sum(sizes) == 1980
+
+
+def test_verify_keeps_only_the_lines_it_prints(saved_k3_n12, tmp_path):
+    """With its witness list emptied, the n=12 file flags all 1,980 pairs
+    in two sections; verify keeps only the 20 lines per section it prints,
+    so its traced peak stays below a quarter MiB, half of what holding all
+    3,960 lines took."""
+    obj = json.loads(saved_k3_n12.read_text())
+    obj["witnesses"] = []
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(obj, separators=(",", ":")) + "\n")
+    assert _verify(path)[0] == EXIT_VERIFICATION
+    (rc, out, _), _, peak = _traced(lambda: _verify(path))
+    assert rc == EXIT_VERIFICATION
+    assert out.count("checked=1980 violations=1980\n") == 2
+    assert out.count("  ... and 1960 more\n") == 2
+    assert peak < 2**18
+
+
+@pytest.mark.parametrize("indent", [None, 1])
+def test_verify_opens_the_file_once(tmp_path, monkeypatch, wholly_read, extended_k3_big, indent):
+    """verify opens and reads its input once, whether it streams the file or
+    hands its text to the whole parse."""
+    path = tmp_path / "code.json"
+    save_code(extended_k3_big, str(path))
+    if indent:
+        path.write_text(json.dumps(json.loads(path.read_text()), indent=indent))
+    opened = []
+    monkeypatch.setattr(
+        regen, "open", lambda *args, **kw: opened.append(args[0]) or open(*args, **kw),
+        raising=False,
+    )
+    rc, out, _ = _verify(path)
+    assert rc == EXIT_OK and out.endswith("result: PASS\n")
+    assert opened == [str(path)] and len(wholly_read) == bool(indent)
