@@ -14,12 +14,12 @@ constructors, inverse, nullspace) and unpacked where it leaves as a tuple
 alignment certificates keep their rows packed too.  Integers from outside
 enter through a checked door that reduces them mod p once: a Matrix (which
 also checks the row widths) or the Subspace constructor, which
-Subspace.contains goes through.  Inside the package only load_code uses
-that door; every other span is built by one of two trusted constructors:
-Subspace._from_rref (packed rows already in RREF) or Subspace._span_packed
-(canonical packed rows, eliminated).  The constructor adopts rows that
-already are the canonical RREF, as save_code writes them: it packs them and
-eliminates nothing (the last part below proves that exact).
+Subspace.contains goes through.  Inside the package only the checked path
+of regen._subspace uses that door; every other span is built by one of two
+trusted constructors: Subspace._from_rref (packed rows already in RREF) or
+Subspace._span_packed (canonical packed rows, eliminated).  The constructor
+adopts rows that already are the canonical RREF, as save_code writes them:
+it packs them and eliminates nothing (the last part below proves that exact).
 
 Gaussian elimination comes as two routines on packed rows.  An echelon is a
 plain list of canonical rows, each with a leading 1 and reduced against the

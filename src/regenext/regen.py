@@ -498,27 +498,29 @@ def _no_bool(text: str) -> bool:
 def load_code(path: str) -> Code:
     """Read a code file, validating structure, version, field, and shapes.
 
-    The file is opened and read once.  A file in save_code's layout, ending
-    in `]}` and JSON whitespace, is streamed: its header is parsed, then
-    each witness is decoded and checked in turn, so the file's JSON tree is
-    never held.  Any other file, or one on which streaming raises anything,
-    is parsed whole, and that path alone decides the error; both feed one
-    check, so results and errors agree.  Every node and every send goes
-    through one checked reader, which, in a text with no bool, first reads
-    it by packing its rows and runs the checks only when that read fails,
-    to name the error.
+    The file is read through scan_code, which streams a file in save_code's
+    layout, so its JSON tree is never held, and parses any other file whole.
+    Every node and every send goes through one checked reader, which, in a
+    text with no bool, first reads it by packing its rows and runs the
+    checks only when that read fails, to name the error.
 
     Raises MalformedCodeFileError, CodeVersionError, CodeDimensionError, or
     NotPrimeError depending on what is wrong.  Semantic properties (recovery,
     repair) are left to the verifiers.
     """
-    text = _read(path)
-    try:
-        head, start = _head(text)
-        return _checked(head, len(text), _streamed(text, start), _no_bool(text))
-    except Exception:
-        pass
-    return _load_whole(text)
+    return scan_code(path, _gathered)
+
+
+def _gathered(code: Code, pairs: Iterator[tuple[tuple, Code]]) -> Code:
+    """code with the witnesses of each Code that pairs hands over, copied
+    in once per Code; a pair that comes with code itself, as on the whole
+    parse, adds nothing."""
+    held = code
+    for _, holder in pairs:
+        if holder is not held:
+            code.witnesses.update(holder.witnesses)
+            held = holder
+    return code
 
 
 # witnesses per Code that scan_code builds from a streamed file
@@ -531,21 +533,25 @@ def scan_code(path: str, check: Callable[[Code, Iterator], _T]) -> _T:
     """check(code, pairs) on the code file at path, opened and read once.
     pairs yields each repair pair (x, helpers) of code in order, with a Code
     that holds the pair's witness if the file has one, so check_repair_pair
-    and verify_structure give on it what they give on load_code's code.
+    and verify_structure give on it what they give on the whole code.
 
-    A file in save_code's layout is streamed as load_code streams it: code
-    holds the nodes only, and each pair comes with the Code of the batch of
-    at most _BATCH witnesses that reaches it, decoded when the pairs reach
-    it, so at most one batch of witnesses is held.  Any anomaly (another
-    layout, keys that do not strictly increase, anything raised while
-    streaming or in check) discards that run; check then runs on load_code's
-    whole parse of the same text, with that code for every pair, and that
-    run alone decides the result and any error.
+    A file in save_code's layout, ending in `]}` and JSON whitespace, is
+    streamed: its header is parsed alone, code holds the nodes only, and
+    each pair comes with the Code of the batch of at most _BATCH witnesses
+    that reaches it, decoded when the pairs reach it, so the file's JSON
+    tree is never held.  Any anomaly (another layout, keys that do not
+    strictly increase, anything raised while streaming or in check)
+    discards that run; check then runs on the whole parse of the same text,
+    with that code for every pair, and that run alone decides the result
+    and any error.
     """
     text = _read(path)
     try:
-        head, start = _head(text)
-        params, nodes, lay = _header(head, len(text), _no_bool(text))
+        start = text.index(_WITNESSES) + len(_WITNESSES)
+        # closed by an empty list, the header parses only if that list is its
+        # last top-level value
+        head = json.loads(text[:start] + "]}")
+        params, nodes, lay = _header(head, text.count(",") + 1, _no_bool(text))
         code = Code(params, nodes)
         batches = _batches(code, lay, _streamed(text, start))
         result = check(code, _holders(code, batches))
@@ -598,19 +604,10 @@ def _read(path: str) -> str:
             raise MalformedCodeFileError(f"not valid JSON: {exc}") from exc
 
 
-def _head(text: str) -> tuple[object, int]:
-    """The parsed header of a text in save_code's layout, with an empty
-    witness list, and the position of its first witness."""
-    start = text.index(_WITNESSES) + len(_WITNESSES)
-    # closed by an empty list, the header parses only if that list is its
-    # last top-level value
-    return json.loads(text[:start] + "]}"), start
-
-
 def _streamed(text: str, pos: int) -> Iterator[object]:
     """The values of the compact array opening before text[pos], one at a
-    time, as load_code and scan_code take a file's witnesses; then raises
-    ValueError unless only `}` and JSON whitespace follow it."""
+    time; then raises ValueError unless only `}` and JSON whitespace follow
+    it."""
     decode = json.JSONDecoder().raw_decode
     more = text[pos] != "]"
     while more:
@@ -623,22 +620,21 @@ def _streamed(text: str, pos: int) -> Iterator[object]:
 
 
 def _load_whole(text: str) -> Code:
-    """load_code by one parse of the whole text, which decides every error."""
+    """The code of the whole text by one parse, which decides every error."""
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:
         # bad JSON, or nesting too deep to parse
         raise MalformedCodeFileError(f"not valid JSON: {exc}") from exc
-    return _checked(obj, len(text), packed=_no_bool(text))
+    return _checked(obj, text.count(",") + 1, packed=_no_bool(text))
 
 
-def _checked(obj: object, size: int, streamed: Iterable = (), packed: bool = False) -> Code:
-    """The code that a parsed code file of size characters describes, with
-    the witnesses of obj["witnesses"] followed by those of streamed; raises
-    as load_code does.  packed is _header's."""
-    params, nodes, lay = _header(obj, size, packed)
+def _checked(obj: object, widest: int, packed: bool = False) -> Code:
+    """The code that a parsed code file describes; raises as load_code does.
+    widest and packed are _header's."""
+    params, nodes, lay = _header(obj, widest, packed)
     witnesses: dict[tuple[int, tuple[int, ...]], dict[int, Subspace]] = {}
-    for raw in itertools.chain(obj["witnesses"], streamed):
+    for raw in obj["witnesses"]:
         key, spaces = _witness(raw, params, lay)
         if key in witnesses:
             raise MalformedCodeFileError(f"duplicate witness for {key}")
@@ -649,13 +645,14 @@ def _checked(obj: object, size: int, streamed: Iterable = (), packed: bool = Fal
         raise MalformedCodeFileError(str(exc)) from exc
 
 
-def _header(obj: object, size: int, packed: bool) -> tuple[Params, tuple, _Layout | None]:
-    """The parameters and nodes of a parsed code file of size characters,
-    checked down to its witness list being a list, and the layout that
-    _subspace reads by, if any; raises as load_code does.  packed, for a
-    text with no bool, has _subspace read each node and send by packing
-    first.  A row of F entries takes at least 2F-1 characters, so an F
-    above size is refused before anything F wide is built."""
+def _header(obj: object, widest: int, packed: bool) -> tuple[Params, tuple, _Layout | None]:
+    """The parameters and nodes of a parsed code file, checked down to its
+    witness list being a list, and the layout that _subspace reads by, if
+    any; raises as load_code does.  packed, for a text with no bool, has
+    _subspace read each node and send by packing first.  widest is one more
+    than the text's count of commas: a row of F entries holds F-1 of them,
+    however much whitespace surrounds them, so an F above widest is refused
+    before anything F wide is built."""
     _expect(isinstance(obj, dict), "top level must be an object")
     for key in ("version", "p", "k", "n", "alpha", "beta", "F", "nodes", "witnesses"):
         _expect(key in obj, f"missing required key {key!r}")
@@ -684,8 +681,10 @@ def _header(obj: object, size: int, packed: bool) -> tuple[Params, tuple, _Layou
     _expect(isinstance(raw_nodes, list), "nodes must be a list")
     if len(raw_nodes) != params.n:
         raise CodeDimensionError(f"expected {params.n} nodes, file has {len(raw_nodes)}")
-    if params.f_dim > size:
-        raise CodeDimensionError(f"file dimension {params.f_dim} exceeds the file's length {size}")
+    if params.f_dim > widest:
+        raise CodeDimensionError(
+            f"file dimension {params.f_dim} exceeds the {widest} entries a row of the file can hold"
+        )
     lay = _layout(spec.p, params.f_dim) if packed else None
     nodes = tuple(
         _subspace(raw, lambda: f"node {idx}", params, "alpha", params.alpha, lay)

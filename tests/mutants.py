@@ -325,7 +325,7 @@ MUTANTS = [
         "",
         (MISSING,),
     ),
-    # the streamed loader, the table's other reader
+    # scan_code's stream, which load_code and verify both read
     Mutant(
         "stream accepts bytes after the end",
         REGEN,
@@ -346,6 +346,14 @@ MUTANTS = [
         "start = text.index(_WITNESSES)",
         "start = text.rindex(_WITNESSES)",
         (LAYOUTS,),
+    ),
+    # the header refuses an F wider than any row the text can hold
+    Mutant(
+        "the header drops the F bound",
+        REGEN,
+        "    if params.f_dim > widest:\n",
+        "    if False:\n",
+        (f"{T_REGEN}::test_load_refuses_a_file_dimension_wider_than_any_row",),
     ),
     # the witness reader: a send is packed only in a text with no bool, and
     # adopted only when every check would pass
@@ -435,7 +443,8 @@ MUTANTS = [
         "sends = [sub._rows for sub in code.witnesses[key].values()]",
         (f"{T_REGEN}::test_save_load_roundtrip",),
     ),
-    # verify's streamed witnesses, checked batch by batch
+    # scan_code's batches: verify checks them one by one, and load_code
+    # gathers them into one table
     Mutant(
         "verify's stream takes keys out of order",
         REGEN,
@@ -456,6 +465,13 @@ MUTANTS = [
         "            return result\n    except Exception:\n",
         "            return result\n    except ArithmeticError:\n",
         (BATCH_EDGES,),
+    ),
+    Mutant(
+        "load_code gathers only the first batch",
+        REGEN,
+        "        if holder is not held:\n",
+        "        if held is code:\n",
+        (f"{T_REGEN}::test_load_code_never_holds_the_json_tree",),
     ),
     # the certificate's parts and the witnesses built from them
     Mutant(

@@ -729,7 +729,8 @@ def _grown(k, p, n):
 
 @pytest.fixture
 def wholly_read(monkeypatch):
-    """The loads that reached the whole-tree path of load_code, by text."""
+    """The texts that reached the whole parse of scan_code, which load_code
+    and verify read through."""
     read = []
     whole = regen._load_whole
     monkeypatch.setattr(regen, "_load_whole", lambda text: read.append(text) or whole(text))
@@ -745,7 +746,7 @@ def _whole_tree(path):
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise MalformedCodeFileError(f"not valid JSON: {exc}") from exc
-    return regen._checked(obj, len(text))
+    return regen._checked(obj, text.count(",") + 1)
 
 
 def _outcome(load, path):
@@ -1021,14 +1022,20 @@ def test_save_code_never_holds_the_text(saved_k3_n8):
     assert peak < path.stat().st_size / 2
 
 
-def test_load_refuses_a_file_dimension_longer_than_the_file(tmp_path):
-    """A 3 KB file declaring k = 1000 holds no row of F = 999,999 entries,
-    so it fails on its header, before anything F wide is built."""
+def _k1000_header(path, length=0):
+    """Write to path the compact file of the k = 1000 header with every node
+    empty, padded with spaces after its closing brace to length characters."""
     k = 1000
     head = {"version": 1, "p": 65521, "k": k, "n": k + 1, "alpha": k, "beta": k - 1,
             "F": k * k - 1, "nodes": [[]] * (k + 1), "witnesses": []}
+    path.write_text(json.dumps(head, separators=(",", ":")).ljust(length) + "\n")
+
+
+def test_load_refuses_a_file_dimension_longer_than_the_file(tmp_path):
+    """A 3 KB file declaring k = 1000 holds no row of F = 999,999 entries,
+    so it fails on its header, before anything F wide is built."""
     path = tmp_path / "code.json"
-    path.write_text(json.dumps(head, separators=(",", ":")) + "\n")
+    _k1000_header(path)
     assert path.stat().st_size < 3200
 
     def load():
@@ -1037,6 +1044,25 @@ def test_load_refuses_a_file_dimension_longer_than_the_file(tmp_path):
 
     _, _, peak = _traced(load)
     assert peak < 2**20
+
+
+def test_load_refuses_a_file_dimension_wider_than_any_row(tmp_path):
+    """Padded with spaces to 1,000,000 characters, the k = 1000 header is
+    longer than F but still holds only 1,008 commas, where a row of F
+    entries holds F - 1, so it fails on its header: loading peaks less than
+    1 MiB above reading the text, where the row layout of F slots took
+    88 MiB."""
+    path = tmp_path / "code.json"
+    _k1000_header(path, 1_000_000)
+    assert path.stat().st_size > 999_999
+    _, _, read = _traced(path.read_text)
+
+    def load():
+        with pytest.raises(CodeDimensionError, match="file dimension 999999 exceeds the 1009 "):
+            load_code(str(path))
+
+    _, _, peak = _traced(load)
+    assert peak < read + 2**20
 
 
 def _verify(path, *flags):
@@ -1120,8 +1146,8 @@ def _x_set(i, x):
 
 
 # edits of the witness list of a saved (7, 3, 3) code, 140 witnesses in key
-# order, each with whether verify streams the file: batches of 64 make
-# witnesses 0, 63, 64 and 139 the first and last of a batch
+# order, each with whether verify and load_code stream the file: batches of
+# 64 make witnesses 0, 63, 64 and 139 the first and last of a batch
 _BATCH_CASES = {
     "as saved": (lambda ws: None, True),
     "the first missing": (lambda ws: ws.pop(0), True),
@@ -1142,9 +1168,13 @@ _BATCH_CASES = {
 }
 
 
-def test_verify_streams_what_the_whole_parse_gives_at_batch_edges(tmp_path, verify_both):
+def test_verify_streams_what_the_whole_parse_gives_at_batch_edges(
+    tmp_path, verify_both, wholly_read
+):
     """Witnesses missing, swapped or repeated at the edges of the batches
-    verify checks, keys outside 1..n, and text after the closing `]}`."""
+    verify checks, keys outside 1..n, and text after the closing `]}`.
+    load_code reads through the same batches: it gives what parsing the
+    whole file gives, and streams the files that verify streams."""
     path = tmp_path / "code.json"
     save_code(_grown(3, 65521, 7), str(path))
     saved = json.loads(path.read_text())
@@ -1155,8 +1185,10 @@ def test_verify_streams_what_the_whole_parse_gives_at_batch_edges(tmp_path, veri
         text = json.dumps(obj, separators=(",", ":")) + "\n"
         path.write_text(text)
         assert verify_both(path) == streams, name
+        assert _streams(str(path), wholly_read) == streams, name
         path.write_text(text + "x")
         assert not verify_both(path), name
+        assert not _streams(str(path), wholly_read), name
 
 
 @pytest.fixture(scope="module")
