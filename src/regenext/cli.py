@@ -216,7 +216,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     """Print the verify report of the code file; exit 1 if any check fails.
 
     regen.scan_code opens and reads the file once.  In save_code's layout
-    the repair pairs are checked batch by batch as the witnesses stream, so
+    the repair pairs are checked batch by batch as the witnesses stream into
+    the one code, which drops each witness once its pair is checked, so
     memory follows the size of the file, not the number of pairs, and each
     section keeps only its count and the lines it prints.  The report is
     printed when every check is done, so that a file that scan_code hands to
@@ -229,7 +230,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _verify_report(code: Code, pairs: Iterable, cap: int) -> tuple[list[str], bool]:
     """The lines of the verify report and whether a check failed, for code's
-    nodes and the repair pairs that scan_code gives with their witnesses."""
+    nodes and the repair pairs that scan_code hands over; each pair's
+    witness is dropped from code once the pair is checked."""
     pr = code.params
     nodes = _Section("node dimensions", pr.n)
     nodes.add(
@@ -253,11 +255,11 @@ def _verify_report(code: Code, pairs: Iterable, cap: int) -> tuple[list[str], bo
     witnesses = _Section("repair witnesses", checked)
     structure = _Section("decomposition structure", checked)
     oracle = _Section("oracle cross-check", checked)
-    for (x, helpers), holder in pairs:
-        msgs = check_repair_pair(holder, x, helpers)
+    for x, helpers in pairs:
+        msgs = check_repair_pair(code, x, helpers)
         witnesses.add(msgs)
         try:
-            verify_structure(holder, helpers, x, established=(not msgs, spanning))
+            verify_structure(code, helpers, x, established=(not msgs, spanning))
         except DecompositionError as exc:
             structure.add([f"pair ({x}, {helpers}): {exc}"])
         # the oracle backs up witnesses that pass; a failed pair is flagged already
@@ -266,6 +268,8 @@ def _verify_report(code: Code, pairs: Iterable, cap: int) -> tuple[list[str], bo
                 f"pair ({x}, {helpers}): witness checks pass but exhaustive "
                 f"search finds no repair"
             ])
+        # a checked witness is not read again, so code holds one batch at most
+        code.witnesses.pop((x, helpers), None)
     report = [
         _params_line(code), *nodes.lines(), *data.lines(), *witnesses.lines(),
         *structure.lines(),

@@ -169,22 +169,27 @@ class Code:
                 )
             if node.dim > pr.alpha:
                 raise ValueError(f"node {idx} has dimension {node.dim} > alpha = {pr.alpha}")
+        for key, witness in self.witnesses.items():
+            self._check_witness(key, witness)
+
+    def _check_witness(self, key: tuple, witness: dict[int, Subspace]) -> None:
+        """Raise ValueError unless this code may hold witness under key: a
+        valid pair, exactly its helpers, each sending at most beta
+        dimensions of the file space."""
+        pr = self.params
+        x, helpers = key
+        self._check_key(x, helpers)
+        if witness.keys() != set(helpers):
+            raise ValueError(f"witness for {key} covers helpers {tuple(sorted(witness))}")
         lay = _layout(pr.spec.p, pr.f_dim)
-        for (x, helpers), witness in self.witnesses.items():
-            self._check_key(x, helpers)
-            if witness.keys() != set(helpers):
+        for j, sub in witness.items():
+            # one layout per (p, width), so the same layout is the same space
+            if sub._lay is not lay:
+                raise ValueError(f"witness for {key} has a misplaced subspace")
+            if sub.dim > pr.beta:
                 raise ValueError(
-                    f"witness for {(x, helpers)} covers helpers {tuple(sorted(witness))}"
+                    f"witness for {key}: helper {j} sends dimension {sub.dim} > beta = {pr.beta}"
                 )
-            for j, sub in witness.items():
-                # one layout per (p, width), so the same layout is the same space
-                if sub._lay is not lay:
-                    raise ValueError(f"witness for {(x, helpers)} has a misplaced subspace")
-                if sub.dim > pr.beta:
-                    raise ValueError(
-                        f"witness for {(x, helpers)}: helper {j} sends dimension "
-                        f"{sub.dim} > beta = {pr.beta}"
-                    )
 
     def _check_key(self, x: int, helpers: tuple[int, ...]) -> None:
         pr = self.params
@@ -499,8 +504,8 @@ def load_code(path: str) -> Code:
     """Read a code file, validating structure, version, field, and shapes.
 
     The file is read through scan_code, which streams a file in save_code's
-    layout, so its JSON tree is never held, and parses any other file whole.
-    Every node and every send goes through one checked reader, which, in a
+    layout into one Code, so its JSON tree is never held, and parses any
+    other file whole.  Every node and every send goes through one checked reader, which, in a
     text with no bool, first reads it by packing its rows and runs the
     checks only when that read fails, to name the error.
 
@@ -508,22 +513,17 @@ def load_code(path: str) -> Code:
     NotPrimeError depending on what is wrong.  Semantic properties (recovery,
     repair) are left to the verifiers.
     """
-    return scan_code(path, _gathered)
+    return scan_code(path, _drained)
 
 
-def _gathered(code: Code, pairs: Iterator[tuple[tuple, Code]]) -> Code:
-    """code with the witnesses of each Code that pairs hands over, copied
-    in once per Code; a pair that comes with code itself, as on the whole
-    parse, adds nothing."""
-    held = code
-    for _, holder in pairs:
-        if holder is not held:
-            code.witnesses.update(holder.witnesses)
-            held = holder
+def _drained(code: Code, pairs: Iterator) -> Code:
+    """code, once pairs is exhausted, which leaves every witness in it."""
+    for _ in pairs:
+        pass
     return code
 
 
-# witnesses per Code that scan_code builds from a streamed file
+# witnesses that scan_code feeds into a streamed code between two hand-overs
 _BATCH = 64
 
 _T = TypeVar("_T")
@@ -531,19 +531,20 @@ _T = TypeVar("_T")
 
 def scan_code(path: str, check: Callable[[Code, Iterator], _T]) -> _T:
     """check(code, pairs) on the code file at path, opened and read once.
-    pairs yields each repair pair (x, helpers) of code in order, with a Code
-    that holds the pair's witness if the file has one, so check_repair_pair
-    and verify_structure give on it what they give on the whole code.
+    pairs yields each repair pair (x, helpers) of code in order, and code
+    holds the pair's witness, if the file has one, by the time the pair is
+    handed over, so check_repair_pair and verify_structure give on it what
+    they give on the whole code.
 
     A file in save_code's layout, ending in `]}` and JSON whitespace, is
-    streamed: its header is parsed alone, code holds the nodes only, and
-    each pair comes with the Code of the batch of at most _BATCH witnesses
-    that reaches it, decoded when the pairs reach it, so the file's JSON
-    tree is never held.  Any anomaly (another layout, keys that do not
-    strictly increase, anything raised while streaming or in check)
-    discards that run; check then runs on the whole parse of the same text,
-    with that code for every pair, and that run alone decides the result
-    and any error.
+    streamed: its header is parsed alone, code starts with the nodes only,
+    and the witnesses are decoded, checked and added to code as the pairs
+    reach them, _BATCH at a time, so the file's JSON tree is never held;
+    check may drop a witness once its pair is checked.  Any anomaly
+    (another layout, keys that do not strictly increase, anything raised
+    while streaming or in check, pairs left unread) discards that run;
+    check then runs on the whole parse of the same text, and that run alone
+    decides the result and any error.
     """
     text = _read(path)
     try:
@@ -553,45 +554,38 @@ def scan_code(path: str, check: Callable[[Code, Iterator], _T]) -> _T:
         head = json.loads(text[:start] + "]}")
         params, nodes, lay = _header(head, text.count(",") + 1, _no_bool(text))
         code = Code(params, nodes)
-        batches = _batches(code, lay, _streamed(text, start))
-        result = check(code, _holders(code, batches))
-        # drives the stream to its end, which checks what follows the list
-        if next(batches, None) is None:
+        pairs = _fed(code, lay, _streamed(text, start))
+        result = check(code, pairs)
+        # pairs left unread leave the end of the stream unchecked
+        if next(pairs, None) is None:
             return result
     except Exception:
         pass
     code = _load_whole(text)
-    return check(code, ((pair, code) for pair in code.repair_pairs()))
+    return check(code, code.repair_pairs())
 
 
-def _batches(code: Code, lay: _Layout | None, stream: Iterable) -> Iterator[Code]:
-    """Codes with code's nodes and the witnesses of stream, at most _BATCH
-    each, in stream order; raises ValueError unless their keys strictly
-    increase."""
-    params, nodes = code.params, code.nodes
-    batch: dict[tuple[int, tuple[int, ...]], dict[int, Subspace]] = {}
+def _fed(code: Code, lay: _Layout | None, stream: Iterable) -> Iterator[tuple[int, tuple]]:
+    """Each repair pair of code in order, with the witnesses of stream
+    checked and added to code ahead of it: after every _BATCH witnesses,
+    the pairs up to the last one's key, and once stream ends, which checks
+    what follows the list, the rest; raises ValueError unless the keys
+    strictly increase."""
+    pairs = code.repair_pairs()
     last = None
-    for raw in stream:
-        key, spaces = _witness(raw, params, lay)
+    for count, raw in enumerate(stream, start=1):
+        key, spaces = _witness(raw, code.params, lay)
         if last is not None and key <= last:
             raise ValueError(f"witness {key} does not follow {last}")
-        batch[key], last = spaces, key
-        if len(batch) == _BATCH:
-            yield Code(params, nodes, batch)
-            batch = {}
-    if batch:
-        yield Code(params, nodes, batch)
-
-
-def _holders(code: Code, batches: Iterator[Code]) -> Iterator[tuple[tuple, Code]]:
-    """Each repair pair of code in order, with the batch that reaches it: the
-    first of batches, whose keys increase, whose last key is not below the
-    pair, or code once every batch is passed."""
-    batch = next(batches, code)
-    for pair in code.repair_pairs():
-        while batch is not code and pair > next(reversed(batch.witnesses)):
-            batch = next(batches, code)
-        yield pair, batch
+        code._check_witness(key, spaces)
+        code.witnesses[key], last = spaces, key
+        if count % _BATCH == 0:
+            # a checked key is a pair and keys increase, so the pair is ahead
+            for pair in pairs:
+                yield pair
+                if pair == key:
+                    break
+    yield from pairs
 
 
 def _read(path: str) -> str:

@@ -50,7 +50,7 @@ class Mutant(NamedTuple):
 
 
 LINALG, REGEN, STRUCTURE, EXTEND = "linalg.py", "regen.py", "structure.py", "extend.py"
-ALIGNMENT = "alignment.py"
+ALIGNMENT, CLI = "alignment.py", "cli.py"
 T_LINALG, T_REGEN, T_STRUCTURE = "tests/test_linalg.py", "tests/test_regen.py", "tests/test_structure.py"
 T_EXTEND, T_ALIGNMENT = "tests/test_extend.py", "tests/test_alignment.py"
 LEMMA = "tests/test_properties.py::test_lemma_premises_give_a_split"
@@ -63,6 +63,7 @@ ORACLE = (
 )
 PACKED = f"{T_REGEN}::test_packed_read_leaves_every_surprise_to_the_checks"
 BATCH_EDGES = f"{T_REGEN}::test_verify_streams_what_the_whole_parse_gives_at_batch_edges"
+ONE_BATCH = f"{T_REGEN}::test_verify_holds_the_text_and_one_batch"
 BUILDERS = f"{T_EXTEND}::test_builders_match_a_per_entry_reference"
 CLOSED_FORM = f"{T_ALIGNMENT}::test_closed_form_matches_elimination"
 
@@ -209,15 +210,15 @@ MUTANTS = [
     Mutant(
         "Code drops the send-dimension bound",
         REGEN,
-        "                if sub.dim > pr.beta:\n",
-        "                if False:\n",
+        "            if sub.dim > pr.beta:\n",
+        "            if False:\n",
         (f"{T_REGEN}::test_check_repair_pair_flags_oversized_send",),
     ),
     Mutant(
         "Code's send check accepts any layout",
         REGEN,
-        "                if sub._lay is not lay:\n",
-        "                if False:\n",
+        "            if sub._lay is not lay:\n",
+        "            if False:\n",
         (f"{T_REGEN}::test_code_rejects_a_node_or_send_from_another_space",),
     ),
     # the step that builds a code is the one that checks it
@@ -443,8 +444,9 @@ MUTANTS = [
         "sends = [sub._rows for sub in code.witnesses[key].values()]",
         (f"{T_REGEN}::test_save_load_roundtrip",),
     ),
-    # scan_code's batches: verify checks them one by one, and load_code
-    # gathers them into one table
+    # scan_code's feed: the witnesses stream into one Code a batch at a
+    # time, verify drops each once its pair is checked, and load_code keeps
+    # them all
     Mutant(
         "verify's stream takes keys out of order",
         REGEN,
@@ -453,11 +455,25 @@ MUTANTS = [
         (BATCH_EDGES,),
     ),
     Mutant(
-        "verify checks a batch's last pair against the next batch",
+        "the feed hands over pairs only at the stream's end",
         REGEN,
-        "pair > next(reversed(batch.witnesses))",
-        "pair >= next(reversed(batch.witnesses))",
+        "        if count % _BATCH == 0:\n",
+        "        if False:\n",
+        (ONE_BATCH,),
+    ),
+    Mutant(
+        "the feed skips Code's witness check",
+        REGEN,
+        "        code._check_witness(key, spaces)\n",
+        "",
         (BATCH_EDGES,),
+    ),
+    Mutant(
+        "verify keeps each checked witness",
+        CLI,
+        "        code.witnesses.pop((x, helpers), None)\n",
+        "",
+        (ONE_BATCH,),
     ),
     Mutant(
         "verify lets a stream error propagate",
@@ -467,11 +483,11 @@ MUTANTS = [
         (BATCH_EDGES,),
     ),
     Mutant(
-        "load_code gathers only the first batch",
+        "_drained takes only the first pair",
         REGEN,
-        "        if holder is not held:\n",
-        "        if held is code:\n",
-        (f"{T_REGEN}::test_load_code_never_holds_the_json_tree",),
+        "    for _ in pairs:\n        pass\n",
+        "    next(pairs, None)\n",
+        (BATCH_EDGES,),
     ),
     # the certificate's parts and the witnesses built from them
     Mutant(

@@ -154,3 +154,33 @@ def test_repair_demo_matches_the_reference(reference_main, k, p):
     reassembly it prints, at both ends of the slot widths."""
     argv = ["repair-demo", "--k", str(k), "--p", str(p), "--seed", "1", "--max-attempts", "5000"]
     assert _run(main, argv) == _run(reference_main, argv)
+
+
+def test_main_refuses_what_the_reference_accepted(reference_main, tmp_path):
+    """The departures where main refuses a run that the reference completes:
+    the reference exits 0, and main exits 2 with its one-line reason last on
+    stderr and nothing on stdout."""
+    base, again = str(tmp_path / "base.json"), str(tmp_path / "again.json")
+    argv = ["gen-base", "--k", "2", "--p", "5", "--seed", "1", "--out", base]
+    assert _run(reference_main, argv)[0] == 0
+    obj = json.loads(pathlib.Path(base).read_text())
+    # a list, not a dict: True and 1.0 are the same key
+    versions = []
+    for version in (True, 1.0):
+        versions.append(tmp_path / f"version_{version}.json")
+        versions[-1].write_text(json.dumps({**obj, "version": version}))
+    cases = [
+        # CHANGES.md, PR 12: load_code took "version": true and 1.0 as format 1
+        (["verify", "--in", str(versions[0])], "error: unsupported format version True"),
+        (["verify", "--in", str(versions[1])], "error: unsupported format version 1.0"),
+        # CHANGES.md, "Base synthesis makes one draw": gen-base has no --max-attempts
+        ([*argv[:-1], again, "--max-attempts", "5"],
+         "regenext: error: unrecognized arguments: --max-attempts 5"),
+        # CHANGES.md, "One check per property": verify has no --threads
+        (["verify", "--in", base, "--threads", "2"],
+         "regenext: error: unrecognized arguments: --threads 2"),
+    ]
+    for argv, reason in cases:
+        assert _run(reference_main, argv)[0] == 0, argv
+        rc, out, err = _run(main, argv)
+        assert (rc, out, err.splitlines()[-1]) == (2, "", reason), argv

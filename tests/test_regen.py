@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import regenext.cli as cli
 import regenext.regen as regen
 from regenext.cli import EXIT_OK, EXIT_VERIFICATION, main
 from regenext.extend import extend_code, synthesize_base_code
@@ -1003,15 +1004,30 @@ def saved_k3_n8(tmp_path_factory):
     return code, path
 
 
-def test_load_code_never_holds_the_json_tree(saved_k3_n8):
+@pytest.fixture
+def codes_built(monkeypatch):
+    """A list that gains an entry for each Code that regen builds."""
+    built = []
+
+    def counted(*args):
+        built.append(None)
+        return Code(*args)
+
+    monkeypatch.setattr(regen, "Code", counted)
+    return built
+
+
+def test_load_code_never_holds_the_json_tree(saved_k3_n8, codes_built):
     """Loading a file in save_code's layout peaks below the size of its JSON
-    tree alone, since witnesses are decoded one at a time."""
+    tree alone, since witnesses are decoded one at a time into the one Code
+    it builds."""
     code, path = saved_k3_n8
     text = path.read_text()
     _, tree, _ = _traced(lambda: json.loads(text))
     loaded, _, peak = _traced(lambda: load_code(str(path)))
     assert loaded == code
     assert peak < tree
+    assert len(codes_built) == 1
 
 
 def test_save_code_never_holds_the_text(saved_k3_n8):
@@ -1200,23 +1216,28 @@ def saved_k3_n12(tmp_path_factory):
     return path
 
 
-def test_verify_holds_the_text_and_one_batch(saved_k3_n12, monkeypatch, wholly_read):
+def test_verify_holds_the_text_and_one_batch(
+    saved_k3_n12, monkeypatch, wholly_read, codes_built
+):
     """verify checks the witnesses of a file in save_code's layout as they
     stream, so its traced peak stays below 2.5 times the file's size, where
-    the table of every witness took 4.9; no Code it builds holds more than
-    one batch of witnesses."""
+    the table of every witness took 4.9.  It builds one Code, which holds
+    no more than one batch of witnesses when any of the 1,980 pairs is
+    checked."""
     assert _verify(saved_k3_n12)[0] == EXIT_OK  # builds the field's row layout
-    sizes = []
+    codes_built.clear()
+    held = []
 
-    def counted(params, nodes, witnesses=None):
-        sizes.append(len(witnesses or ()))
-        return Code(params, nodes, witnesses or {})
+    def check_repair_pair(code, x, helpers):
+        # lengths only, so that the record holds no witness
+        held.append(len(code.witnesses))
+        return regen.check_repair_pair(code, x, helpers)
 
-    monkeypatch.setattr(regen, "Code", counted)
+    monkeypatch.setattr(cli, "check_repair_pair", check_repair_pair)
     (rc, out, _), _, peak = _traced(lambda: _verify(saved_k3_n12))
     assert rc == EXIT_OK and out.endswith("result: PASS\n") and not wholly_read
     assert peak < 2.5 * saved_k3_n12.stat().st_size
-    assert max(sizes) == regen._BATCH and sum(sizes) == 1980
+    assert len(codes_built) == 1 and len(held) == 1980 and max(held) == regen._BATCH
 
 
 def test_verify_keeps_only_the_lines_it_prints(saved_k3_n12, tmp_path):
