@@ -39,7 +39,11 @@ lines as they come, and the certificate builds the aligned basis, each
 line scaled to a leading 1 and combined with the candidate's rows, on its
 first read, as it builds the parts on theirs.  Most certificates are never
 read: a draw is rejected as soon as one helper subset has no aligned
-pair, and Monte Carlo estimation only counts the hits.
+pair, and Monte Carlo estimation only counts the hits.  The test is lean
+for the same reason, since at p = 3 three candidates in five fail it: it
+reads the decomposition's basis inverse once, takes the coordinates of
+each basis row as one packed combination, and slices the block of the
+helper in position h at offset h(k-1) of them.
 """
 
 from __future__ import annotations
@@ -55,6 +59,8 @@ from typing import Sequence
 from .gf import FieldSpec, inv_mod
 from .linalg import (
     Subspace,
+    Vec,
+    _draws,
     _independent_rows,
     _layout,
     _signed_minors,
@@ -135,32 +141,36 @@ def is_well_aligned(
         raise ValueError("candidate lives in a different space than the decomposition")
     if candidate.dim != k:
         raise ValueError(f"candidate has dimension {candidate.dim}, expected {k}")
-    lines = _kernel_lines(candidate, dec)
+    lines = _kernel_lines(candidate.basis_rows(), dec)
     if lines is None:
         return None
     return AlignmentCertificate(decomposition=dec, candidate=candidate, lines=lines)
 
 
-def _kernel_lines(candidate: Subspace, dec: Decomposition) -> list[Sequence[int]] | None:
+def _kernel_lines(rows: Sequence[Vec], dec: Decomposition) -> list[Sequence[int]] | None:
     """A nonzero vector on the kernel line of each helper's block, in helper
-    order, or None when the candidate is not well aligned.  For k <= 4 the
-    lines are the blocks' signed minors, by the module docstring; beyond,
-    they come from nullspace."""
+    order, or None when the candidate of the basis rows is not well aligned.
+    For k <= 4 the lines are the blocks' signed minors, by the module
+    docstring; beyond, they come from nullspace."""
     k = dec.k
     p = dec.spec.p
-    coords = [dec._lay.unpack(dec._coords(r)) for r in candidate._rows]
-    blocks = [[dec.repair_block(c, j) for c in coords] for j in dec.helpers]
+    w = k - 1
+    unpack, canon, inv = dec._lay.unpack, dec._lay.canon, dec._inverse()
+    # lay.combine inlined: the test runs on every draw
+    coords = [unpack(canon(sum(map(mul, row, inv)))) for row in rows]
+    # the block of the helper in position h sits at offset h * w
+    offsets = range(0, k * w, w)
     if k > 4:
         lines = []
-        for block in blocks:
-            kernel = nullspace(dec.spec, block)
+        for off in offsets:
+            kernel = nullspace(dec.spec, [c[off : off + w] for c in coords])
             if kernel.dim != 1:
                 return None
             lines.append(kernel.basis_rows()[0])
         return lines if nullspace(dec.spec, lines).dim == 0 else None
     lines = []
-    for block in blocks:
-        line = [m % p for m in _signed_minors(block)]
+    for off in offsets:
+        line = [m % p for m in _signed_minors([c[off : off + w] for c in coords])]
         if not any(line):
             return None
         lines.append(line)
@@ -193,8 +203,9 @@ def sample_well_aligned(
         for i, crow in zip(others, coeffs):
             basis[i] += dec.repair_spaces[j]._combine(lay.unpack(crow))
     complement = Subspace._span_packed(spec, dec.ambient_dim, dec.complement_vectors.values())
-    for i in dec.helpers:
-        basis[i] += complement._combine([rng.randrange(p) for _ in range(k - 1)])
+    draws = _draws(rng, p, k * (k - 1))
+    for off, i in zip(range(0, k * (k - 1), k - 1), dec.helpers):
+        basis[i] += complement._combine(draws[off : off + k - 1])
     candidate = Subspace._span_packed(spec, dec.ambient_dim, map(dec._lay.canon, basis.values()))
     return candidate, is_well_aligned(candidate, dec)
 

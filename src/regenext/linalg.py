@@ -122,6 +122,18 @@ HALF, which holds H - p in every slot, and test bit W-1 of each.  A packed
 slot x is below 2^(W-8) < H, since W is a byte wider than the codec's
 field, and H > 2p, so x + H - p lies in [0, 2^W): no slot carries into the
 next, and bit W-1 is set exactly when x >= p.
+
+The samplers draw residues with _draws, which returns the values that as
+many calls of rng.randrange(p) would, from the same stream and leaving
+the generator in the same state.  For an int n > 0, randrange(n) returns
+random.Random._randbelow(n), which for random.Random itself is
+_randbelow_with_getrandbits: it calls getrandbits(k) with k =
+n.bit_length() and calls it again while the value is >= n.  _draws runs
+that loop with n = p, once per value, without the per-call checks of
+randrange.  CPython's random module does this on every version from 3.10,
+the oldest that pyproject.toml admits.  A Random subclass that overrides
+random() but not getrandbits() draws differently, and the package makes
+none.
 """
 
 from __future__ import annotations
@@ -508,15 +520,32 @@ class Subspace:
         return f"Subspace(GF({self.spec.p}), dim {self.dim} of {self.ambient_dim})"
 
 
+def _draws(rng: random.Random, p: int, count: int) -> list[int]:
+    """The count values that count calls of rng.randrange(p) return, drawn
+    from the same stream, for a random.Random and p >= 1; the module
+    docstring says why the stream is the same."""
+    bits = p.bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = getrandbits(bits)
+        while r >= p:
+            r = getrandbits(bits)
+        out.append(r)
+    return out
+
+
 def _independent_rows(
     lay: _Layout, count: int, rng: random.Random
 ) -> tuple[list[int], tuple[int, ...]]:
     """count uniform packed rows of lay.width residues, conditioned on being
     independent, by rejection, and their RREF.  Each round draws the rows'
-    entries in row order, one randrange(p) each."""
+    count * width entries in row order with one _draws call."""
     p, width = lay.p, lay.width
+    size = count * width
     while True:
-        rows = [lay.pack([rng.randrange(p) for _ in range(width)]) for _ in range(count)]
+        entries = _draws(rng, p, size)
+        rows = [lay.pack(entries[i : i + width]) for i in range(0, size, width)]
         reduced = _rref(lay, rows)
         if len(reduced) == count:
             return rows, reduced

@@ -430,7 +430,10 @@ def save_code(code: Code, path: str) -> None:
             for i, key in enumerate(sorted(code.witnesses)):
                 x, helpers = key
                 sends = [code.witnesses[key][j]._rows for j in helpers]
-                dims = tuple(map(len, sends))
+                # from a list, which sizes the tuple exactly: tuple() of an
+                # iterator shrinks a longer one, and CPython's tuple free list
+                # keeps the shrunk ones, a held block per witness
+                dims = tuple([len(rows) for rows in sends])
                 if dims not in formats:
                     formats[dims] = (
                         '{"x":%d,"A":[' + ",".join(["%d"] * len(dims)) + '],"R":{'

@@ -69,7 +69,7 @@ class Decomposition:
     helpers are the k node indices in ascending order; failed_node is the
     node whose repair induced the split (None for a synthetic frame).
     repair_spaces maps each helper to its sent subspace S_j and
-    complement_vectors to its t_j, a canonical row packed in _lay.  _coords
+    complement_vectors to its t_j, a canonical row packed in _lay.  _inverse
     builds the basis inverse on its first call and keeps it.
     """
 
@@ -96,15 +96,16 @@ class Decomposition:
         self._lay = _layout(spec.p, self.ambient_dim)
         self._basis_inv = None
 
-    def _coords(self, v: int) -> int:
-        """The coordinates of packed v, packed, in the basis of the module
-        docstring: the bases of the S_j, then t_j for every helper but the last."""
-        lay = self._lay
+    def _inverse(self) -> tuple[int, ...]:
+        """The rows of the inverse of the basis of the module docstring, the
+        bases of the S_j, then t_j for every helper but the last, packed: a
+        vector's coordinates are its entries against them."""
         if self._basis_inv is None:
+            lay = self._lay
             rows = [r for j in self.helpers for r in self.repair_spaces[j].basis_rows()]
             rows.extend(lay.unpack(self.complement_vectors[j]) for j in self.helpers[:-1])
             self._basis_inv = tuple(map(lay.pack, inverse(self.spec.p, rows)))
-        return lay.combine(lay.unpack(v), self._basis_inv)
+        return self._basis_inv
 
     def repair_block(self, coords: Vec, j: int) -> Vec:
         """The k-1 coordinates of the repair space of helper j."""
@@ -112,9 +113,11 @@ class Decomposition:
         return coords[off : off + self.k - 1]
 
     def _split(self, v: int) -> tuple[dict[int, int], dict[int, int]]:
-        """Packed v read off _coords(v): its part in each S_j, packed, and the
-        weight c_j of each t_j in its part in T, with c_j = 0 for the last helper."""
-        c = self._lay.unpack(self._coords(v))
+        """Packed v read off its coordinates c: its part in each S_j, packed,
+        and the weight c_j of each t_j in its part in T, with c_j = 0 for the
+        last helper."""
+        lay = self._lay
+        c = lay.unpack(lay.combine(lay.unpack(v), self._inverse()))
         sigma = {j: s._combine(self.repair_block(c, j)) for j, s in self.repair_spaces.items()}
         return sigma, dict(zip(self.helpers, c[self.k * (self.k - 1) :] + (0,)))
 

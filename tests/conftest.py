@@ -193,7 +193,7 @@ def aligned_basis(cert):
 def coordinates(dec, v):
     """The coordinates of the residue row v in the decomposition's basis: the
     bases of the repair spaces, then t_j for every helper but the last."""
-    return dec._lay.unpack(dec._coords(dec._lay.pack(v)))
+    return dec._lay.unpack(dec._lay.combine(v, dec._inverse()))
 
 
 def split(dec, v):

@@ -1,7 +1,7 @@
-"""Mutation check for the elimination code, the oracle, the alignment test,
-the lemma, the bounds and spaces that construction enforces, the witness
-reader and builders, the file reader and writer, verify's streamed checks,
-and the build check.
+"""Mutation check for the elimination code, the draws, the oracle, the
+alignment test, the lemma, the bounds and spaces that construction
+enforces, the witness reader and builders, the file reader and writer,
+verify's streamed checks, and the build check.
 
 Each entry of MUTANTS is a small wrong version of the package: one exact
 text in one file of src/regenext, its replacement, and the tests that must
@@ -63,9 +63,10 @@ ORACLE = (
 )
 PACKED = f"{T_REGEN}::test_packed_read_leaves_every_surprise_to_the_checks"
 BATCH_EDGES = f"{T_REGEN}::test_verify_streams_what_the_whole_parse_gives_at_batch_edges"
-ONE_BATCH = f"{T_REGEN}::test_verify_holds_the_text_and_one_batch"
+ONE_BATCH = f"{T_REGEN}::test_verify_checks_each_pair_with_one_batch_held"
 BUILDERS = f"{T_EXTEND}::test_builders_match_a_per_entry_reference"
 CLOSED_FORM = f"{T_ALIGNMENT}::test_closed_form_matches_elimination"
+DRAWS = f"{T_LINALG}::test_draws_are_the_values_randrange_gives"
 
 MUTANTS = [
     # the packed kernel and its bounds
@@ -175,6 +176,21 @@ MUTANTS = [
         "        if len(reduced) == count:\n",
         "        if True:\n",
         (f"{T_LINALG}::test_independent_draw_is_the_invertible_matrix_draw",),
+    ),
+    # the draw of residues, stream-identical to randrange(p)
+    Mutant(
+        "the draw accepts r == p",
+        LINALG,
+        "        while r >= p:\n",
+        "        while r > p:\n",
+        (DRAWS,),
+    ),
+    Mutant(
+        "the draw takes (p - 1).bit_length() bits",
+        LINALG,
+        "    bits = p.bit_length()\n",
+        "    bits = (p - 1).bit_length()\n",
+        (DRAWS,),
     ),
     # the echelon
     Mutant(

@@ -5,8 +5,10 @@ sha256 of every written file and of every command's stdout and stderr must
 match the digests recorded here.  A refactor or a speed-up that changes one
 byte of any of them fails this test; a deliberate format change updates the
 digests and says so in CHANGES.md.  At k=2, p=3 the grow stalls at n=4, so
-the run covers the stall message and the `.partial` file as well.  The two
-gen-base runs at k=4 pin base synthesis at both ends of the field range, and
+the run covers the stall message and the `.partial` file as well.  The k=3,
+p=3 grow (30 draws a step) and the prob-sweep at p=3 and 5 pin the draws of
+the rejection samplers and the alignment test on the candidates they reject,
+with verify's exhaustive oracle at p=3.  The two gen-base runs at k=4 pin base synthesis at both ends of the field range, and
 the two repair-demo runs pin every vector and verdict the walkthrough prints.
 """
 
@@ -66,6 +68,29 @@ RUNS = {
         {
             "gen-base": (0, EMPTY, "d4b7e0e163405042763a8aa778cf750982da32e717853d4e7b026967ecece59b"),
             "base.json": "3894d0b49941dfc5a95cb9e4c4fdc8ddd51028834a70e89b5dccb3c5d4024944",
+        },
+    ),
+    "k3-p3": (
+        [
+            ["gen-base", "--k", "3", "--p", "3", "--seed", "1", "--out", "base.json"],
+            ["grow", "--in", "base.json", "--out", "grown.json", "--n", "6", "--seed", "1",
+             "--max-attempts", "5000"],
+            ["verify", "--in", "grown.json"],
+        ],
+        {
+            "gen-base": (0, EMPTY, "fc84bae38c53c04e0d8c47f642b498ce63260b19571c992b69bfb23ee728723d"),
+            "grow": (0, EMPTY, "9096b9c20877faad859b7583b126fdd2331dd5f429c3904151df9d5e155766d9"),
+            "verify": (0, "26f631bf4082a5fe9dab1d7c45e7a2dc5e7b4ffe82b882201d18bd3c04667bbc", EMPTY),
+            "base.json": "78f83a48a516414ffea952311f21dd968935d81fc01865f9e880065c45b2d63a",
+            "grown.json": "cda4c70fe9a434ea4e7dbd7dc5f2d4fb75efd0d8c5041d1fdad6e16356947eda",
+        },
+    ),
+    "sweep-k3": (
+        [["prob-sweep", "--k", "3", "--p", "3,5", "--trials", "300", "--seed", "1",
+          "--csv", "sweep.csv"]],
+        {
+            "prob-sweep": (0, EMPTY, "c819d16c122762eeabb5d30f2dee924562d2ef31983a660469decaebcfb992f3"),
+            "sweep.csv": "fa34c5e7c780f56ec27ebb9f1ba69ceca0e31d6f4940f6f5f8c25d11d3c977fe",
         },
     ),
     "demo-k2-p5": (

@@ -12,6 +12,7 @@ from regenext.linalg import (
     CapExceededError,
     Matrix,
     Subspace,
+    _draws,
     _independent_rows,
     _Layout,
     _layout,
@@ -637,6 +638,19 @@ def test_longest_gauss_jordan_at_the_largest_prime(width, order, monkeypatch):
     assert max(seen) == most < 1 << lay.shift
     if order == "back-elimination":
         assert len(seen) == width - 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521, 2**31 - 1])
+@pytest.mark.parametrize("count", [1, 8, 24, 225])
+def test_draws_are_the_values_randrange_gives(p, count):
+    """The private draw of count residues returns what count calls of
+    randrange(p) return on a generator with the same seed, and leaves it in
+    the same state.  At p = 2 it takes 2 bits a value and redraws half of
+    them; 24 and 225 are the entries of a 3 x 8 and of a 15 x 15 draw."""
+    for seed in (0, 1, 7, 2**40, "draws"):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert _draws(ours, p, count) == [theirs.randrange(p) for _ in range(count)]
+        assert ours.getstate() == theirs.getstate()
 
 
 @pytest.mark.parametrize("p", [2, 3, 65521, 2**31 - 1])

@@ -1240,6 +1240,25 @@ def test_verify_holds_the_text_and_one_batch(
     assert len(codes_built) == 1 and len(held) == 1980 and max(held) == regen._BATCH
 
 
+def test_verify_checks_each_pair_with_one_batch_held(
+    saved_k3_n8, monkeypatch, wholly_read, codes_built
+):
+    """The one-batch bound on the n=8 file, 280 witnesses in five batches:
+    verify streams them into one Code, which holds no more than one batch
+    of witnesses when any of the 280 pairs is checked."""
+    _, path = saved_k3_n8
+    held = []
+
+    def check_repair_pair(code, x, helpers):
+        held.append(len(code.witnesses))
+        return regen.check_repair_pair(code, x, helpers)
+
+    monkeypatch.setattr(cli, "check_repair_pair", check_repair_pair)
+    rc, out, _ = _verify(path)
+    assert rc == EXIT_OK and out.endswith("result: PASS\n") and not wholly_read
+    assert len(codes_built) == 1 and len(held) == 280 and max(held) == regen._BATCH
+
+
 def test_verify_keeps_only_the_lines_it_prints(saved_k3_n12, tmp_path):
     """With its witness list emptied, the n=12 file flags all 1,980 pairs
     in two sections; verify keeps only the 20 lines per section it prints,
