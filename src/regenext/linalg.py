@@ -14,21 +14,21 @@ constructors, inverse, nullspace) and unpacked where it leaves as a tuple
 alignment certificates keep their rows packed too.  Integers from outside
 enter through a checked door that reduces them mod p once: a Matrix (which
 also checks the row widths) or the Subspace constructor, which
-Subspace.contains goes through.  Inside the package only the checked path
-of regen._subspace uses that door; every other span is built by one of two
-trusted constructors: Subspace._from_rref (packed rows already in RREF) or
-Subspace._span_packed (canonical packed rows, eliminated).  The constructor
-adopts rows that already are the canonical RREF, as save_code writes them:
-it packs them and eliminates nothing (the last part below proves that exact).
+Subspace.contains goes through.  Inside the package only regen._subspace
+uses that door, for the rows that _adopted refuses: _adopted takes rows
+that already are the canonical RREF, as save_code writes them, and
+eliminates nothing (proved below).  Every other span is built by one of
+two trusted constructors: Subspace._from_rref (packed rows already in
+RREF) or Subspace._span_packed (canonical packed rows, eliminated).
 
 Gaussian elimination comes as two routines on packed rows.  An echelon is a
 plain list of canonical rows, each with a leading 1 and reduced against the
 rows before it, but not, in general, the RREF.  _push reduces a row against
 the list, scales it to a leading 1 and appends it; _reduce reduces a vector
-against the list, each factor read off the running sum; del rows[mark:]
-undoes pushes.  Callers that take their rows one at a time keep such a list:
-_augmented (so nullspace and inverse), the recovery and cover checks of
-regen, and the oracle with its search.  _residue reduces against RREF rows
+against the list, each factor read off the running sum.  Callers that take
+their rows one at a time keep such a list: _augmented (so nullspace and
+inverse), the recovery and cover checks of regen, and the oracle's closed
+form.  _residue reduces against RREF rows
 instead, each factor read straight off v (proved below), and _rref is the
 Gauss-Jordan pass: it returns the RREF of the span of its rows, in pivot
 order, and every Subspace basis that is not adopted or built by _from_rref
@@ -102,26 +102,26 @@ RREF, so _residue reduces a vector against them as it does against _rref's
 rows: each factor is the vector's own entry at a pivot, and every slot
 stays below (n+1)p^2.
 
-The Subspace constructor packs its rows with the codec, which raises on an
-entry that is not an integer, is negative or overflows its field, and on a
-row of the wrong length; it packs a bool as 0 or 1, the value int() gives.
-It keeps the packed rows v_1, ..., v_r exactly when
+_adopted packs its rows with the codec, which raises on an entry that is
+not an integer, is negative or overflows its field, and on a row of the
+wrong length; it packs a bool as 0 or 1, the value int() gives.  It
+returns the packed rows v_1, ..., v_r exactly when
 
   * every v_i is nonzero and every slot is below p;
   * the lowest nonzero slot of v_i, its pivot c_i, holds 1;
   * c_1 < ... < c_r;
   * v_i is 0 at every c_j with j != i,
 
-and otherwise reduces the rows mod p and eliminates.  The four conditions
-define a reduced row-echelon form with no zero row.  Its rows are
-independent, since only v_i is nonzero at c_i, so they are a basis of their
-span, and the RREF of a row space is unique: adopting gives the rows that
-_rref gives, in the same pivot order.  The rows save_code writes,
-a Subspace's own, meet all four.  The range test is one packed step: add
-HALF, which holds H - p in every slot, and test bit W-1 of each.  A packed
-slot x is below 2^(W-8) < H, since W is a byte wider than the codec's
-field, and H > 2p, so x + H - p lies in [0, 2^W): no slot carries into the
-next, and bit W-1 is set exactly when x >= p.
+and None otherwise.  The four conditions define a reduced row-echelon
+form with no zero row.  Its rows are independent, since only v_i is
+nonzero at c_i, so they are a basis of their span, and the RREF of a row
+space is unique: adopting gives the rows that _rref gives, in the same
+pivot order.  The rows save_code writes, a Subspace's own, meet all four.
+The range test is one packed step: add HALF, which holds H - p in every
+slot, and test bit W-1 of each.  A packed slot x is below 2^(W-8) < H,
+since W is a byte wider than the codec's field, and H > 2p, so x + H - p
+lies in [0, 2^W): no slot carries into the next, and bit W-1 is set
+exactly when x >= p.
 
 The samplers draw residues with _draws, which returns the values that as
 many calls of rng.randrange(p) would, from the same stream and leaving
@@ -411,7 +411,8 @@ def nullspace(spec: FieldSpec, rows: Sequence[Sequence[int]]) -> "Subspace":
 
 def _adopted(lay: _Layout, vectors: list) -> tuple[int, ...] | None:
     """The rows packed, when they already are the canonical RREF with no zero
-    row; None otherwise.  The module docstring proves the test exact."""
+    row; None otherwise.  regen._subspace, its one caller, tries it first;
+    the module docstring proves the test exact."""
     try:
         rows = tuple(map(lay.pack, vectors))
     except (struct.error, TypeError):
@@ -445,20 +446,14 @@ class Subspace:
     ):
         p = spec.p
         lay = _layout(p, ambient_dim)
-        vectors = list(vectors)
-        rows = _adopted(lay, vectors)
-        if rows is None:
-            packed = []
-            for row in vectors:
-                if len(row) != ambient_dim:
-                    raise ValueError(
-                        f"vector of length {len(row)} in ambient dimension {ambient_dim}"
-                    )
-                packed.append(lay.pack(map(p.__rmod__, map(int, row))))
-            rows = _rref(lay, packed)
+        packed = []
+        for row in vectors:
+            if len(row) != ambient_dim:
+                raise ValueError(f"vector of length {len(row)} in ambient dimension {ambient_dim}")
+            packed.append(lay.pack(map(p.__rmod__, map(int, row))))
         self.spec = spec
         self._lay = lay
-        self._rows = rows
+        self._rows = _rref(lay, packed)
 
     @classmethod
     def _from_rref(cls, spec: FieldSpec, ambient_dim: int, rows: tuple[int, ...]) -> "Subspace":

@@ -52,7 +52,7 @@ from typing import Callable, Iterable, Iterator, TypeVar
 from .gf import FieldSpec, NotPrimeError
 from .linalg import (
     CapExceededError, Subspace, _adopted, _augmented, _Layout, _layout, _pivot, _push,
-    _reduce, _signed_minors, count_subspaces, enumerate_subspaces, nullspace,
+    _reduce, _rref, _signed_minors, count_subspaces, enumerate_subspaces, nullspace,
 )
 
 DEFAULT_ORACLE_CAP = 10**6
@@ -288,8 +288,6 @@ def _closed_form_repairable(code: Code, x: int, helpers: tuple[int, ...]) -> boo
     p, k, width = pr.spec.p, pr.k, pr.f_dim
     nodes = [code.node(j) for j in helpers]
     rows = [row for node in nodes for row in node.basis_rows()]
-    if not rows:
-        return None
     # rows [r | e_r], the helper rows first, then the target rows: the helper
     # parts of the rows that pivot in the unit block span K among the helper
     # rows and N among all of them
@@ -330,9 +328,9 @@ def brute_force_repairable(
 
     The closed form of the module docstring decides if the helpers' rows
     have exactly one dependency, as on every pair of a valid code, or do
-    not span the failed node.  Otherwise it searches all choices of sends,
-    pruning a prefix as soon as the failed node cannot be covered even if
-    all remaining helpers sent everything they store.  Either way it raises
+    not span the failed node.  Otherwise it searches all choices of sends in
+    helper order, and prunes a prefix unless its sends and all that the
+    remaining helpers store span the failed node.  Either way it raises
     CapExceededError up front when the search would exceed cap choices.
     Independent of the witness table.
     """
@@ -362,31 +360,20 @@ def brute_force_repairable(
         for node, send_dim in per_node
     ]
     target = code.node(x)
-    lay = target._lay
-    # one echelon for the whole search: a choice pushes its rows on the way
-    # down and the list is cut back to its length on the way back up
-    echelon: list[int] = []
+    # stored[i]: the RREF of all that helpers i, i+1, ... store, which enters
+    # each span first and so needs no elimination there
+    stored = [()]
+    for node, _ in reversed(per_node):
+        stored.insert(0, _rref(target._lay, [*node._rows, *stored[0]]))
 
-    def search(i: int) -> bool:
-        mark = len(echelon)
+    def search(i: int, sent: tuple[int, ...]) -> bool:
         # prune unless x is covered when helpers i, i+1, ... send all they store
-        for node, _ in per_node[i:]:
-            for row in node._rows:
-                _push(lay, echelon, row)
-        coverable = not any(_reduce(lay, echelon, row) for row in target._rows)
-        del echelon[mark:]
-        if not coverable or i == len(helpers):
-            return coverable
-        for opt in candidates[i]:
-            for row in opt:
-                _push(lay, echelon, row)
-            found = search(i + 1)
-            del echelon[mark:]
-            if found:
-                return True
-        return False
+        span = Subspace._span_packed(pr.spec, pr.f_dim, [*stored[i], *sent])
+        if not span.contains_subspace(target):
+            return False
+        return i == len(helpers) or any(search(i + 1, sent + opt) for opt in candidates[i])
 
-    return search(0)
+    return search(0, ())
 
 
 # what save_code writes between the header's last value and the first witness

@@ -12,6 +12,7 @@ from regenext.linalg import (
     CapExceededError,
     Matrix,
     Subspace,
+    _adopted,
     _draws,
     _independent_rows,
     _Layout,
@@ -77,6 +78,18 @@ def test_matrix_construction_reduces_mod_p():
 def test_matrix_ragged_rejected():
     with pytest.raises(ValueError):
         Matrix(GF5, [[1, 2], [3]])
+
+
+@pytest.mark.parametrize(
+    "entries,cols,message",
+    [
+        ([[1, 2], [3, 4]], 3, "declared 3 columns but rows have 2"),
+        ([], None, "a matrix with no rows needs an explicit column count"),
+    ],
+)
+def test_matrix_names_a_width_it_cannot_take(entries, cols, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Matrix(GF5, entries, cols)
 
 
 def test_matrix_ops():
@@ -263,6 +276,15 @@ def test_random_subspace_dimension_and_determinism():
     assert one == two
 
 
+@pytest.mark.parametrize("dim", [-1, 4])
+def test_random_subspace_refuses_a_dimension_outside_the_ambient(dim):
+    rng = random.Random("refused")
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=rf"^dimension {dim} outside \[0, 3\]$"):
+        random_subspace(3, dim, GF3, rng)
+    assert rng.getstate() == state
+
+
 def test_random_subspace_uniform_over_planes_of_gf2_cubed():
     # 7 planes, 7 * 10**4 draws, each count within 5 sigma of the mean
     rng = random.Random("rs-uniform")
@@ -429,6 +451,7 @@ def rref_with_one_flaw(p, width, rng):
         flawed("canonical", lambda r: None)
         flawed("pivot of 2", lambda r: r[0].__setitem__(pivots[0], 2))
         flawed("zero row", lambda r: r.append([0] * width))
+        flawed("zero row first", lambda r: r.insert(0, [0] * width))
         flawed("repeated row", lambda r: r.append(list(r[0])))
         flawed("bool at pivot", lambda r: r[0].__setitem__(pivots[0], True))
         flawed("float at pivot", lambda r: r[0].__setitem__(pivots[0], 1.0))
@@ -446,20 +469,20 @@ def rref_with_one_flaw(p, width, rng):
 
 @pytest.mark.parametrize("p", FIELD_EDGES)
 @pytest.mark.parametrize("width", [2, 6])
-def test_checked_door_adopts_exactly_the_canonical_rref(p, width, pushes):
+def test_checked_door_adopts_exactly_the_canonical_rref(p, width):
     """Rows that are canonical RREF but for one flaw give the rows of the
     plain elimination of their residues, given as a list or as a generator;
-    only the canonical sets skip elimination."""
+    _adopted returns exactly the canonical sets, packed as they are."""
     spec = FieldSpec(p)
     rng = random.Random(f"adopt-{p}-{width}")
+    lay = _layout(p, width)
     for name, rows in rref_with_one_flaw(p, width, rng):
-        lay = _layout(p, width)
         residues = [lay.pack(int(x) % p for x in row) for row in rows]
         expected = Subspace._span_packed(spec, width, residues)._rows
-        pushes.clear()
         assert Subspace(spec, width, rows)._rows == expected, name
-        assert bool(pushes) == (name not in ("canonical", "bool at pivot", "bool entry")), name
         assert Subspace(spec, width, (row for row in rows))._rows == expected, name
+        canonical = name in ("canonical", "bool at pivot", "bool entry")
+        assert _adopted(lay, rows) == (expected if canonical else None), name
 
 
 def reference_dependencies(p, rows, width):

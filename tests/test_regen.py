@@ -204,6 +204,24 @@ def test_verify_repair_witnesses_passes(extended_k3_big):
     assert verify_repair_witnesses(extended_k3_big) == []
 
 
+@pytest.mark.parametrize(
+    "x,helpers,message",
+    [
+        (0, (1, 2, 3), "failed node 0 outside 1..5"),
+        (1, (2, 3), "helper set (2, 3) must hold 3 distinct nodes"),
+        (1, (2, 2, 3), "helper set (2, 2, 3) must hold 3 distinct nodes"),
+        (1, (3, 2, 4), "helper set (3, 2, 4) must be sorted ascending"),
+        (1, (2, 3, 6), "helper set (2, 3, 6) outside 1..5"),
+        (1, (0, 2, 3), "helper set (0, 2, 3) outside 1..5"),
+        (2, (1, 2, 3), "failed node 2 cannot be its own helper"),
+    ],
+)
+def test_a_miss_on_an_invalid_key_names_the_flaw(x, helpers, message):
+    code = Code(Params(5, 3, GF2), (Subspace(GF2, 8),) * 5)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_repair_pair(code, x, helpers)
+
+
 def test_verify_repair_witnesses_reports_missing_witness(base_k3_p5):
     code = base_k3_p5
     stripped = dict(code.witnesses)
@@ -329,7 +347,7 @@ def reference_repairable(code, x, helpers):
 @given(st.sampled_from([(2, 2), (2, 3), (3, 2)]), st.integers(0, 2**32))
 def test_brute_force_matches_reference_search(case, seed):
     """Random nodes, some a dimension short, give both answers; the
-    incremental search must agree with the plain one on every pair."""
+    search must agree with the plain one on every pair."""
     k, p = case
     spec = FieldSpec(p)
     rng = random.Random(seed)
@@ -382,8 +400,10 @@ def test_brute_force_matches_reference_in_closed_form_and_search(k, p, monkeypat
     the plain search's verdict on every pair of a grown valid code, of codes
     with one node entry changed or one node a dimension short, of a code
     whose failed node is a dimension short and whose helper blocks span
-    nothing, and of a random code; both verdicts and both paths must occur,
-    and some pair must be found unrepairable in closed form."""
+    nothing, of a random code, and of a code with k empty helpers, which the
+    closed form finds unable to rebuild a nonempty node; both verdicts and
+    both paths must occur, and some pair must be found unrepairable in
+    closed form."""
     spec = FieldSpec(p)
     rng = random.Random(f"oracle-{k}-{p}")
     grown = extend_code(synthesize_base_code(k, spec, rng), rng, max_attempts=10**4).code
@@ -396,7 +416,12 @@ def test_brute_force_matches_reference_in_closed_form_and_search(k, p, monkeypat
         _short_failed_node(k, spec, rng),
         Code(pr, tuple(random_subspace(pr.f_dim, k, spec, rng) for _ in range(pr.n))),
     ]
+    # k helpers that store nothing, a failed node of one row and an empty one
+    empty = Subspace(spec, pr.f_dim)
+    line = random_subspace(pr.f_dim, 1, spec, rng)
+    codes.append(Code(pr, (empty,) * k + (line, empty)))
     closed_form = regen._closed_form_repairable
+    assert closed_form(codes[-1], k + 1, tuple(range(1, k + 1))) is False
     paths = []
 
     def recorded(*args):
@@ -416,9 +441,10 @@ def test_brute_force_matches_reference_in_closed_form_and_search(k, p, monkeypat
 
 @pytest.mark.parametrize("k,p", [(2, 3), (2, 65521), (3, 3), (3, 65521), (4, 2)])
 def test_oracle_reads_dependencies_off_minors_up_to_k3(k, p, monkeypatch):
-    """On every pair of a valid code the oracle finds each helper's D_j as
-    the signed minors of its block for k in {2, 3}, with no nullspace call;
-    at k = 4 it still takes one nullspace per helper."""
+    """On every pair of a valid code the closed form decides, so the search
+    never runs, and the oracle finds each helper's D_j as the signed minors
+    of its block for k in {2, 3}, with no nullspace call; at k = 4 it still
+    takes one nullspace per helper."""
     spec = FieldSpec(p)
     rng = random.Random(f"minors-{k}-{p}")
     code = synthesize_base_code(k, spec, rng)
@@ -427,24 +453,25 @@ def test_oracle_reads_dependencies_off_minors_up_to_k3(k, p, monkeypatch):
     calls = []
     original = regen.nullspace
     monkeypatch.setattr(regen, "nullspace", lambda *args: calls.append(args) or original(*args))
+    verdicts = []
+    closed_form = regen._closed_form_repairable
+    monkeypatch.setattr(
+        regen,
+        "_closed_form_repairable",
+        lambda *args: verdicts.append(closed_form(*args)) or verdicts[-1],
+    )
     pairs = list(code.repair_pairs())
     for x, helpers in pairs:
         assert brute_force_repairable(code, x, helpers, cap=10**100)
+    assert verdicts == [True] * len(pairs)
     assert len(calls) == (k * len(pairs) if k == 4 else 0)
 
 
 def test_brute_force_builds_no_subspace(base_k2_p3, monkeypatch):
-    built = []
-    original = Subspace.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(args)
-        original(self, *args, **kwargs)
-
     plane12 = Subspace(GF2, 3, [(1, 0, 0), (0, 1, 0)])
     plane13 = Subspace(GF2, 3, [(1, 0, 0), (0, 0, 1)])
     unrepairable = Code(Params(3, 2, GF2), (plane12, plane12, plane13))
-    monkeypatch.setattr(Subspace, "__init__", counting)
+    built = _count_built(monkeypatch, Subspace)
     for x, helpers in base_k2_p3.repair_pairs():
         assert brute_force_repairable(base_k2_p3, x, helpers)
     assert not brute_force_repairable(unrepairable, 3, (1, 2))
@@ -470,7 +497,7 @@ def test_subspaces_and_load_code_build_no_matrix(tmp_path, monkeypatch, base_k3_
     Matrix."""
     path = tmp_path / "code.json"
     save_code(base_k3_p5, str(path))
-    built = _count_matrices(monkeypatch)
+    built = _count_built(monkeypatch, Matrix)
     whole = Subspace(GF5, 3, [(1, 2, 3), (2, 4, 6), (0, 1, 7)])
     part = Subspace(GF5, 3, [(1, 2, 3)])
     assert subspace_sum(part, Subspace(GF5, 3, [(0, 1, 7)])) == whole
@@ -503,9 +530,12 @@ def test_load_code_eliminates_only_rows_save_code_did_not_write(fixture, request
 
 def test_command_line_builds_no_matrix(tmp_path, monkeypatch, capsys):
     """rank, inverse and nullspace take residue rows, so building, growing,
-    verifying and sweeping a p=3 code constructs no Matrix."""
+    verifying and sweeping a p=3 code constructs no Matrix; and every span
+    on those paths is built by a trusted constructor or adopted by the
+    loader, so none goes through the Subspace constructor."""
     base, grown = tmp_path / "base.json", tmp_path / "grown.json"
-    built = _count_matrices(monkeypatch)
+    built = _count_built(monkeypatch, Matrix)
+    spans = _count_built(monkeypatch, Subspace)
     for argv in (
         ["gen-base", "--k", "3", "--p", "3", "--seed", "1", "--out", str(base)],
         ["grow", "--in", str(base), "--out", str(grown), "--n", "6", "--seed", "1"],
@@ -513,19 +543,19 @@ def test_command_line_builds_no_matrix(tmp_path, monkeypatch, capsys):
         ["prob-sweep", "--k", "3", "--p", "3", "--trials", "100"],
     ):
         assert main(argv) == EXIT_OK
-    assert built == []
+    assert built == [] and spans == []
 
 
-def _count_matrices(monkeypatch):
-    """A list that records the arguments of every Matrix construction."""
+def _count_built(monkeypatch, cls):
+    """A list that records the arguments of every call of cls.__init__."""
     built = []
-    original = Matrix.__init__
+    original = cls.__init__
 
     def counting(self, *args, **kwargs):
         built.append(args)
         original(self, *args, **kwargs)
 
-    monkeypatch.setattr(Matrix, "__init__", counting)
+    monkeypatch.setattr(cls, "__init__", counting)
     return built
 
 
