@@ -58,6 +58,8 @@ EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 
 _MAX_LISTED = 20
+# prob-sweep runs the exhaustive census only up to this many subspaces
+_CENSUS_CAP = 10**5
 
 
 class UsageError(ValueError):
@@ -323,8 +325,8 @@ def _cmd_prob_sweep(args: argparse.Namespace) -> int:
             total = count_subspaces(f_dim, k, spec)
             prob = Fraction(exact, total)
             census = census_ratio = ""
-            if total <= args.oracle_cap:
-                census = census_well_aligned(dec, cap=args.oracle_cap)
+            if total <= _CENSUS_CAP:
+                census = census_well_aligned(dec, cap=_CENSUS_CAP)
                 census_ratio = census / total
             freq, (low, high) = estimate_probability_monte_carlo(dec, args.trials, rng)
             writer.writerow((
@@ -538,13 +540,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--trials", type=_at_least(1), default=1000, help="monte-carlo draws per prime")
     sweep.add_argument("--seed", type=int, default=0, help="random seed")
     sweep.add_argument("--csv", default=None, help="write rows to this file instead of stdout")
-    sweep.add_argument(
-        "--oracle-cap",
-        type=_at_least(1),
-        default=10**5,
-        dest="oracle_cap",
-        help="run the exhaustive census only when the subspace count fits",
-    )
     sweep.set_defaults(handler=_cmd_prob_sweep)
 
     bounds = sub.add_parser("bounds", help="print tradeoff corner points and bound checks")

@@ -1,17 +1,14 @@
 """Exact arithmetic in prime fields GF(p).
 
-A FieldSpec fixes the modulus and is validated once at construction with a
-deterministic primality test, so everything downstream can trust it.  Field
-elements are plain ints kept as canonical residues, 0 <= value < p.
+A FieldSpec fixes the modulus and is validated once at construction, by
+trial division, so everything downstream can trust it.  Field elements are
+plain ints kept as canonical residues, 0 <= value < p.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-# Deterministic Miller-Rabin witness set, sufficient for n < 3,215,031,751,
-# which covers the supported modulus range [2, 2**31).
-_MR_WITNESSES = (2, 3, 5, 7)
 
 MAX_MODULUS = 2**31
 
@@ -21,30 +18,10 @@ class NotPrimeError(ValueError):
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for 0 <= n < 2**31."""
-    if n < 2:
-        return False
-    for small in _MR_WITNESSES:
-        if n == small:
-            return True
-        if n % small == 0:
-            return False
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = (x * x) % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Whether n is prime, by trial division up to its square root."""
+    if n < 3 or n % 2 == 0:
+        return n == 2
+    return all(n % d for d in range(3, math.isqrt(n) + 1, 2))
 
 
 def inv_mod(a: int, p: int) -> int:

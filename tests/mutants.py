@@ -1,7 +1,7 @@
-"""Mutation check for the elimination code, the draws, the oracle, the
-alignment test, the lemma, the bounds and spaces that construction
-enforces, the witness reader and builders, the file reader and writer,
-verify's streamed checks, and the build check.
+"""Mutation check for the primality test, the elimination code, the draws,
+the oracle, the alignment test, the lemma, the bounds and spaces that
+construction enforces, the witness reader and builders, the file reader and
+writer, verify's streamed checks, and the build check.
 
 Each entry of MUTANTS is a small wrong version of the package: one exact
 text in one file of src/regenext, its replacement, and the tests that must
@@ -50,7 +50,7 @@ class Mutant(NamedTuple):
 
 
 LINALG, REGEN, STRUCTURE, EXTEND = "linalg.py", "regen.py", "structure.py", "extend.py"
-ALIGNMENT, CLI = "alignment.py", "cli.py"
+ALIGNMENT, CLI, GF = "alignment.py", "cli.py", "gf.py"
 T_LINALG, T_REGEN, T_STRUCTURE = "tests/test_linalg.py", "tests/test_regen.py", "tests/test_structure.py"
 T_EXTEND, T_ALIGNMENT = "tests/test_extend.py", "tests/test_alignment.py"
 LEMMA = "tests/test_properties.py::test_lemma_premises_give_a_split"
@@ -68,7 +68,24 @@ BUILDERS = f"{T_EXTEND}::test_builders_match_a_per_entry_reference"
 CLOSED_FORM = f"{T_ALIGNMENT}::test_closed_form_matches_elimination"
 DRAWS = f"{T_LINALG}::test_draws_are_the_values_randrange_gives"
 
+PRIME_KNOWNS = "tests/test_gf.py::test_is_prime_knowns"
+
 MUTANTS = [
+    # the primality test: trial division by 2, then by odd d up to isqrt(n)
+    Mutant(
+        "trial division stops below the square root",
+        GF,
+        "math.isqrt(n) + 1",
+        "math.isqrt(n)",
+        (PRIME_KNOWNS,),
+    ),
+    Mutant(
+        "trial division lets even numbers through",
+        GF,
+        "    if n < 3 or n % 2 == 0:\n",
+        "    if n < 3:\n",
+        (PRIME_KNOWNS,),
+    ),
     # the packed kernel and its bounds
     Mutant(
         "canon drops the conditional subtract",

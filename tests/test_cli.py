@@ -64,8 +64,8 @@ def test_gen_base_rejects_composite_modulus(tmp_path):
 
 
 def test_gen_base_rejects_a_composite_with_no_small_factor(tmp_path, capsys):
-    """121 = 11^2 has no factor among the Miller-Rabin witnesses 2, 3, 5 and
-    7, so only a Miller-Rabin round can reject it."""
+    """121 = 11^2 has no factor below its square root, so only a trial
+    division that reaches the square root itself rejects it."""
     out = tmp_path / "x.json"
     assert main(["gen-base", "--k", "3", "--p", "121", "--out", str(out)]) == EXIT_USAGE
     lines = capsys.readouterr().err.splitlines()
@@ -229,13 +229,17 @@ def test_verify_runs_oracle_on_small_field(tmp_path, capsys):
 
 
 def test_prob_sweep_stdout_csv(capsys):
-    rc = main(["prob-sweep", "--k", "2", "--p", "2,3", "--trials", "200"])
+    """The census runs up to 100,000 subspaces: p=317 at k=2 has 100,807,
+    so its census cells stay empty."""
+    rc = main(["prob-sweep", "--k", "2", "--p", "2,3,317", "--trials", "200"])
     captured = capsys.readouterr()
     assert rc == EXIT_OK
     rows = list(csv.DictReader(io.StringIO(captured.out)))
-    assert [r["p"] for r in rows] == ["2", "3"]
+    assert [r["p"] for r in rows] == ["2", "3", "317"]
     assert rows[0]["census"] == "4" and rows[0]["subspaces_total"] == "7"
     assert rows[1]["census"] == "9" and rows[1]["subspaces_total"] == "13"
+    assert rows[2]["census"] == rows[2]["census_ratio"] == ""
+    assert rows[2]["subspaces_total"] == "100807"
     assert rows[0]["probability_exact"] == "4/7"
     assert rows[1]["probability_exact"] == "9/13"
     assert all(r["trials"] == "200" for r in rows)
@@ -563,7 +567,7 @@ def test_end_to_end_at_largest_prime(tmp_path, capsys, k, n):
          "--max-attempts"),
         (["bounds", "--k", "-3"], "--k"),
         (["prob-sweep", "--k", "2", "--p", "3", "--trials", "0"], "--trials"),
-        (["prob-sweep", "--k", "2", "--p", "3", "--oracle-cap", "0"], "--oracle-cap"),
+        (["prob-sweep", "--k", "1", "--p", "3"], "--k"),
         (["verify", "--in", "x.json", "--oracle-cap", "-1"], "--oracle-cap"),
         (["repair-demo", "--k", "2", "--p", "5", "--max-attempts", "0"], "--max-attempts"),
         (["bounds", "--k", "two"], "--k"),

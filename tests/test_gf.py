@@ -121,15 +121,16 @@ def test_is_prime_knowns():
         assert not is_prime(n)
 
 
-# composites with no factor among the witnesses 2, 3, 5 and 7: strong
-# pseudoprimes to the bases 2 (2047), 2 and 3 (1,373,653) and 2, 3 and 5
-# (25,326,001), and a product of two primes just below the square root of 2^31
+# composites with no factor among 2, 3, 5 and 7: strong pseudoprimes to the
+# bases 2 (2047), 2 and 3 (1,373,653) and 2, 3 and 5 (25,326,001), and a
+# product of two primes just below the square root of 2^31, whose least
+# factor lies a few steps below the square-root bound of the division
 NO_SMALL_FACTOR = (2047, 1_373_653, 25_326_001, 46_337 * 46_327)
 
 
 def test_is_prime_matches_trial_division():
-    """Every n below 20,000, and composites with no factor among the
-    witnesses, so that only a Miller-Rabin round can reject them."""
+    """Every n below 20,000, and composites with no factor among 2, 3, 5 and
+    7, so that only a divisor near the square-root bound rejects the last."""
     for n in range(20_000):
         assert is_prime(n) == (n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))), n
     assert 46_337 * 46_327 < 2**31

@@ -156,10 +156,22 @@ def test_repair_demo_matches_the_reference(reference_main, k, p):
     assert _run(main, argv) == _run(reference_main, argv)
 
 
+def test_repair_demo_build_failure_matches_the_reference(reference_main):
+    """Same exit code 1, empty stdout and one stderr line when repair-demo
+    cannot build its example code: one draw at k=3, p=2 finds no aligned
+    node, and the line departs only by its stall bound."""
+    argv = ["repair-demo", "--k", "3", "--p", "2", "--seed", "1", "--max-attempts", "1"]
+    rc, out, err = _run(reference_main, argv)
+    err, stalls = _departed(err, STALL_BOUND)
+    assert (rc, out, stalls) == (1, "", 1)
+    assert err.startswith("repair-demo could not build its example code: ")
+    assert _run(main, argv) == (rc, out, err)
+
+
 def test_main_refuses_what_the_reference_accepted(reference_main, tmp_path):
     """The departures where main refuses a run that the reference completes:
-    the reference exits 0, and main exits 2 with its one-line reason last on
-    stderr and nothing on stdout."""
+    the reference exits 0, or 1 with its full report, and main exits 2 with
+    its one-line reason last on stderr and nothing on stdout."""
     base, again = str(tmp_path / "base.json"), str(tmp_path / "again.json")
     argv = ["gen-base", "--k", "2", "--p", "5", "--seed", "1", "--out", base]
     assert _run(reference_main, argv)[0] == 0
@@ -169,18 +181,33 @@ def test_main_refuses_what_the_reference_accepted(reference_main, tmp_path):
     for version in (True, 1.0):
         versions.append(tmp_path / f"version_{version}.json")
         versions[-1].write_text(json.dumps({**obj, "version": version}))
+    # k=4 with five empty nodes and no witnesses: 12 commas, where a row of
+    # F = 15 entries needs 14
+    empty = tmp_path / "empty_k4.json"
+    head = {"version": 1, "p": 5, "k": 4, "n": 5, "alpha": 4, "beta": 3, "F": 15,
+            "nodes": [[]] * 5, "witnesses": []}
+    empty.write_text(json.dumps(head, separators=COMPACT))
     cases = [
         # CHANGES.md, PR 12: load_code took "version": true and 1.0 as format 1
-        (["verify", "--in", str(versions[0])], "error: unsupported format version True"),
-        (["verify", "--in", str(versions[1])], "error: unsupported format version 1.0"),
+        (["verify", "--in", str(versions[0])], 0, "error: unsupported format version True"),
+        (["verify", "--in", str(versions[1])], 0, "error: unsupported format version 1.0"),
         # CHANGES.md, "Base synthesis makes one draw": gen-base has no --max-attempts
-        ([*argv[:-1], again, "--max-attempts", "5"],
+        ([*argv[:-1], again, "--max-attempts", "5"], 0,
          "regenext: error: unrecognized arguments: --max-attempts 5"),
         # CHANGES.md, "One check per property": verify has no --threads
-        (["verify", "--in", base, "--threads", "2"],
+        (["verify", "--in", base, "--threads", "2"], 0,
          "regenext: error: unrecognized arguments: --threads 2"),
+        # CHANGES.md, "the package has one file reader": the header's F is
+        # bounded by the text's commas, so the reference's 27-line FAIL
+        # report becomes a refusal
+        (["verify", "--in", str(empty)], 1,
+         "error: file dimension 15 exceeds the 13 entries a row of the file can hold"),
+        # CHANGES.md, "One primality rule and one fewer knob": prob-sweep has
+        # no --oracle-cap
+        (["prob-sweep", "--k", "2", "--p", "3", "--trials", "10", "--oracle-cap", "100000"], 0,
+         "regenext: error: unrecognized arguments: --oracle-cap 100000"),
     ]
-    for argv, reason in cases:
-        assert _run(reference_main, argv)[0] == 0, argv
+    for argv, accepted, reason in cases:
+        assert _run(reference_main, argv)[0] == accepted, argv
         rc, out, err = _run(main, argv)
         assert (rc, out, err.splitlines()[-1]) == (2, "", reason), argv
