@@ -7,7 +7,7 @@ node at a time by sampling random subspaces until one is well aligned with
 a repair pair of every k-subset of old nodes, and verifies every property
 it claims: data recovery, explicit repair witnesses, the per-repair
 decomposition structure, and (on small instances) agreement with a
-brute-force repairability oracle.
+closed-form repairability oracle.
 """
 
 from .gf import FieldSpec, NotPrimeError

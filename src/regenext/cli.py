@@ -37,7 +37,6 @@ from .extend import (
 from .gf import FieldSpec, NotPrimeError
 from .linalg import Subspace, count_subspaces
 from .regen import (
-    DEFAULT_ORACLE_CAP,
     Code,
     CodeFileError,
     brute_force_repairable,
@@ -60,6 +59,9 @@ EXIT_USAGE = 2
 _MAX_LISTED = 20
 # prob-sweep runs the exhaustive census only up to this many subspaces
 _CENSUS_CAP = 10**5
+# verify runs the repair oracle only where a pair has at most this many
+# choices of sends
+DEFAULT_ORACLE_CAP = 10**6
 
 
 class UsageError(ValueError):
@@ -248,8 +250,7 @@ def _verify_report(code: Code, pairs: Iterable, cap: int) -> tuple[list[str], bo
     spanning = set(subsets).difference(recovery)
 
     # a Code holds no node of more than alpha dimensions, so each helper offers
-    # at most per_node sends and no pair's search exceeds combos: a pair can
-    # only hit the oracle's cap when combos does
+    # at most per_node sends and no pair has more than combos choices of sends
     per_node = count_subspaces(pr.alpha, pr.beta, pr.spec)
     combos = per_node**pr.k
     run_oracle = combos <= cap
@@ -264,8 +265,9 @@ def _verify_report(code: Code, pairs: Iterable, cap: int) -> tuple[list[str], bo
             verify_structure(code, helpers, x, established=(not msgs, spanning))
         except DecompositionError as exc:
             structure.add([f"pair ({x}, {helpers}): {exc}"])
-        # the oracle backs up witnesses that pass; a failed pair is flagged already
-        if run_oracle and not msgs and not brute_force_repairable(code, x, helpers, cap=cap):
+        # the oracle backs up witnesses that pass: a failed pair is flagged
+        # already, and a pair it leaves undecided has a repair, its witness
+        if run_oracle and not msgs and brute_force_repairable(code, x, helpers) is False:
             oracle.add([
                 f"pair ({x}, {helpers}): witness checks pass but exhaustive "
                 f"search finds no repair"

@@ -38,6 +38,16 @@ dimension k whose g_{i,j} span GF(p)^k:
      take nullspace.
 dim K = 1 on every pair whose helpers store k dimensions each and span F,
 hence on every pair of a valid code, and there t = dim W_x = k.
+
+When K = 0, Phi(K) = 0, so by step 1 x is repairable iff W_x lies in im
+sigma and Phi(N) = 0 for some nonzero phi_j.  With g_1, ..., g_t spanning N,
+Phi(N) = 0 iff every u_j = phi_j B_j is 0, and by step 3 a nonzero phi_j
+gives u_j = 0 iff the g_{i,j} do not span GF(p)^k.  So x is repairable iff
+W_x lies in im sigma and no helper has g_{i,j} that span GF(p)^k.  Such a
+helper has D_j = 0, as t = dim W_x <= k, so the rule is read off the same
+spanning test as step 3's, not off the sum of the D_j.  When dim K >= 2,
+the helpers span at most k^2 - 2 < F dimensions, and the closed form
+decides nothing.
 """
 
 from __future__ import annotations
@@ -51,11 +61,9 @@ from typing import Callable, Iterable, Iterator, TypeVar
 
 from .gf import FieldSpec, NotPrimeError
 from .linalg import (
-    CapExceededError, Subspace, _adopted, _augmented, _Layout, _layout, _pivot, _push,
-    _reduce, _rref, _signed_minors, count_subspaces, enumerate_subspaces, nullspace,
+    Subspace, _adopted, _augmented, _Layout, _layout, _pivot, _push, _reduce,
+    _signed_minors, nullspace,
 )
-
-DEFAULT_ORACLE_CAP = 10**6
 
 
 class CodeFileError(Exception):
@@ -281,9 +289,19 @@ def verify_repair_witnesses(code: Code, pairs: Iterable | None = None) -> list[s
     ]
 
 
-def _closed_form_repairable(code: Code, x: int, helpers: tuple[int, ...]) -> bool | None:
-    """The oracle's verdict by the closed form of the module docstring, or
-    None when W_x lies in im sigma and dim K != 1."""
+def brute_force_repairable(code: Code, x: int, helpers: tuple[int, ...]) -> bool | None:
+    """Whether x is repairable from the given helpers, each sending a subspace
+    of dimension min(beta, dim W_j) inside its node (larger sends never
+    exist, smaller ones never help), by the closed form of the module
+    docstring; independent of the witness table.
+
+    None when the helpers' rows have two or more dependencies (dim K >= 2)
+    and span the failed node.  Such helpers span at most k^2 - 2 < F
+    dimensions, so their k-subset already fails data recovery, and dim K
+    decides nothing there: such pairs can be repairable or not.
+    """
+    helpers = tuple(sorted(helpers))
+    code._check_key(x, helpers)
     pr = code.params
     p, k, width = pr.spec.p, pr.k, pr.f_dim
     nodes = [code.node(j) for j in helpers]
@@ -297,7 +315,7 @@ def _closed_form_repairable(code: Code, x: int, helpers: tuple[int, ...]) -> boo
     if any(_pivot(row) < cut for row in echelon[m:]):
         return False  # W_x is not in im sigma
     kernel = [row for row in echelon[:m] if _pivot(row) >= cut]
-    if len(kernel) != 1:
+    if len(kernel) > 1:
         return None
     gens = [lay.unpack(row)[width:width + m] for row in kernel + echelon[m:]]
     unit, deps = _layout(p, len(gens)), []
@@ -313,67 +331,12 @@ def _closed_form_repairable(code: Code, x: int, helpers: tuple[int, ...]) -> boo
         # only a helper whose g_{i,j} span GF(p)^k, leaving t+1-k
         # dependencies, imposes a condition
         if dep.dim == len(gens) - k:
+            if not kernel:
+                return False  # K = 0, and no phi_j kills this helper's g_{i,j}
             for row in dep._rows:
                 _push(unit, deps, row)
-    # e_0 packs to 1
+    # e_0 packs to 1; with K = 0 no helper pushed, so x is repairable
     return bool(_reduce(unit, deps, 1))
-
-
-def brute_force_repairable(
-    code: Code, x: int, helpers: tuple[int, ...], cap: int = DEFAULT_ORACLE_CAP
-) -> bool:
-    """Decide whether x is repairable from the given helpers, each sending a
-    subspace of dimension min(beta, dim W_j) inside its node (larger sends
-    never exist, smaller ones never help).
-
-    The closed form of the module docstring decides if the helpers' rows
-    have exactly one dependency, as on every pair of a valid code, or do
-    not span the failed node.  Otherwise it searches all choices of sends in
-    helper order, and prunes a prefix unless its sends and all that the
-    remaining helpers store span the failed node.  Either way it raises
-    CapExceededError up front when the search would exceed cap choices.
-    Independent of the witness table.
-    """
-    pr = code.params
-    helpers = tuple(sorted(helpers))
-    code._check_key(x, helpers)
-    per_node = []
-    total = 1
-    for j in helpers:
-        node = code.node(j)
-        send_dim = min(pr.beta, node.dim)
-        per_node.append((node, send_dim))
-        total *= count_subspaces(node.dim, send_dim, pr.spec)
-    if total > cap:
-        raise CapExceededError(
-            f"repair search for node {x} via {helpers} has {total} combinations, "
-            f"cap is {cap}"
-        )
-    verdict = _closed_form_repairable(code, x, helpers)
-    if verdict is not None:
-        return verdict
-    candidates = [
-        [
-            tuple(map(node._combine, coeffs.basis_rows()))
-            for coeffs in enumerate_subspaces(node.dim, send_dim, pr.spec, cap=cap)
-        ]
-        for node, send_dim in per_node
-    ]
-    target = code.node(x)
-    # stored[i]: the RREF of all that helpers i, i+1, ... store, which enters
-    # each span first and so needs no elimination there
-    stored = [()]
-    for node, _ in reversed(per_node):
-        stored.insert(0, _rref(target._lay, [*node._rows, *stored[0]]))
-
-    def search(i: int, sent: tuple[int, ...]) -> bool:
-        # prune unless x is covered when helpers i, i+1, ... send all they store
-        span = Subspace._span_packed(pr.spec, pr.f_dim, [*stored[i], *sent])
-        if not span.contains_subspace(target):
-            return False
-        return i == len(helpers) or any(search(i + 1, sent + opt) for opt in candidates[i])
-
-    return search(0, ())
 
 
 # what save_code writes between the header's last value and the first witness
@@ -613,7 +576,7 @@ def _load_whole(text: str) -> Code:
     return _checked(obj, text.count(",") + 1, packed=_no_bool(text))
 
 
-def _checked(obj: object, widest: int, packed: bool = False) -> Code:
+def _checked(obj: object, widest: int, packed: bool) -> Code:
     """The code that a parsed code file describes; raises as load_code does.
     widest and packed are _header's."""
     params, nodes, lay = _header(obj, widest, packed)

@@ -299,13 +299,20 @@ MUTANTS = [
         "    sent = []\n",
         ("tests/test_properties.py::test_coverage_verdict_is_containment_in_the_sent_span",),
     ),
-    # the oracle's search
+    # the oracle's K = 0 rule
     Mutant(
-        "the search accepts a leaf without its cover test",
+        "the K = 0 rule skips one helper",
         REGEN,
-        "        if not span.contains_subspace(target):\n",
-        "        if i < len(helpers) and not span.contains_subspace(target):\n",
-        (f"{T_REGEN}::test_brute_force_matches_reference_search",),
+        "            if not kernel:\n",
+        "            if not kernel and node is not nodes[0]:\n",
+        ORACLE,
+    ),
+    Mutant(
+        "K = 0 answers True",
+        REGEN,
+        "                return False  # K = 0, and no phi_j kills this helper's g_{i,j}\n",
+        "                pass\n",
+        ORACLE,
     ),
     # the decomposition's leftover
     Mutant(

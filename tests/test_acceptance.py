@@ -137,7 +137,7 @@ def test_criterion_04_structure_on_every_repair_pair(artifacts):
 
 
 def test_criterion_05_exhaustive_repair_oracle_small_fields():
-    with criterion(5, "on (4, 3) codes over GF(2), GF(3), GF(5) the exhaustive repair search confirms every witnessed pair"):
+    with criterion(5, "on (4, 3) codes over GF(2), GF(3), GF(5) the repair oracle confirms every witnessed pair"):
         for p in (2, 3, 5):
             spec = FieldSpec(p)
             code = synthesize_base_code(3, spec, random.Random(f"oracle-base-{p}"))

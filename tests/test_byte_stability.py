@@ -8,7 +8,7 @@ digests and says so in CHANGES.md.  At k=2, p=3 the grow stalls at n=4, so
 the run covers the stall message and the `.partial` file as well.  The k=3,
 p=3 grow (30 draws a step) and the prob-sweep at p=3 and 5 pin the draws of
 the rejection samplers and the alignment test on the candidates they reject,
-with verify's exhaustive oracle at p=3.  The two gen-base runs at k=4 pin base synthesis at both ends of the field range, and
+with verify's repair oracle at p=3.  The two gen-base runs at k=4 pin base synthesis at both ends of the field range, and
 the two repair-demo runs pin every vector and verdict the walkthrough prints.
 """
 

@@ -16,7 +16,9 @@ from regenext.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from regenext.gf import FieldSpec
 import regenext.structure as structure
 from regenext.linalg import Subspace, count_subspaces
-from regenext.regen import MalformedCodeFileError, check_repair_pair, load_code
+from regenext.regen import (
+    Code, MalformedCodeFileError, Params, check_repair_pair, load_code, save_code,
+)
 
 
 @pytest.fixture(scope="module")
@@ -771,7 +773,7 @@ def test_verify_builds_no_basis_inverse(workdir, monkeypatch, capsys):
 
 def test_verify_runs_the_oracle_only_where_witnesses_pass(tmp_path, monkeypatch, capsys):
     """The oracle backs up witnesses that pass, so on a p=3 code with one node
-    entry changed it searches only the pairs without witness violations."""
+    entry changed it runs only on the pairs without witness violations."""
     base, grown = tmp_path / "base.json", tmp_path / "grown.json"
     assert main(["gen-base", "--k", "3", "--p", "3", "--seed", "1", "--out", str(base)]) == EXIT_OK
     argv = ["grow", "--in", str(base), "--out", str(grown), "--n", "6", "--seed", "1"]
@@ -786,15 +788,38 @@ def test_verify_runs_the_oracle_only_where_witnesses_pass(tmp_path, monkeypatch,
     calls = []
     original = cli.brute_force_repairable
 
-    def counting(code, x, helpers, cap):
+    def counting(code, x, helpers):
         calls.append((x, helpers))
-        return original(code, x, helpers, cap=cap)
+        return original(code, x, helpers)
 
     monkeypatch.setattr(cli, "brute_force_repairable", counting)
     capsys.readouterr()
     assert main(["verify", "--in", str(bad)]) == EXIT_VERIFICATION
     assert "oracle cross-check: checked=60 violations=0" in capsys.readouterr().out
     assert calls == passing
+
+
+def test_verify_counts_no_violation_where_the_oracle_is_undecided(tmp_path, monkeypatch, capsys):
+    """At k=2, p=3, nodes W_1 = W_2 = <e0, e1> and W_3 = <e0> give the pair
+    (3, (1, 2)) two dependencies among its helpers' rows, which the oracle
+    leaves undecided; its witness passes, so it is a repair, and verify counts
+    no oracle violation there."""
+    spec = FieldSpec(3)
+    plane, line = Subspace(spec, 3, [(1, 0, 0), (0, 1, 0)]), Subspace(spec, 3, [(1, 0, 0)])
+    code = Code(Params(3, 2, spec), (plane, plane, line), {(3, (1, 2)): {1: line, 2: line}})
+    path = tmp_path / "undecided.json"
+    save_code(code, str(path))
+    verdicts = []
+    original = cli.brute_force_repairable
+    monkeypatch.setattr(
+        cli, "brute_force_repairable",
+        lambda *args: verdicts.append(original(*args)) or verdicts[-1],
+    )
+    assert main(["verify", "--in", str(path)]) == EXIT_VERIFICATION
+    out = capsys.readouterr().out
+    assert "repair witnesses: checked=3 violations=2\n" in out
+    assert "oracle cross-check: checked=3 violations=0\n" in out
+    assert verdicts == [None]
 
 
 def test_grow_derives_each_split_once(tmp_path, monkeypatch):

@@ -302,5 +302,5 @@ def test_witness_checks_and_repair_oracle_agree(p, k, seed):
         for x, helpers in variant.repair_pairs():
             lines = check_repair_pair(variant, x, helpers)
             assert variant is not code or not lines
-            if not brute_force_repairable(variant, x, helpers):
+            if brute_force_repairable(variant, x, helpers) is False:
                 assert lines

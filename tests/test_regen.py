@@ -19,7 +19,6 @@ from regenext.cli import EXIT_OK, EXIT_VERIFICATION, main
 from regenext.extend import extend_code, synthesize_base_code
 from regenext.gf import FieldSpec, NotPrimeError
 from regenext.linalg import (
-    CapExceededError,
     Matrix,
     Subspace,
     enumerate_subspaces,
@@ -297,7 +296,7 @@ def test_check_repair_pair_flags_escaped_send(base_k3_p5):
 
 
 def test_brute_force_agrees_with_witnesses_k2(base_k2_p3):
-    """The exhaustive search confirms every stored witness pair."""
+    """The oracle confirms every stored witness pair."""
     code = base_k2_p3
     for x, helpers in code.repair_pairs():
         assert check_repair_pair(code, x, helpers) == []
@@ -314,8 +313,10 @@ def test_brute_force_detects_unrepairable_node():
 
 
 def reference_repairable(code, x, helpers):
-    """The repair search written plainly: the same choices and pruning as
-    brute_force_repairable, with a fresh Subspace spanned at every node."""
+    """The repair search written plainly: every choice of sends of dimension
+    min(beta, dim W_j) inside each helper, in helper order, pruned unless
+    the sends so far and all that the remaining helpers store cover the
+    failed node, with a fresh Subspace spanned at every step."""
     pr = code.params
     spec, p = pr.spec, pr.spec.p
     candidates = []
@@ -343,21 +344,44 @@ def reference_repairable(code, x, helpers):
     return search(0, ())
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.sampled_from([(2, 2), (2, 3), (3, 2)]), st.integers(0, 2**32))
-def test_brute_force_matches_reference_search(case, seed):
-    """Random nodes, some a dimension short, give both answers; the
-    search must agree with the plain one on every pair."""
-    k, p = case
-    spec = FieldSpec(p)
-    rng = random.Random(seed)
-    pr = Params(k + 2, k, spec)
-    nodes = tuple(
-        random_subspace(pr.f_dim, rng.choice([k, k, k - 1]), spec, rng) for _ in range(pr.n)
+def _oracle_matches_reference(code, x, helpers):
+    """The oracle's verdict on one pair, checked: it is the search's verdict
+    wherever it is a bool, and None exactly where the helpers cover the
+    failed node with dim K = sum of dim W_j - dim(sum of W_j) >= 2."""
+    verdict = brute_force_repairable(code, x, helpers)
+    nodes = [code.node(j) for j in helpers]
+    span = subspace_sum(*nodes)
+    undecided = sum(node.dim for node in nodes) - span.dim >= 2 and span.contains_subspace(
+        code.node(x)
     )
-    code = Code(pr, nodes)
-    for x, helpers in code.repair_pairs():
-        assert brute_force_repairable(code, x, helpers) == reference_repairable(code, x, helpers)
+    assert (verdict is None) == undecided, (code.nodes, x, helpers)
+    if verdict is not None:
+        assert verdict == reference_repairable(code, x, helpers), (code.nodes, x, helpers)
+    return verdict
+
+
+def test_brute_force_matches_reference_search():
+    """Random nodes, some a dimension short, give True, False and None; the
+    oracle must agree with the plain search wherever it decides, and leave
+    undecided exactly the covered pairs with dim K >= 2."""
+    verdicts = set()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from([(2, 2), (2, 3), (3, 2)]), st.integers(0, 2**32))
+    def check(case, seed):
+        k, p = case
+        spec = FieldSpec(p)
+        rng = random.Random(seed)
+        pr = Params(k + 2, k, spec)
+        nodes = tuple(
+            random_subspace(pr.f_dim, rng.choice([k, k, k - 1]), spec, rng) for _ in range(pr.n)
+        )
+        code = Code(pr, nodes)
+        for x, helpers in code.repair_pairs():
+            verdicts.add(_oracle_matches_reference(code, x, helpers))
+
+    check()
+    assert verdicts == {True, False, None}
 
 
 def _node_changed(code, rng, drop_row):
@@ -395,19 +419,25 @@ def _short_failed_node(k, spec, rng):
 
 
 @pytest.mark.parametrize("k,p", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (3, 5)])
-def test_brute_force_matches_reference_in_closed_form_and_search(k, p, monkeypatch):
-    """The closed form of regenext.regen and the search behind it must give
-    the plain search's verdict on every pair of a grown valid code, of codes
+def test_brute_force_matches_reference_in_closed_form_and_search(k, p):
+    """The closed form of regenext.regen must give the plain search's
+    verdict wherever it decides, and leave undecided exactly the covered
+    pairs with dim K >= 2, on every pair of a grown valid code, of codes
     with one node entry changed or one node a dimension short, of a code
     whose failed node is a dimension short and whose helper blocks span
-    nothing, of a random code, and of a code with k empty helpers, which the
-    closed form finds unable to rebuild a nonempty node; both verdicts and
-    both paths must occur, and some pair must be found unrepairable in
-    closed form."""
+    nothing, of a random code, of a code with three equal nodes, whose
+    pairs among them have dim K >= 2 and a repair, and of a code with
+    k empty helpers, which the closed form finds unable to rebuild a
+    nonempty node; True, False and None must all occur."""
     spec = FieldSpec(p)
     rng = random.Random(f"oracle-{k}-{p}")
     grown = extend_code(synthesize_base_code(k, spec, rng), rng, max_attempts=10**4).code
     pr = Params(k + 2, k, spec)
+    shared = random_subspace(pr.f_dim, k, spec, rng)
+    rest = tuple(random_subspace(pr.f_dim, k, spec, rng) for _ in range(pr.n - 3))
+    equal = Code(pr, (shared,) * 3 + rest)
+    # dim K >= k there, and yet helpers 1 and 2 send two hyperplanes of node 3
+    assert reference_repairable(equal, 3, (1, 2, *range(4, k + 2))) is True
     codes = [
         grown,
         _node_changed(grown, rng, drop_row=False),
@@ -415,36 +445,48 @@ def test_brute_force_matches_reference_in_closed_form_and_search(k, p, monkeypat
         _node_changed(grown, rng, drop_row=True),
         _short_failed_node(k, spec, rng),
         Code(pr, tuple(random_subspace(pr.f_dim, k, spec, rng) for _ in range(pr.n))),
+        equal,
     ]
     # k helpers that store nothing, a failed node of one row and an empty one
     empty = Subspace(spec, pr.f_dim)
     line = random_subspace(pr.f_dim, 1, spec, rng)
     codes.append(Code(pr, (empty,) * k + (line, empty)))
-    closed_form = regen._closed_form_repairable
-    assert closed_form(codes[-1], k + 1, tuple(range(1, k + 1))) is False
-    paths = []
+    assert brute_force_repairable(codes[-1], k + 1, tuple(range(1, k + 1))) is False
+    verdicts = [
+        _oracle_matches_reference(code, x, helpers)
+        for code in codes
+        for x, helpers in code.repair_pairs()
+    ]
+    assert set(verdicts) == {True, False, None}
 
-    def recorded(*args):
-        paths.append(closed_form(*args))
-        return paths[-1]
 
-    monkeypatch.setattr(regen, "_closed_form_repairable", recorded)
-    verdicts = []
-    for code in codes:
-        for x, helpers in code.repair_pairs():
-            verdict = brute_force_repairable(code, x, helpers)
-            assert verdict == reference_repairable(code, x, helpers), (code.nodes, x, helpers)
-            verdicts.append(verdict)
-    assert set(verdicts) == {True, False}
-    assert {True, False, None} <= set(paths)
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_oracle_leaves_an_unrepairable_dim_k2_pair_undecided(p):
+    """k = 3, helpers W_1 = <e0, e1, e2>, W_2 = <e0, e1, e3> and
+    W_3 = <e4, e5, e6>, whose rows have two dependencies, and W_x = <e2+e4,
+    e3+e5, e0+e6> inside their sum: the search finds no repair, so dim K = 2
+    does not make a pair repairable, and the oracle answers None."""
+    spec = FieldSpec(p)
+
+    def span(*rows):
+        """The span of the rows of GF(p)^8, each given by where its ones are."""
+        return Subspace(spec, 8, [[int(c in ones) for c in range(8)] for ones in rows])
+
+    nodes = (
+        span((0,), (1,), (2,)), span((0,), (1,), (3,)), span((4,), (5,), (6,)),
+        span((2, 4), (3, 5), (0, 6)),
+    )
+    code = Code(Params(4, 3, spec), nodes)
+    assert brute_force_repairable(code, 4, (1, 2, 3)) is None
+    assert reference_repairable(code, 4, (1, 2, 3)) is False
 
 
 @pytest.mark.parametrize("k,p", [(2, 3), (2, 65521), (3, 3), (3, 65521), (4, 2)])
 def test_oracle_reads_dependencies_off_minors_up_to_k3(k, p, monkeypatch):
-    """On every pair of a valid code the closed form decides, so the search
-    never runs, and the oracle finds each helper's D_j as the signed minors
-    of its block for k in {2, 3}, with no nullspace call; at k = 4 it still
-    takes one nullspace per helper."""
+    """On every pair of a valid code the closed form finds a repair, and the
+    oracle finds each helper's D_j as the signed minors of its block for k
+    in {2, 3}, with no nullspace call; at k = 4 it still takes one nullspace
+    per helper."""
     spec = FieldSpec(p)
     rng = random.Random(f"minors-{k}-{p}")
     code = synthesize_base_code(k, spec, rng)
@@ -453,17 +495,9 @@ def test_oracle_reads_dependencies_off_minors_up_to_k3(k, p, monkeypatch):
     calls = []
     original = regen.nullspace
     monkeypatch.setattr(regen, "nullspace", lambda *args: calls.append(args) or original(*args))
-    verdicts = []
-    closed_form = regen._closed_form_repairable
-    monkeypatch.setattr(
-        regen,
-        "_closed_form_repairable",
-        lambda *args: verdicts.append(closed_form(*args)) or verdicts[-1],
-    )
     pairs = list(code.repair_pairs())
     for x, helpers in pairs:
-        assert brute_force_repairable(code, x, helpers, cap=10**100)
-    assert verdicts == [True] * len(pairs)
+        assert brute_force_repairable(code, x, helpers) is True
     assert len(calls) == (k * len(pairs) if k == 4 else 0)
 
 
@@ -476,13 +510,6 @@ def test_brute_force_builds_no_subspace(base_k2_p3, monkeypatch):
         assert brute_force_repairable(base_k2_p3, x, helpers)
     assert not brute_force_repairable(unrepairable, 3, (1, 2))
     assert built == []
-
-
-def test_brute_force_cap(base_k2_p3):
-    code = base_k2_p3
-    x, helpers = next(code.repair_pairs())
-    with pytest.raises(CapExceededError):
-        brute_force_repairable(code, x, helpers, cap=10)
 
 
 def test_save_load_roundtrip(tmp_path, extended_k3_big):
@@ -777,7 +804,7 @@ def _whole_tree(path):
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise MalformedCodeFileError(f"not valid JSON: {exc}") from exc
-    return regen._checked(obj, text.count(",") + 1)
+    return regen._checked(obj, text.count(",") + 1, packed=False)
 
 
 def _outcome(load, path):
