@@ -11,7 +11,7 @@ closed-form repairability oracle.
 """
 
 from .gf import FieldSpec, NotPrimeError
-from .linalg import CapExceededError, Matrix, Subspace
+from .linalg import Matrix, Subspace
 from .regen import (
     Code,
     CodeDimensionError,
@@ -58,7 +58,6 @@ __all__ = [
     "NotPrimeError",
     "Matrix",
     "Subspace",
-    "CapExceededError",
     "Params",
     "Code",
     "CodeFileError",

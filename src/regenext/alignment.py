@@ -256,15 +256,11 @@ def probability_well_aligned(k: int, spec: FieldSpec) -> Fraction:
     return Fraction(count_well_aligned(k, spec), count_subspaces(f_dim, k, spec))
 
 
-def census_well_aligned(dec: Decomposition, cap: int = 10**7) -> int:
-    """Count well-aligned subspaces by exhaustive enumeration.
-
-    Raises CapExceededError when the number of k-dimensional subspaces of the
-    file space exceeds cap.
-    """
+def census_well_aligned(dec: Decomposition) -> int:
+    """Count well-aligned subspaces by exhaustive enumeration."""
     return sum(
         is_well_aligned(candidate, dec) is not None
-        for candidate in enumerate_subspaces(dec.ambient_dim, dec.k, dec.spec, cap=cap)
+        for candidate in enumerate_subspaces(dec.ambient_dim, dec.k, dec.spec)
     )
 
 

@@ -269,8 +269,8 @@ def _verify_report(code: Code, pairs: Iterable, cap: int) -> tuple[list[str], bo
         # already, and a pair it leaves undecided has a repair, its witness
         if run_oracle and not msgs and brute_force_repairable(code, x, helpers) is False:
             oracle.add([
-                f"pair ({x}, {helpers}): witness checks pass but exhaustive "
-                f"search finds no repair"
+                f"pair ({x}, {helpers}): witness checks pass but the repair "
+                f"oracle finds no repair"
             ])
         # a checked witness is not read again, so code holds one batch at most
         code.witnesses.pop((x, helpers), None)
@@ -328,7 +328,7 @@ def _cmd_prob_sweep(args: argparse.Namespace) -> int:
             prob = Fraction(exact, total)
             census = census_ratio = ""
             if total <= _CENSUS_CAP:
-                census = census_well_aligned(dec, cap=_CENSUS_CAP)
+                census = census_well_aligned(dec)
                 census_ratio = census / total
             freq, (low, high) = estimate_probability_monte_carlo(dec, args.trials, rng)
             writer.writerow((

@@ -150,10 +150,6 @@ from .gf import FieldSpec, inv_mod
 Vec = tuple[int, ...]
 
 
-class CapExceededError(RuntimeError):
-    """An exhaustive enumeration would exceed its configured work cap."""
-
-
 class _Layout:
     """Slot width and reduction constants for rows of `width` residues mod p;
     the module docstring derives them and proves their bounds."""
@@ -502,11 +498,7 @@ class Subspace:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
-        return (
-            self.spec == other.spec
-            and self.ambient_dim == other.ambient_dim
-            and self._rows == other._rows
-        )
+        return self._lay is other._lay and self._rows == other._rows
 
     def __hash__(self) -> int:
         return hash((self.spec.p, self.ambient_dim, self._rows))
@@ -574,23 +566,14 @@ def count_subspaces(ambient_dim: int, dim: int, spec: FieldSpec) -> int:
     return num // den
 
 
-def enumerate_subspaces(
-    ambient_dim: int, dim: int, spec: FieldSpec, cap: int = 10**7
-) -> Iterator[Subspace]:
+def enumerate_subspaces(ambient_dim: int, dim: int, spec: FieldSpec) -> Iterator[Subspace]:
     """All dim-dimensional subspaces, each exactly once, in a fixed order.
 
     Iterates over RREF shapes: a choice of pivot columns plus free entries to
-    the right of each pivot and outside pivot columns.  Raises CapExceededError
-    up front if the total count exceeds cap.
+    the right of each pivot and outside pivot columns.
     """
     if dim < 0 or dim > ambient_dim:
         raise ValueError(f"dimension {dim} outside [0, {ambient_dim}]")
-    total = count_subspaces(ambient_dim, dim, spec)
-    if total > cap:
-        raise CapExceededError(
-            f"{total} subspaces of dimension {dim} in GF({spec.p})^{ambient_dim} "
-            f"exceed the cap of {cap}"
-        )
     return _iter_subspaces(ambient_dim, dim, spec)
 
 

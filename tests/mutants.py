@@ -1,7 +1,8 @@
 """Mutation check for the primality test, the elimination code, the draws,
 the oracle, the alignment test, the lemma, the bounds and spaces that
 construction enforces, the witness reader and builders, the file reader and
-writer, verify's streamed checks, and the build check.
+writer, verify's streamed checks, the build check, and prob-sweep's census
+limit.
 
 Each entry of MUTANTS is a small wrong version of the package: one exact
 text in one file of src/regenext, its replacement, and the tests that must
@@ -529,6 +530,14 @@ MUTANTS = [
         "            rows.append(dec.complement_vectors[j])\n",
         "",
         (BUILDERS,),
+    ),
+    # prob-sweep's one limit on a census
+    Mutant(
+        "the census cap drops to 10**4",
+        CLI,
+        "_CENSUS_CAP = 10**5",
+        "_CENSUS_CAP = 10**4",
+        ("tests/test_cli.py::test_prob_sweep_stdout_csv",),
     ),
 ]
 

@@ -21,7 +21,6 @@ from regenext.alignment import (
 from regenext.extend import synthesize_decomposition
 from regenext.gf import FieldSpec
 from regenext.linalg import (
-    CapExceededError,
     Subspace,
     count_subspaces,
     enumerate_subspaces,
@@ -164,12 +163,6 @@ def test_census_is_decomposition_invariant():
         dec = synthesize_decomposition(2, GF3, random.Random(f"invariant-{seed}"))
         counts.add(census_well_aligned(dec))
     assert counts == {9}
-
-
-def test_census_cap(base_k3_p5):
-    dec = first_decomposition(base_k3_p5)
-    with pytest.raises(CapExceededError):
-        census_well_aligned(dec, cap=100)
 
 
 def test_count_formulas():

@@ -231,17 +231,19 @@ def test_verify_runs_oracle_on_small_field(tmp_path, capsys):
 
 
 def test_prob_sweep_stdout_csv(capsys):
-    """The census runs up to 100,000 subspaces: p=317 at k=2 has 100,807,
-    so its census cells stay empty."""
-    rc = main(["prob-sweep", "--k", "2", "--p", "2,3,317", "--trials", "200"])
+    """The census runs up to 100,000 subspaces: p=313 at k=2 has 98,283,
+    so it is counted, and p=317 has 100,807, so its census cells stay
+    empty."""
+    rc = main(["prob-sweep", "--k", "2", "--p", "2,3,313,317", "--trials", "200"])
     captured = capsys.readouterr()
     assert rc == EXIT_OK
     rows = list(csv.DictReader(io.StringIO(captured.out)))
-    assert [r["p"] for r in rows] == ["2", "3", "317"]
+    assert [r["p"] for r in rows] == ["2", "3", "313", "317"]
     assert rows[0]["census"] == "4" and rows[0]["subspaces_total"] == "7"
     assert rows[1]["census"] == "9" and rows[1]["subspaces_total"] == "13"
-    assert rows[2]["census"] == rows[2]["census_ratio"] == ""
-    assert rows[2]["subspaces_total"] == "100807"
+    assert rows[2]["census"] == "97969" and rows[2]["subspaces_total"] == "98283"
+    assert rows[3]["census"] == rows[3]["census_ratio"] == ""
+    assert rows[3]["subspaces_total"] == "100807"
     assert rows[0]["probability_exact"] == "4/7"
     assert rows[1]["probability_exact"] == "9/13"
     assert all(r["trials"] == "200" for r in rows)

@@ -41,6 +41,11 @@ LEFTOVER_PAIR = (
     re.compile(r"^(  pair (\(\d+, \([\d, ]*\)\)): )(helper \d+ stores dimension)", re.M),
     r"\1witness for \2: \3",
 )
+# CHANGES.md, PR 12: the send-count message reads "stores N basis rows"
+# like the node one, where the reference printed "stores N rows"
+SEND_ROWS = (
+    re.compile(r"stores (\d+) rows, more than beta"), r"stores \1 basis rows, more than beta"
+)
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +170,23 @@ def test_repair_demo_build_failure_matches_the_reference(reference_main):
     err, stalls = _departed(err, STALL_BOUND)
     assert (rc, out, stalls) == (1, "", 1)
     assert err.startswith("repair-demo could not build its example code: ")
+    assert _run(main, argv) == (rc, out, err)
+
+
+def test_verify_words_an_oversized_send_like_a_node(reference_main, tmp_path):
+    """Both sides exit 2 on a send with one row more than beta, with nothing
+    on stdout, and main's one stderr line departs only by its wording."""
+    path = tmp_path / "base.json"
+    argv = ["gen-base", "--k", "2", "--p", "5", "--seed", "1", "--out", str(path)]
+    assert _run(reference_main, argv)[0] == 0
+    obj = json.loads(path.read_text())
+    obj["witnesses"][0]["R"]["2"].append([0, 1, 0])
+    path.write_text(json.dumps(obj))
+    argv = ["verify", "--in", str(path)]
+    rc, out, err = _run(reference_main, argv)
+    err, worded = _departed(err, SEND_ROWS)
+    assert (rc, out, worded) == (2, "", 1)
+    assert err == "error: witness (1, (2, 3)) helper 2 stores 2 basis rows, more than beta = 1\n"
     assert _run(main, argv) == (rc, out, err)
 
 
